@@ -19,8 +19,7 @@ from .exactalg import Envelope, HalfLaurent, QSeries, TruncatedPolynomial
 from .polytope import (QuasitoricManifold, SimplePolytope, connected_sum,
                        cube, enumerate_characteristic_matrices, polygon,
                        polytope_product, simplex, vertex_cut)
-from .cohomology import (FaceRing, build_face_ring, facet_class_decomposition,
-                         p1_square_coefficients)
+from .cohomology import FaceRing, build_face_ring, facet_class_decomposition
 from .genus import (BundleSpec, CircleSubgroup, EquivariantIndex,
                     choose_generic_circles, cohomological_elliptic_genus,
                     cohomological_index, cohomological_witten_genus,
@@ -93,7 +92,6 @@ __all__ = [
     "is_spin",
     "localization_integral",
     "max_dim_rank_ratio",
-    "p1_square_coefficients",
     "parse_manifest",
     "polygon",
     "polytope_product",

@@ -122,7 +122,6 @@ def cmd_genus(args):
     manifest = _load_manifest(args.manifest)
     manifold = manifest.build_manifold()
     q_order = args.q_order if args.q_order is not None else _default_q_order()
-    threads = args.threads
     xi = _parse_circle(args.equivariant) if args.equivariant else None
 
     if args.twist == "signature":
@@ -133,12 +132,12 @@ def cmd_genus(args):
 
     if xi is not None:
         if args.twist == "witten":
-            eq = equivariant_witten_genus(manifold, xi, q_order, threads=threads)
+            eq = equivariant_witten_genus(manifold, xi, q_order)
         elif args.twist == "elliptic":
-            eq = equivariant_elliptic_genus(manifold, xi, q_order, threads=threads)
+            eq = equivariant_elliptic_genus(manifold, xi, q_order)
         else:
             spec = manifest.bundles() if args.twist == "custom" else BundleSpec.empty()
-            eq = equivariant_index(manifold, xi, spec, q_order, threads=threads)
+            eq = equivariant_index(manifold, xi, spec, q_order)
         report = {
             "twist": args.twist,
             "q_order": q_order,
@@ -151,12 +150,12 @@ def cmd_genus(args):
         return 0
 
     if args.twist == "witten":
-        series = witten_genus(manifold, q_order, threads=threads)
+        series = witten_genus(manifold, q_order)
     elif args.twist == "elliptic":
-        series = elliptic_genus(manifold, q_order, threads=threads)
+        series = elliptic_genus(manifold, q_order)
     else:
         spec = manifest.bundles() if args.twist == "custom" else BundleSpec.empty()
-        series = index(manifold, spec, q_order, threads=threads)
+        series = index(manifold, spec, q_order)
     report = {
         "twist": args.twist,
         "q_order": q_order,
@@ -205,8 +204,7 @@ def _verify_anomaly(args, manifest):
     exit_code = 0
     q_order = args.q_order if args.q_order is not None else 3
     if value < 0 and twist_matches:
-        eq = equivariant_index(manifold, xi, bundles, q_order,
-                               threads=args.threads)
+        eq = equivariant_index(manifold, xi, bundles, q_order)
         vanished = eq.is_identically_zero()
         report["equivariant_index_vanishes"] = vanished
         report["q_order"] = q_order
@@ -311,8 +309,7 @@ def cmd_verify(args):
 
 
 def cmd_census(args):
-    report = finiteness_census(args.n, args.k, args.bound,
-                               threads=args.threads)
+    report = finiteness_census(args.n, args.k, args.bound)
     lines = [
         f"matrices: {report['total_matrices']}",
         f"pattern matches: {report['pattern_matches']}",
@@ -349,7 +346,6 @@ def build_parser():
                    help="truncation order (default: GENUS_QORDER_DEFAULT or 4)")
     p.add_argument("--equivariant", metavar="XI", default=None,
                    help="circle vector, e.g. '1,2'; emits Laurent coefficients")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_genus)
 
@@ -357,7 +353,6 @@ def build_parser():
     p.add_argument("manifest", nargs="?")
     p.add_argument("--theorem", required=True, choices=sorted(_VERIFIERS))
     p.add_argument("--q-order", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -365,7 +360,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
     return parser

@@ -114,14 +114,6 @@ class CohomologyClass:
             k >>= 1
         return out
 
-    def homogeneous_part(self, degree):
-        return CohomologyClass(self.ring, {
-            t: c for t, c in self.terms.items()
-            if self.ring.token_degree(t) == degree})
-
-    def max_degree(self):
-        return max((self.ring.token_degree(t) for t in self.terms), default=0)
-
     def integrate(self):
         return self.ring.integrate(self)
 
@@ -450,46 +442,6 @@ def _candidate_generator_sets(ring):
         red, pivots = rref(mat)
         if len(pivots) == k:
             yield facets, classes
-
-
-def p1_square_coefficients(manifold, ring=None):
-    """Coefficients of p1 on the squares of canonical degree-2 generators.
-
-    The generators are the lexicographically least set of facet classes that
-    pairwise multiply to zero and span the degree-2 part; their squares must
-    be a basis of the degree-4 part, which is the connected-sum-of-
-    projective-spaces ring shape.  Returns the coefficient list in generator
-    order.  Raises RingShapeError when the ring does not have this shape,
-    and always for dimension 2, where squares cannot form a degree-4 basis
-    in the intended sense and no generalization is attempted.
-    """
-    if manifold.dimension == 2:
-        raise RingShapeError(
-            "square-coefficient extraction is undefined for dimension 2; "
-            "use facet_class_decomposition instead")
-    if ring is None:
-        ring = build_face_ring(manifold)
-    k = len(ring.basis(1))
-    basis2 = ring.basis(2)
-    if len(basis2) != k:
-        raise RingShapeError(
-            f"degree-4 part has dimension {len(basis2)}, expected {k}; "
-            "not a connected-sum pattern")
-    for facets, classes in _candidate_generator_sets(ring):
-        squares = [c * c for c in classes]
-        mat = [[s.terms.get(tok, Fraction(0)) for tok in basis2] for s in squares]
-        red, pivots = rref(mat)
-        if len(pivots) != k:
-            continue
-        p1 = ring.pontryagin_p1()
-        target = [p1.terms.get(tok, Fraction(0)) for tok in basis2]
-        coords = solve_in_span(mat, target)
-        if coords is None:
-            continue
-        return list(coords)
-    raise RingShapeError(
-        "no facet-class generator set with vanishing pairwise products "
-        "and independent squares exists; not a connected-sum pattern")
 
 
 def facet_class_decomposition(manifold, ring=None):

@@ -143,9 +143,6 @@ class HalfLaurent:
             k >>= 1
         return out
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
     def inverse(self):
         """Inverse of a single monomial; anything else is not a unit here."""
         if len(self.coeffs) != 1:
@@ -501,12 +498,6 @@ class Envelope:
     def of_constant(lo, hi, order):
         """Envelope of a q-degree-zero term with t-exponents in [lo, hi]."""
         return Envelope([(lo, hi)] + [None] * order)
-
-    @staticmethod
-    def single(degree, lo, hi, order):
-        spans = [None] * (order + 1)
-        spans[degree] = (lo, hi)
-        return Envelope(spans)
 
     @property
     def order(self):

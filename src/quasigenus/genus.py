@@ -24,13 +24,12 @@ the final Laurent polynomials.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
 from .exactalg import Envelope, HalfLaurent, QSeries, TruncatedPolynomial, laurent_interpolate
-from .linalg import gf2_solve
+from .linalg import gf2_solve, is_primitive
 from .cohomology import build_face_ring
 
 
@@ -44,12 +43,6 @@ class CircleSubgroup:
         if not xi or all(x == 0 for x in xi):
             raise InputError("circle vector must be nonzero")
         self.xi = xi
-
-    def is_primitive(self):
-        g = 0
-        for x in self.xi:
-            g = math.gcd(g, abs(x))
-        return g == 1
 
     def __eq__(self, other):
         return isinstance(other, CircleSubgroup) and self.xi == other.xi
@@ -153,6 +146,24 @@ def _dot(vec, xi):
     return sum(a * b for a, b in zip(vec, xi))
 
 
+def _fixed_point_weights(fp, xi, lines=()):
+    """Tangent weights <w, xi> at a fixed point, and the weights of lines.
+
+    A facet-coefficient line c restricts to the fixed point with weight
+    sum_k c[f_k] <w_k, xi> over the facets f_k through its vertex.  A circle
+    that annihilates a tangent weight is refused before any line is read.
+    """
+    tangent = tuple(_dot(w, xi) for w in fp.weights)
+    bad = [fp.weights[k] for k, w in enumerate(tangent) if w == 0]
+    if bad:
+        raise DegenerateCircleError(
+            f"circle {list(xi)} annihilates tangent weight(s) {bad} at "
+            f"vertex {fp.vertex}; pick a generic circle")
+    return tangent, tuple(
+        sum(line[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
+        for line in lines)
+
+
 class _VertexTerm:
     """Everything the sampler needs about one fixed point."""
 
@@ -170,6 +181,14 @@ class _VertexTerm:
         self.halfexp = c + sum(tangent) - sum(w_weights)
 
 
+def _vertex_term(fp, xi, sigma, gamma, v_lines, w_lines, tangent_as_w=False):
+    tangent, (c, *weights) = _fixed_point_weights(
+        fp, xi, (gamma,) + tuple(v_lines) + tuple(w_lines))
+    v_weights = tuple(weights[:len(v_lines)])
+    w_weights = tangent if tangent_as_w else tuple(weights[len(v_lines):])
+    return _VertexTerm(fp.vertex, sigma, tangent, c, v_weights, w_weights)
+
+
 def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
     xi = _as_circle(xi).xi
     if len(xi) != manifold.dimension:
@@ -177,27 +196,9 @@ def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
             f"circle vector length {len(xi)} does not match dimension "
             f"{manifold.dimension}")
     signs = manifold.orientation_signs()
-    terms = []
-    for fp in manifold.fixed_points():
-        tangent = tuple(_dot(w, xi) for w in fp.weights)
-        bad = [fp.weights[k] for k, w in enumerate(tangent) if w == 0]
-        if bad:
-            raise DegenerateCircleError(
-                f"circle {list(xi)} annihilates tangent weight(s) {bad} at "
-                f"vertex {fp.vertex}; pick a generic circle")
-        c = sum(gamma[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
-        v_weights = tuple(
-            sum(line[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
-            for line in v_lines)
-        if tangent_as_w:
-            w_weights = tangent
-        else:
-            w_weights = tuple(
-                sum(line[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
-                for line in w_lines)
-        sigma = signs[fp.vertex] * fp.sign
-        terms.append(_VertexTerm(fp.vertex, sigma, tangent, c, v_weights, w_weights))
-    return terms
+    return [_vertex_term(fp, xi, signs[fp.vertex] * fp.sign, gamma, v_lines,
+                         w_lines, tangent_as_w)
+            for fp in manifold.fixed_points()]
 
 
 def _common_parity(terms):
@@ -242,6 +243,16 @@ def _sparse_factor(k, coeff, q_order):
     return QSeries(coeffs, q_order)
 
 
+def _q_squares(q_order):
+    """prod_k (1-q^k)^2 and prod_k (1+q^k)^2 as rational q-series."""
+    minus = QSeries.one(q_order)
+    plus = QSeries.one(q_order)
+    for k in range(1, q_order + 1):
+        minus = minus * _sparse_factor(k, -1, q_order)
+        plus = plus * _sparse_factor(k, 1, q_order)
+    return minus * minus, plus * plus
+
+
 class _SampleWorkspace:
     """Per-sample-point caches for the q-series factors.
 
@@ -256,14 +267,9 @@ class _SampleWorkspace:
         self.tangent_cache = {}
         self.vline_cache = {}
         self.wline_cache = {}
-        one_minus = QSeries.one(q_order)
-        one_plus = QSeries.one(q_order)
-        for k in range(1, q_order + 1):
-            one_minus = one_minus * _sparse_factor(k, -1, q_order)
-            one_plus = one_plus * _sparse_factor(k, 1, q_order)
-        self.minus_sq = one_minus * one_minus          # prod (1-q^k)^2
+        self.minus_sq, plus_sq = _q_squares(q_order)
         self.minus_sq_inv = self.minus_sq.invert()
-        self.plus_sq_inv = (one_plus * one_plus).invert()
+        self.plus_sq_inv = plus_sq.invert()
 
     def _pair_product(self, power, sign):
         """prod_k (1 + sign*tau^w q^k)(1 + sign*tau^-w q^k)."""
@@ -331,7 +337,7 @@ def _sample_points(count):
 
 
 def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
-                        threads=1, tangent_as_w=False):
+                        tangent_as_w=False):
     """Shared engine: returns (QSeries of HalfLaurent, parity)."""
     if q_order < 0:
         raise InputError("q-order must be non-negative")
@@ -343,18 +349,13 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
     n_samples = env.max_width() + 3
     taus = _sample_points(n_samples)
 
-    def evaluate(tau):
+    values = []
+    for tau in taus:
         ws = _SampleWorkspace(tau, q_order)
         total = QSeries.constant(Fraction(0), q_order)
         for term in terms:
             total = total + ws.term_value(term, parity)
-        return total
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, taus))
-    else:
-        values = [evaluate(tau) for tau in taus]
+        values.append(total)
 
     coeffs = []
     for d in range(q_order + 1):
@@ -380,18 +381,7 @@ def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
     t = Fraction(t)
     if t in (Fraction(0), Fraction(1), Fraction(-1)):
         raise InputError(f"sample point t = {t} is not allowed")
-    tangent = tuple(_dot(w, xi) for w in fp.weights)
-    if any(w == 0 for w in tangent):
-        raise DegenerateCircleError(
-            f"circle {list(xi)} is degenerate at vertex {fp.vertex}")
-    c = sum(gamma[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
-    v_weights = tuple(
-        sum(line[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
-        for line in bundles.v_lines)
-    w_weights = tuple(
-        sum(line[f - 1] * tangent[k] for k, f in enumerate(fp.vertex))
-        for line in bundles.w_lines)
-    term = _VertexTerm(fp.vertex, 1, tangent, c, v_weights, w_weights)
+    term = _vertex_term(fp, xi, 1, gamma, bundles.v_lines, bundles.w_lines)
     if term.halfexp % 2:
         raise ParityError(
             f"half-integer exponent {term.halfexp}/2 at vertex {fp.vertex} "
@@ -400,7 +390,7 @@ def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
     return ws.term_value(term, 0, with_sign=False)
 
 
-def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None, threads=1):
+def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None):
     """The circle-equivariant twisted index as exact Laurent q-coefficients."""
     bundles = bundles or BundleSpec.empty()
     bundles.validate_for(manifold)
@@ -408,8 +398,7 @@ def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None, threads=1):
         gamma = manifold.spin_c
     xi = _as_circle(xi)
     series, parity = _equivariant_series(
-        manifold, xi, bundles.v_lines, bundles.w_lines, gamma, q_order,
-        threads=threads)
+        manifold, xi, bundles.v_lines, bundles.w_lines, gamma, q_order)
     return EquivariantIndex(series, xi, parity)
 
 
@@ -430,13 +419,11 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     def cost(xi):
         total = 0
         for fp in fps:
-            tangent = [_dot(w, xi) for w in fp.weights]
-            if any(w == 0 for w in tangent):
+            try:
+                tangent, line_weights = _fixed_point_weights(fp, xi, lines)
+            except DegenerateCircleError:
                 return None
-            total += sum(abs(w) for w in tangent)
-            for line in lines:
-                total += abs(sum(line[f - 1] * tangent[k]
-                                 for k, f in enumerate(fp.vertex)))
+            total += sum(map(abs, tangent)) + sum(map(abs, line_weights))
         return total
 
     found = []
@@ -469,21 +456,15 @@ def _primitive_box(n, bound):
     """Primitive vectors with entries in [-bound, bound], first nonzero > 0."""
     def rec(prefix):
         if len(prefix) == n:
-            if any(prefix):
-                g = 0
-                for x in prefix:
-                    g = math.gcd(g, abs(x))
-                if g == 1:
-                    first = next(x for x in prefix if x)
-                    if first > 0:
-                        yield tuple(prefix)
+            if is_primitive(prefix) and next(x for x in prefix if x) > 0:
+                yield tuple(prefix)
             return
         for x in range(-bound, bound + 1):
             yield from rec(prefix + [x])
     yield from rec([])
 
 
-def _index_at_one(manifold, v_lines, w_lines, gamma, q_order, threads,
+def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
                   tangent_as_w=False):
     """Non-equivariant index, asserted equal over two generic circles."""
     spec = BundleSpec(v_lines, () if tangent_as_w else w_lines)
@@ -492,7 +473,7 @@ def _index_at_one(manifold, v_lines, w_lines, gamma, q_order, threads,
     for xi in circles:
         series, _ = _equivariant_series(
             manifold, xi, v_lines, w_lines, gamma, q_order,
-            threads=threads, tangent_as_w=tangent_as_w)
+            tangent_as_w=tangent_as_w)
         results.append(QSeries([c.value_at_one() for c in series.coeffs], q_order))
     if results[0] != results[1]:
         raise PropertyViolationError(
@@ -502,14 +483,14 @@ def _index_at_one(manifold, v_lines, w_lines, gamma, q_order, threads,
     return results[0]
 
 
-def index(manifold, bundles, q_order, *, gamma=None, threads=1):
+def index(manifold, bundles, q_order, *, gamma=None):
     """The twisted index as a q-series of rationals (t = 1 characters)."""
     bundles = bundles or BundleSpec.empty()
     bundles.validate_for(manifold)
     if gamma is None:
         gamma = manifold.spin_c
     return _index_at_one(manifold, bundles.v_lines, bundles.w_lines, gamma,
-                         q_order, threads)
+                         q_order)
 
 
 def spin_obstruction(manifold):
@@ -545,33 +526,30 @@ def spin_gamma(manifold):
     return gamma, tuple(eta)
 
 
-def witten_genus(manifold, q_order, *, threads=1):
+def witten_genus(manifold, q_order):
     """Untwisted spin index; requires a spin structure."""
     gamma, _ = spin_gamma(manifold)
-    return _index_at_one(manifold, (), (), gamma, q_order, threads)
+    return _index_at_one(manifold, (), (), gamma, q_order)
 
 
-def elliptic_genus(manifold, q_order, *, threads=1):
+def elliptic_genus(manifold, q_order):
     """Index twisted by the full tangent bundle; requires spin."""
     gamma, _ = spin_gamma(manifold)
-    return _index_at_one(manifold, (), (), gamma, q_order, threads,
-                         tangent_as_w=True)
+    return _index_at_one(manifold, (), (), gamma, q_order, tangent_as_w=True)
 
 
-def equivariant_witten_genus(manifold, xi, q_order, *, threads=1):
+def equivariant_witten_genus(manifold, xi, q_order):
     gamma, eta = spin_gamma(manifold)
     xi = _as_circle(xi)
-    series, parity = _equivariant_series(
-        manifold, xi, (), (), gamma, q_order, threads=threads)
+    series, parity = _equivariant_series(manifold, xi, (), (), gamma, q_order)
     return _strip_character_shift(series, parity, eta, xi)
 
 
-def equivariant_elliptic_genus(manifold, xi, q_order, *, threads=1):
+def equivariant_elliptic_genus(manifold, xi, q_order):
     gamma, eta = spin_gamma(manifold)
     xi = _as_circle(xi)
     series, parity = _equivariant_series(
-        manifold, xi, (), (), gamma, q_order, threads=threads,
-        tangent_as_w=True)
+        manifold, xi, (), (), gamma, q_order, tangent_as_w=True)
     return _strip_character_shift(series, parity, eta, xi)
 
 
@@ -603,13 +581,15 @@ def signature(manifold):
     circles = choose_generic_circles(manifold, None, count=2)
     results = []
     for xi in circles:
+        tangents = [(signs[fp.vertex] * fp.sign,
+                     _fixed_point_weights(fp, xi.xi)[0])
+                    for fp in manifold.fixed_points()]
         per_tau = []
         for tau in (Fraction(2), Fraction(3)):
             total = Fraction(0)
-            for fp in manifold.fixed_points():
-                term = Fraction(signs[fp.vertex] * fp.sign)
-                for wvec in fp.weights:
-                    w = _dot(wvec, xi.xi)
+            for sigma, tangent in tangents:
+                term = Fraction(sigma)
+                for w in tangent:
                     term *= (tau ** w + 1) / (tau ** w - 1)
                 total += term
             per_tau.append(total)
@@ -636,27 +616,20 @@ def localization_integral(manifold, facets):
     if len(facets) != manifold.dimension:
         raise InputError(
             f"need exactly {manifold.dimension} facet labels, got {len(facets)}")
+    # Facet class v_f restricts to a fixed point as the line with the single
+    # coefficient 1 at facet f: weight <w_k, xi> when f is the k-th facet
+    # through the vertex, and 0 when f misses it.
+    lines = [[int(j == f) for j in range(1, manifold.num_facets + 1)]
+             for f in facets]
     signs = manifold.orientation_signs()
     circles = choose_generic_circles(manifold, None, count=2)
     results = []
     for xi in circles:
         total = Fraction(0)
         for fp in manifold.fixed_points():
-            tangent = [_dot(w, xi.xi) for w in fp.weights]
-            num = Fraction(signs[fp.vertex] * fp.sign)
-            ok = True
-            for f in facets:
-                if f in fp.vertex:
-                    num *= tangent[fp.vertex.index(f)]
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            den = Fraction(1)
-            for w in tangent:
-                den *= w
-            total += num / den
+            tangent, restricted = _fixed_point_weights(fp, xi.xi, lines)
+            total += Fraction(signs[fp.vertex] * fp.sign * math.prod(restricted),
+                              math.prod(tangent))
         results.append(total)
     if results[0] != results[1]:
         raise PropertyViolationError(
@@ -707,7 +680,6 @@ def _universal_tables(cap, q_order):
 
     tangent: (x/2)/sinh(x/2) * prod_k (1-q^k)^2 / ((1-e^x q^k)(1-e^-x q^k))
     vline:   (1-e^-x) * prod_k (1-e^x q^k)(1-e^-x q^k) / (1-q^k)^2
-    vline_reduced: vline with the Euler root x divided out of (e^(x/2)-e^(-x/2))
     wline:   (e^(x/2)+e^(-x/2)) * prod_k (1+e^x q^k)(1+e^-x q^k) / (1+q^k)^2
     """
     E = _exp_poly(cap, 1)
@@ -721,13 +693,7 @@ def _universal_tables(cap, q_order):
     sinh_norm = TruncatedPolynomial(list(_div_x(diff).coeffs[: cap + 1]), cap)
     a_root = sinh_norm.inverse()            # (x/2)/sinh(x/2)
 
-    minus_sq = QSeries.one(q_order)
-    plus_sq = QSeries.one(q_order)
-    for k in range(1, q_order + 1):
-        minus_sq = minus_sq * _sparse_factor(k, -1, q_order)
-        plus_sq = plus_sq * _sparse_factor(k, 1, q_order)
-    minus_sq = minus_sq * minus_sq
-    plus_sq = plus_sq * plus_sq
+    minus_sq, plus_sq = _q_squares(q_order)
     minus_sq_tp = minus_sq.map_coefficients(
         lambda c: TruncatedPolynomial.constant(c, cap))
     plus_sq_tp = plus_sq.map_coefficients(
@@ -745,10 +711,8 @@ def _universal_tables(cap, q_order):
 
     tangent = _tp_constant_series(a_root, q_order) * minus_sq_tp * pair_minus.invert()
     vline = _tp_constant_series(one - Einv, q_order) * pair_minus * minus_sq_tp.invert()
-    vline_reduced = _tp_constant_series(sinh_norm, q_order) * pair_minus * minus_sq_tp.invert()
     wline = _tp_constant_series(Eh + Ehinv, q_order) * pair_plus * plus_sq_tp.invert()
-    return {"tangent": tangent, "vline": vline,
-            "vline_reduced": vline_reduced, "wline": wline}
+    return {"tangent": tangent, "vline": vline, "wline": wline}
 
 
 def _substitute_table(table, powers):

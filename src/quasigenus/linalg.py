@@ -8,21 +8,8 @@ from fractions import Fraction
 from math import gcd
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
-
-
-def mat_vec(mat, vec):
-    return [sum(a * x for a, x in zip(row, vec)) for row in mat]
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def rref(rows):
@@ -51,10 +38,6 @@ def rref(rows):
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def rank(rows):
-    return len(rref(rows)[0])
 
 
 def nullspace(rows):
@@ -165,103 +148,6 @@ def gf2_solve(rows, target):
     for i, c in enumerate(pivots):
         x[c] = m[i][nrows]
     return x
-
-
-def _bezout(a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        return -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def _gcd_rowop(a, b):
-    """2x2 integer matrix M with det 1 and M @ (a, b) = (gcd, 0).
-
-    When a already divides b the result is a transvection (first row
-    (+-1, 0)), so clearing an entry the pivot divides never mixes the
-    cleared line back into the pivot line; without that guarantee the
-    alternating sweeps in smith_normal_form can cycle forever.
-    """
-    if a != 0 and b % a == 0:
-        s = 1 if a > 0 else -1
-        return [[s, 0], [-(b // a) * s, s]]
-    g, u, v = _bezout(a, b)
-    return [[u, v], [-b // g, a // g]]
-
-
-def smith_normal_form(mat):
-    """Integer matrices (S, D, T) with mat = S @ D @ T, S and T unimodular.
-
-    D is diagonal (no divisibility chain is enforced; only the zero pattern
-    and unimodularity of S, T are needed by callers).
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    d = [list(row) for row in mat]
-    s = identity(nrows)
-    t = identity(ncols)
-
-    def clear_col(k):
-        changed = False
-        for i in range(k + 1, nrows):
-            if d[i][k] == 0:
-                continue
-            changed = True
-            m = _gcd_rowop(d[k][k], d[i][k])
-            minv = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
-            rk = [m[0][0] * d[k][j] + m[0][1] * d[i][j] for j in range(ncols)]
-            ri = [m[1][0] * d[k][j] + m[1][1] * d[i][j] for j in range(ncols)]
-            d[k], d[i] = rk, ri
-            for r in range(nrows):
-                sk = s[r][k] * minv[0][0] + s[r][i] * minv[1][0]
-                si = s[r][k] * minv[0][1] + s[r][i] * minv[1][1]
-                s[r][k], s[r][i] = sk, si
-        return changed
-
-    def clear_row(k):
-        changed = False
-        for j in range(k + 1, ncols):
-            if d[k][j] == 0:
-                continue
-            changed = True
-            m = _gcd_rowop(d[k][k], d[k][j])
-            minv = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
-            for r in range(nrows):
-                ck = d[r][k] * m[0][0] + d[r][j] * m[0][1]
-                cj = d[r][k] * m[1][0] + d[r][j] * m[1][1]
-                d[r][k], d[r][j] = ck, cj
-            for c in range(ncols):
-                tk = minv[0][0] * t[k][c] + minv[1][0] * t[j][c]
-                tj = minv[0][1] * t[k][c] + minv[1][1] * t[j][c]
-                t[k][c], t[j][c] = tk, tj
-        return changed
-
-    for k in range(min(nrows, ncols)):
-        # Move a nonzero entry to the diagonal slot if the remainder is nonzero.
-        if d[k][k] == 0:
-            spot = next(((i, j) for i in range(k, nrows) for j in range(k, ncols) if d[i][j] != 0), None)
-            if spot is None:
-                break
-            i, j = spot
-            if i != k:
-                d[k], d[i] = d[i], d[k]
-                for r in range(nrows):
-                    s[r][k], s[r][i] = s[r][i], s[r][k]
-            if j != k:
-                for r in range(nrows):
-                    d[r][k], d[r][j] = d[r][j], d[r][k]
-                t[k], t[j] = t[j], t[k]
-        while clear_col(k) or clear_row(k):
-            pass
-    return s, d, t
 
 
 def primitive_vector(vec):

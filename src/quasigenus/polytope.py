@@ -11,7 +11,6 @@ complex twist vector of odd integers, one per facet.
 """
 
 from collections import deque
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .errors import InputError
@@ -117,6 +116,8 @@ def simplex(n):
 
 def cube(n):
     """The n-cube.  Facet i is the lower facet of axis i, facet n+i the upper."""
+    if n < 1:
+        raise InputError("polytope dimension must be at least 1")
     verts = []
     for choice in iproduct((0, 1), repeat=n):
         verts.append(tuple(sorted(i + 1 + n * c for i, c in enumerate(choice))))
@@ -219,9 +220,6 @@ class FixedPointDatum:
         self.vertex = tuple(vertex)
         self.weights = tuple(tuple(w) for w in weights)
         self.sign = int(sign)
-
-    def facet_position(self, facet):
-        return self.vertex.index(facet)
 
     def __repr__(self):
         return f"FixedPointDatum(vertex={self.vertex}, sign={self.sign})"
@@ -368,14 +366,13 @@ def _vertices_by_column(polytope, free):
     return buckets
 
 
-def enumerate_characteristic_matrices(polytope, bound, prefix=None):
+def enumerate_characteristic_matrices(polytope, bound):
     """All gauge-fixed characteristic matrices with free entries in [-bound, bound].
 
     The minor at the smallest vertex is pinned to the identity; remaining
     columns are enumerated by backtracking, checking each vertex minor as
-    soon as all of its columns are decided.  ``prefix`` optionally fixes the
-    first few free columns (used to split the search into parallel tasks).
-    Yields full n x m integer matrices.
+    soon as all of its columns are decided.  Yields full n x m integer
+    matrices.
     """
     n = polytope.dimension
     base = polytope.vertices[0]
@@ -384,9 +381,6 @@ def enumerate_characteristic_matrices(polytope, bound, prefix=None):
     cols = {f: None for f in range(1, polytope.num_facets + 1)}
     for k, f in enumerate(base):
         cols[f] = tuple(1 if i == k else 0 for i in range(n))
-    prefix = list(prefix or [])
-    if len(prefix) > len(free):
-        raise InputError("prefix longer than the free column list")
 
     entries = range(-bound, bound + 1)
     candidates = [tuple(c) for c in iproduct(entries, repeat=n)]
@@ -406,12 +400,6 @@ def enumerate_characteristic_matrices(polytope, bound, prefix=None):
         if idx == len(free):
             yield emit()
             return
-        if idx < len(prefix):
-            cols[free[idx]] = tuple(prefix[idx])
-            if minors_ok(idx):
-                yield from rec(idx + 1)
-            cols[free[idx]] = None
-            return
         for cand in candidates:
             cols[free[idx]] = cand
             if minors_ok(idx):
@@ -420,12 +408,3 @@ def enumerate_characteristic_matrices(polytope, bound, prefix=None):
 
     yield from rec(0)
 
-
-def enumeration_tasks(polytope, bound):
-    """Split the census into independent prefix tasks, one per first column."""
-    free = _free_columns(polytope)
-    if not free:
-        return [[]]
-    n = polytope.dimension
-    entries = range(-bound, bound + 1)
-    return [[tuple(c)] for c in iproduct(entries, repeat=n)]

@@ -18,7 +18,6 @@ algebra and ring arithmetic:
 """
 
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (InputError, PreconditionError, PropertyViolationError,
                      RankHypothesisError, RingShapeError, WellDefinednessError)
@@ -28,8 +27,7 @@ from .cohomology import (SyntheticConnectedSumRing, build_face_ring,
 from .genus import (BundleSpec, CircleSubgroup, _vertex_terms,
                     cohomological_index_on_ring)
 from .polytope import (QuasitoricManifold, connected_sum,
-                       enumerate_characteristic_matrices, enumeration_tasks,
-                       simplex)
+                       enumerate_characteristic_matrices, simplex)
 
 
 class EquivariantDegree4Class:
@@ -552,7 +550,7 @@ def _iterated_connected_sum(n, k):
     return poly
 
 
-def finiteness_census(n, k, entry_bound, threads=1):
+def finiteness_census(n, k, entry_bound):
     """Enumerate characteristic matrices over a k-fold connected sum of
     n-simplices, extract p1 coefficients where the ring has the expected
     split shape, and check them against the 0 < beta <= n+1 bound.
@@ -566,29 +564,16 @@ def finiteness_census(n, k, entry_bound, threads=1):
         raise InputError("entry bound must be at least 1")
     poly = _iterated_connected_sum(n, k)
 
-    def survey(prefix):
-        total = 0
-        matches = []
-        for rows in enumerate_characteristic_matrices(poly, entry_bound,
-                                                      prefix=prefix):
-            total += 1
-            manifold = QuasitoricManifold(poly, rows, [1] * poly.num_facets)
-            try:
-                _, _, beta = facet_class_decomposition(manifold)
-            except RingShapeError:
-                continue
-            matches.append((rows, tuple(beta)))
-        return total, matches
-
-    if threads and threads > 1:
-        tasks = enumeration_tasks(poly, entry_bound)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(survey, tasks))
-    else:
-        parts = [survey(None)]
-
-    total = sum(p[0] for p in parts)
-    matches = [m for p in parts for m in p[1]]
+    total = 0
+    matches = []
+    for rows in enumerate_characteristic_matrices(poly, entry_bound):
+        total += 1
+        manifold = QuasitoricManifold(poly, rows, [1] * poly.num_facets)
+        try:
+            _, _, beta = facet_class_decomposition(manifold)
+        except RingShapeError:
+            continue
+        matches.append((rows, tuple(beta)))
     beta_vectors = sorted({tuple(sorted(beta)) for _, beta in matches})
     violations = [
         {"matrix": rows, "beta": beta}

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasigenus.cohomology import (build_face_ring, facet_class_decomposition,
-                                   p1_square_coefficients)
+from quasigenus.cohomology import build_face_ring, facet_class_decomposition
 from quasigenus.errors import RingShapeError
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
@@ -129,7 +128,6 @@ class TestDecomposition:
         facets, alpha, beta = facet_class_decomposition(projective_space(3))
         assert beta == [4]
         assert len(facets) == 1
-        assert sorted(p1_square_coefficients(projective_space(3))) == [4]
 
     def test_cpn_beta_general(self):
         for n in (3, 4):
@@ -139,10 +137,6 @@ class TestDecomposition:
     def test_connected_sum_beta(self):
         _, _, beta = facet_class_decomposition(cp2_connected_sum())
         assert sorted(beta) == [3, 3]
-
-    def test_dimension_two_square_extraction_refused(self):
-        with pytest.raises(RingShapeError):
-            p1_square_coefficients(projective_space(2))
 
     def test_decomposition_betas_positive(self):
         # a nonpositive coefficient on a generator square cannot happen:
@@ -161,4 +155,4 @@ class TestDecomposition:
 
     def test_spin_product_is_not_projective_shaped(self):
         with pytest.raises(RingShapeError):
-            p1_square_coefficients(sphere_product_spin(3))
+            facet_class_decomposition(sphere_product_spin(3))

@@ -130,8 +130,8 @@ class TestEnvelope:
         assert (a + b).spans[0] == (-1, 5)
 
     def test_q_degrees_convolve(self):
-        a = Envelope.single(1, 0, 1, 2)
-        b = Envelope.single(1, 2, 3, 2)
+        a = Envelope([None, (0, 1), None])
+        b = Envelope([None, (2, 3), None])
         prod = a * b
         assert prod.spans[2] == (2, 4)
         assert prod.spans[0] is None and prod.spans[1] is None

@@ -1,0 +1,17 @@
+"""The package's public export list."""
+
+import quasigenus
+
+
+def test_every_exported_name_resolves():
+    for name in quasigenus.__all__:
+        assert hasattr(quasigenus, name), name
+
+
+def test_exports_are_unique():
+    assert len(quasigenus.__all__) == len(set(quasigenus.__all__))
+
+
+def test_removed_overlap_is_not_exported():
+    assert "p1_square_coefficients" not in quasigenus.__all__
+    assert not hasattr(quasigenus, "p1_square_coefficients")

@@ -9,9 +9,8 @@ from quasigenus.errors import InputError
 from quasigenus.linalg import int_det
 from quasigenus.polytope import (QuasitoricManifold, SimplePolytope,
                                  connected_sum, cube,
-                                 enumerate_characteristic_matrices,
-                                 enumeration_tasks, polygon, polytope_product,
-                                 simplex, vertex_cut)
+                                 enumerate_characteristic_matrices, polygon,
+                                 polytope_product, simplex, vertex_cut)
 
 
 class TestConstructions:
@@ -102,6 +101,11 @@ class TestValidation:
     def test_wrong_vertex_size(self):
         with pytest.raises(InputError):
             SimplePolytope(2, 3, [(1, 2, 3)])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_cube_dimension_below_one(self, n):
+        with pytest.raises(InputError, match="at least 1"):
+            cube(n)
 
 
 class TestCharacteristicMatrices:
@@ -210,18 +214,6 @@ class TestEnumeration:
         for mat in enumerate_characteristic_matrices(simplex(2), 1):
             QuasitoricManifold(simplex(2), mat, (1, 1, 1))
 
-    def test_task_split_covers_everything(self):
-        p = simplex(2)
-        whole = sorted(enumerate_characteristic_matrices(p, 1))
-        pieces = []
-        for prefix in enumeration_tasks(p, 1):
-            pieces.extend(enumerate_characteristic_matrices(p, 1, prefix))
-        assert sorted(pieces) == whole
-
-    def test_prefix_too_long(self):
-        with pytest.raises(InputError):
-            list(enumerate_characteristic_matrices(
-                cube(1), 1, prefix=[(1,), (1,)]))
 
 
 def test_random_polytopes_stay_simple():

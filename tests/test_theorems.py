@@ -289,11 +289,6 @@ class TestCensus:
         assert rep["beta_vectors"] == [(4, 4)]
         assert rep["all_within_bound"]
 
-    def test_thread_invariance(self):
-        a = finiteness_census(3, 1, 2, threads=1)
-        b = finiteness_census(3, 1, 2, threads=4)
-        assert a == b
-
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             finiteness_census(2, 1, 1)
