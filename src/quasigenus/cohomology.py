@@ -2,9 +2,12 @@
 
 The ring is the facet-class polynomial algebra modulo the monomial ideal of
 non-intersecting facet sets and the n linear relations read off the rows of
-the characteristic matrix.  Everything is represented on explicit per-degree
-monomial bases computed by dense Fraction row reduction; no Groebner
-machinery, the rings are tiny.
+the characteristic matrix (Davis-Januszkiewicz).  The linear relations are
+solved at the smallest vertex: its n facet classes become integer linear
+forms in the m - n free facet classes, so what remains is the free
+polynomial algebra modulo the images of the minimal non-faces.  Each degree
+is represented on an explicit monomial basis of free facet labels, computed
+by dense Fraction row reduction; no Groebner machinery, the rings are tiny.
 
 Integration against the fundamental class is normalised so that the product
 of the facet classes through the lexicographically least vertex integrates
@@ -14,7 +17,7 @@ convention and doubles as an oracle.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .errors import InputError, PropertyViolationError, RingShapeError
 from .linalg import rref, solve_in_span
@@ -130,9 +133,10 @@ class CohomologyClass:
 class FaceRing:
     """H*(M; Q) for a quasitoric M, on explicit monomial bases.
 
-    Basis tokens are sorted tuples of facet labels with repetition; the
-    empty tuple is 1.  ``reduce_monomial`` expresses any facet monomial in
-    the chosen basis (or as 0), and all class arithmetic funnels through it.
+    Basis tokens are sorted tuples, with repetition, of the free facet
+    labels: the facets off the smallest vertex v0.  The empty tuple is 1.
+    ``reduce_monomial`` expresses any facet monomial in the chosen basis (or
+    as 0), and all class arithmetic funnels through it.
     """
 
     def __init__(self, manifold):
@@ -141,93 +145,70 @@ class FaceRing:
         n, m = p.dimension, p.num_facets
         self.dimension = n
         self.num_generators = m
-        self._face_cache = {}
-        self._bases = []
-        self._reductions = []
+        base = manifold.fixed_points()[0]
+        free = [f for f in range(1, m + 1) if f not in base.vertex]
+        # Pairing the relations sum_j lambda_j v_j = 0 with the weight w_b
+        # dual to base facet b leaves v_b = -sum_free <w_b, lambda_j> v_j.
+        self._forms = {f: {f: 1} for f in free}
+        for b, w in zip(base.vertex, base.weights):
+            dots = {j: sum(x * y for x, y in zip(w, manifold.column(j)))
+                    for j in free}
+            self._forms[b] = {j: -a for j, a in dots.items() if a}
+        faces = {s for v in p.vertices for r in range(n + 1)
+                 for s in combinations(v, r)}
+        monos, ideal = [()], []
+        self._bases, self._reductions = [], []
         for d in range(n + 2):
-            basis, reduction = self._build_degree(d)
+            # Columns: free monomials supported on a face (the others are
+            # zero).  Rows: the previous degree's ideal times each free
+            # class, plus the images of the minimal non-faces of size d.
+            if d:
+                monos = [t + (j,) for t in monos for j in free
+                         if not t or j >= t[-1]]
+                monos = [t for t in monos if tuple(sorted(set(t))) in faces]
+            polys = [{tuple(sorted(t + (j,))): c for t, c in row.items()}
+                     for row in ideal for j in free]
+            polys += [self._expand(s + (j,)) for s in faces if len(s) == d - 1
+                      for j in range(s[-1] + 1 if s else 1, m + 1)
+                      if s + (j,) not in faces
+                      and all(c in faces for c in combinations(s + (j,), d - 1))]
+            rows = [row for row in ([poly.get(t, 0) for t in monos]
+                                    for poly in polys) if any(row)]
+            red, pivots = rref(rows)
+            reduction = {monos[c]: {monos[i]: -x for i, x in enumerate(r)
+                                    if x and i != c}
+                         for r, c in zip(red, pivots)}
+            basis = tuple(t for t in monos if t not in reduction)
+            reduction.update({t: {t: Fraction(1)} for t in basis})
+            ideal = [{monos[i]: x for i, x in enumerate(r) if x} for r in red]
             self._bases.append(basis)
             self._reductions.append(reduction)
         if len(self._bases[n]) != 1:
             raise PropertyViolationError(
                 f"top cohomology has dimension {len(self._bases[n])}, expected 1; "
                 "the characteristic data is inconsistent")
-        if self._bases[n + 1]:
+        if self._bases.pop():
             raise PropertyViolationError(
                 "cohomology does not vanish above the top degree; "
                 "the characteristic data is inconsistent")
-        self._bases = self._bases[: n + 1]
+        self._reductions.pop()
         self._top_token = self._bases[n][0]
-        self._top_value = self._normalise()
+        # The base vertex monomial spans the top degree and integrates to
+        # the determinant of its characteristic minor.
+        self._top_value = (Fraction(base.sign)
+                           / self.reduce_monomial(base.vertex)[self._top_token])
 
-    # -- construction ----------------------------------------------------
-
-    def _is_face(self, support):
-        got = self._face_cache.get(support)
-        if got is None:
-            got = self.manifold.polytope.is_face(support)
-            self._face_cache[support] = got
-        return got
-
-    def _face_monomials(self, d):
-        m = self.num_generators
-        out = []
-        for mono in combinations_with_replacement(range(1, m + 1), d):
-            if self._is_face(tuple(sorted(set(mono)))):
-                out.append(mono)
-        return out
-
-    def _build_degree(self, d):
-        if d == 0:
-            return ((),), {(): {(): Fraction(1)}}
-        monos = self._face_monomials(d)
-        index = {mono: i for i, mono in enumerate(monos)}
-        lam = self.manifold.char_matrix
-        rows = []
-        for lower in self._face_monomials(d - 1):
-            for lam_row in lam:
-                row = [Fraction(0)] * len(monos)
-                nonzero = False
-                for j in range(1, self.num_generators + 1):
-                    coeff = lam_row[j - 1]
-                    if coeff == 0:
-                        continue
-                    mono = tuple(sorted(lower + (j,)))
-                    pos = index.get(mono)
-                    if pos is not None:
-                        row[pos] += coeff
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-        if rows:
-            red, pivots = rref(rows)
-        else:
-            red, pivots = [], []
-        pivot_set = set(pivots)
-        basis = tuple(monos[i] for i in range(len(monos)) if i not in pivot_set)
-        reduction = {}
-        for mono in basis:
-            reduction[mono] = {mono: Fraction(1)}
-        for r, pcol in enumerate(pivots):
-            expr = {}
-            for i, mono in enumerate(monos):
-                if i in pivot_set or red[r][i] == 0:
-                    continue
-                expr[mono] = -red[r][i]
-            reduction[monos[pcol]] = expr
-        return basis, reduction
-
-    def _normalise(self):
-        v0 = self.manifold.polytope.vertices[0]
-        mono = tuple(sorted(v0))
-        expr = self.reduce_monomial(mono)
-        coeff = expr.get(self._top_token, Fraction(0))
-        if coeff == 0:
-            raise PropertyViolationError(
-                "the base vertex monomial vanishes in cohomology; "
-                "characteristic data is inconsistent")
-        from .linalg import int_det
-        return Fraction(int_det(self.manifold.minor(v0))) / coeff
+    def _expand(self, mono):
+        """A facet monomial as an integer polynomial in the free classes."""
+        poly = {(): 1}
+        for f in mono:
+            out = {}
+            for t, c in poly.items():
+                for j, a in self._forms[f].items():
+                    key = tuple(sorted(t + (j,)))
+                    out[key] = out.get(key, 0) + c * a
+            poly = out
+        return poly
 
     # -- ring interface ---------------------------------------------------
 
@@ -253,13 +234,14 @@ class FaceRing:
         return tuple(len(b) for b in self._bases)
 
     def reduce_monomial(self, mono):
-        d = len(mono)
-        if d > self.dimension:
+        if len(mono) > self.dimension:
             return {}
-        if not self._is_face(tuple(sorted(set(mono)))):
-            return {}
-        got = self._reductions[d].get(mono)
-        return got if got is not None else {}
+        table = self._reductions[len(mono)]
+        out = {}
+        for t, c in self._expand(mono).items():
+            for tok, x in table.get(t, {}).items():
+                out[tok] = out.get(tok, 0) + c * x
+        return {tok: x for tok, x in out.items() if x}
 
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))

@@ -381,6 +381,9 @@ def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
     t = Fraction(t)
     if t in (Fraction(0), Fraction(1), Fraction(-1)):
         raise InputError(f"sample point t = {t} is not allowed")
+    if any(len(line) < max(fp.vertex)
+           for line in (gamma,) + bundles.v_lines + bundles.w_lines):
+        raise InputError(f"twist and bundle lines must reach facet {max(fp.vertex)}")
     term = _vertex_term(fp, xi, 1, gamma, bundles.v_lines, bundles.w_lines)
     if term.halfexp % 2:
         raise ParityError(
@@ -414,6 +417,7 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     fps = manifold.fixed_points()
     lines = []
     if bundles is not None:
+        bundles.validate_for(manifold)
         lines = list(bundles.v_lines) + list(bundles.w_lines)
 
     def cost(xi):
@@ -616,6 +620,8 @@ def localization_integral(manifold, facets):
     if len(facets) != manifold.dimension:
         raise InputError(
             f"need exactly {manifold.dimension} facet labels, got {len(facets)}")
+    if not 1 <= facets[0] <= facets[-1] <= manifold.num_facets:
+        raise InputError(f"facet labels {facets} leave 1..{manifold.num_facets}")
     # Facet class v_f restricts to a fixed point as the line with the single
     # coefficient 1 at facet f: weight <w_k, xi> when f is the k-th facet
     # through the vertex, and 0 when f misses it.

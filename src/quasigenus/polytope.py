@@ -80,11 +80,6 @@ class SimplePolytope:
         if len(seen) != len(self.vertices):
             raise InputError("vertex-edge graph is disconnected")
 
-    def is_face(self, facets):
-        """True when the given facet set is contained in some vertex."""
-        fs = set(facets)
-        return any(fs.issubset(v) for v in self.vertices)
-
     def edges(self):
         """Pairs of adjacent vertices together with their shared ridge."""
         ridges = {}

@@ -67,7 +67,7 @@ class EquivariantDegree4Class:
         return len(self.a22[0]) if self.a22 else 0
 
     @classmethod
-    def of_negative_tangent_p1(cls, manifold, ring=None):
+    def of_negative_tangent_p1(cls, manifold):
         """The class -sum u_j^2 of equivariant facet classes, split over a
         pivot/free column choice of the characteristic matrix.
 
@@ -100,9 +100,7 @@ class EquivariantDegree4Class:
         a22 = [[-2 * sum(mu[j][i] * rho[j][f] for j in range(m))
                 for f in range(len(free))]
                for i in range(n)]
-        if ring is None:
-            ring = build_face_ring(manifold)
-        return cls(a40, a22, ring.pontryagin_p1().is_zero())
+        return cls(a40, a22, build_face_ring(manifold).pontryagin_p1().is_zero())
 
 
 def find_circle(cls4):

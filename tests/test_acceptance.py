@@ -174,7 +174,7 @@ def test_criterion_7_classical_sanity_values():
 
 
 def test_criterion_8_census_beta_bound():
-    with Budget(300.0):
+    with Budget(30.0):
         for k in (1, 2):
             for bound in (1, 2):
                 rep = finiteness_census(3, k, bound)

@@ -1,15 +1,19 @@
 """Face rings, Poincare pairing, p1, facet-class decompositions."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
 from quasigenus.cohomology import build_face_ring, facet_class_decomposition
 from quasigenus.errors import RingShapeError
+from quasigenus.genus import localization_integral
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
-from quasigenus.polytope import (QuasitoricManifold,
-                                 enumerate_characteristic_matrices, simplex)
+from quasigenus.polytope import (QuasitoricManifold, connected_sum,
+                                 enumerate_characteristic_matrices,
+                                 polytope_product, simplex)
 
 
 def localization_pairing_oracle(manifold, facet_labels, xi):
@@ -37,6 +41,52 @@ def localization_pairing_oracle(manifold, facet_labels, xi):
             den *= w
         total += manifold.vertex_sign(d.vertex) * num / den
     return total
+
+
+def h_vector(polytope):
+    """The h-vector from the face numbers; by Davis-Januszkiewicz it equals
+    the even Betti numbers of every quasitoric manifold over the polytope."""
+    n = polytope.dimension
+    faces = {s for v in polytope.vertices for r in range(n + 1)
+             for s in combinations(v, r)}
+    f = [sum(len(s) == i for s in faces) for i in range(n + 1)]
+    return tuple(sum((-1) ** (k - i) * comb(n - i, k - i) * f[i]
+                     for i in range(k + 1)) for k in range(n + 1))
+
+
+def off_corner_manifolds():
+    """Manifolds whose smallest vertex is not 1..n: CP^2 # CP^2 at (1, 3)
+    and two census matrices over the 2-fold sum of 3-simplices at (1, 2, 4)."""
+    p = connected_sum(simplex(3), (1, 2, 3), simplex(3), (1, 2, 3))
+    rows = list(enumerate_characteristic_matrices(p, 1))
+    return [cp2_connected_sum()] + [
+        QuasitoricManifold(p, rows[i], (1,) * p.num_facets) for i in (0, 45)]
+
+
+class TestOracles:
+    def test_betti_numbers_are_the_h_vector(self):
+        for manifold in off_corner_manifolds():
+            ring = build_face_ring(manifold)
+            assert ring.betti_numbers() == h_vector(manifold.polytope)
+
+    def test_top_pairings_match_localization(self):
+        for manifold in off_corner_manifolds():
+            ring = build_face_ring(manifold)
+            labels = range(1, manifold.num_facets + 1)
+            for facets in combinations_with_replacement(labels, manifold.dimension):
+                cls = ring.one()
+                for f in facets:
+                    cls = cls * ring.facet_class(f)
+                assert ring.integrate(cls) == localization_integral(manifold, facets)
+
+    def test_large_rings_have_the_h_vector_betti_numbers(self):
+        p = polytope_product(simplex(3), simplex(3))
+        first = QuasitoricManifold(
+            p, next(enumerate_characteristic_matrices(p, 1)), (1,) * 8)
+        assert build_face_ring(first).betti_numbers() == (1, 2, 3, 4, 3, 2, 1)
+        for manifold in (projective_space(5), sphere_product(5), first):
+            ring = build_face_ring(manifold)
+            assert ring.betti_numbers() == h_vector(manifold.polytope)
 
 
 class TestRingStructure:

@@ -85,6 +85,16 @@ class TestFixedPointContribution:
             fixed_point_contribution(m.fixed_points()[0], (1,), spec,
                                      m.spin_c, Fraction(2), 0)
 
+    def test_lines_must_reach_the_vertex(self):
+        m = projective_space(2)
+        top = m.fixed_points()[-1]
+        assert max(top.vertex) == 3
+        with pytest.raises(InputError):
+            fixed_point_contribution(top, (1, 2), BundleSpec(((1, 1),)),
+                                     m.spin_c, Fraction(2), 0)
+        with pytest.raises(InputError):
+            fixed_point_contribution(top, (1, 2), None, (1, 1), Fraction(2), 0)
+
     def test_sample_point_guard(self):
         m = projective_space(1)
         for bad in (0, 1, -1):
@@ -157,6 +167,11 @@ class TestClassicalInvariants:
     def test_localization_integral_needs_n_labels(self):
         with pytest.raises(InputError):
             localization_integral(projective_space(2), (1,))
+
+    def test_localization_integral_label_range(self):
+        for bad in (0, 4):
+            with pytest.raises(InputError):
+                localization_integral(projective_space(2), (1, bad))
 
     def test_signature_values(self):
         assert signature(projective_space(2)) == 1
@@ -319,6 +334,10 @@ class TestCircleSelection:
                 for d in m.fixed_points():
                     for w in d.weights:
                         assert sum(a * b for a, b in zip(w, c.xi)) != 0
+
+    def test_short_bundle_line_rejected(self):
+        with pytest.raises(InputError):
+            choose_generic_circles(projective_space(2), BundleSpec(((1,),)))
 
     def test_dimension_one_special_case(self):
         circles = choose_generic_circles(projective_space(1), None, count=2)

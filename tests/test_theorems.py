@@ -289,6 +289,15 @@ class TestCensus:
         assert rep["beta_vectors"] == [(4, 4)]
         assert rep["all_within_bound"]
 
+    def test_dimension_four(self):
+        for k, total, matches, betas in ((1, 16, 16, [(5,)]),
+                                         (2, 464, 32, [(5, 5)])):
+            rep = finiteness_census(4, k, 1)
+            assert rep["total_matrices"] == total
+            assert rep["pattern_matches"] == matches
+            assert rep["beta_vectors"] == betas
+            assert rep["all_within_bound"]
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             finiteness_census(2, 1, 1)
