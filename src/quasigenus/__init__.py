@@ -15,7 +15,7 @@ from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PreconditionError, PropertyViolationError,
                      RankHypothesisError, RingShapeError, SpinObstructionError,
                      WellDefinednessError, WorkbenchError)
-from .exactalg import Envelope, HalfLaurent, QSeries, TruncatedPolynomial
+from .exactalg import HalfLaurent, QSeries, TruncatedPolynomial
 from .polytope import (QuasitoricManifold, SimplePolytope, connected_sum,
                        cube, enumerate_characteristic_matrices, polygon,
                        polytope_product, simplex, vertex_cut)
@@ -45,7 +45,6 @@ __all__ = [
     "BundleSpinError",
     "CircleSubgroup",
     "DegenerateCircleError",
-    "Envelope",
     "EquivariantDegree4Class",
     "EquivariantIndex",
     "FaceRing",

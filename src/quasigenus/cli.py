@@ -8,7 +8,6 @@ manifold, degenerate circle, rank hypothesis, ...).
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,18 +22,6 @@ from .manifest import parse_manifest
 from .theorems import (EquivariantDegree4Class, anomaly_coefficient,
                        check_twist_classes, construct_twist_bundles,
                        find_circle, finiteness_census, rank_ratio_table_check)
-
-
-def _default_q_order():
-    raw = os.environ.get("GENUS_QORDER_DEFAULT", "4")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(
-            f"GENUS_QORDER_DEFAULT must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise InputError("GENUS_QORDER_DEFAULT must be non-negative")
-    return value
 
 
 def _jsonable(obj):
@@ -121,7 +108,7 @@ def cmd_describe(args):
 def cmd_genus(args):
     manifest = _load_manifest(args.manifest)
     manifold = manifest.build_manifold()
-    q_order = args.q_order if args.q_order is not None else _default_q_order()
+    q_order = args.q_order
     xi = _parse_circle(args.equivariant) if args.equivariant else None
 
     if args.twist == "signature":
@@ -342,8 +329,8 @@ def build_parser():
     p.add_argument("manifest")
     p.add_argument("--twist", default="none",
                    choices=["none", "custom", "witten", "elliptic", "signature"])
-    p.add_argument("--q-order", type=int, default=None,
-                   help="truncation order (default: GENUS_QORDER_DEFAULT or 4)")
+    p.add_argument("--q-order", type=int, default=4,
+                   help="truncation order (default: 4)")
     p.add_argument("--equivariant", metavar="XI", default=None,
                    help="circle vector, e.g. '1,2'; emits Laurent coefficients")
     p.add_argument("--json", action="store_true")

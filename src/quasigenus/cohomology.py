@@ -117,9 +117,6 @@ class CohomologyClass:
             k >>= 1
         return out
 
-    def integrate(self):
-        return self.ring.integrate(self)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -234,6 +231,10 @@ class FaceRing:
         return tuple(len(b) for b in self._bases)
 
     def reduce_monomial(self, mono):
+        bad = [f for f in mono if f not in self._forms]
+        if bad:
+            raise InputError(
+                f"facet labels {bad} leave 1..{self.num_generators}")
         if len(mono) > self.dimension:
             return {}
         table = self._reductions[len(mono)]
@@ -377,27 +378,10 @@ class SyntheticConnectedSumRing:
             return CohomologyClass(self, {self.TOP: Fraction(self.signs[i - 1])})
         return CohomologyClass(self, {("g", i, 1): Fraction(1)})
 
-    def generator_combination(self, coefficients):
-        out = self.zero()
-        for i, c in enumerate(coefficients):
-            if c:
-                out = out + self.generator(i + 1) * Fraction(c)
-        return out
-
     def integrate(self, cls):
         if cls.ring is not self:
             raise InputError("class belongs to a different ring")
         return cls.terms.get(self.TOP, Fraction(0))
-
-    def pontryagin_p1_from(self, beta):
-        """The degree-4 class sum beta[i] * g_{i+1}^2 (prescribed data)."""
-        if len(beta) != self.num_generators:
-            raise InputError("need one coefficient per summand")
-        out = self.zero()
-        for i, b in enumerate(beta):
-            g = self.generator(i + 1)
-            out = out + g * g * Fraction(b)
-        return out
 
 
 def _candidate_generator_sets(ring):

@@ -1,6 +1,6 @@
 """Exact arithmetic building blocks.
 
-Four small algebras cover everything the index computations need:
+Three small algebras cover everything the index computations need:
 
 * ``HalfLaurent``: Laurent polynomials in a formal square root of the
   circle variable t.  Exponents are stored doubled so every exponent is an
@@ -11,13 +11,13 @@ Four small algebras cover everything the index computations need:
 * ``TruncatedPolynomial``: polynomials in one nilpotent variable, truncated
   above a fixed degree cap.  These hold the universal one-root Taylor tables
   that get substituted at degree-two cohomology classes.
-* ``Envelope``: per-q-degree intervals bounding the t-exponents a series can
-  touch.  The sampling engine uses them to pick how many sample points an
-  exact interpolation needs.
 
-Plus ``laurent_interpolate``, which turns sampled values back into an exact
-Laurent polynomial and refuses to guess: every sample beyond the minimum
-must match the fit or the whole computation aborts.
+Plus two primitives.  ``binomial_quotient`` builds a quotient of products
+of binomials 1 + c q^k, the shape of every theta-function factor of the
+indices, in place on one coefficient list.  ``laurent_interpolate`` turns
+sampled values back into an exact Laurent polynomial and refuses to guess:
+every sample beyond the minimum must match the fit or the whole
+computation aborts.
 """
 
 from fractions import Fraction
@@ -165,16 +165,6 @@ class HalfLaurent:
         if u == 0:
             raise ZeroDivisionError("cannot evaluate at t = 0")
         return sum((c * u ** d for d, c in self.coeffs.items()), Fraction(0))
-
-    def is_constant(self):
-        return not self.coeffs or set(self.coeffs) == {0}
-
-    def constant_value(self):
-        if not self.coeffs:
-            return Fraction(0)
-        if set(self.coeffs) == {0}:
-            return self.coeffs[0]
-        raise ValueError(f"not a constant: {self}")
 
     def items_halved(self):
         """Sorted (exponent as Fraction, coefficient) pairs, descending."""
@@ -343,6 +333,28 @@ class QSeries:
         return f"QSeries({self.coeffs!r})"
 
 
+def binomial_quotient(ups, downs, one, order):
+    """prod (1 + c q^k) over ``ups`` divided by prod (1 + c q^k) over ``downs``.
+
+    ``ups`` and ``downs`` are iterables of (c, k) pairs with k >= 1; a factor
+    with k > order is 1 to this order.  ``one`` is the unit of the
+    coefficient ring (Fraction or TruncatedPolynomial), and each c is a
+    Fraction or an element of that ring.  The result is a QSeries truncated
+    above q^order.  Each factor is one pass over the coefficient list, in
+    place: multiplying by 1 + c q^k adds c a[j-k] to a[j] for j falling, and
+    dividing subtracts c a[j-k] from a[j] for j rising, where a[j-k] already
+    holds the quotient's coefficient.
+    """
+    a = [one] + [_coeff_zero(one)] * order
+    for c, k in ups:
+        for j in range(order, k - 1, -1):
+            a[j] = a[j] + a[j - k] * c
+    for c, k in downs:
+        for j in range(k, order + 1):
+            a[j] = a[j] - a[j - k] * c
+    return QSeries(a, order)
+
+
 class TruncatedPolynomial:
     """Polynomial in a nilpotent variable x with x^(cap+1) treated as 0.
 
@@ -468,93 +480,6 @@ class TruncatedPolynomial:
 
     def __repr__(self):
         return f"TruncatedPolynomial({list(self.coeffs)!r}, cap={self.cap})"
-
-
-class Envelope:
-    """Per-q-degree t-exponent windows for a truncated Laurent q-series.
-
-    ``spans[k]`` is either None (the q^k coefficient is identically zero)
-    or a pair (lo, hi): lo bounds the order at t = 0 from below, hi bounds
-    the degree at t = infinity from above.  For honest Laurent polynomials
-    these are the minimal and maximal exponents; for rational functions
-    such as 1/(t^w - 1) the pair may be inverted (lo > hi), which is fine:
-    orders still add under products, and a final combined window with
-    lo > hi certifies that the (polynomial) total is identically zero.
-    Exponents here are in the integer-normalised gauge the sampling engine
-    works in, not the final half-integer one.
-    """
-
-    __slots__ = ("spans",)
-
-    def __init__(self, spans):
-        self.spans = tuple(
-            None if s is None else (int(s[0]), int(s[1])) for s in spans)
-
-    @staticmethod
-    def zero(order):
-        return Envelope([None] * (order + 1))
-
-    @staticmethod
-    def of_constant(lo, hi, order):
-        """Envelope of a q-degree-zero term with t-exponents in [lo, hi]."""
-        return Envelope([(lo, hi)] + [None] * order)
-
-    @property
-    def order(self):
-        return len(self.spans) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, Envelope) and self.spans == other.spans
-
-    def __add__(self, other):
-        if not isinstance(other, Envelope):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("envelope orders differ")
-        out = []
-        for a, b in zip(self.spans, other.spans):
-            if a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append((min(a[0], b[0]), max(a[1], b[1])))
-        return Envelope(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, Envelope):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("envelope orders differ")
-        out = [None] * (self.order + 1)
-        for i, a in enumerate(self.spans):
-            if a is None:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.spans[j]
-                if b is None:
-                    continue
-                lo, hi = a[0] + b[0], a[1] + b[1]
-                cur = out[i + j]
-                out[i + j] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
-        return Envelope(out)
-
-    def shifted(self, offset):
-        """Envelope after multiplying the series by t^offset."""
-        return Envelope([
-            None if s is None else (s[0] + offset, s[1] + offset)
-            for s in self.spans])
-
-    def max_width(self):
-        """Largest span width + 1, i.e. the most coefficients any q-degree needs.
-
-        Inverted (provably-zero) spans count as zero width.
-        """
-        widths = [s[1] - s[0] + 1 for s in self.spans if s is not None]
-        return max([w for w in widths if w > 0], default=0)
-
-    def __repr__(self):
-        return f"Envelope({list(self.spans)!r})"
 
 
 _FORBIDDEN_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1))

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
-from .exactalg import Envelope, HalfLaurent, QSeries, TruncatedPolynomial, laurent_interpolate
+from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_quotient,
+                       laurent_interpolate)
 from .linalg import gf2_solve, is_primitive
 from .cohomology import build_face_ring
 
@@ -211,100 +212,65 @@ def _common_parity(terms):
     return parities.pop()
 
 
-def _term_envelope(term, parity, q_order):
-    """Exponent windows of one fixed point's contribution, integer gauge."""
-    if term.zero:
-        return Envelope.zero(q_order)
-    g = (term.halfexp - parity) // 2
-    env = Envelope.of_constant(g, g, q_order)
-    for w in term.tangent:
-        aw = abs(w)
-        spans = [(max(0, -w) - aw * d, min(0, -w) + aw * d)
-                 for d in range(q_order + 1)]
-        env = env * Envelope(spans)
-    for a in term.v_weights:
-        aa = abs(a)
-        spans = [(min(0, -a) - aa * d, max(0, -a) + aa * d)
-                 for d in range(q_order + 1)]
-        env = env * Envelope(spans)
-    for b in term.w_weights:
-        ab = abs(b)
-        spans = [(min(0, b) - ab * d, max(0, b) + ab * d)
-                 for d in range(q_order + 1)]
-        env = env * Envelope(spans)
-    return env
+def _exponent_windows(terms, parity, q_order):
+    """Per-q-degree exponent windows (lo, hi) of the fixed-point sum.
 
-
-def _sparse_factor(k, coeff, q_order):
-    coeffs = [Fraction(0)] * (q_order + 1)
-    coeffs[0] = Fraction(1)
-    if k <= q_order:
-        coeffs[k] = Fraction(coeff)
-    return QSeries(coeffs, q_order)
-
-
-def _q_squares(q_order):
-    """prod_k (1-q^k)^2 and prod_k (1+q^k)^2 as rational q-series."""
-    minus = QSeries.one(q_order)
-    plus = QSeries.one(q_order)
-    for k in range(1, q_order + 1):
-        minus = minus * _sparse_factor(k, -1, q_order)
-        plus = plus * _sparse_factor(k, 1, q_order)
-    return minus * minus, plus * plus
+    Integer gauge.  A term's factor with weight x has a q^0 window (lo, hi):
+    (max(0, -x), min(0, -x)) for 1/(t^x - 1), (min(0, -x), max(0, -x)) for
+    1 - t^-x and (min(0, x), max(0, x)) for t^x + 1.  The q^d coefficient
+    of its q-series widens that by d|x| each way, so the term's q^d window
+    is widest with all of d on its factor of largest |x| = A:
+    (g + sum lo - d A, g + sum hi + d A).  A factor's window is inverted
+    (lo > hi) for a rational function; orders at t = 0 and t = infinity
+    still add.  The sum's window is the hull of its nonzero terms' windows,
+    and with no nonzero term every window is empty, (0, -1).
+    """
+    bounds = []
+    for term in terms:
+        if term.zero:
+            continue
+        g = (term.halfexp - parity) // 2
+        factors = ([(max(0, -w), min(0, -w)) for w in term.tangent]
+                   + [(min(0, -a), max(0, -a)) for a in term.v_weights]
+                   + [(min(0, b), max(0, b)) for b in term.w_weights])
+        weights = term.tangent + term.v_weights + term.w_weights
+        bounds.append((g + sum(lo for lo, _ in factors),
+                       g + sum(hi for _, hi in factors),
+                       max(map(abs, weights))))
+    if not bounds:
+        return [(0, -1)] * (q_order + 1)
+    return [(min(lo - d * a for lo, _, a in bounds),
+             max(hi + d * a for _, hi, a in bounds))
+            for d in range(q_order + 1)]
 
 
 class _SampleWorkspace:
-    """Per-sample-point caches for the q-series factors.
+    """The q-series factors of the fixed-point terms at one sample point.
 
-    Keyed by |weight|: the tangent and bundle factors are symmetric under
-    weight negation, and repeated weights across fixed points are the rule,
-    not the exception.
+    Every factor is prod_k (1 + s tau^a q^k)(1 + s tau^-a q^k) / (1 + s q^k)^2
+    with a = |weight|, or its inverse: s = -1 inverted for a tangent
+    weight, s = -1 for a V line and s = +1 for a W line.  The cache is keyed
+    by (s, inverted, a), since the factors are symmetric under weight
+    negation and repeated weights across fixed points are the rule, not
+    the exception.
     """
 
     def __init__(self, tau, q_order):
         self.tau = Fraction(tau)
         self.q_order = q_order
-        self.tangent_cache = {}
-        self.vline_cache = {}
-        self.wline_cache = {}
-        self.minus_sq, plus_sq = _q_squares(q_order)
-        self.minus_sq_inv = self.minus_sq.invert()
-        self.plus_sq_inv = plus_sq.invert()
+        self.cache = {}
 
-    def _pair_product(self, power, sign):
-        """prod_k (1 + sign*tau^w q^k)(1 + sign*tau^-w q^k)."""
-        out = QSeries.one(self.q_order)
-        inv_power = Fraction(1) / power
-        for k in range(1, self.q_order + 1):
-            out = out * _sparse_factor(k, sign * power, self.q_order)
-            out = out * _sparse_factor(k, sign * inv_power, self.q_order)
-        return out
-
-    def tangent_factor(self, w):
-        aw = abs(w)
-        got = self.tangent_cache.get(aw)
+    def factor(self, sign, inverted, weight):
+        key = (sign, inverted, abs(weight))
+        got = self.cache.get(key)
         if got is None:
-            power = self.tau ** aw
-            got = self.minus_sq * self._pair_product(power, -1).invert()
-            self.tangent_cache[aw] = got
-        return got
-
-    def vline_factor(self, a):
-        aa = abs(a)
-        got = self.vline_cache.get(aa)
-        if got is None:
-            power = self.tau ** aa
-            got = self._pair_product(power, -1) * self.minus_sq_inv
-            self.vline_cache[aa] = got
-        return got
-
-    def wline_factor(self, b):
-        ab = abs(b)
-        got = self.wline_cache.get(ab)
-        if got is None:
-            power = self.tau ** ab
-            got = self._pair_product(power, 1) * self.plus_sq_inv
-            self.wline_cache[ab] = got
+            power = self.tau ** abs(weight)
+            ks = range(1, self.q_order + 1)
+            pair = [(sign * power, k) for k in ks] + [(sign / power, k) for k in ks]
+            squares = [(Fraction(sign), k) for k in ks] * 2
+            ups, downs = (squares, pair) if inverted else (pair, squares)
+            got = binomial_quotient(ups, downs, Fraction(1), self.q_order)
+            self.cache[key] = got
         return got
 
     def term_value(self, term, parity, with_sign=True):
@@ -324,11 +290,11 @@ class _SampleWorkspace:
             scalar = scalar * term.sigma
         series = QSeries.constant(scalar, self.q_order)
         for w in term.tangent:
-            series = series * self.tangent_factor(w)
+            series = series * self.factor(-1, True, w)
         for a in term.v_weights:
-            series = series * self.vline_factor(a)
+            series = series * self.factor(-1, False, a)
         for b in term.w_weights:
-            series = series * self.wline_factor(b)
+            series = series * self.factor(1, False, b)
         return series
 
 
@@ -343,10 +309,8 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
         raise InputError("q-order must be non-negative")
     terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
     parity = _common_parity(terms)
-    env = Envelope.zero(q_order)
-    for term in terms:
-        env = env + _term_envelope(term, parity, q_order)
-    n_samples = env.max_width() + 3
+    windows = _exponent_windows(terms, parity, q_order)
+    n_samples = max(max(hi - lo + 1 for lo, hi in windows), 0) + 3
     taus = _sample_points(n_samples)
 
     values = []
@@ -358,9 +322,7 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
         values.append(total)
 
     coeffs = []
-    for d in range(q_order + 1):
-        span = env.spans[d]
-        lo, hi = span if span is not None else (0, -1)
+    for d, (lo, hi) in enumerate(windows):
         samples = [(taus[i], values[i].coeffs[d]) for i in range(n_samples)]
         poly = laurent_interpolate(samples, lo, hi)
         coeffs.append(HalfLaurent.from_integer_poly(poly, parity))
@@ -666,21 +628,6 @@ def _div_x(poly):
     return TruncatedPolynomial(list(poly.coeffs[1:]) + [Fraction(0)], poly.cap)
 
 
-def _tp_sparse_factor(k, coeff_poly, q_order, cap):
-    one = TruncatedPolynomial.constant(1, cap)
-    zero = TruncatedPolynomial.constant(0, cap)
-    coeffs = [zero] * (q_order + 1)
-    coeffs[0] = one
-    if k <= q_order:
-        coeffs[k] = coeff_poly
-    return QSeries(coeffs, q_order)
-
-
-def _tp_constant_series(poly, q_order):
-    zero = TruncatedPolynomial.constant(0, poly.cap)
-    return QSeries([poly] + [zero] * q_order, q_order)
-
-
 def _universal_tables(cap, q_order):
     """One-root q-series tables for the three index factors.
 
@@ -699,26 +646,18 @@ def _universal_tables(cap, q_order):
     sinh_norm = TruncatedPolynomial(list(_div_x(diff).coeffs[: cap + 1]), cap)
     a_root = sinh_norm.inverse()            # (x/2)/sinh(x/2)
 
-    minus_sq, plus_sq = _q_squares(q_order)
-    minus_sq_tp = minus_sq.map_coefficients(
-        lambda c: TruncatedPolynomial.constant(c, cap))
-    plus_sq_tp = plus_sq.map_coefficients(
-        lambda c: TruncatedPolynomial.constant(c, cap))
+    ks = range(1, q_order + 1)
+    pair_minus = [(-E, k) for k in ks] + [(-Einv, k) for k in ks]
+    pair_plus = [(E, k) for k in ks] + [(Einv, k) for k in ks]
+    minus_sq = [(Fraction(-1), k) for k in ks] * 2
+    plus_sq = [(Fraction(1), k) for k in ks] * 2
 
-    pair_minus = QSeries([one] + [TruncatedPolynomial.constant(0, cap)] * q_order,
-                         q_order)
-    pair_plus = QSeries([one] + [TruncatedPolynomial.constant(0, cap)] * q_order,
-                        q_order)
-    for k in range(1, q_order + 1):
-        pair_minus = pair_minus * _tp_sparse_factor(k, -E, q_order, cap)
-        pair_minus = pair_minus * _tp_sparse_factor(k, -Einv, q_order, cap)
-        pair_plus = pair_plus * _tp_sparse_factor(k, E, q_order, cap)
-        pair_plus = pair_plus * _tp_sparse_factor(k, Einv, q_order, cap)
+    def table(prefactor, ups, downs):
+        return binomial_quotient(ups, downs, one, q_order) * prefactor
 
-    tangent = _tp_constant_series(a_root, q_order) * minus_sq_tp * pair_minus.invert()
-    vline = _tp_constant_series(one - Einv, q_order) * pair_minus * minus_sq_tp.invert()
-    wline = _tp_constant_series(Eh + Ehinv, q_order) * pair_plus * plus_sq_tp.invert()
-    return {"tangent": tangent, "vline": vline, "wline": wline}
+    return {"tangent": table(a_root, minus_sq, pair_minus),
+            "vline": table(one - Einv, pair_minus, minus_sq),
+            "wline": table(Eh + Ehinv, pair_plus, plus_sq)}
 
 
 def _substitute_table(table, powers):

@@ -99,6 +99,9 @@ def _tokenize_expression(text):
     return tokens
 
 
+MAX_NESTING = 64     # constructor calls inside one another, outermost included
+
+
 class _ExpressionParser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -122,7 +125,10 @@ class _ExpressionParser:
             raise InputError(f"trailing tokens after expression: {self.peek()!r}")
         return out
 
-    def expr(self):
+    def expr(self, depth=1):
+        if depth > MAX_NESTING:
+            raise InputError(
+                f"constructor expression nests deeper than {MAX_NESTING} levels")
         name = self.take()
         if name not in _CONSTRUCTORS:
             raise InputError(f"unknown polytope constructor {name!r}")
@@ -134,7 +140,7 @@ class _ExpressionParser:
             if kind == "int":
                 args.append(self.integer())
             elif kind == "expr":
-                args.append(self.expr())
+                args.append(self.expr(depth + 1))
             else:
                 args.append(self.vertices())
         self.take(")")

@@ -329,16 +329,6 @@ class QuasitoricManifold:
         datum = next(d for d in self.fixed_points() if d.vertex == v)
         return self.orientation_signs()[v] * datum.sign
 
-    def twist_c1_pairing(self, datum):
-        """Restriction of the twist class at a fixed point: sum gamma_j w_j."""
-        n = self.dimension
-        out = [0] * n
-        for k, f in enumerate(datum.vertex):
-            g = self.spin_c[f - 1]
-            for i in range(n):
-                out[i] += g * datum.weights[k][i]
-        return tuple(out)
-
     def __repr__(self):
         return (f"QuasitoricManifold(dim={self.dimension}, "
                 f"facets={self.num_facets})")

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from quasigenus.cohomology import build_face_ring, facet_class_decomposition
-from quasigenus.errors import RingShapeError
+from quasigenus.errors import InputError, RingShapeError
 from quasigenus.genus import localization_integral
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
@@ -117,6 +117,13 @@ class TestRingStructure:
         ring = build_face_ring(sphere_product(2))
         prod = ring.facet_class(1) * ring.facet_class(3)
         assert prod.is_zero()
+
+    def test_reduce_monomial_label_range(self):
+        ring = build_face_ring(projective_space(2))
+        assert ring.reduce_monomial((1, 3)) == ring.reduce_monomial((2, 2))
+        for bad in ((1, 4), (0,), (-1, 2)):
+            with pytest.raises(InputError):
+                ring.reduce_monomial(bad)
 
 
 class TestPairing:

@@ -1,4 +1,4 @@
-"""Half-integer Laurent polynomials, q-series, envelopes, interpolation."""
+"""Half-integer Laurent polynomials, q-series, binomial quotients, interpolation."""
 
 import random
 from fractions import Fraction
@@ -7,8 +7,8 @@ import pytest
 
 from quasigenus.errors import (InterpolationConsistencyError,
                                InterpolationError)
-from quasigenus.exactalg import (Envelope, HalfLaurent, QSeries,
-                                 TruncatedPolynomial, laurent_interpolate)
+from quasigenus.exactalg import (HalfLaurent, QSeries, TruncatedPolynomial,
+                                 binomial_quotient, laurent_interpolate)
 
 
 def brute_convolution(a, b, order):
@@ -118,27 +118,57 @@ class TestTruncatedPolynomial:
         assert got == Fraction(1) + 2 * 3 + 9
 
 
-class TestEnvelope:
-    def test_product_adds_spans(self):
-        a = Envelope.of_constant(-1, 2, 1)
-        b = Envelope.of_constant(3, 4, 1)
-        assert (a * b).spans[0] == (2, 6)
+def dense_binomial_quotient(ups, downs, one, order):
+    """The quotient from dense products of one-binomial series and their
+    inverses, the defining formula."""
+    def binomial(c, k):
+        coeffs = [one] + [one * 0] * order
+        if k <= order:
+            coeffs[k] = one * c
+        return QSeries(coeffs, order)
+    out = QSeries([one] + [one * 0] * order, order)
+    for c, k in ups:
+        out = out * binomial(c, k)
+    for c, k in downs:
+        out = out * binomial(c, k).invert()
+    return out
 
-    def test_sum_unions(self):
-        a = Envelope.of_constant(-1, 2, 0)
-        b = Envelope.of_constant(0, 5, 0)
-        assert (a + b).spans[0] == (-1, 5)
 
-    def test_q_degrees_convolve(self):
-        a = Envelope([None, (0, 1), None])
-        b = Envelope([None, (2, 3), None])
-        prod = a * b
-        assert prod.spans[2] == (2, 4)
-        assert prod.spans[0] is None and prod.spans[1] is None
+class TestBinomialQuotient:
+    @staticmethod
+    def random_factors(rng, coefficient, order):
+        return [(coefficient(), rng.randint(1, order + 2))
+                for _ in range(rng.randint(0, 4))]
 
-    def test_inverted_window_is_zero_width(self):
-        e = Envelope.of_constant(1, -1, 0)
-        assert e.max_width() == 0
+    def test_fraction_coefficients(self):
+        rng = random.Random(17)
+        coefficient = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        one = Fraction(1)
+        for order in range(7):
+            for _ in range(5):
+                ups = self.random_factors(rng, coefficient, order)
+                downs = self.random_factors(rng, coefficient, order)
+                assert (binomial_quotient(ups, downs, one, order)
+                        == dense_binomial_quotient(ups, downs, one, order))
+
+    def test_truncated_polynomial_coefficients(self):
+        # c is either a ring element or a scalar Fraction; k runs past order
+        rng = random.Random(18)
+        cap = 3
+        one = TruncatedPolynomial.constant(1, cap)
+
+        def coefficient():
+            if rng.random() < 0.3:
+                return Fraction(rng.randint(-3, 3))
+            return TruncatedPolynomial(
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(cap + 1)], cap)
+        for order in range(7):
+            for _ in range(3):
+                ups = self.random_factors(rng, coefficient, order)
+                downs = self.random_factors(rng, coefficient, order)
+                assert (binomial_quotient(ups, downs, one, order)
+                        == dense_binomial_quotient(ups, downs, one, order))
 
 
 class TestInterpolation:

@@ -1,12 +1,14 @@
 """Localization engine, cohomological route, classical genera.
 
 The strongest check in the file is route agreement: the Laurent-sampling
-localization engine and the face-ring integration share no code beyond
-the combinatorial input, so exact equality of their q-series is strong
-evidence both are right.  Individual values are frozen from independent
-hand computations done inline.
+localization engine and the face-ring integration share only the
+combinatorial input and the ``exactalg`` arithmetic types and primitives,
+each writing out its own index formula, so exact equality of their
+q-series is strong evidence both are right.  Individual values are frozen
+from independent hand computations done inline.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,10 +25,9 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               euler_characteristic, fixed_point_contribution,
                               index, is_spin, localization_integral, signature,
                               spin_gamma, spin_obstruction, witten_genus,
+                              _VertexTerm, _exponent_windows,
                               _universal_tables, _substitute_table,
-                              _class_powers, _exp_class, _exp_poly, _div_x,
-                              _q_squares, _tp_constant_series,
-                              _tp_sparse_factor)
+                              _class_powers, _exp_class)
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.polytope import QuasitoricManifold, cube, simplex
@@ -378,20 +379,31 @@ class TestMultiplicativity:
         assert together == cohomological_index(prod, spec, order)
 
 
+def _binomial(c, k, one, q_order):
+    """The q-series 1 + c q^k, truncated above q^q_order."""
+    coeffs = [one] + [one * 0] * q_order
+    if k <= q_order:
+        coeffs[k] = one * c
+    return QSeries(coeffs, q_order)
+
+
 def _vline_reduced(cap, q_order):
     """The V-line table with the Euler root divided out of its prefactor:
     (e^(x/2)-e^(-x/2))/x * prod_k (1-e^x q^k)(1-e^-x q^k) / (1-q^k)^2,
-    built here from the same pieces as the library's vline table."""
-    diff = _exp_poly(cap + 1, Fraction(1, 2)) - _exp_poly(cap + 1, Fraction(-1, 2))
-    sinh_norm = TruncatedPolynomial(list(_div_x(diff).coeffs[: cap + 1]), cap)
-    e, e_inv = _exp_poly(cap, 1), _exp_poly(cap, -1)
-    out = _tp_constant_series(sinh_norm, q_order)
+    built here from its Taylor coefficients and dense products of
+    one-binomial series."""
+    sinh_norm = TruncatedPolynomial(
+        [0 if i % 2 else Fraction(1, 2) ** i / _fact(i + 1)
+         for i in range(cap + 1)], cap)
+    e = TruncatedPolynomial([Fraction(1, _fact(i)) for i in range(cap + 1)], cap)
+    e_inv = TruncatedPolynomial(
+        [Fraction((-1) ** i, _fact(i)) for i in range(cap + 1)], cap)
+    one = TruncatedPolynomial.constant(1, cap)
+    out = QSeries.constant(sinh_norm, q_order)
     for k in range(1, q_order + 1):
-        out = out * _tp_sparse_factor(k, -e, q_order, cap)
-        out = out * _tp_sparse_factor(k, -e_inv, q_order, cap)
-    minus_sq, _ = _q_squares(q_order)
-    return out * minus_sq.map_coefficients(
-        lambda c: TruncatedPolynomial.constant(c, cap)).invert()
+        out = out * _binomial(-e, k, one, q_order) * _binomial(-e_inv, k, one, q_order)
+        out = out * (_binomial(-1, k, one, q_order) ** 2).invert()
+    return out
 
 
 class TestUniversalTableIdentity:
@@ -441,6 +453,57 @@ def _fact(i):
     for k in range(2, i + 1):
         out *= k
     return out
+
+
+def _brute_windows(terms, parity, q_order):
+    """Exponent windows from the factor windows by brute force: every split
+    of d among a term's factors, then the hull over the nonzero terms."""
+    windows = []
+    for d in range(q_order + 1):
+        los, his = [], []
+        for term in terms:
+            if term.zero:
+                continue
+            g = (term.halfexp - parity) // 2
+            factors = ([(max(0, -w), min(0, -w), abs(w)) for w in term.tangent]
+                       + [(min(0, -a), max(0, -a), abs(a)) for a in term.v_weights]
+                       + [(min(0, b), max(0, b), abs(b)) for b in term.w_weights])
+            for split in itertools.product(range(d + 1), repeat=len(factors)):
+                if sum(split) == d:
+                    los.append(g + sum(lo - x * s for (lo, _, x), s in zip(factors, split)))
+                    his.append(g + sum(hi + x * s for (_, hi, x), s in zip(factors, split)))
+        windows.append((min(los), max(his)) if los else (0, -1))
+    return windows
+
+
+class TestExponentWindows:
+    @staticmethod
+    def random_term(rng):
+        weights = lambda lo, hi: tuple(rng.choice([-3, -2, -1, 1, 2, 3])
+                                       for _ in range(rng.randint(lo, hi)))
+        tangent, w_weights = weights(1, 3), weights(0, 2)
+        v_weights = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 2)))
+        c = rng.randint(-6, 6)
+        c += (c + sum(tangent) - sum(w_weights)) % 2      # even half-exponent
+        return _VertexTerm((1,), 1, tangent, c, v_weights, w_weights)
+
+    def test_closed_form_equals_every_split(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            terms = [self.random_term(rng) for _ in range(rng.randint(1, 3))]
+            for q_order in range(4):
+                assert (_exponent_windows(terms, 0, q_order)
+                        == _brute_windows(terms, 0, q_order))
+
+    def test_inverted_and_empty_windows(self):
+        # 1/(t^3 - 1) has order 0 at t = 0 and degree -3 at t = infinity:
+        # at q^0 the window is inverted, and q^d widens it by 3d each way
+        term = _VertexTerm((1,), 1, (3,), -3, (), ())
+        assert _exponent_windows([term], 0, 2) == [(0, -3), (-3, 0), (-6, 3)]
+        assert _exponent_windows([term], 0, 2) == _brute_windows([term], 0, 2)
+        zero = _VertexTerm((1,), 1, (1,), 1, (0,), ())
+        assert zero.zero
+        assert _exponent_windows([zero], 0, 2) == [(0, -1)] * 3
 
 
 class TestRandomInstances:

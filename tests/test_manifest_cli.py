@@ -150,6 +150,15 @@ class TestCliExitCodes:
         assert main(["describe", str(p)]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    def test_deep_nesting_rejected(self, tmp_path, capsys):
+        depth = 3000
+        p = tmp_path / "deep.ini"
+        p.write_text("[polytope]\nconstruct = " + "product(" * depth
+                     + "simplex(1), simplex(1)" + ")" * depth
+                     + "\n\n[characteristic]\nrow = 1 0\n\n[spinc]\ngamma = 1 1\n")
+        assert main(["describe", str(p)]) == 2
+        assert "nests deeper than 64" in capsys.readouterr().err
+
     def test_threads_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["genus", CP2, "--threads", "2"])
@@ -233,14 +242,5 @@ class TestCliJson:
 
 
 class TestCliEnvironment:
-    def test_qorder_default_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GENUS_QORDER_DEFAULT", "1")
-        assert main(["genus", CP2]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2
-
-    def test_qorder_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("GENUS_QORDER_DEFAULT", "x")
-        assert main(["genus", CP2]) == 2
-
     def test_census_precondition_exit(self, capsys):
         assert main(["census", "--n", "3", "--k", "3", "--bound", "1"]) == 3

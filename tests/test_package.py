@@ -13,5 +13,6 @@ def test_exports_are_unique():
 
 
 def test_removed_overlap_is_not_exported():
-    assert "p1_square_coefficients" not in quasigenus.__all__
-    assert not hasattr(quasigenus, "p1_square_coefficients")
+    for name in ("p1_square_coefficients", "Envelope"):
+        assert name not in quasigenus.__all__
+        assert not hasattr(quasigenus, name)

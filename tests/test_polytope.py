@@ -172,17 +172,6 @@ class TestFixedPoints:
         assert signs[m.polytope.vertices[0]] == 1
         assert set(signs.values()) <= {1, -1}
 
-    def test_twist_pairing_restriction(self):
-        # only the facets through the vertex contribute: v_j restricts to 0
-        # at fixed points away from facet j
-        m = QuasitoricManifold(cube(1), [[1, 1]], (1, 1))
-        for d in m.fixed_points():
-            assert m.twist_c1_pairing(d) == (1,)
-        toric = QuasitoricManifold(cube(1), [[1, -1]], (1, 1))
-        pairings = sorted(toric.twist_c1_pairing(d)
-                          for d in toric.fixed_points())
-        assert pairings == [(-1,), (1,)]
-
 
 class TestEnumeration:
     def test_interval_bound_one(self):
