@@ -6,12 +6,11 @@ all-odd integer vector fixing the stable complex-line twist.  From that
 data the package computes twisted Dirac indices (Euler characteristic,
 signature, elliptic and Witten genera, and arbitrary sums of line
 bundles) as exact rational q-series, by two independent routes that are
-checked against each other: Laurent-sample fixed-point localization and
-face-ring integration.
+checked against each other: fixed-point localization by exact division
+in Z[t] and face-ring integration.
 """
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
-                     InterpolationConsistencyError, InterpolationError,
                      ParityError, PreconditionError, PropertyViolationError,
                      RankHypothesisError, RingShapeError, SpinObstructionError,
                      WellDefinednessError, WorkbenchError)
@@ -50,8 +49,6 @@ __all__ = [
     "FaceRing",
     "HalfLaurent",
     "InputError",
-    "InterpolationConsistencyError",
-    "InterpolationError",
     "Manifest",
     "ParityError",
     "PreconditionError",

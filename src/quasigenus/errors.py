@@ -74,13 +74,3 @@ class WellDefinednessError(PreconditionError):
 class RingShapeError(PreconditionError):
     """The cohomology ring does not have the connected-sum shape."""
 
-
-class InterpolationError(InputError):
-    """Unusable interpolation input (duplicate or forbidden sample points)."""
-
-
-class InterpolationConsistencyError(PropertyViolationError):
-    """Held-out samples disagree with the fitted Laurent polynomial.
-
-    Signals a wrong degree bound; the engine must abort, never widen.
-    """

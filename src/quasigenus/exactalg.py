@@ -12,17 +12,17 @@ Three small algebras cover everything the index computations need:
   above a fixed degree cap.  These hold the universal one-root Taylor tables
   that get substituted at degree-two cohomology classes.
 
-Plus two primitives.  ``binomial_quotient`` builds a quotient of products
+Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
-indices, in place on one coefficient list.  ``laurent_interpolate`` turns
-sampled values back into an exact Laurent polynomial and refuses to guess:
-every sample beyond the minimum must match the fit or the whole
-computation aborts.
+indices, in place on one coefficient list.  ``poly_mul``, ``poly_divmod``
+and ``cyclotomic`` handle integer polynomials in t as coefficient lists,
+lowest degree first: localization divides a sum of fixed-point numerators
+by a product of cyclotomic polynomials.
 """
 
+import itertools
+import math
 from fractions import Fraction
-
-from .errors import InterpolationError, InterpolationConsistencyError
 
 
 def _as_fraction(x):
@@ -130,18 +130,6 @@ class HalfLaurent:
         return HalfLaurent(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = HalfLaurent.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def inverse(self):
         """Inverse of a single monomial; anything else is not a unit here."""
@@ -291,14 +279,10 @@ class QSeries:
     def invert(self):
         """Multiplicative inverse; the constant term must be a unit."""
         a0 = self.coeffs[0]
-        if isinstance(a0, Fraction):
+        if isinstance(a0, (int, Fraction)):
             if a0 == 0:
                 raise ArithmeticError("constant term vanishes, not invertible")
             b0 = Fraction(1) / a0
-        elif isinstance(a0, int):
-            if a0 == 0:
-                raise ArithmeticError("constant term vanishes, not invertible")
-            b0 = Fraction(1, a0)
         else:
             b0 = a0.inverse()
         inv = [b0]
@@ -353,6 +337,67 @@ def binomial_quotient(ups, downs, one, order):
         for j in range(k, order + 1):
             a[j] = a[j] - a[j - k] * c
     return QSeries(a, order)
+
+
+def poly_mul(a, b):
+    """Product of two integer polynomials given as coefficient lists."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return out
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of the integer polynomial a by the monic b.
+
+    The remainder list has length deg b (shorter when a is), so ``any`` of
+    it says whether b divides a.
+    """
+    if b[-1] != 1:
+        raise ValueError("divisor must be monic")
+    n = len(b) - 1
+    r = list(a)
+    quotient = [0] * max(len(a) - n, 0)
+    lower = b[:-1]
+    for i in range(len(quotient) - 1, -1, -1):
+        c = r[i + n]
+        if c:
+            quotient[i] = c
+            r[i:i + n] = [x - c * y for x, y in zip(r[i:i + n], lower)]
+    return quotient, r[:n]
+
+
+def divisors(n):
+    """The positive divisors of n >= 1, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def cyclotomic(d):
+    """The d-th cyclotomic polynomial as an integer coefficient list.
+
+    For d > 1, Phi_d = prod (1 - t^(d/s))^mu(s) over the squarefree
+    divisors s of d, a binomial quotient in t that is a polynomial of
+    degree phi(d), so its power series truncated there is exact.
+    """
+    if d < 1:
+        raise ValueError("cyclotomic index must be positive")
+    if d == 1:
+        return [-1, 1]
+    primes = []
+    for p in divisors(d)[1:]:
+        if all(p % r for r in primes):
+            primes.append(p)
+    degree = d // math.prod(primes) * math.prod(p - 1 for p in primes)
+    ups, downs = [], []
+    for size in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, size):
+            (downs if size % 2 else ups).append((-1, d // math.prod(chosen)))
+    return binomial_quotient(ups, downs, 1, degree).coeffs
 
 
 class TruncatedPolynomial:
@@ -480,78 +525,3 @@ class TruncatedPolynomial:
 
     def __repr__(self):
         return f"TruncatedPolynomial({list(self.coeffs)!r}, cap={self.cap})"
-
-
-_FORBIDDEN_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1))
-
-
-def laurent_interpolate(samples, lo, hi):
-    """Recover the Laurent polynomial sum c_e t^e, lo <= e <= hi, exactly.
-
-    ``samples`` is a list of (t value, observed value) pairs with distinct
-    rational t values, none of them 0 or +-1.  The first hi - lo + 1 pairs
-    determine the candidate; every remaining pair is checked against it and
-    any mismatch raises InterpolationConsistencyError, because a mismatch
-    means the claimed exponent window was wrong and the result would be
-    garbage.  Returns {exponent: coefficient} with zeros dropped.
-
-    When lo > hi the window is empty, the series is claimed to vanish, and
-    all samples must be zero.
-    """
-    pts = [(_as_fraction(t), _as_fraction(v)) for t, v in samples]
-    seen = set()
-    for t, _ in pts:
-        if t in _FORBIDDEN_SAMPLES:
-            raise InterpolationError(f"sample point t = {t} is not allowed")
-        if t in seen:
-            raise InterpolationError(f"duplicate sample point t = {t}")
-        seen.add(t)
-
-    if lo > hi:
-        for t, v in pts:
-            if v != 0:
-                raise InterpolationConsistencyError(
-                    f"window is empty but f({t}) = {v} is nonzero")
-        return {}
-
-    width = hi - lo + 1
-    if len(pts) < width:
-        raise InterpolationError(
-            f"need at least {width} samples for window [{lo}, {hi}], got {len(pts)}")
-
-    # Divide by t^lo: g(t) = f(t) * t^(-lo) is an honest polynomial of
-    # degree at most hi - lo.
-    shifted = [(t, v * t ** (-lo)) for t, v in pts]
-    fit, rest = shifted[:width], shifted[width:]
-
-    xs = [t for t, _ in fit]
-    dd = [v for _, v in fit]
-    for j in range(1, width):
-        for i in range(width - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-
-    poly = [Fraction(0)] * width
-    basis = [Fraction(1)]
-    for i in range(width):
-        for k, c in enumerate(basis):
-            poly[k] += dd[i] * c
-        if i + 1 < width:
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k + 1] += c
-                nxt[k] -= xs[i] * c
-            basis = nxt
-
-    def geval(t):
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * t + c
-        return acc
-
-    for t, v in rest:
-        if geval(t) != v:
-            raise InterpolationConsistencyError(
-                f"held-out sample at t = {t} disagrees with the fitted window "
-                f"[{lo}, {hi}]: expected {v}, fit gives {geval(t)}")
-
-    return {lo + k: c for k, c in enumerate(poly) if c != 0}

@@ -1,13 +1,12 @@
 """Twisted Dirac-operator indices of quasitoric manifolds, two ways.
 
 Localization route: the circle-equivariant index is a Laurent polynomial in
-the circle character t for each power of q.  Each fixed point contributes a
-rational function of t; the engine never manipulates rational functions
-symbolically.  Instead it bounds, per q-degree, the exponent window the
-total can occupy (order at t=0 and degree at t=infinity add over products
-and merge over sums), samples the fixed-point sum at integer t-values,
-interpolates exactly, and verifies the fit on held-out samples.  A failed
-check aborts the computation; it is never papered over.
+the circle character t for each power of q.  Each fixed point contributes an
+integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts every
+term over one product D of cyclotomic polynomials, sums the numerators and
+divides by D in Z[t].  A nonzero remainder, or a mismatch with the
+fixed-point sum evaluated at two integer points, aborts the computation; it
+is never papered over.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as q-series with nilpotent-polynomial coefficients, substitute
@@ -24,12 +23,14 @@ the final Laurent polynomials.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
 from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_quotient,
-                       laurent_interpolate)
+                       cyclotomic, divisors, poly_divmod, poly_mul)
 from .linalg import gf2_solve, is_primitive
 from .cohomology import build_face_ring
 
@@ -74,9 +75,6 @@ class BundleSpec:
     @staticmethod
     def empty():
         return BundleSpec((), ())
-
-    def is_empty(self):
-        return not self.v_lines and not self.w_lines
 
     def validate_for(self, manifold):
         m = manifold.num_facets
@@ -212,121 +210,174 @@ def _common_parity(terms):
     return parities.pop()
 
 
-def _exponent_windows(terms, parity, q_order):
-    """Per-q-degree exponent windows (lo, hi) of the fixed-point sum.
+def _theta_binomials(term, q_order):
+    """A term's theta factors as up and down binomials 1 + s t^e q^k, (s, e, k).
 
-    Integer gauge.  A term's factor with weight x has a q^0 window (lo, hi):
-    (max(0, -x), min(0, -x)) for 1/(t^x - 1), (min(0, -x), max(0, -x)) for
-    1 - t^-x and (min(0, x), max(0, x)) for t^x + 1.  The q^d coefficient
-    of its q-series widens that by d|x| each way, so the term's q^d window
-    is widest with all of d on its factor of largest |x| = A:
-    (g + sum lo - d A, g + sum hi + d A).  A factor's window is inverted
-    (lo > hi) for a rational function; orders at t = 0 and t = infinity
-    still add.  The sum's window is the hull of its nonzero terms' windows,
-    and with no nonzero term every window is empty, (0, -1).
+    Each factor is prod_k (1 + s t^x q^k)(1 + s t^-x q^k) / (1 + s q^k)^2,
+    inverted with s = -1 for a tangent weight x, and with s = -1 for a V
+    weight and s = +1 for a W weight.
     """
-    bounds = []
-    for term in terms:
-        if term.zero:
-            continue
-        g = (term.halfexp - parity) // 2
-        factors = ([(max(0, -w), min(0, -w)) for w in term.tangent]
-                   + [(min(0, -a), max(0, -a)) for a in term.v_weights]
-                   + [(min(0, b), max(0, b)) for b in term.w_weights])
-        weights = term.tangent + term.v_weights + term.w_weights
-        bounds.append((g + sum(lo for lo, _ in factors),
-                       g + sum(hi for _, hi in factors),
-                       max(map(abs, weights))))
-    if not bounds:
-        return [(0, -1)] * (q_order + 1)
-    return [(min(lo - d * a for lo, _, a in bounds),
-             max(hi + d * a for _, hi, a in bounds))
-            for d in range(q_order + 1)]
+    ks = range(1, q_order + 1)
+    ups, downs = [], []
+    for s, x, inverted in ([(-1, w, True) for w in term.tangent]
+                           + [(-1, a, False) for a in term.v_weights]
+                           + [(1, b, False) for b in term.w_weights]):
+        pair = [(s, e, k) for e in (x, -x) for k in ks]
+        squares = [(s, 0, k) for k in ks] * 2
+        ups += squares if inverted else pair
+        downs += pair if inverted else squares
+    return ups, downs
 
 
-class _SampleWorkspace:
-    """The q-series factors of the fixed-point terms at one sample point.
+def _term_value(term, parity, tau, q_order):
+    """One fixed point's contribution at a rational t = tau, integer gauge."""
+    if term.zero:
+        return QSeries.constant(Fraction(0), q_order)
+    scalar = term.sigma * tau ** ((term.halfexp - parity) // 2)
+    for w in term.tangent:
+        scalar /= tau ** w - 1
+    for a in term.v_weights:
+        scalar *= 1 - tau ** -a
+    for b in term.w_weights:
+        scalar *= tau ** b + 1
+    ups, downs = _theta_binomials(term, q_order)
+    return binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
+                             [(s * tau ** e, k) for s, e, k in downs],
+                             Fraction(1), q_order) * scalar
 
-    Every factor is prod_k (1 + s tau^a q^k)(1 + s tau^-a q^k) / (1 + s q^k)^2
-    with a = |weight|, or its inverse: s = -1 inverted for a tangent
-    weight, s = -1 for a V line and s = +1 for a W line.  The cache is keyed
-    by (s, inverted, a), since the factors are symmetric under weight
-    negation and repeated weights across fixed points are the rule, not
-    the exception.
+
+# Largest q-order either route accepts, and largest predicted degree of the
+# integer polynomials localization builds for one circle.  Both are checked
+# before any polynomial is built (docs/manifest_format.md).
+MAX_Q_ORDER = 12
+MAX_LOCALIZATION_DEGREE = 3000
+
+
+def _check_limit(name, value, limit):
+    if not 0 <= value <= limit:
+        raise InputError(f"{name} must lie in 0..{limit}, got {value}")
+
+
+def _prefactor(term):
+    """Coefficients of sigma t^g prod_V (1 - t^-a) prod_W (t^b + 1) times
+    prod_k (t^|w_k| - 1)/(t^w_k - 1), from its lowest exponent upwards.
+
+    (t^|w| - 1)/(t^w - 1) is 1 for w > 0 and -t^|w| for w < 0.  Without
+    its lowest power of t, 1 - t^-a is t^a - 1 for a > 0 and 1 - t^|a| for
+    a < 0, and t^b + 1 is 1 + t^|b|.
     """
-
-    def __init__(self, tau, q_order):
-        self.tau = Fraction(tau)
-        self.q_order = q_order
-        self.cache = {}
-
-    def factor(self, sign, inverted, weight):
-        key = (sign, inverted, abs(weight))
-        got = self.cache.get(key)
-        if got is None:
-            power = self.tau ** abs(weight)
-            ks = range(1, self.q_order + 1)
-            pair = [(sign * power, k) for k in ks] + [(sign / power, k) for k in ks]
-            squares = [(Fraction(sign), k) for k in ks] * 2
-            ups, downs = (squares, pair) if inverted else (pair, squares)
-            got = binomial_quotient(ups, downs, Fraction(1), self.q_order)
-            self.cache[key] = got
-        return got
-
-    def term_value(self, term, parity, with_sign=True):
-        """One fixed point's contribution at this sample, integer gauge."""
-        if term.zero:
-            return QSeries.constant(Fraction(0), self.q_order)
-        tau = self.tau
-        g = (term.halfexp - parity) // 2
-        scalar = tau ** g
-        for w in term.tangent:
-            scalar = scalar / (tau ** w - 1)
-        for a in term.v_weights:
-            scalar = scalar * (1 - tau ** (-a))
-        for b in term.w_weights:
-            scalar = scalar * (tau ** b + 1)
-        if with_sign:
-            scalar = scalar * term.sigma
-        series = QSeries.constant(scalar, self.q_order)
-        for w in term.tangent:
-            series = series * self.factor(-1, True, w)
-        for a in term.v_weights:
-            series = series * self.factor(-1, False, a)
-        for b in term.w_weights:
-            series = series * self.factor(1, False, b)
-        return series
+    coeffs = [term.sigma * (-1) ** sum(w < 0 for w in term.tangent)]
+    for a in term.v_weights:
+        gap = [0] * (abs(a) - 1)
+        coeffs = poly_mul(coeffs, [-1] + gap + [1] if a > 0 else [1] + gap + [-1])
+    for b in term.w_weights:
+        coeffs = poly_mul(coeffs, [1] + [0] * (abs(b) - 1) + [1] if b else [2])
+    return coeffs
 
 
-def _sample_points(count):
-    return [Fraction(k) for k in range(2, 2 + count)]
+def _term_series(term, q_order, top):
+    """The product of a term's theta factors: row j holds the integer
+    coefficients of t^-j*top .. t^j*top in q^j, top its largest |weight|.
+
+    It runs the recurrence of ``exactalg.binomial_quotient`` on
+    ``_theta_binomials``, each c a monomial +-t^e, so a step adds a shifted
+    row onto another: row j - k times t^e lies in row j from e + k*top >= 0.
+    """
+    ups, downs = _theta_binomials(term, q_order)
+    rows = [[1]] + [[0] * (2 * j * top + 1) for j in range(1, q_order + 1)]
+    for sign, steps, js in ((1, ups, lambda k: range(q_order, k - 1, -1)),
+                            (-1, downs, lambda k: range(k, q_order + 1))):
+        for s, e, k in steps:
+            for j in js(k):
+                src, at = rows[j - k], e + k * top
+                rows[j][at:at + len(src)] = [
+                    x + sign * s * y
+                    for x, y in zip(rows[j][at:at + len(src)], src)]
+    return rows
+
+
+def _divided_sum(terms, parity, q_order):
+    """Each q-coefficient of the fixed-point sum as {exponent: integer}.
+
+    A term's q^j coefficient is its prefactor times row j of its theta
+    series over prod_k (t^|w_k| - 1), which divides D = prod_d Phi_d^e_d,
+    with e_d the most tangent weights at one fixed point that d divides.
+    The numerators over D are summed and divided by D in Z[t]; a nonzero
+    remainder means the sum is no Laurent polynomial, so the terms are
+    wrong.  Before any polynomial is built, deg D = sum e_d phi(d) plus the
+    span of the summed numerators must stay within the limit, which a
+    single weight over it already exceeds.
+    """
+    terms = [t for t in terms if not t.zero]
+    if not terms:
+        return [{}] * (q_order + 1)
+    tops = [max(map(abs, t.tangent + t.v_weights + t.w_weights)) for t in terms]
+    _check_limit("localization degree", max(tops), MAX_LOCALIZATION_DEGREE)
+    counts = [Counter(d for w in t.tangent for d in divisors(abs(w)))
+              for t in terms]
+    exponents = {d: max(c[d] for c in counts) for c in counts for d in c}
+    totient = {}
+    for d in sorted(exponents):
+        totient[d] = d - sum(totient[m] for m in divisors(d)[:-1])
+    degree = sum(e * totient[d] for d, e in exponents.items())
+    lows = [(t.halfexp - parity) // 2 - sum(w for w in t.tangent if w < 0)
+            + sum(min(0, -a) for a in t.v_weights)
+            + sum(min(0, b) for b in t.w_weights) for t in terms]
+    highs = [low + sum(map(abs, t.v_weights + t.w_weights)) + degree
+             - sum(map(abs, t.tangent)) for t, low in zip(terms, lows)]
+    span = (max(hi + q_order * top for hi, top in zip(highs, tops))
+            - min(lo - q_order * top for lo, top in zip(lows, tops)))
+    _check_limit("localization degree", degree + span, MAX_LOCALIZATION_DEGREE)
+    phis = {d: cyclotomic(d) for d in exponents}
+    denominator = reduce(poly_mul, (
+        phis[d] for d, e in exponents.items() for _ in range(e)), [1])
+    numerators = [reduce(poly_mul, (
+        phis[d] for d, e in exponents.items() for _ in range(e - count[d])),
+        _prefactor(t)) for t, count in zip(terms, counts)]
+    series = [_term_series(t, q_order, top) for t, top in zip(terms, tops)]
+    out = []
+    for j in range(q_order + 1):
+        parts = [(lo - j * top, poly_mul(numerator, rows[j])) for lo, top,
+                 numerator, rows in zip(lows, tops, numerators, series)]
+        low = min(lo for lo, _ in parts)
+        total = [0] * (max(lo + len(piece) for lo, piece in parts) - low)
+        for lo, piece in parts:
+            at, end = lo - low, lo - low + len(piece)
+            total[at:end] = [x + y for x, y in zip(total[at:end], piece)]
+        quotient, remainder = poly_divmod(total, denominator)
+        if any(remainder):
+            raise PropertyViolationError(
+                f"the fixed-point sum at q^{j} leaves a nonzero remainder on "
+                "division by its common denominator, so it is no Laurent "
+                "polynomial and the fixed-point data is inconsistent")
+        out.append({low + i: c for i, c in enumerate(quotient) if c})
+    return out
 
 
 def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
                         tangent_as_w=False):
-    """Shared engine: returns (QSeries of HalfLaurent, parity)."""
-    if q_order < 0:
-        raise InputError("q-order must be non-negative")
+    """Shared engine: returns (QSeries of HalfLaurent, parity).
+
+    The zero remainder of ``_divided_sum`` certifies every q-coefficient
+    with no exponent window and no coefficient bound; the fixed-point sum,
+    evaluated term by term at t = 2 and 3, must match it there too.
+    """
+    _check_limit("q-order", q_order, MAX_Q_ORDER)
     terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
     parity = _common_parity(terms)
-    windows = _exponent_windows(terms, parity, q_order)
-    n_samples = max(max(hi - lo + 1 for lo, hi in windows), 0) + 3
-    taus = _sample_points(n_samples)
-
-    values = []
-    for tau in taus:
-        ws = _SampleWorkspace(tau, q_order)
+    polys = _divided_sum(terms, parity, q_order)
+    for tau in (Fraction(2), Fraction(3)):
         total = QSeries.constant(Fraction(0), q_order)
         for term in terms:
-            total = total + ws.term_value(term, parity)
-        values.append(total)
-
-    coeffs = []
-    for d, (lo, hi) in enumerate(windows):
-        samples = [(taus[i], values[i].coeffs[d]) for i in range(n_samples)]
-        poly = laurent_interpolate(samples, lo, hi)
-        coeffs.append(HalfLaurent.from_integer_poly(poly, parity))
-    return QSeries(coeffs, q_order), parity
+            total = total + _term_value(term, parity, tau, q_order)
+        got = [sum((c * tau ** e for e, c in p.items()), Fraction(0))
+               for p in polys]
+        if got != total.coeffs:
+            raise PropertyViolationError(
+                f"held-out check at t = {tau}: the divided sum gives {got}, "
+                f"the fixed-point sum {total.coeffs}")
+    return QSeries([HalfLaurent.from_integer_poly(p, parity) for p in polys],
+                   q_order), parity
 
 
 def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
@@ -338,6 +389,7 @@ def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
     full engine handles odd parities globally.  No orientation sign is
     applied: this is the raw local term.
     """
+    _check_limit("q-order", q_order, MAX_Q_ORDER)
     bundles = bundles or BundleSpec.empty()
     xi = _as_circle(xi).xi
     t = Fraction(t)
@@ -351,8 +403,7 @@ def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
         raise ParityError(
             f"half-integer exponent {term.halfexp}/2 at vertex {fp.vertex} "
             "is odd; a single rational sample cannot represent it")
-    ws = _SampleWorkspace(t, q_order)
-    return ws.term_value(term, 0, with_sign=False)
+    return _term_value(term, 0, t, q_order)
 
 
 def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None):
@@ -368,12 +419,12 @@ def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None):
 
 
 def choose_generic_circles(manifold, bundles=None, count=2):
-    """Deterministic generic circle vectors, cheapest-window first.
+    """Deterministic generic circle vectors, cheapest first.
 
     Candidates are primitive integer vectors enumerated by growing box
     bound; genericity means no tangent weight pairs to zero anywhere.  The
     cost orders candidates by the total weight mass they produce, which is
-    what the sampling window sizes scale with.
+    what the polynomial degrees of localization scale with.
     """
     n = manifold.dimension
     fps = manifold.fixed_points()
@@ -540,30 +591,20 @@ def euler_characteristic(manifold):
 def signature(manifold):
     """Signature by the rigid fixed-point sum; no spin structure needed.
 
-    The sum of sign(v) * prod (t^w + 1)/(t^w - 1) over fixed points is
-    constant in t; it is evaluated at two sample points that must agree.
+    The sum of sign(v) * prod (t^w + 1)/(t^w - 1) over fixed points is the
+    q^0 index with W the tangent bundle and no twist.  It must be constant
+    in t and agree between two generic circles.
     """
-    signs = manifold.orientation_signs()
-    circles = choose_generic_circles(manifold, None, count=2)
+    gamma = (0,) * manifold.num_facets
     results = []
-    for xi in circles:
-        tangents = [(signs[fp.vertex] * fp.sign,
-                     _fixed_point_weights(fp, xi.xi)[0])
-                    for fp in manifold.fixed_points()]
-        per_tau = []
-        for tau in (Fraction(2), Fraction(3)):
-            total = Fraction(0)
-            for sigma, tangent in tangents:
-                term = Fraction(sigma)
-                for w in tangent:
-                    term *= (tau ** w + 1) / (tau ** w - 1)
-                total += term
-            per_tau.append(total)
-        if per_tau[0] != per_tau[1]:
+    for xi in choose_generic_circles(manifold, None, count=2):
+        series, _ = _equivariant_series(manifold, xi, (), (), gamma, 0,
+                                        tangent_as_w=True)
+        if set(series.coeffs[0].coeffs) - {0}:
             raise PropertyViolationError(
                 f"signature sum is not constant in t for circle {xi.xi}: "
-                f"{per_tau}")
-        results.append(per_tau[0])
+                f"{series.coeffs[0]}")
+        results.append(series.coeffs[0].value_at_one())
     if results[0] != results[1]:
         raise PropertyViolationError(
             f"signature differs between circles: {results}")
@@ -690,6 +731,7 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
     out the constant 2 that each trivial W summand contributes, for callers
     that describe W through a stable splitting.
     """
+    _check_limit("q-order", q_order, MAX_Q_ORDER)
     cap = ring.dimension
     tables = _universal_tables(cap, q_order)
     integrand = QSeries([ring.one()] + [ring.zero()] * q_order, q_order)

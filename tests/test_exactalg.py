@@ -1,14 +1,13 @@
-"""Half-integer Laurent polynomials, q-series, binomial quotients, interpolation."""
+"""Half-integer Laurent polynomials, q-series, binomial quotients, Z[t]."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from quasigenus.errors import (InterpolationConsistencyError,
-                               InterpolationError)
 from quasigenus.exactalg import (HalfLaurent, QSeries, TruncatedPolynomial,
-                                 binomial_quotient, laurent_interpolate)
+                                 binomial_quotient, cyclotomic, poly_divmod,
+                                 poly_mul)
 
 
 def brute_convolution(a, b, order):
@@ -171,67 +170,57 @@ class TestBinomialQuotient:
                         == dense_binomial_quotient(ups, downs, one, order))
 
 
-class TestInterpolation:
-    def test_exact_fit_t_plus_inverse(self):
-        f = lambda t: t + 1 / t
-        pts = [(Fraction(2), f(Fraction(2))),
-               (Fraction(3), f(Fraction(3))),
-               (Fraction(1, 2), f(Fraction(1, 2)))]
-        got = laurent_interpolate(pts, -1, 1)
-        assert got == {-1: 1, 1: 1}
+def brute_poly_mul(a, b):
+    """Multiply coefficient lists by the defining double sum."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    def test_constant(self):
-        pts = [(Fraction(2), Fraction(5))]
-        assert laurent_interpolate(pts, 0, 0) == {0: 5}
 
-    def test_polynomial_division_oracle(self):
-        # oracle: (t^2 - 1) / (t - 1) = t + 1 by long division;
-        # verify the quotient reproduces the samples before fitting
-        def ratio(t):
-            return (t * t - 1) / (t - 1)
+class TestIntegerPolynomials:
+    def test_mul_against_double_sum(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 9))]
+            b = [rng.randint(-5, 5) for _ in range(rng.randint(1, 9))]
+            assert poly_mul(a, b) == brute_poly_mul(a, b)
 
-        ts = [Fraction(2), Fraction(3), Fraction(5)]
-        for t in ts:
-            assert ratio(t) == t + 1
-        got = laurent_interpolate([(t, ratio(t)) for t in ts], 0, 1)
-        assert got == {0: 1, 1: 1}
+    def test_division_oracle(self):
+        # (t^2 - 1) / (t - 1) = t + 1 by long division; t^2 + 1 leaves 2
+        assert poly_divmod([-1, 0, 1], [-1, 1]) == ([1, 1], [0])
+        assert poly_divmod([1, 0, 1], [-1, 1]) == ([1, 1], [2])
+        assert poly_divmod([5], [1, 0, 1]) == ([], [5])
 
-    def test_empty_window_demands_zero(self):
-        assert laurent_interpolate([(Fraction(2), 0)], 3, 1) == {}
-        with pytest.raises(InterpolationConsistencyError):
-            laurent_interpolate([(Fraction(2), 1)], 3, 1)
+    def test_divmod_recovers_quotient_and_remainder(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            divisor = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))] + [1]
+            quotient = [rng.randint(-6, 6) for _ in range(rng.randint(1, 7))]
+            remainder = [rng.randint(-6, 6) for _ in range(len(divisor) - 1)]
+            product = poly_mul(quotient, divisor)
+            dividend = [x + (remainder[i] if i < len(remainder) else 0)
+                        for i, x in enumerate(product)]
+            assert poly_divmod(dividend, divisor) == (quotient, remainder)
 
-    def test_held_out_mismatch_detected(self):
-        # claim the window [0, 0] for f(t) = t + 1: the held-out point breaks
-        pts = [(Fraction(2), Fraction(3)), (Fraction(3), Fraction(4))]
-        with pytest.raises(InterpolationConsistencyError):
-            laurent_interpolate(pts, 0, 0)
+    def test_divisor_must_be_monic(self):
+        with pytest.raises(ValueError):
+            poly_divmod([1, 2, 1], [1, 2])
 
-    def test_forbidden_and_duplicate_points(self):
-        with pytest.raises(InterpolationError):
-            laurent_interpolate([(Fraction(1), Fraction(1))], 0, 0)
-        with pytest.raises(InterpolationError):
-            laurent_interpolate([(Fraction(2), 1), (Fraction(2), 1)], 0, 1)
+    def test_cyclotomic_products_are_binomials(self):
+        # oracle: t^n - 1 is the product of Phi_d over the divisors d of n
+        for n in range(1, 121):
+            product = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = poly_mul(product, cyclotomic(d))
+            assert product == [-1] + [0] * (n - 1) + [1]
 
-    def test_too_few_samples(self):
-        with pytest.raises(InterpolationError):
-            laurent_interpolate([(Fraction(2), 1)], 0, 3)
-
-    def test_random_laurent_roundtrip(self):
-        rng = random.Random(77)
-        for _ in range(200):
-            lo = rng.randint(-6, 2)
-            hi = lo + rng.randint(0, 5)
-            coeffs = {e: Fraction(rng.randint(-9, 9)) for e in range(lo, hi + 1)}
-
-            def f(t):
-                return sum(c * t ** e for e, c in coeffs.items())
-
-            width = hi - lo + 1
-            ts = []
-            k = 2
-            while len(ts) < width + 3:
-                ts.append(Fraction(k))
-                k += 1
-            got = laurent_interpolate([(t, f(t)) for t in ts], lo, hi)
-            assert got == {e: c for e, c in coeffs.items() if c != 0}
+    def test_cyclotomic_values(self):
+        assert cyclotomic(1) == [-1, 1]
+        assert cyclotomic(6) == [1, -1, 1]
+        # the first cyclotomic polynomial with a coefficient other than +-1
+        assert cyclotomic(105)[7] == -2
+        with pytest.raises(ValueError):
+            cyclotomic(0)

@@ -1,6 +1,6 @@
 """Localization engine, cohomological route, classical genera.
 
-The strongest check in the file is route agreement: the Laurent-sampling
+The strongest check in the file is route agreement: the exact-division
 localization engine and the face-ring integration share only the
 combinatorial input and the ``exactalg`` arithmetic types and primitives,
 each writing out its own index formula, so exact equality of their
@@ -8,15 +8,16 @@ q-series is strong evidence both are right.  Individual values are frozen
 from independent hand computations done inline.
 """
 
-import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quasigenus.cohomology import build_face_ring
+from quasigenus import genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
-                               SpinObstructionError)
+                               PropertyViolationError, SpinObstructionError)
 from quasigenus.exactalg import QSeries, TruncatedPolynomial
 from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles,
                               cohomological_elliptic_genus, cohomological_index,
@@ -25,13 +26,16 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               euler_characteristic, fixed_point_contribution,
                               index, is_spin, localization_integral, signature,
                               spin_gamma, spin_obstruction, witten_genus,
-                              _VertexTerm, _exponent_windows,
+                              equivariant_elliptic_genus, _VertexTerm,
                               _universal_tables, _substitute_table,
                               _class_powers, _exp_class)
+from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.polytope import QuasitoricManifold, cube, simplex
 from quasigenus.theorems import construct_twist_bundles
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def q0_local_term(t, c, w):
@@ -455,55 +459,179 @@ def _fact(i):
     return out
 
 
-def _brute_windows(terms, parity, q_order):
-    """Exponent windows from the factor windows by brute force: every split
-    of d among a term's factors, then the hull over the nonzero terms."""
-    windows = []
-    for d in range(q_order + 1):
-        los, his = [], []
-        for term in terms:
-            if term.zero:
-                continue
-            g = (term.halfexp - parity) // 2
-            factors = ([(max(0, -w), min(0, -w), abs(w)) for w in term.tangent]
-                       + [(min(0, -a), max(0, -a), abs(a)) for a in term.v_weights]
-                       + [(min(0, b), max(0, b), abs(b)) for b in term.w_weights])
-            for split in itertools.product(range(d + 1), repeat=len(factors)):
-                if sum(split) == d:
-                    los.append(g + sum(lo - x * s for (lo, _, x), s in zip(factors, split)))
-                    his.append(g + sum(hi + x * s for (_, hi, x), s in zip(factors, split)))
-        windows.append((min(los), max(his)) if los else (0, -1))
-    return windows
+def _evaluate(half_laurent, t):
+    """A q-coefficient with integer exponents at a rational t."""
+    assert all(e % 2 == 0 for e in half_laurent.coeffs)
+    return sum((c * Fraction(t) ** (e // 2)
+                for e, c in half_laurent.coeffs.items()), Fraction(0))
 
 
-class TestExponentWindows:
+def _signed_contributions(m, xi, bundles, gamma, t, q_order):
+    total = QSeries.constant(Fraction(0), q_order)
+    for fp in m.fixed_points():
+        raw = fixed_point_contribution(fp, xi, bundles, gamma, t, q_order)
+        total = total + raw * m.vertex_sign(fp.vertex)
+    return total
+
+
+class TestDivisionOracle:
+    """The exact division against the signed sum of single fixed-point
+    terms, each evaluated in Fraction arithmetic at points other than the
+    held-out ones."""
+
+    POINTS = (Fraction(5, 3), Fraction(-7, 2))
+
+    def test_cp2_with_twist(self):
+        m = projective_space(2)
+        gamma = (3, -1, 1)
+        eq = equivariant_index(m, (2, -5), None, 3, gamma=gamma)
+        assert eq.parity == 0
+        for t in self.POINTS:
+            direct = _signed_contributions(m, (2, -5), None, gamma, t, 3)
+            assert [_evaluate(c, t) for c in eq.series.coeffs] == direct.coeffs
+
+    def test_cp3_twisted_wide_circle(self):
+        parsed = parse_manifest((MANIFESTS / "cp3_twisted.ini").read_text())
+        m, bundles = parsed.build_manifold(), parsed.bundles()
+        xi = (7, -19, 23)
+        eq = equivariant_index(m, xi, bundles, 2)
+        assert eq.parity == 0
+        for t in self.POINTS:
+            direct = _signed_contributions(m, xi, bundles, m.spin_c, t, 2)
+            assert [_evaluate(c, t) for c in eq.series.coeffs] == direct.coeffs
+
+    def test_elliptic_genus_of_spin_sphere_square(self):
+        # With W the m facet lines, a fixed point's W weights are its
+        # tangent weights plus m - n zeros worth a factor 2 each, so the
+        # signed sum is 2^(m-n) times the tangent-as-W sum; the elliptic
+        # genus also divides out t^(-<eta, xi>/2).  The genus vanishes
+        # identically here, while the single terms do not.
+        m = sphere_product_spin(2)
+        gamma, eta = spin_gamma(m)
+        xi = (3, 5)
+        shift = sum(a * b for a, b in zip(eta, xi))
+        assert shift % 2 == 0
+        eq = equivariant_elliptic_genus(m, xi, 2)
+        facets = BundleSpec((), [[int(j == f) for j in range(m.num_facets)]
+                                 for f in range(m.num_facets)])
+        one = fixed_point_contribution(m.fixed_points()[0], xi, facets, gamma,
+                                       self.POINTS[0], 2)
+        assert all(one.coeffs)
+        scale = 2 ** (m.num_facets - m.dimension)
+        for t in self.POINTS:
+            direct = _signed_contributions(m, xi, facets, gamma, t, 2)
+            got = [_evaluate(c, t) * t ** (shift // 2) * scale
+                   for c in eq.series.coeffs]
+            assert got == direct.coeffs
+
+
+def _flip_sign(term):
+    return _VertexTerm(term.vertex, -term.sigma, term.tangent, term.c,
+                       term.v_weights, term.w_weights)
+
+
+class TestCertificate:
+    """Tampered vertex terms raise PropertyViolationError, never a wrong
+    answer: through the division remainder, the held-out evaluation, or
+    the agreement of two circles."""
+
     @staticmethod
-    def random_term(rng):
-        weights = lambda lo, hi: tuple(rng.choice([-3, -2, -1, 1, 2, 3])
-                                       for _ in range(rng.randint(lo, hi)))
-        tangent, w_weights = weights(1, 3), weights(0, 2)
-        v_weights = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 2)))
-        c = rng.randint(-6, 6)
-        c += (c + sum(tangent) - sum(w_weights)) % 2      # even half-exponent
-        return _VertexTerm((1,), 1, tangent, c, v_weights, w_weights)
+    def terms(m, xi, v_lines=()):
+        got = genus._vertex_terms(m, xi, v_lines, (), m.spin_c, False)
+        return got, genus._common_parity(got)
 
-    def test_closed_form_equals_every_split(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            terms = [self.random_term(rng) for _ in range(rng.randint(1, 3))]
-            for q_order in range(4):
-                assert (_exponent_windows(terms, 0, q_order)
-                        == _brute_windows(terms, 0, q_order))
+    def test_remainder_catches_a_flipped_sign(self):
+        terms, parity = self.terms(projective_space(2), (1, 2))
+        assert genus._divided_sum(terms, parity, 2)
+        tampered = [_flip_sign(terms[0])] + terms[1:]
+        with pytest.raises(PropertyViolationError, match="remainder"):
+            genus._divided_sum(tampered, parity, 2)
 
-    def test_inverted_and_empty_windows(self):
-        # 1/(t^3 - 1) has order 0 at t = 0 and degree -3 at t = infinity:
-        # at q^0 the window is inverted, and q^d widens it by 3d each way
-        term = _VertexTerm((1,), 1, (3,), -3, (), ())
-        assert _exponent_windows([term], 0, 2) == [(0, -3), (-3, 0), (-6, 3)]
-        assert _exponent_windows([term], 0, 2) == _brute_windows([term], 0, 2)
-        zero = _VertexTerm((1,), 1, (1,), 1, (0,), ())
-        assert zero.zero
-        assert _exponent_windows([zero], 0, 2) == [(0, -1)] * 3
+    def test_remainder_catches_a_flipped_weight(self):
+        terms, parity = self.terms(projective_space(2), (1, 2))
+        t = terms[1]
+        flipped = _VertexTerm(t.vertex, t.sigma, (-t.tangent[0],) + t.tangent[1:],
+                              t.c, t.v_weights, t.w_weights)
+        with pytest.raises(PropertyViolationError, match="remainder"):
+            genus._divided_sum([terms[0], flipped] + terms[2:], parity, 2)
+
+    def test_held_out_catches_what_divides(self, monkeypatch):
+        # CP^1 with V the first facet line: one fixed point's term vanishes
+        # and the other is a Laurent polynomial, so flipping its sign still
+        # divides exactly, to the negated index
+        m = projective_space(1)
+        bundles = BundleSpec(((1, 0),))
+        terms, parity = self.terms(m, (1,), bundles.v_lines)
+        assert [t.zero for t in terms] == [False, True]
+        tampered = [_flip_sign(terms[0]), terms[1]]
+        real = genus._divided_sum
+        assert real(tampered, parity, 2) == [
+            {e: -c for e, c in p.items()} for p in real(terms, parity, 2)]
+        monkeypatch.setattr(genus, "_divided_sum",
+                            lambda terms, parity, q: real(tampered, parity, q))
+        with pytest.raises(PropertyViolationError, match="held-out"):
+            equivariant_index(m, (1,), bundles, 2)
+
+    def test_circles_must_agree(self, monkeypatch):
+        # every sign flipped on the second circle: each circle passes its
+        # own remainder and held-out checks, but the indices differ
+        real = genus._vertex_terms
+        calls = []
+
+        def second_flipped(*args):
+            calls.append(args[1])
+            got = real(*args)
+            return [_flip_sign(t) for t in got] if len(calls) == 2 else got
+        monkeypatch.setattr(genus, "_vertex_terms", second_flipped)
+        with pytest.raises(PropertyViolationError, match="generic circles"):
+            index(projective_space(2), None, 1)
+        assert len(calls) == 2
+
+
+class TestInputLimits:
+    def test_negative_q_order(self):
+        m = projective_space(2)
+        with pytest.raises(InputError):
+            fixed_point_contribution(m.fixed_points()[0], (1, 2), None,
+                                     m.spin_c, 2, -1)
+        with pytest.raises(InputError):
+            cohomological_index(m, None, -1)
+        spin = sphere_product_spin(1)
+        with pytest.raises(InputError):
+            cohomological_witten_genus(spin, -1)
+        with pytest.raises(InputError):
+            cohomological_elliptic_genus(spin, -1)
+
+    def test_q_order_over_the_limit(self):
+        m = projective_space(2)
+        for call in (lambda q: index(m, None, q),
+                     lambda q: equivariant_index(m, (1, 2), None, q),
+                     lambda q: cohomological_index(m, None, q)):
+            with pytest.raises(InputError, match="q-order"):
+                call(genus.MAX_Q_ORDER + 1)
+
+    def test_oversized_circle_is_refused_before_work(self):
+        m = projective_space(2)
+        for xi in ((100000000, 1), (10 ** 40, 3)):
+            with pytest.raises(InputError, match="localization degree"):
+                equivariant_index(m, xi, None, 1)
+
+    def test_largest_accepted_circle(self):
+        # every circle (k, 1) with k over the limit is refused by its weight;
+        # below it the predicted degree decides, and the largest accepted k
+        # computes CP^2's Todd genus while k + 1 is refused
+        m = projective_space(2)
+        k = genus.MAX_LOCALIZATION_DEGREE + 1
+        eq = None
+        while eq is None:
+            k -= 1
+            try:
+                eq = equivariant_index(m, (k, 1), None, 0)
+            except InputError as e:
+                assert "localization degree" in str(e)
+        assert eq.value_at_one().coeffs == [1]
+        with pytest.raises(InputError, match="localization degree"):
+            equivariant_index(m, (k + 1, 1), None, 0)
 
 
 class TestRandomInstances:

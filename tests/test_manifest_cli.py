@@ -6,6 +6,7 @@ verified property, 2 on invalid input, 3 on an unmet precondition;
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,17 @@ class TestCliExitCodes:
     def test_degenerate_circle(self, capsys):
         assert main(["genus", S2XS2, "--q-order", "0",
                      "--equivariant", "1,0"]) == 3
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--equivariant", "100000000,1", "--q-order", "1"], "localization degree"),
+        (["--q-order", "400"], "q-order"),
+        (["--q-order", "-1"], "q-order"),
+    ])
+    def test_oversized_work_refused_quickly(self, capsys, argv, fragment):
+        start = time.perf_counter()
+        assert main(["genus", CP2] + argv) == 2
+        assert time.perf_counter() - start < 3
+        assert fragment in capsys.readouterr().err
 
 
 class TestCliVerify:
