@@ -5,8 +5,8 @@ the circle character t for each power of q.  Each fixed point contributes an
 integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts every
 term over one product D of cyclotomic polynomials, sums the numerators and
 divides by D in Z[t].  A nonzero remainder, or a mismatch with the
-fixed-point sum evaluated at two integer points, aborts the computation; it
-is never papered over.
+fixed-point sum evaluated in integers at t = 2 and 3, aborts the
+computation; it is never papered over.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as q-series with nilpotent-polynomial coefficients, substitute
@@ -25,7 +25,10 @@ the final Laurent polynomials.
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import product
+from operator import mul
+from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
@@ -142,7 +145,7 @@ def _as_circle(xi):
 
 
 def _dot(vec, xi):
-    return sum(a * b for a, b in zip(vec, xi))
+    return sum(map(mul, vec, xi))
 
 
 def _fixed_point_weights(fp, xi, lines=()):
@@ -167,7 +170,7 @@ class _VertexTerm:
     """Everything the sampler needs about one fixed point."""
 
     __slots__ = ("vertex", "sigma", "tangent", "c", "v_weights", "w_weights",
-                 "zero", "halfexp")
+                 "zero", "halfexp", "top")
 
     def __init__(self, vertex, sigma, tangent, c, v_weights, w_weights):
         self.vertex = vertex
@@ -178,6 +181,7 @@ class _VertexTerm:
         self.w_weights = w_weights
         self.zero = any(a == 0 for a in v_weights)
         self.halfexp = c + sum(tangent) - sum(w_weights)
+        self.top = max(map(abs, tangent + v_weights + w_weights))
 
 
 def _vertex_term(fp, xi, sigma, gamma, v_lines, w_lines, tangent_as_w=False):
@@ -230,7 +234,12 @@ def _theta_binomials(term, q_order):
 
 
 def _term_value(term, parity, tau, q_order):
-    """One fixed point's contribution at a rational t = tau, integer gauge."""
+    """One fixed point's contribution at a rational t = tau = p/r.
+
+    With q -> (p r)^top q, top the term's largest |weight|, each theta
+    binomial 1 + s tau^e q^k is 1 + s p^(k top + e) r^(k top - e) q^k, an
+    integer as |e| <= top; q^j is scaled back at the end.
+    """
     if term.zero:
         return QSeries.constant(Fraction(0), q_order)
     scalar = term.sigma * tau ** ((term.halfexp - parity) // 2)
@@ -240,10 +249,12 @@ def _term_value(term, parity, tau, q_order):
         scalar *= 1 - tau ** -a
     for b in term.w_weights:
         scalar *= tau ** b + 1
-    ups, downs = _theta_binomials(term, q_order)
-    return binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
-                             [(s * tau ** e, k) for s, e, k in downs],
-                             Fraction(1), q_order) * scalar
+    p, r, top = tau.numerator, tau.denominator, term.top
+    steps = [[(s * p ** (k * top + e) * r ** (k * top - e), k) for s, e, k in half]
+             for half in _theta_binomials(term, q_order)]
+    rows = binomial_quotient(*steps, 1, q_order).coeffs
+    return QSeries([scalar * Fraction(c, (p * r) ** (j * top))
+                    for j, c in enumerate(rows)], q_order)
 
 
 # Largest q-order either route accepts, and largest predicted degree of the
@@ -311,7 +322,7 @@ def _divided_sum(terms, parity, q_order):
     terms = [t for t in terms if not t.zero]
     if not terms:
         return [{}] * (q_order + 1)
-    tops = [max(map(abs, t.tangent + t.v_weights + t.w_weights)) for t in terms]
+    tops = [t.top for t in terms]
     _check_limit("localization degree", max(tops), MAX_LOCALIZATION_DEGREE)
     counts = [Counter(d for w in t.tangent for d in divisors(abs(w)))
               for t in terms]
@@ -360,18 +371,20 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
 
     The zero remainder of ``_divided_sum`` certifies every q-coefficient
     with no exponent window and no coefficient bound; the fixed-point sum,
-    evaluated term by term at t = 2 and 3, must match it there too.
+    evaluated term by term in integers at t = 2 and 3 from its own
+    recurrence, must match it there too.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
     parity = _common_parity(terms)
     polys = _divided_sum(terms, parity, q_order)
-    for tau in (Fraction(2), Fraction(3)):
+    low = min((e for p in polys for e in p), default=0)
+    for tau in (Fraction(2), Fraction(3)):  # integers: tau is tau.numerator
         total = QSeries.constant(Fraction(0), q_order)
         for term in terms:
             total = total + _term_value(term, parity, tau, q_order)
-        got = [sum((c * tau ** e for e, c in p.items()), Fraction(0))
-               for p in polys]
+        got = [sum(c * tau.numerator ** (e - low) for e, c in p.items())
+               * tau ** low for p in polys]
         if got != total.coeffs:
             raise PropertyViolationError(
                 f"held-out check at t = {tau}: the divided sum gives {got}, "
@@ -422,9 +435,10 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     """Deterministic generic circle vectors, cheapest first.
 
     Candidates are primitive integer vectors enumerated by growing box
-    bound; genericity means no tangent weight pairs to zero anywhere.  The
-    cost orders candidates by the total weight mass they produce, which is
-    what the polynomial degrees of localization scale with.
+    bound, each bound adding only its shell; genericity means no tangent
+    weight pairs to zero anywhere.  The cost orders candidates by the total
+    weight mass they produce, which is what the polynomial degrees of
+    localization scale with.
     """
     n = manifold.dimension
     fps = manifold.fixed_points()
@@ -433,52 +447,40 @@ def choose_generic_circles(manifold, bundles=None, count=2):
         bundles.validate_for(manifold)
         lines = list(bundles.v_lines) + list(bundles.w_lines)
 
+    weights = {w for fp in fps for w in fp.weights}
+
     def cost(xi):
+        if any(_dot(w, xi) == 0 for w in weights):
+            return None
         total = 0
         for fp in fps:
-            try:
-                tangent, line_weights = _fixed_point_weights(fp, xi, lines)
-            except DegenerateCircleError:
-                return None
+            tangent, line_weights = _fixed_point_weights(fp, xi, lines)
             total += sum(map(abs, tangent)) + sum(map(abs, line_weights))
         return total
 
+    # Only one primitive direction exists for n = 1; scaled copies give
+    # honest independent evaluations for cross-checking.
+    shells = ([[(k,) for k in range(1, count + 1)]] if n == 1
+              else (_primitive_shell(n, bound) for bound in range(1, 65)))
     found = []
-    if n == 1:
-        # Only one primitive direction exists; scaled copies give honest
-        # independent evaluations for cross-checking.
-        for k in range(1, count + 1):
-            xi = (k,)
-            c = cost(xi)
-            if c is not None:
-                found.append((c, xi))
-    else:
-        bound = 1
-        while len(found) < count and bound <= 64:
-            found = []
-            for xi in _primitive_box(n, bound):
-                c = cost(xi)
-                if c is not None:
-                    found.append((c, xi))
-            bound += 1
+    for shell in shells:
+        if len(found) >= count:
+            break
+        found += [(c, xi) for xi in shell if (c := cost(xi)) is not None]
     if len(found) < count:
         raise DegenerateCircleError(
             "could not find enough generic circle vectors; "
             "the characteristic data is degenerate")
-    found.sort(key=lambda pair: (pair[0], pair[1]))
+    found.sort()
     return [CircleSubgroup(xi) for _, xi in found[:count]]
 
 
-def _primitive_box(n, bound):
-    """Primitive vectors with entries in [-bound, bound], first nonzero > 0."""
-    def rec(prefix):
-        if len(prefix) == n:
-            if is_primitive(prefix) and next(x for x in prefix if x) > 0:
-                yield tuple(prefix)
-            return
-        for x in range(-bound, bound + 1):
-            yield from rec(prefix + [x])
-    yield from rec([])
+def _primitive_shell(n, bound):
+    """Primitive vectors whose largest |entry| is bound, first nonzero > 0."""
+    for xi in product(range(-bound, bound + 1), repeat=n):
+        if (max(map(abs, xi)) == bound and next(x for x in xi if x) > 0
+                and is_primitive(xi)):
+            yield xi
 
 
 def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
@@ -669,8 +671,10 @@ def _div_x(poly):
     return TruncatedPolynomial(list(poly.coeffs[1:]) + [Fraction(0)], poly.cap)
 
 
+@lru_cache(maxsize=128)
 def _universal_tables(cap, q_order):
-    """One-root q-series tables for the three index factors.
+    """One-root q-series tables for the three index factors, each a
+    read-only tuple of q-coefficients, built once per (cap, q_order).
 
     tangent: (x/2)/sinh(x/2) * prod_k (1-q^k)^2 / ((1-e^x q^k)(1-e^-x q^k))
     vline:   (1-e^-x) * prod_k (1-e^x q^k)(1-e^-x q^k) / (1-q^k)^2
@@ -694,16 +698,17 @@ def _universal_tables(cap, q_order):
     plus_sq = [(Fraction(1), k) for k in ks] * 2
 
     def table(prefactor, ups, downs):
-        return binomial_quotient(ups, downs, one, q_order) * prefactor
+        return tuple((binomial_quotient(ups, downs, one, q_order) * prefactor).coeffs)
 
-    return {"tangent": table(a_root, minus_sq, pair_minus),
-            "vline": table(one - Einv, pair_minus, minus_sq),
-            "wline": table(Eh + Ehinv, pair_plus, plus_sq)}
+    return MappingProxyType({"tangent": table(a_root, minus_sq, pair_minus),
+                             "vline": table(one - Einv, pair_minus, minus_sq),
+                             "wline": table(Eh + Ehinv, pair_plus, plus_sq)})
 
 
 def _substitute_table(table, powers):
-    """Replace the nilpotent variable by a class with precomputed powers."""
-    return QSeries([tp.substitute(powers) for tp in table.coeffs], table.order)
+    """Replace the nilpotent variable by a class with precomputed powers in
+    each q-coefficient of a table."""
+    return QSeries([tp.substitute(powers) for tp in table])
 
 
 def _class_powers(cls, cap, ring):

@@ -548,6 +548,11 @@ def _iterated_connected_sum(n, k):
     return poly
 
 
+# Largest census accepted: the (2b+1)^(n(m-n)) matrices with free entries in
+# [-b, b], checked before anything is built (docs/manifest_format.md).
+MAX_CENSUS_SIZE = 10 ** 5
+
+
 def finiteness_census(n, k, entry_bound):
     """Enumerate characteristic matrices over a k-fold connected sum of
     n-simplices, extract p1 coefficients where the ring has the expected
@@ -560,6 +565,11 @@ def finiteness_census(n, k, entry_bound):
             f"summand count must satisfy 1 <= k < n, got k={k}, n={n}")
     if entry_bound < 1:
         raise InputError("entry bound must be at least 1")
+    # The sum has m = n + k facets.  Capping the exponent at 64 keeps the
+    # power small and decides exactly, as 3^64 exceeds the limit.
+    if (2 * entry_bound + 1) ** min(n * k, 64) > MAX_CENSUS_SIZE:
+        raise InputError(f"census size (2*{entry_bound}+1)^({n}*{k}) exceeds "
+                         f"the limit {MAX_CENSUS_SIZE}")
     poly = _iterated_connected_sum(n, k)
 
     total = 0

@@ -8,8 +8,10 @@ q-series is strong evidence both are right.  Individual values are frozen
 from independent hand computations done inline.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from quasigenus.cohomology import build_face_ring
 from quasigenus import genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
                                PropertyViolationError, SpinObstructionError)
-from quasigenus.exactalg import QSeries, TruncatedPolynomial
+from quasigenus.exactalg import QSeries, TruncatedPolynomial, binomial_quotient
 from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles,
                               cohomological_elliptic_genus, cohomological_index,
                               cohomological_witten_genus, elliptic_genus,
@@ -290,24 +292,25 @@ class TestEquivariant:
         assert char.value_at_one() == 1
 
     def test_cp2_character_against_direct_sum(self):
-        # independent oracle: evaluate the three-term localization sum at
-        # rational points; the engine's Laurent polynomial must match
+        # independent oracle: the three-term localization sum at t = u^2
+        # against the engine's character at t^(1/2) = u; the twist
+        # (3, -1, 1) makes the character depend on t
         m = projective_space(2)
-        eq = equivariant_index(m, (1, 2), None, 0)
-        char = eq.q_coefficient(0)
-        for t in (Fraction(2), Fraction(3), Fraction(7, 2)):
+        xi, gamma = (1, 2), (3, -1, 1)
+        char = equivariant_index(m, xi, None, 0, gamma=gamma).q_coefficient(0)
+        values = set()
+        for u in (Fraction(2), Fraction(3), Fraction(7, 2)):
             direct = Fraction(0)
             for d in m.fixed_points():
-                w = [sum(row[i] * (1, 2)[i] for i in range(2))
-                     for row in d.weights]
-                c = sum(m.spin_c[f - 1] * w[k] for k, f in enumerate(d.vertex))
-                half = c + sum(w)
-                assert half % 2 == 0
-                term = Fraction(t) ** (half // 2)
+                w = [sum(a * b for a, b in zip(row, xi)) for row in d.weights]
+                c = sum(gamma[f - 1] * w[k] for k, f in enumerate(d.vertex))
+                term = u ** (c + sum(w))
                 for wk in w:
-                    term /= Fraction(t) ** wk - 1
+                    term /= u ** (2 * wk) - 1
                 direct += m.vertex_sign(d.vertex) * term
-            assert char.evaluate_doubled(t) == direct
+            assert char.evaluate_doubled(u) == direct
+            values.add(direct)
+        assert len(values) == 3
 
     def test_equivariant_specializes_to_index(self):
         m = projective_space(2)
@@ -347,6 +350,46 @@ class TestCircleSelection:
     def test_dimension_one_special_case(self):
         circles = choose_generic_circles(projective_space(1), None, count=2)
         assert len(circles) == 2
+
+    def test_shells_match_full_boxes(self):
+        parsed = parse_manifest((MANIFESTS / "cp3_twisted.ini").read_text())
+        cases = ([(projective_space(n), None) for n in range(1, 6)]
+                 + [(sphere_product(n), None) for n in range(1, 5)]
+                 + [(cp2_connected_sum(), None),
+                    (parsed.build_manifold(), parsed.bundles())])
+        for m, bundles in cases:
+            for count in (2, 3):
+                got = choose_generic_circles(m, bundles, count=count)
+                assert [c.xi for c in got] == _circles_by_full_boxes(
+                    m, bundles, count)
+
+
+def _circles_by_full_boxes(manifold, bundles, count):
+    """Generic circles chosen from the whole box [-b, b]^n, b growing until
+    it holds count of them, ordered by weight mass, then by vector."""
+    n = manifold.dimension
+    if n == 1:
+        return [(k,) for k in range(1, count + 1)]
+    lines = [] if bundles is None else bundles.v_lines + bundles.w_lines
+
+    def cost(xi):
+        total = 0
+        for fp in manifold.fixed_points():
+            tangent = [sum(a * b for a, b in zip(w, xi)) for w in fp.weights]
+            if 0 in tangent:
+                return None
+            total += sum(map(abs, tangent)) + sum(
+                abs(sum(line[f - 1] * tangent[k]
+                        for k, f in enumerate(fp.vertex))) for line in lines)
+        return total
+
+    bound, found = 0, []
+    while len(found) < count:
+        bound += 1
+        box = (xi for xi in product(range(-bound, bound + 1), repeat=n)
+               if math.gcd(*xi) == 1 and next(x for x in xi if x) > 0)
+        found = sorted((c, xi) for xi in box if (c := cost(xi)) is not None)
+    return [xi for _, xi in found[:count]]
 
 
 class TestMultiplicativity:
@@ -432,7 +475,7 @@ class TestUniversalTableIdentity:
         for a in v_classes:
             powers = _class_powers(a, cap, ring)
             lhs = lhs * _substitute_table(tables["vline"], powers)
-            rhs = rhs * _substitute_table(vline_reduced, powers)
+            rhs = rhs * _substitute_table(vline_reduced.coeffs, powers)
             c1v = c1v + a
             euler = euler * a
         half = _exp_class(c1v * Fraction(1, 2), cap, ring)
@@ -447,9 +490,20 @@ class TestUniversalTableIdentity:
         x = TruncatedPolynomial.variable(cap)
         half_exp = TruncatedPolynomial(
             [Fraction(1, 2) ** i / _fact(i) for i in range(cap + 1)], cap)
-        lhs = tables["vline"].map_coefficients(lambda tp: tp * half_exp)
+        lhs = QSeries([tp * half_exp for tp in tables["vline"]])
         rhs = _vline_reduced(cap, q_order).map_coefficients(lambda tp: tp * x)
         assert lhs == rhs
+
+    def test_cached_tables_equal_fresh_builds_and_are_read_only(self):
+        for cap in range(1, 7):
+            for q_order in range(5):
+                assert (_universal_tables(cap, q_order)
+                        == _universal_tables.__wrapped__(cap, q_order))
+        tables = _universal_tables(2, 1)
+        with pytest.raises(TypeError):
+            tables["vline"] = tables["wline"]
+        with pytest.raises(TypeError):
+            tables["vline"][0] = tables["vline"][1]
 
 
 def _fact(i):
@@ -586,6 +640,44 @@ class TestCertificate:
         with pytest.raises(PropertyViolationError, match="generic circles"):
             index(projective_space(2), None, 1)
         assert len(calls) == 2
+
+
+def _term_value_reference(term, parity, tau, q_order):
+    """A fixed point's contribution at t = tau, all in Fraction arithmetic:
+    the binomial quotient runs on the coefficients s tau^e themselves."""
+    if term.zero:
+        return QSeries.constant(Fraction(0), q_order)
+    scalar = term.sigma * tau ** ((term.halfexp - parity) // 2)
+    for w in term.tangent:
+        scalar /= tau ** w - 1
+    for a in term.v_weights:
+        scalar *= 1 - tau ** -a
+    for b in term.w_weights:
+        scalar *= tau ** b + 1
+    ups, downs = genus._theta_binomials(term, q_order)
+    return binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
+                             [(s * tau ** e, k) for s, e, k in downs],
+                             Fraction(1), q_order) * scalar
+
+
+class TestHeldOutIntegers:
+    def test_integer_gauge_equals_fraction_reference(self):
+        rng = random.Random(11)
+
+        def weights(count, low):
+            return tuple(rng.choice([-1, 1]) * rng.randint(low, 6)
+                         for _ in range(count))
+        for case in range(60):
+            tangent = weights(rng.randint(1, 3), 1)
+            term = _VertexTerm((1,), rng.choice([-1, 1]), tangent,
+                               rng.randint(-9, 9), weights(rng.randint(0, 2), 0),
+                               weights(rng.randint(0, 2), 0))
+            parity = term.halfexp % 2
+            q_order = case % 7
+            for tau in (Fraction(2), Fraction(3), Fraction(5, 3),
+                        Fraction(-7, 2)):
+                assert (genus._term_value(term, parity, tau, q_order)
+                        == _term_value_reference(term, parity, tau, q_order))
 
 
 class TestInputLimits:

@@ -173,13 +173,16 @@ class TestCliExitCodes:
                      "--equivariant", "1,0"]) == 3
 
     @pytest.mark.parametrize("argv, fragment", [
-        (["--equivariant", "100000000,1", "--q-order", "1"], "localization degree"),
-        (["--q-order", "400"], "q-order"),
-        (["--q-order", "-1"], "q-order"),
+        (["genus", CP2, "--equivariant", "100000000,1", "--q-order", "1"],
+         "localization degree"),
+        (["genus", CP2, "--q-order", "400"], "q-order"),
+        (["genus", CP2, "--q-order", "-1"], "q-order"),
+        (["census", "--n", "40", "--k", "2", "--bound", "1"], "census"),
+        (["census", "--n", "3", "--k", "2", "--bound", "40"], "census"),
     ])
     def test_oversized_work_refused_quickly(self, capsys, argv, fragment):
         start = time.perf_counter()
-        assert main(["genus", CP2] + argv) == 2
+        assert main(argv) == 2
         assert time.perf_counter() - start < 3
         assert fragment in capsys.readouterr().err
 
