@@ -3,7 +3,9 @@
 Exit codes are the contract: 0 all checks passed, 1 a verified property
 failed (an implementation bug, treat like a test failure), 2 invalid
 input, 3 a precondition of the requested computation is unmet (non-spin
-manifold, degenerate circle, rank hypothesis, ...).
+manifold, degenerate circle, rank hypothesis, ...).  Any other exception
+is a bug too: it exits 1 with one ``internal error`` line on stderr, never
+a traceback.  KeyboardInterrupt still stops the command.
 """
 
 import argparse
@@ -368,6 +370,9 @@ def main(argv=None):
         return 1
     except WorkbenchError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # last resort: a bug, reported in one line
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

@@ -14,9 +14,18 @@ of the facet classes through the lexicographically least vertex integrates
 to the determinant of that vertex's characteristic minor.  The localization
 engine independently computes the same pairings, which pins the orientation
 convention and doubles as an oracle.
+
+``CohomologyClass`` arithmetic (Fraction dicts, every product through
+``mul_basis``) serves the census, ``describe`` and the decompositions.
+The cohomological route of the genus engine needs thousands of products
+per index instead, so each ring also offers ``structure``: its flat graded
+basis and all basis products as integers over one common denominator,
+built from ``basis``, ``mul_basis`` and ``token_degree`` on first use.
 """
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InputError, PropertyViolationError, RingShapeError
@@ -127,7 +136,55 @@ class CohomologyClass:
         return f"CohomologyClass({self})"
 
 
-class FaceRing:
+class GradedStructure:
+    """A ring's flat graded basis and its products, in integers.
+
+    ``tokens`` lists basis(0), basis(1), ..., basis(n) in that order;
+    ``degrees[i]`` is the degree of tokens[i], ``starts[d]`` the position
+    of the first token of degree d (``starts[n + 1]`` the basis size) and
+    ``position`` maps each token back.  basis(0) must be the unit alone, so
+    products with it are scalings and are not stored.  For positions i, j
+    of positive degree with deg i + deg j <= n, ``rows[i][j]`` is
+    ((k, c), ...) for each nonzero product tokens[i] * tokens[j] =
+    sum of (c / delta) tokens[k], with integers c and delta the least common
+    denominator of all those products.
+    """
+
+    __slots__ = ("tokens", "degrees", "starts", "position", "delta", "rows")
+
+    def __init__(self, ring):
+        n = ring.dimension
+        blocks = [ring.basis(d) for d in range(n + 1)]
+        self.tokens = tuple(t for block in blocks for t in block)
+        self.degrees = tuple(ring.token_degree(t) for t in self.tokens)
+        self.starts = tuple(sum(map(len, blocks[:d])) for d in range(n + 2))
+        self.position = {t: i for i, t in enumerate(self.tokens)}
+        products = {}
+        for i in range(1, len(self.tokens)):
+            for j in range(i, self.starts[n + 1 - self.degrees[i]]):
+                products[i, j] = products[j, i] = [
+                    (self.position[t], c) for t, c in
+                    ring.mul_basis(self.tokens[i], self.tokens[j]).items()]
+        self.delta = math.lcm(1, *(c.denominator for terms in products.values()
+                                   for _, c in terms))
+        self.rows = tuple({} for _ in self.tokens)
+        for (i, j), terms in products.items():
+            if terms:
+                self.rows[i][j] = tuple(
+                    (k, c.numerator * (self.delta // c.denominator))
+                    for k, c in terms)
+
+
+class GradedRing:
+    """The structure every ring shares, built from its class interface."""
+
+    @cached_property
+    def structure(self):
+        """The ring's ``GradedStructure``, built on first use."""
+        return GradedStructure(self)
+
+
+class FaceRing(GradedRing):
     """H*(M; Q) for a quasitoric M, on explicit monomial bases.
 
     Basis tokens are sorted tuples, with repetition, of the free facet
@@ -293,7 +350,7 @@ def build_face_ring(manifold):
     return FaceRing(manifold)
 
 
-class SyntheticConnectedSumRing:
+class SyntheticConnectedSumRing(GradedRing):
     """The cohomology of a k-fold connected sum of complex projective
     spaces, possibly with reversed orientations, prescribed directly.
 

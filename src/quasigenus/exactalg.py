@@ -9,8 +9,9 @@ Three small algebras cover everything the index computations need:
   coefficients live in any commutative ring that speaks +, * and ==
   (Fraction, HalfLaurent, TruncatedPolynomial, cohomology classes).
 * ``TruncatedPolynomial``: polynomials in one nilpotent variable, truncated
-  above a fixed degree cap.  These hold the universal one-root Taylor tables
-  that get substituted at degree-two cohomology classes.
+  above a fixed degree cap.  These build the universal one-root Taylor
+  tables, which the cohomological route scales to integers and evaluates
+  at degree-two cohomology classes.
 
 Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
@@ -299,9 +300,6 @@ class QSeries:
             raise ValueError("cannot extend a truncated series")
         return QSeries(self.coeffs[: order + 1], order)
 
-    def map_coefficients(self, fn):
-        return QSeries([fn(c) for c in self.coeffs], self.order)
-
     def __str__(self):
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -493,22 +491,6 @@ class TruncatedPolynomial:
             s = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1))
             inv.append(-b0 * s)
         return TruncatedPolynomial(inv, self.cap)
-
-    def substitute(self, powers):
-        """Evaluate given precomputed powers[i] = x^i of the substituted value.
-
-        ``powers`` needs length cap + 1; entries may be anything that can be
-        scaled by a Fraction and added (cohomology classes, Fractions, ...).
-        """
-        acc = None
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = powers[i] * c
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = powers[0] * Fraction(0)
-        return acc
 
     def __str__(self):
         terms = []

@@ -11,7 +11,12 @@ computation; it is never papered over.
 Cohomological route: expand the universal one-root power series of each
 index factor as q-series with nilpotent-polynomial coefficients, substitute
 the facet classes of the stable tangent splitting, multiply in the twist
-and bundle factors, and integrate.  The two routes agreeing exactly is the
+and bundle factors, and integrate.  It runs in integers: the tables are
+scaled once by the least gauge L that clears every denominator of x^i with
+L^i, the degree-1 input classes by the lcm mu of theirs, and products use
+the ring's integer structure constants over one denominator delta, so
+degree d carries (L mu)^d delta^(d-1) and only the top coordinate of each
+q-coefficient is divided.  The two routes agreeing exactly is the
 workbench's core consistency contract.
 
 Exponent bookkeeping: t^(1/2) never appears at run time.  With an all-odd
@@ -35,7 +40,7 @@ from .errors import (BundleSpinError, DegenerateCircleError, InputError,
 from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_quotient,
                        cyclotomic, divisors, poly_divmod, poly_mul)
 from .linalg import gf2_solve, is_primitive
-from .cohomology import build_face_ring
+from .cohomology import CohomologyClass, build_face_ring
 
 
 class CircleSubgroup:
@@ -705,26 +710,96 @@ def _universal_tables(cap, q_order):
                              "wline": table(Eh + Ehinv, pair_plus, plus_sq)})
 
 
-def _substitute_table(table, powers):
-    """Replace the nilpotent variable by a class with precomputed powers in
-    each q-coefficient of a table."""
-    return QSeries([tp.substitute(powers) for tp in table])
-
-
-def _class_powers(cls, cap, ring):
-    powers = [ring.one()]
-    for _ in range(cap):
-        powers.append(powers[-1] * cls)
-    return powers
-
-
-def _exp_class(cls, cap, ring):
-    out = ring.zero()
-    power = ring.one()
-    for i in range(cap + 1):
-        out = out + power * (Fraction(1) / _factorial_fraction(i))
-        power = power * cls
+def _prime_exponents(n):
+    """{p: e} with n = prod p^e, by trial division (n is a small lcm)."""
+    out, p = Counter(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] += 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] += 1
     return out
+
+
+@lru_cache(maxsize=128)
+def _integer_tables(cap, q_order):
+    """The universal tables and e^(x/2) in the gauge x -> L x: (L, tables).
+
+    ``tables[name][j][i]`` is L^i times the x^i coefficient of the q^j
+    coefficient, with "twist" the single q^0 row of e^(x/2).  L is the
+    least integer with D_i | L^i for every i, D_i the lcm of the
+    denominators of all x^i coefficients, so every entry is an integer.
+    Built once per (cap, q_order) and read-only, like ``_universal_tables``.
+    """
+    polys = dict(_universal_tables(cap, q_order),
+                 twist=(_exp_poly(cap, Fraction(1, 2)),))
+    need = Counter()
+    for i in range(1, cap + 1):
+        lcm = math.lcm(*(tp.coeffs[i].denominator
+                         for table in polys.values() for tp in table))
+        for p, e in _prime_exponents(lcm).items():
+            need[p] = max(need[p], -(-e // i))
+    gauge = math.prod(p ** e for p, e in need.items())
+    return gauge, MappingProxyType({
+        name: tuple(tuple(int(c * gauge ** i) for i, c in enumerate(tp.coeffs))
+                    for tp in table)
+        for name, table in polys.items()})
+
+
+def _add_product(out, u, v, rows):
+    """out += u * v over a ``GradedStructure`` basis, with u a dense vector
+    and v a list of (position, nonzero coordinate) pairs.  Degree-d
+    coordinates, d >= 1, are scaled by delta^(d-1); the product keeps that
+    scaling, as rows hold delta times the structure constants.
+    """
+    u0 = u[0]
+    for j, y in v:
+        if j:
+            out[j] += u0 * y
+        else:
+            out[:] = [o + y * x for o, x in zip(out, u)]
+    for i, x in enumerate(u):
+        if x:
+            row = rows[i]
+            for j, y in v:
+                terms = row.get(j)
+                if terms:
+                    xy = x * y
+                    for k, c in terms:
+                        out[k] += c * xy
+
+
+def _degree_one_coordinates(ring, cls):
+    """A class's coordinates over ``ring.structure``; it must lie in degree 1."""
+    structure = ring.structure
+    if cls.ring is not ring:
+        raise InputError("input class belongs to a different ring")
+    vec = [0] * len(structure.tokens)
+    for token, c in cls.terms.items():
+        at = structure.position.get(token)
+        if at is None or structure.degrees[at] != 1:
+            raise InputError(
+                f"input class {cls} is not homogeneous of degree 1; the "
+                "integer gauge of the cohomological route needs degree-1 inputs")
+        vec[at] = c
+    return vec
+
+
+def _power_table(ring, vec):
+    """1 + a + a^2 + ... + a^n for an integer degree-1 vector a: degree d
+    holds a^d, its coordinates scaled by delta^(d-1) like every vector."""
+    rows, n = ring.structure.rows, ring.dimension
+    sparse = [(j, y) for j, y in enumerate(vec) if y]
+    table, power = list(vec), vec
+    table[0] = 1
+    for _ in range(n - 1):
+        out = [0] * len(vec)
+        _add_product(out, power, sparse, rows)
+        power = out
+        table = [x + y for x, y in zip(table, power)]
+    return table
 
 
 def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
@@ -734,26 +809,47 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
     tangent_roots are the stable splitting roots (trivial summands may be
     included or left out: their factor is 1).  ``w_trivial_rank`` divides
     out the constant 2 that each trivial W summand contributes, for callers
-    that describe W through a stable splitting.
+    that describe W through a stable splitting.  Every input class must be
+    homogeneous of degree 1.
+
+    The integrand runs on integer vectors over ``ring.structure``.  With mu
+    the lcm of the input denominators, substituting L mu a into the integer
+    tables of ``_integer_tables`` scales degree d by (L mu)^d, and degree-d
+    coordinates carry delta^(d-1) as well; each top coordinate is divided
+    back once.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
-    cap = ring.dimension
-    tables = _universal_tables(cap, q_order)
-    integrand = QSeries([ring.one()] + [ring.zero()] * q_order, q_order)
-    for root in tangent_roots:
-        integrand = integrand * _substitute_table(
-            tables["tangent"], _class_powers(root, cap, ring))
-    for a in v_classes:
-        integrand = integrand * _substitute_table(
-            tables["vline"], _class_powers(a, cap, ring))
-    for b in w_classes:
-        integrand = integrand * _substitute_table(
-            tables["wline"], _class_powers(b, cap, ring))
-    half_twist = _exp_class(c1c_class * Fraction(1, 2), cap, ring)
-    integrand = integrand.map_coefficients(lambda cls: cls * half_twist)
-    scale = Fraction(1, 2 ** w_trivial_rank)
-    return QSeries(
-        [ring.integrate(cls) * scale for cls in integrand.coeffs], q_order)
+    structure = ring.structure
+    n, degrees, size = ring.dimension, structure.degrees, len(structure.tokens)
+    gauge, tables = _integer_tables(n, q_order)
+    factors = ([("tangent", c) for c in tangent_roots]
+               + [("vline", c) for c in v_classes]
+               + [("wline", c) for c in w_classes] + [("twist", c1c_class)])
+    ids = {}  # identical classes share one power table
+    keys = [(name, ids.setdefault(cls, len(ids))) for name, cls in factors]
+    coordinates = [_degree_one_coordinates(ring, cls) for cls in ids]
+    mu = math.lcm(1, *(x.denominator for vec in coordinates for x in vec))
+    powers = [_power_table(ring, [x.numerator * (mu // x.denominator)
+                                  for x in vec]) for vec in coordinates]
+    series = {(name, at): [[(k, c) for k, (d, x)
+                            in enumerate(zip(degrees, powers[at]))
+                            if (c := row[d] * x)]
+                           for row in tables[name]]
+              for name, at in set(keys)}
+    integrand = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(q_order)]
+    for key in keys:
+        out = [[0] * size for _ in range(q_order + 1)]
+        for i, u in enumerate(integrand):
+            if any(u):
+                for j, v in enumerate(series[key][:q_order + 1 - i]):
+                    if v:
+                        _add_product(out[i + j], u, v, structure.rows)
+        integrand = out
+    top = structure.tokens[structure.starts[n]:]
+    scale = (gauge * mu) ** n * structure.delta ** (n - 1) * 2 ** w_trivial_rank
+    return QSeries([ring.integrate(CohomologyClass(ring, {
+        t: Fraction(x, scale) for t, x in zip(top, vec[structure.starts[n]:])}))
+        for vec in integrand], q_order)
 
 
 def cohomological_index(manifold, bundles, q_order):

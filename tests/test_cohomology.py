@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from quasigenus.cohomology import build_face_ring, facet_class_decomposition
+from quasigenus.cohomology import (SyntheticConnectedSumRing, build_face_ring,
+                                   facet_class_decomposition)
 from quasigenus.errors import InputError, RingShapeError
 from quasigenus.genus import localization_integral
 from quasigenus.models import (cp2_connected_sum, projective_space,
@@ -14,6 +15,7 @@ from quasigenus.models import (cp2_connected_sum, projective_space,
 from quasigenus.polytope import (QuasitoricManifold, connected_sum,
                                  enumerate_characteristic_matrices,
                                  polytope_product, simplex)
+from quasigenus.theorems import _iterated_connected_sum
 
 
 def localization_pairing_oracle(manifold, facet_labels, xi):
@@ -213,3 +215,30 @@ class TestDecomposition:
     def test_spin_product_is_not_projective_shaped(self):
         with pytest.raises(RingShapeError):
             facet_class_decomposition(sphere_product_spin(3))
+
+
+class TestGradedStructure:
+    def test_built_on_first_use_and_equal_to_mul_basis(self):
+        # the last ring's products carry denominators 2 and 4
+        rings = [build_face_ring(sphere_product(3)),
+                 SyntheticConnectedSumRing(3, 2, (1, -1)),
+                 build_face_ring(QuasitoricManifold(
+                     _iterated_connected_sum(3, 2),
+                     ((1, 0, -1, 0, -1), (0, 1, -1, 0, -1), (0, 0, -2, 1, -1)),
+                     (1,) * 5))]
+        for ring in rings:
+            assert "structure" not in vars(ring)
+            s = ring.structure
+            assert ring.structure is s
+            n = ring.dimension
+            assert s.tokens == sum((ring.basis(d) for d in range(n + 1)), ())
+            assert [s.tokens[s.starts[d]:s.starts[d + 1]]
+                    for d in range(n + 1)] == [ring.basis(d) for d in range(n + 1)]
+            for i, a in enumerate(s.tokens):
+                for j, b in enumerate(s.tokens):
+                    if s.degrees[i] and s.degrees[j] and (
+                            s.degrees[i] + s.degrees[j] <= n):
+                        assert {s.tokens[k]: Fraction(c, s.delta)
+                                for k, c in s.rows[i].get(j, ())} == (
+                            ring.mul_basis(a, b))
+        assert [r.structure.delta for r in rings] == [1, 1, 4]

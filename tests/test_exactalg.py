@@ -109,13 +109,6 @@ class TestTruncatedPolynomial:
         x = TruncatedPolynomial.variable(2)
         assert x ** 3 == TruncatedPolynomial.constant(0, 2)
 
-    def test_substitute(self):
-        # f(x) = 1 + 2x + x^2 evaluated at powers of a class
-        f = TruncatedPolynomial([1, 2, 1], 2)
-        powers = [Fraction(1), Fraction(3), Fraction(9)]
-        got = f.substitute(powers)
-        assert got == Fraction(1) + 2 * 3 + 9
-
 
 def dense_binomial_quotient(ups, downs, one, order):
     """The quotient from dense products of one-binomial series and their

@@ -11,12 +11,12 @@ from independent hand computations done inline.
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
-from quasigenus.cohomology import build_face_ring
+from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
 from quasigenus import genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
                                PropertyViolationError, SpinObstructionError)
@@ -29,13 +29,15 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               index, is_spin, localization_integral, signature,
                               spin_gamma, spin_obstruction, witten_genus,
                               equivariant_elliptic_genus, _VertexTerm,
-                              _universal_tables, _substitute_table,
-                              _class_powers, _exp_class)
+                              _integer_tables, _universal_tables,
+                              cohomological_index_on_ring)
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
-from quasigenus.polytope import QuasitoricManifold, cube, simplex
-from quasigenus.theorems import construct_twist_bundles
+from quasigenus.polytope import (QuasitoricManifold, cube, simplex,
+                                 enumerate_characteristic_matrices)
+from quasigenus.theorems import (_iterated_connected_sum, construct_twist_bundles,
+                                 synthetic_inflated_instance)
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -453,6 +455,47 @@ def _vline_reduced(cap, q_order):
     return out
 
 
+def _substitute(table, powers):
+    """Each q-coefficient of a table of truncated polynomials, evaluated at
+    a class from its precomputed powers."""
+    return QSeries([sum((powers[i] * c for i, c in enumerate(tp.coeffs) if c),
+                        powers[0] * 0) for tp in table])
+
+
+def _class_powers(cls, cap, ring):
+    powers = [ring.one()]
+    for _ in range(cap):
+        powers.append(powers[-1] * cls)
+    return powers
+
+
+def _exp_class(cls, cap, ring):
+    out = ring.zero()
+    power = ring.one()
+    for i in range(cap + 1):
+        out = out + power * Fraction(1, _fact(i))
+        power = power * cls
+    return out
+
+
+def _cohomological_reference(ring, tangent_roots, v_classes, w_classes,
+                             c1c_class, q_order, w_trivial_rank=0):
+    """The cohomological route in CohomologyClass arithmetic: the universal
+    tables substituted at each class, multiplied as q-series of classes."""
+    cap = ring.dimension
+    tables = _universal_tables(cap, q_order)
+    integrand = QSeries([ring.one()] + [ring.zero()] * q_order, q_order)
+    for name, classes in (("tangent", tangent_roots), ("vline", v_classes),
+                          ("wline", w_classes)):
+        for cls in classes:
+            integrand = integrand * _substitute(
+                tables[name], _class_powers(cls, cap, ring))
+    half_twist = _exp_class(c1c_class * Fraction(1, 2), cap, ring)
+    scale = Fraction(1, 2 ** w_trivial_rank)
+    return QSeries([ring.integrate(cls * half_twist) * scale
+                    for cls in integrand.coeffs], q_order)
+
+
 class TestUniversalTableIdentity:
     def test_euler_reduction_identity_on_cp3(self):
         # e^(c1(V)/2) * prod vline(a_i) = e(V) * prod vline_reduced(a_i):
@@ -474,13 +517,13 @@ class TestUniversalTableIdentity:
         euler = ring.one()
         for a in v_classes:
             powers = _class_powers(a, cap, ring)
-            lhs = lhs * _substitute_table(tables["vline"], powers)
-            rhs = rhs * _substitute_table(vline_reduced.coeffs, powers)
+            lhs = lhs * _substitute(tables["vline"], powers)
+            rhs = rhs * _substitute(vline_reduced.coeffs, powers)
             c1v = c1v + a
             euler = euler * a
         half = _exp_class(c1v * Fraction(1, 2), cap, ring)
-        lhs = lhs.map_coefficients(lambda cls: cls * half)
-        rhs = rhs.map_coefficients(lambda cls: cls * euler)
+        lhs = QSeries([cls * half for cls in lhs.coeffs], q_order)
+        rhs = QSeries([cls * euler for cls in rhs.coeffs], q_order)
         assert lhs == rhs
 
     def test_single_root_identity_truncated(self):
@@ -491,7 +534,7 @@ class TestUniversalTableIdentity:
         half_exp = TruncatedPolynomial(
             [Fraction(1, 2) ** i / _fact(i) for i in range(cap + 1)], cap)
         lhs = QSeries([tp * half_exp for tp in tables["vline"]])
-        rhs = _vline_reduced(cap, q_order).map_coefficients(lambda tp: tp * x)
+        rhs = QSeries([tp * x for tp in _vline_reduced(cap, q_order).coeffs])
         assert lhs == rhs
 
     def test_cached_tables_equal_fresh_builds_and_are_read_only(self):
@@ -499,11 +542,165 @@ class TestUniversalTableIdentity:
             for q_order in range(5):
                 assert (_universal_tables(cap, q_order)
                         == _universal_tables.__wrapped__(cap, q_order))
+                assert (_integer_tables(cap, q_order)
+                        == _integer_tables.__wrapped__(cap, q_order))
         tables = _universal_tables(2, 1)
         with pytest.raises(TypeError):
             tables["vline"] = tables["wline"]
         with pytest.raises(TypeError):
             tables["vline"][0] = tables["vline"][1]
+        _, integer = _integer_tables(2, 1)
+        with pytest.raises(TypeError):
+            integer["vline"] = integer["wline"]
+        with pytest.raises(TypeError):
+            integer["vline"][0] = integer["vline"][1]
+        with pytest.raises(TypeError):
+            integer["vline"][0][0] = 1
+
+    def test_integer_tables_are_the_least_integral_gauge(self):
+        # L^i c is an integer for every x^i coefficient c, e^(x/2) included,
+        # and no proper divisor L/p of L makes them all integers
+        for cap in range(1, 7):
+            for q_order in range(5):
+                gauge, integer = _integer_tables(cap, q_order)
+                fresh = dict(_universal_tables(cap, q_order))
+                fresh["twist"] = (TruncatedPolynomial(
+                    [Fraction(1, 2 ** i * _fact(i)) for i in range(cap + 1)],
+                    cap),)
+                assert set(integer) == set(fresh)
+                coeffs = [(i, c) for table in fresh.values() for tp in table
+                          for i, c in enumerate(tp.coeffs)]
+                for name, table in fresh.items():
+                    assert integer[name] == tuple(
+                        tuple(c * gauge ** i for i, c in enumerate(tp.coeffs))
+                        for tp in table)
+                assert all((c * gauge ** i).denominator == 1 for i, c in coeffs)
+                for p in (p for p in range(2, gauge + 1)
+                          if gauge % p == 0 and all(p % r for r in range(2, p))):
+                    assert any((c * (gauge // p) ** i).denominator != 1
+                               for i, c in coeffs)
+
+
+def _census_rings(count, seed):
+    """Face rings of seeded census matrices over the twice-summed
+    3-simplex at entry bound 2 whose structure denominator is 4."""
+    poly = _iterated_connected_sum(3, 2)
+    mats = list(enumerate_characteristic_matrices(poly, 2))
+    random.Random(seed).shuffle(mats)
+    rings = (build_face_ring(QuasitoricManifold(poly, rows, (1,) * 5))
+             for rows in mats)
+    return list(islice((r for r in rings if r.structure.delta == 4), count))
+
+
+def _cube_rings(count, seed):
+    """Face rings of seeded cube(3) matrices at entry bound 2 whose
+    structure denominator exceeds 1; a seeded coin picks the matrices as
+    they are enumerated."""
+    rng = random.Random(seed)
+    poly = cube(3)
+    found = []
+    for rows in enumerate_characteristic_matrices(poly, 2):
+        if rng.random() < 0.02:
+            ring = build_face_ring(QuasitoricManifold(poly, rows, (1,) * 6))
+            if ring.structure.delta > 1:
+                found.append(ring)
+                if len(found) == count:
+                    return found
+    raise AssertionError("too few cube(3) rings with a denominator")
+
+
+class TestIntegerEngine:
+    """The integer engine against the CohomologyClass reference, on rings
+    with and without a structure denominator, random twists and q-orders."""
+
+    @staticmethod
+    def check(ring, rng, q_order):
+        m = ring.num_generators
+
+        def line():
+            return ring.line_class([rng.randint(-3, 3) for _ in range(m)])
+        roots = [ring.facet_class(j) for j in range(1, m + 1)]
+        args = (roots, [line() for _ in range(rng.randint(0, 2))],
+                [line() for _ in range(rng.randint(0, 2))], line(), q_order)
+        got = cohomological_index_on_ring(ring, *args)
+        assert got == _cohomological_reference(ring, *args)
+        return got
+
+    def test_named_manifolds(self):
+        rng = random.Random(5)
+        for m in ([projective_space(n) for n in range(1, 5)]
+                  + [sphere_product(n) for n in range(1, 4)]
+                  + [sphere_product_spin(2), cp2_connected_sum()]):
+            ring = build_face_ring(m)
+            for q_order in range(5):
+                self.check(ring, rng, q_order)
+            roots = [ring.facet_class(j) for j in range(1, m.num_facets + 1)]
+            assert (cohomological_index(m, None, 2) == _cohomological_reference(
+                ring, roots, (), (), ring.spinc_c1(), 2))
+
+    def test_census_rings_with_denominator_four(self):
+        rng = random.Random(6)
+        rings = _census_rings(8, 6)
+        assert len(rings) == 8
+        for k, ring in enumerate(rings):
+            self.check(ring, rng, k % 5)
+
+    def test_cube_rings_with_a_denominator(self):
+        rng = random.Random(7)
+        for k, ring in enumerate(_cube_rings(8, 7)):
+            self.check(ring, rng, k % 5)
+
+    def test_stable_splitting_of_w(self):
+        m = sphere_product_spin(2)
+        ring = build_face_ring(m)
+        gamma, _ = spin_gamma(m)
+        roots = [ring.facet_class(j) for j in range(1, m.num_facets + 1)]
+        args = (ring, roots, (), roots, ring.line_class(gamma), 3)
+        assert (cohomological_index_on_ring(*args, w_trivial_rank=2)
+                == _cohomological_reference(*args, w_trivial_rank=2))
+
+    def test_synthetic_instances(self):
+        for n in range(3, 7):
+            for sign in (1, -1):
+                report = synthetic_inflated_instance(n, sign, 4)
+                ring = SyntheticConnectedSumRing(n, 1, (sign,))
+                g = ring.generator(1)
+                case = report["cases"][0]
+                args = ([g] * (n + 1),
+                        [g * vec[0] for vec in case["v_lines"]],
+                        [g * vec[0] for vec in case["w_lines"]],
+                        g * case["twist_class"][0], 4)
+                assert report["index_series"] == _cohomological_reference(
+                    ring, *args)
+                assert report["index_series"].coeffs == [2 * sign] + [0] * 4
+
+    def test_fractional_inputs_on_a_multi_generator_ring(self):
+        # classes with denominators, so mu > 1, on a ring with k = 3
+        rng = random.Random(8)
+        ring = SyntheticConnectedSumRing(4, 3, (1, -1, 1))
+        gens = [ring.generator(i) for i in range(1, 4)]
+
+        def line():
+            return sum((g * Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                        for g in gens), ring.zero())
+        for q_order in range(5):
+            args = ([line() for _ in range(3)], [line()], [line(), line()],
+                    line(), q_order)
+            assert (cohomological_index_on_ring(ring, *args)
+                    == _cohomological_reference(ring, *args))
+
+    def test_inputs_must_be_homogeneous_of_degree_one(self):
+        ring = build_face_ring(projective_space(2))
+        v = ring.facet_class(1)
+        for bad in (v * v, v + v * v, ring.one()):
+            with pytest.raises(InputError, match="degree 1"):
+                cohomological_index_on_ring(ring, [v, bad], (), (), v, 1)
+            with pytest.raises(InputError, match="degree 1"):
+                cohomological_index_on_ring(ring, [v], (), (), bad, 1)
+        other = build_face_ring(projective_space(2))
+        with pytest.raises(InputError, match="different ring"):
+            cohomological_index_on_ring(ring, [other.facet_class(1)], (), (),
+                                        v, 1)
 
 
 def _fact(i):

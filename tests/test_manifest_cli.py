@@ -6,6 +6,7 @@ verified property, 2 on invalid input, 3 on an unmet precondition;
 """
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -259,3 +260,70 @@ class TestCliJson:
 class TestCliEnvironment:
     def test_census_precondition_exit(self, capsys):
         assert main(["census", "--n", "3", "--k", "3", "--bound", "1"]) == 3
+
+
+def _mutate(text, rng):
+    """One to three seeded edits of a manifest: an integer replaced by a
+    small one, a line deleted, duplicated or swapped, a character replaced
+    or the text cut short."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        at = rng.randrange(len(lines))
+        op = rng.randrange(6)
+        if op == 0:
+            tokens = lines[at].split(" ")
+            spots = [i for i, tok in enumerate(tokens) if tok.lstrip("-").isdigit()]
+            if spots:
+                tokens[rng.choice(spots)] = str(rng.randint(-3, 4))
+                lines[at] = " ".join(tokens)
+        elif op == 1:
+            del lines[at]
+        elif op == 2:
+            lines.insert(at, lines[at])
+        elif op == 3:
+            other = rng.randrange(len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif op == 4 and lines[at]:
+            i = rng.randrange(len(lines[at]))
+            lines[at] = (lines[at][:i] + rng.choice("0123-() {},=[]#xv\t")
+                         + lines[at][i + 1:])
+        else:
+            lines = lines[:at]
+    return "\n".join(lines) + "\n"
+
+
+class TestCliGuard:
+    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise ZeroDivisionError("division by zero")
+        monkeypatch.setattr("quasigenus.cli.cmd_describe", broken)
+        assert main(["describe", CP2]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: ZeroDivisionError: division by zero\n"
+
+    def test_keyboard_interrupt_passes_through(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("quasigenus.cli.cmd_describe", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["describe", CP2])
+
+    def test_mutated_manifests_never_reach_the_guard(self, tmp_path, capsys):
+        # every mutated manifest maps to the exit-code contract on its own,
+        # so the last-resort guard never fires
+        rng = random.Random(2024)
+        sources = [p.read_text() for p in sorted(MANIFESTS.glob("*.ini"))]
+        path = tmp_path / "mutated.ini"
+        codes = []
+        for case in range(200):
+            path.write_text(_mutate(sources[case % len(sources)], rng))
+            for argv in (["describe", str(path), "--json"],
+                         ["genus", str(path), "--q-order", "1"]):
+                codes.append(main(argv))
+                err = capsys.readouterr().err
+                assert codes[-1] in (0, 1, 2, 3), (path.read_text(), argv)
+                assert "internal error" not in err, (path.read_text(), argv, err)
+        assert {0, 2} <= set(codes)
