@@ -15,12 +15,13 @@ to the determinant of that vertex's characteristic minor.  The localization
 engine independently computes the same pairings, which pins the orientation
 convention and doubles as an oracle.
 
-``CohomologyClass`` arithmetic (Fraction dicts, every product through
-``mul_basis``) serves the census, ``describe`` and the decompositions.
-The cohomological route of the genus engine needs thousands of products
-per index instead, so each ring also offers ``structure``: its flat graded
-basis and all basis products as integers over one common denominator,
-built from ``basis``, ``mul_basis`` and ``token_degree`` on first use.
+Each ring's ``structure`` holds its flat graded basis and all basis
+products as integers over one common denominator delta, built from
+``basis``, ``mul_basis`` and ``token_degree`` on first use.  Everything
+else multiplies through it: a ``CohomologyClass`` is a vector of rational
+coordinates over that basis, whose product is one sparse pass over the
+structure constants divided by delta, and the cohomological route of the
+genus engine runs the same constants on integer vectors.
 """
 
 import math
@@ -32,105 +33,118 @@ from .errors import InputError, PropertyViolationError, RingShapeError
 from .linalg import rref, solve_in_span
 
 
-class CohomologyClass:
-    """Element of a ring with a fixed basis of hashable tokens.
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    return x.numerator if x.denominator == 1 else x
 
-    ``terms`` maps basis tokens to Fraction coefficients; zero coefficients
-    are never stored.  Mixed degrees are allowed (the genus integrand is
-    inhomogeneous).  Instances are immutable by convention.
+
+class CohomologyClass:
+    """Element of a ring: one rational coordinate per ``ring.structure``
+    basis token, in the order of ``structure.tokens``.
+
+    ``coords`` is a tuple of ints and Fractions; each is the true rational
+    coefficient, not scaled by the structure denominator.  Mixed degrees
+    are allowed (the genus integrand is inhomogeneous).  Instances are
+    immutable.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "coords")
 
-    def __init__(self, ring, terms):
-        clean = {}
-        for tok, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c != 0:
-                clean[tok] = c
+    def __init__(self, ring, coords):
         self.ring = ring
-        self.terms = clean
+        self.coords = tuple(coords)
 
     def is_zero(self):
-        return not self.terms
+        return not any(self.coords)
+
+    def part(self, degree):
+        """The coordinates of the degree-d part, over ``ring.basis(d)``."""
+        starts = self.ring.structure.starts
+        return self.coords[starts[degree]:starts[degree + 1]]
+
+    def _operand(self, other):
+        """other as a class of this ring, or None for an unknown type."""
+        if isinstance(other, (int, Fraction)):
+            return self.ring.constant(other)
+        if not isinstance(other, CohomologyClass):
+            return None
+        if self.ring is not other.ring:
+            raise InputError("classes live in different rings")
+        return other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         if not isinstance(other, CohomologyClass):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        return self.ring is other.ring and self.coords == other.coords
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(self.coords)
 
     def __neg__(self):
-        return CohomologyClass(self.ring, {t: -c for t, c in self.terms.items()})
+        return CohomologyClass(self.ring, (-c for c in self.coords))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        if not isinstance(other, CohomologyClass):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        if self.ring is not other.ring:
-            raise InputError("classes live in different rings")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, Fraction(0)) + c
-            if s == 0:
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return CohomologyClass(self.ring, out)
+        return CohomologyClass(
+            self.ring, (a + b for a, b in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        if not isinstance(other, CohomologyClass):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return CohomologyClass(
+            self.ring, (a - b for a, b in zip(self.coords, other.coords)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CohomologyClass(self.ring, {t: c * f for t, c in self.terms.items()})
-        if not isinstance(other, CohomologyClass):
+            return CohomologyClass(self.ring, (c * other for c in self.coords))
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        if self.ring is not other.ring:
-            raise InputError("classes live in different rings")
-        out = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                for t, c in self.ring.mul_basis(t1, t2).items():
-                    s = out.get(t, Fraction(0)) + c1 * c2 * c
-                    if s == 0:
-                        out.pop(t, None)
-                    else:
-                        out[t] = s
+        structure = self.ring.structure
+        u, v = self.coords, other.coords
+        # The unit is token 0, so its products are scalings; the rows hold
+        # every other product times delta.
+        out = [0] * len(u)
+        sparse = [(j, y) for j, y in enumerate(v) if y and j]
+        for i, x in enumerate(u):
+            if x and i:
+                row = structure.rows[i]
+                for j, y in sparse:
+                    terms = row.get(j)
+                    if terms:
+                        xy = x * y
+                        for k, c in terms:
+                            out[k] += c * xy
+        if structure.delta != 1:
+            out = [_rational(Fraction(a, structure.delta)) if a else 0
+                   for a in out]
+        if u[0]:
+            out = [a + u[0] * y for a, y in zip(out, v)]
+        if v[0]:
+            out[1:] = [a + v[0] * x for a, x in zip(out[1:], u[1:])]
         return CohomologyClass(self.ring, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __str__(self):
-        if not self.terms:
+        structure = self.ring.structure
+        tokens, degrees = structure.tokens, structure.degrees
+        keys = sorted((i for i, c in enumerate(self.coords) if c),
+                      key=lambda i: (degrees[i], str(tokens[i])))
+        if not keys:
             return "0"
-        keys = sorted(self.terms, key=lambda t: (self.ring.token_degree(t), str(t)))
-        return " + ".join(f"{self.terms[t]}*{self.ring.token_name(t)}" for t in keys)
+        return " + ".join(f"{self.coords[i]}*{self.ring.token_name(tokens[i])}"
+                          for i in keys)
 
     def __repr__(self):
         return f"CohomologyClass({self})"
@@ -176,12 +190,44 @@ class GradedStructure:
 
 
 class GradedRing:
-    """The structure every ring shares, built from its class interface."""
+    """The structure and class arithmetic every ring shares.
+
+    A ring supplies ``dimension``, ``basis``, ``token_degree``,
+    ``token_name``, ``mul_basis`` and ``top_value``, the integral of its
+    single top-degree basis token.
+    """
 
     @cached_property
     def structure(self):
         """The ring's ``GradedStructure``, built on first use."""
         return GradedStructure(self)
+
+    def _class(self, terms):
+        """The class with coefficient terms[t] on each basis token t."""
+        coords = [0] * len(self.structure.tokens)
+        for t, c in terms.items():
+            coords[self.structure.position[t]] = _rational(c)
+        return CohomologyClass(self, coords)
+
+    def constant(self, c):
+        return CohomologyClass(
+            self, (c,) + (0,) * (len(self.structure.tokens) - 1))
+
+    def zero(self):
+        return self.constant(0)
+
+    def one(self):
+        return self.constant(1)
+
+    def combination(self, classes, coefficients):
+        """The class sum of coefficients[i] * classes[i]."""
+        return sum((cls * c for cls, c in zip(classes, coefficients) if c),
+                   self.zero())
+
+    def integrate(self, cls):
+        if cls.ring is not self:
+            raise InputError("class belongs to a different ring")
+        return cls.coords[-1] * self.top_value
 
 
 class FaceRing(GradedRing):
@@ -190,7 +236,7 @@ class FaceRing(GradedRing):
     Basis tokens are sorted tuples, with repetition, of the free facet
     labels: the facets off the smallest vertex v0.  The empty tuple is 1.
     ``reduce_monomial`` expresses any facet monomial in the chosen basis (or
-    as 0), and all class arithmetic funnels through it.
+    as 0); it builds the ring's ``structure`` and the facet classes.
     """
 
     def __init__(self, manifold):
@@ -246,11 +292,10 @@ class FaceRing(GradedRing):
                 "cohomology does not vanish above the top degree; "
                 "the characteristic data is inconsistent")
         self._reductions.pop()
-        self._top_token = self._bases[n][0]
         # The base vertex monomial spans the top degree and integrates to
         # the determinant of its characteristic minor.
-        self._top_value = (Fraction(base.sign)
-                           / self.reduce_monomial(base.vertex)[self._top_token])
+        self.top_value = (Fraction(base.sign)
+                          / self.reduce_monomial(base.vertex)[self._bases[n][0]])
 
     def _expand(self, mono):
         """A facet monomial as an integer polynomial in the free classes."""
@@ -304,43 +349,26 @@ class FaceRing(GradedRing):
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))
 
-    def zero(self):
-        return CohomologyClass(self, {})
-
-    def one(self):
-        return CohomologyClass(self, {(): Fraction(1)})
-
-    def constant(self, c):
-        return CohomologyClass(self, {(): Fraction(c)})
+    @cached_property
+    def _facet_classes(self):
+        return tuple(self._class(self.reduce_monomial((j,)))
+                     for j in range(1, self.num_generators + 1))
 
     def facet_class(self, j):
         if not 1 <= j <= self.num_generators:
             raise InputError(f"facet label {j} out of range")
-        return CohomologyClass(self, self.reduce_monomial((j,)))
+        return self._facet_classes[j - 1]
 
     def line_class(self, coefficients):
         """Degree-2 class sum coefficients[j] * v_{j+1}."""
         if len(coefficients) != self.num_generators:
             raise InputError("line coefficients must have one entry per facet")
-        out = self.zero()
-        for j, c in enumerate(coefficients):
-            if c:
-                out = out + self.facet_class(j + 1) * Fraction(c)
-        return out
-
-    def integrate(self, cls):
-        if cls.ring is not self:
-            raise InputError("class belongs to a different ring")
-        return cls.terms.get(self._top_token, Fraction(0)) * self._top_value
+        return self.combination(self._facet_classes, coefficients)
 
     # -- characteristic classes -------------------------------------------
 
     def pontryagin_p1(self):
-        out = self.zero()
-        for j in range(1, self.num_generators + 1):
-            vj = self.facet_class(j)
-            out = out + vj * vj
-        return out
+        return sum((v * v for v in self._facet_classes), self.zero())
 
     def spinc_c1(self):
         return self.line_class(self.manifold.spin_c)
@@ -362,6 +390,7 @@ class SyntheticConnectedSumRing(GradedRing):
 
     TOP = ("top",)
     ONE = ()
+    top_value = 1
 
     def __init__(self, dimension, summands, signs=None):
         n, k = int(dimension), int(summands)
@@ -419,50 +448,23 @@ class SyntheticConnectedSumRing(GradedRing):
             return {self.TOP: Fraction(self.signs[i - 1])}
         return {}
 
-    def zero(self):
-        return CohomologyClass(self, {})
-
-    def one(self):
-        return CohomologyClass(self, {self.ONE: Fraction(1)})
-
-    def constant(self, c):
-        return CohomologyClass(self, {self.ONE: Fraction(c)})
-
     def generator(self, i):
         if not 1 <= i <= self.num_generators:
             raise InputError(f"generator index {i} out of range")
-        if self.dimension == 1:
-            return CohomologyClass(self, {self.TOP: Fraction(self.signs[i - 1])})
-        return CohomologyClass(self, {("g", i, 1): Fraction(1)})
-
-    def integrate(self, cls):
-        if cls.ring is not self:
-            raise InputError("class belongs to a different ring")
-        return cls.terms.get(self.TOP, Fraction(0))
+        return self._class({("g", i, 1): 1})
 
 
 def _candidate_generator_sets(ring):
     """Lex-ordered k-subsets of facets whose classes pairwise multiply to 0
     and form a basis of the degree-2 part."""
     k = len(ring.basis(1))
-    m = ring.num_generators
-    basis1 = ring.basis(1)
-    for facets in combinations(range(1, m + 1), k):
+    for facets in combinations(range(1, ring.num_generators + 1), k):
         classes = [ring.facet_class(j) for j in facets]
         if any(c.is_zero() for c in classes):
             continue
-        ok = True
-        for a in range(k):
-            for b in range(a + 1, k):
-                if not (classes[a] * classes[b]).is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(not (a * b).is_zero() for a, b in combinations(classes, 2)):
             continue
-        mat = [[cls.terms.get(tok, Fraction(0)) for tok in basis1] for cls in classes]
-        red, pivots = rref(mat)
+        _, pivots = rref([cls.part(1) for cls in classes])
         if len(pivots) == k:
             yield facets, classes
 
@@ -481,16 +483,12 @@ def facet_class_decomposition(manifold, ring=None):
     if ring is None:
         ring = build_face_ring(manifold)
     k = len(ring.basis(1))
-    basis1 = ring.basis(1)
     for facets, classes in _candidate_generator_sets(ring):
-        gen_rows = [[cls.terms.get(tok, Fraction(0)) for tok in basis1]
-                    for cls in classes]
+        gen_rows = [cls.part(1) for cls in classes]
         alpha = []
         ok = True
         for j in range(1, ring.num_generators + 1):
-            target = [ring.facet_class(j).terms.get(tok, Fraction(0))
-                      for tok in basis1]
-            coords = solve_in_span(gen_rows, target)
+            coords = solve_in_span(gen_rows, ring.facet_class(j).part(1))
             if coords is None or any(c.denominator != 1 for c in coords):
                 ok = False
                 break
@@ -500,12 +498,8 @@ def facet_class_decomposition(manifold, ring=None):
         beta = [sum(row[i] ** 2 for row in alpha) for i in range(k)]
         # Cross-check: with pairwise-zero generators the facet-square sum
         # must reproduce p1 on the nose.
-        p1 = ring.pontryagin_p1()
-        recon = ring.zero()
-        for i, b in enumerate(beta):
-            g = classes[i]
-            recon = recon + g * g * Fraction(b)
-        if not (p1 - recon).is_zero():
+        recon = ring.combination([g * g for g in classes], beta)
+        if ring.pontryagin_p1() != recon:
             raise PropertyViolationError(
                 "facet-square decomposition does not reproduce p1; "
                 "generator products are not honestly zero")

@@ -472,16 +472,6 @@ class TruncatedPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = TruncatedPolynomial.constant(1, self.cap)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self):
         if self.coeffs[0] == 0:
             raise ArithmeticError("constant term vanishes, not invertible")

@@ -40,7 +40,7 @@ from .errors import (BundleSpinError, DegenerateCircleError, InputError,
 from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_quotient,
                        cyclotomic, divisors, poly_divmod, poly_mul)
 from .linalg import gf2_solve, is_primitive
-from .cohomology import CohomologyClass, build_face_ring
+from .cohomology import build_face_ring
 
 
 class CircleSubgroup:
@@ -773,18 +773,14 @@ def _add_product(out, u, v, rows):
 
 def _degree_one_coordinates(ring, cls):
     """A class's coordinates over ``ring.structure``; it must lie in degree 1."""
-    structure = ring.structure
     if cls.ring is not ring:
         raise InputError("input class belongs to a different ring")
-    vec = [0] * len(structure.tokens)
-    for token, c in cls.terms.items():
-        at = structure.position.get(token)
-        if at is None or structure.degrees[at] != 1:
-            raise InputError(
-                f"input class {cls} is not homogeneous of degree 1; the "
-                "integer gauge of the cohomological route needs degree-1 inputs")
-        vec[at] = c
-    return vec
+    starts = ring.structure.starts
+    if any(cls.coords[:starts[1]]) or any(cls.coords[starts[2]:]):
+        raise InputError(
+            f"input class {cls} is not homogeneous of degree 1; the "
+            "integer gauge of the cohomological route needs degree-1 inputs")
+    return cls.coords
 
 
 def _power_table(ring, vec):
@@ -845,11 +841,9 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
                     if v:
                         _add_product(out[i + j], u, v, structure.rows)
         integrand = out
-    top = structure.tokens[structure.starts[n]:]
     scale = (gauge * mu) ** n * structure.delta ** (n - 1) * 2 ** w_trivial_rank
-    return QSeries([ring.integrate(CohomologyClass(ring, {
-        t: Fraction(x, scale) for t, x in zip(top, vec[structure.starts[n]:])}))
-        for vec in integrand], q_order)
+    return QSeries([Fraction(vec[-1], scale) * ring.top_value
+                    for vec in integrand], q_order)
 
 
 def cohomological_index(manifold, bundles, q_order):

@@ -205,6 +205,44 @@ def _build_polytope(spec):
     raise InputError(f"unknown polytope spec {kind!r}")
 
 
+# Largest polytope a manifest may describe, checked on the parsed spec
+# before anything is built (docs/manifest_format.md).
+MAX_DIMENSION = 12
+MAX_VERTICES = 24
+
+
+def _checked_size(spec):
+    """(dimension, vertex count) of the polytope spec describes, read from
+    the spec alone; InputError as soon as either passes its limit."""
+    kind = spec[0]
+    if kind == "product":
+        (d1, v1), (d2, v2) = _checked_size(spec[1]), _checked_size(spec[2])
+        dimension, vertices = d1 + d2, v1 * v2
+    elif kind == "vertex_cut":
+        dimension, v = _checked_size(spec[1])
+        vertices = v + dimension - 1
+    elif kind == "connected_sum":
+        dimension, v1 = _checked_size(spec[1])
+        vertices = v1 + _checked_size(spec[3])[1] - 2
+    elif kind == "explicit":
+        dimension, vertices = spec[1], len(spec[3])
+    else:
+        # simplex(n), cube(n) or polygon(n).  Arguments below 1 fail later,
+        # in the constructor, with its own message; the cap keeps cube(n)
+        # for a huge n from computing 2^n before it is refused.
+        n = spec[1]
+        dimension = 2 if kind == "polygon" else n
+        vertices = {"simplex": n + 1, "cube": 2 ** min(max(n, 0), 64),
+                    "polygon": n}[kind]
+    if dimension > MAX_DIMENSION:
+        raise InputError(f"{serialize_expression(spec)} has dimension "
+                         f"{dimension}, over the limit {MAX_DIMENSION}")
+    if vertices > MAX_VERTICES:
+        raise InputError(f"{serialize_expression(spec)} has {vertices} "
+                         f"vertices, over the limit {MAX_VERTICES}")
+    return dimension, vertices
+
+
 _SECTIONS = ("polytope", "characteristic", "spinc", "bundles", "circle")
 
 
@@ -291,9 +329,11 @@ def _parse_polytope_section(entries):
             raise InputError("constructor polytopes take no other keys")
         _, value, where = entries[0]
         try:
-            return parse_expression(value)
+            spec = parse_expression(value)
+            _checked_size(spec)
         except InputError as e:
             raise InputError(f"{where}: {e}") from None
+        return spec
     dimension = None
     num_facets = None
     vertices = []
@@ -312,7 +352,9 @@ def _parse_polytope_section(entries):
     if dimension is None or num_facets is None or not vertices:
         raise InputError(
             "explicit polytopes need dimension, facets and vertex entries")
-    return ("explicit", dimension, num_facets, tuple(sorted(vertices)))
+    spec = ("explicit", dimension, num_facets, tuple(sorted(vertices)))
+    _checked_size(spec)
+    return spec
 
 
 def serialize_manifest(manifest):

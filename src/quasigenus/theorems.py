@@ -184,14 +184,7 @@ def check_twist_classes(manifold, classes):
             f"need exactly {n} classes, got {len(classes)}")
     if getattr(ring, "num_generators", None) != manifold.num_facets:
         raise InputError("classes do not live in this manifold's face ring")
-    total = ring.zero()
-    squares = ring.zero()
-    product = ring.one()
-    for cls in classes:
-        total = total + cls
-        squares = squares + cls * cls
-        product = product * cls
-    pairing = ring.integrate(product)
+    total, squares, pairing = _twist_identities(ring, classes, classes)
     report = {
         "sum_is_spinc_class": total == ring.spinc_c1(),
         "squares_sum_is_p1": squares == ring.pontryagin_p1(),
@@ -271,7 +264,7 @@ def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
         raise InputError(f"p1 coefficients must be positive, got {beta}")
     n = ring.dimension
     i0_idx = i0 - 1
-    p1_class = _combination_square_sum(ring, generators, beta)
+    p1_class = ring.combination([g * g for g in generators], beta)
 
     cases = []
     for case in (1, 2):
@@ -312,44 +305,28 @@ def _w_count_indices(k, i0_idx):
     return [i for i in range(k) if i != i0_idx] + [i0_idx]
 
 
-def _combination_square_sum(ring, generators, coeffs):
-    out = ring.zero()
-    for g, c in zip(generators, coeffs):
-        out = out + g * g * Fraction(c)
-    return out
-
-
-def _line_class(ring, generators, vec):
-    out = ring.zero()
-    for g, c in zip(generators, vec):
-        if c:
-            out = out + g * c
-    return out
+def _twist_identities(ring, classes, squared):
+    """The sum of classes, the sum of the squares of squared, and the
+    integral of the product of classes."""
+    product = ring.one()
+    for cls in classes:
+        product = product * cls
+    squares = sum((cls * cls for cls in squared), ring.zero())
+    return sum(classes, ring.zero()), squares, ring.integrate(product)
 
 
 def _verify_case(ring, generators, p1_class, entry, twist, spinc_coords):
     """Re-derive the three defining identities of a constructed case."""
-    v_classes = [_line_class(ring, generators, vec) for vec in entry["v_lines"]]
-    w_classes = [_line_class(ring, generators, vec) for vec in entry["w_lines"]]
-    twist_class = _line_class(ring, generators, twist)
-
-    c1_v = ring.zero()
-    for cls in v_classes:
-        c1_v = c1_v + cls
-    squares = ring.zero()
-    for cls in v_classes + w_classes:
-        squares = squares + cls * cls
-
-    euler = ring.one()
-    for cls in v_classes:
-        euler = euler * cls
-    pairing = ring.integrate(euler)
+    v_classes = [ring.combination(generators, vec) for vec in entry["v_lines"]]
+    w_classes = [ring.combination(generators, vec) for vec in entry["w_lines"]]
+    c1_v, squares, pairing = _twist_identities(
+        ring, v_classes, v_classes + w_classes)
 
     w_total = [sum(vec[i] for vec in entry["w_lines"])
                for i in range(len(generators))]
 
     checks = {
-        "c1_v_equals_twist": c1_v == twist_class,
+        "c1_v_equals_twist": c1_v == ring.combination(generators, twist),
         "p1_difference_zero": squares == p1_class,
         "w_spin": all(c % 2 == 0 for c in w_total),
         "euler_pairing": pairing,
@@ -413,9 +390,9 @@ def synthetic_inflated_instance(n, sign=1, q_order=2):
             f"inflated beta {beta} was expected to make case 1 applicable")
     g = ring.generator(1)
     roots = [g] * (n + 1)
-    v_classes = [_line_class(ring, [g], vec) for vec in case1["v_lines"]]
-    w_classes = [_line_class(ring, [g], vec) for vec in case1["w_lines"]]
-    twist_class = _line_class(ring, [g], case1["twist_class"])
+    v_classes = [ring.combination([g], vec) for vec in case1["v_lines"]]
+    w_classes = [ring.combination([g], vec) for vec in case1["w_lines"]]
+    twist_class = ring.combination([g], case1["twist_class"])
     series = cohomological_index_on_ring(
         ring, roots, v_classes, w_classes, twist_class, q_order)
     report["index_series"] = series

@@ -1,15 +1,18 @@
 """Face rings, Poincare pairing, p1, facet-class decompositions."""
 
+import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from quasigenus.cohomology import (SyntheticConnectedSumRing, build_face_ring,
-                                   facet_class_decomposition)
+from quasigenus.cohomology import (CohomologyClass, SyntheticConnectedSumRing,
+                                   build_face_ring, facet_class_decomposition)
 from quasigenus.errors import InputError, RingShapeError
 from quasigenus.genus import localization_integral
+from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.polytope import (QuasitoricManifold, connected_sum,
@@ -242,3 +245,109 @@ class TestGradedStructure:
                                 for k, c in s.rows[i].get(j, ())} == (
                             ring.mul_basis(a, b))
         assert [r.structure.delta for r in rings] == [1, 1, 4]
+
+
+# -- token-dict reference arithmetic ----------------------------------------
+# Classes as {basis token: Fraction} dicts, every product through the ring's
+# mul_basis, as CohomologyClass arithmetic once ran.
+
+def _dict_add(a, b, sign=1):
+    out = dict(a)
+    for t, c in b.items():
+        out[t] = out.get(t, 0) + sign * c
+    return {t: c for t, c in out.items() if c}
+
+
+def _dict_mul(ring, a, b):
+    out = {}
+    for t1, c1 in a.items():
+        for t2, c2 in b.items():
+            for t, c in ring.mul_basis(t1, t2).items():
+                out[t] = out.get(t, 0) + c1 * c2 * c
+    return {t: c for t, c in out.items() if c}
+
+
+def _dict_integral(ring, a):
+    """The top coefficient times the integral of the top basis token: a
+    facet monomial, integrated by localization, for a face ring; 1 for the
+    synthetic ring by its definition."""
+    top = ring.basis(ring.dimension)[0]
+    if isinstance(ring, SyntheticConnectedSumRing):
+        return a.get(top, 0)
+    return a.get(top, 0) * localization_integral(ring.manifold, top)
+
+
+def _dict_str(ring, a):
+    keys = sorted(a, key=lambda t: (ring.token_degree(t), str(t)))
+    return " + ".join(f"{a[t]}*{ring.token_name(t)}" for t in keys) or "0"
+
+
+def _random_dict(ring, rng):
+    tokens = ring.structure.tokens
+    terms = {t: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for t in rng.sample(tokens, rng.randint(1, len(tokens)))}
+    return {t: c for t, c in terms.items() if c}
+
+
+def _as_class(ring, terms):
+    return CohomologyClass(ring, [terms.get(t, 0) for t in ring.structure.tokens])
+
+
+def _delta_four_census_rings(count, seed):
+    """Face rings of seeded census matrices over the twice-summed 3-simplex
+    at entry bound 2 whose structure denominator is 4."""
+    poly = _iterated_connected_sum(3, 2)
+    mats = list(enumerate_characteristic_matrices(poly, 2))
+    random.Random(seed).shuffle(mats)
+    rings = (build_face_ring(QuasitoricManifold(poly, rows, (1,) * 5))
+             for rows in mats)
+    return list(islice((r for r in rings if r.structure.delta == 4), count))
+
+
+class TestClassArithmetic:
+    """Coordinate-vector classes against the token-dict reference."""
+
+    @staticmethod
+    def check(ring, rng, trials=12):
+        for _ in range(trials):
+            a, b = _random_dict(ring, rng), _random_dict(ring, rng)
+            x, y = _as_class(ring, a), _as_class(ring, b)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert x + y == _as_class(ring, _dict_add(a, b))
+            assert x - y == _as_class(ring, _dict_add(a, b, -1))
+            assert x * c == _as_class(ring, {t: v * c for t, v in a.items()})
+            product = _dict_mul(ring, a, b)
+            assert x * y == _as_class(ring, product)
+            assert ring.integrate(x * y) == _dict_integral(ring, product)
+            assert str(x * y) == _dict_str(ring, product)
+            assert str(x) == _dict_str(ring, a)
+
+    def test_named_manifolds(self):
+        rng = random.Random(11)
+        for m in ([projective_space(n) for n in range(1, 5)]
+                  + [sphere_product(n) for n in range(1, 4)]
+                  + [cp2_connected_sum()]):
+            self.check(build_face_ring(m), rng)
+
+    def test_census_rings_with_denominator_four(self):
+        rng = random.Random(12)
+        rings = _delta_four_census_rings(4, 12)
+        assert len(rings) == 4
+        for ring in rings:
+            self.check(ring, rng)
+
+    def test_synthetic_ring(self):
+        self.check(SyntheticConnectedSumRing(4, 3, (1, -1, 1)),
+                   random.Random(13), trials=30)
+
+    def test_p1_text_is_pinned(self):
+        manifests = Path(__file__).resolve().parent.parent / "manifests"
+        got = {p.name: str(build_face_ring(parse_manifest(
+            p.read_text()).build_manifold()).pontryagin_p1())
+            for p in sorted(manifests.glob("*.ini"))}
+        assert got == {"cp2.ini": "3*v3^2", "cp2_sum.ini": "6*v4^2",
+                       "cp3_twisted.ini": "4*v4^2", "s2_bounding.ini": "0",
+                       "s2xs2_spin.ini": "0"}
+        census = off_corner_manifolds()[1:]
+        assert [str(build_face_ring(m).pontryagin_p1())
+                for m in census] == ["4*v3^2", "4*v3^2"]

@@ -107,7 +107,7 @@ class TestTruncatedPolynomial:
 
     def test_nilpotent_truncation(self):
         x = TruncatedPolynomial.variable(2)
-        assert x ** 3 == TruncatedPolynomial.constant(0, 2)
+        assert x * x * x == TruncatedPolynomial.constant(0, 2)
 
 
 def dense_binomial_quotient(ups, downs, one, order):

@@ -14,7 +14,8 @@ import pytest
 
 from quasigenus.cli import main
 from quasigenus.errors import InputError
-from quasigenus.manifest import (Manifest, parse_expression, parse_manifest,
+from quasigenus.manifest import (Manifest, _build_polytope, _checked_size,
+                                 parse_expression, parse_manifest,
                                  serialize_expression, serialize_manifest)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -40,6 +41,22 @@ class TestExpressions:
             spec = parse_expression(text)
             assert serialize_expression(spec) == text
             assert parse_expression(serialize_expression(spec)) == spec
+
+    def test_predicted_size_matches_the_built_polytope(self):
+        for text in [
+                "simplex(12)",
+                "cube(4)",
+                "polygon(24)",
+                "product(simplex(1), polygon(12))",
+                "vertex_cut(simplex(12), {1 2 3 4 5 6 7 8 9 10 11 12})",
+                "connected_sum(simplex(12), {1 2 3 4 5 6 7 8 9 10 11 12}, "
+                "simplex(12), {2 3 4 5 6 7 8 9 10 11 12 13})",
+                "product(vertex_cut(simplex(3), {1 2 3}), cube(2))",
+        ]:
+            spec = parse_expression(text)
+            poly = _build_polytope(spec)
+            assert _checked_size(spec) == (
+                poly.dimension, len(poly.vertices))
 
     def test_errors(self):
         for bad in ["simplex", "simplex(", "simplex(2,3)", "frustum(2)",
@@ -93,6 +110,16 @@ gamma = 1 1
         ("[polytope]\ndimension = 2\n", "explicit polytopes need"),
         ("[polytope]\nconstruct = simplex(2)\nconstruct = cube(2)\n",
          "no other keys"),
+        ("[polytope]\nconstruct = product(polygon(5), polygon(5))\n",
+         "25 vertices, over the limit 24"),
+        ("[polytope]\nconstruct = "
+         "vertex_cut(product(polygon(4), polygon(6)), {1 2 5 6})\n",
+         "27 vertices"),
+        ("[polytope]\nconstruct = "
+         "connected_sum(cube(4), {1 2 3 4}, cube(4), {1 2 3 4})\n",
+         "30 vertices"),
+        ("[polytope]\ndimension = 13\nfacets = 14\n"
+         "vertex = {1 2 3 4 5 6 7 8 9 10 11 12 13}\n", "dimension 13"),
     ])
     def test_diagnostics(self, text, fragment):
         with pytest.raises(InputError, match=fragment):
@@ -180,8 +207,17 @@ class TestCliExitCodes:
         (["genus", CP2, "--q-order", "-1"], "q-order"),
         (["census", "--n", "40", "--k", "2", "--bound", "1"], "census"),
         (["census", "--n", "3", "--k", "2", "--bound", "40"], "census"),
+        (["describe", "cube(40)"], "dimension 40, over the limit 12"),
+        (["describe", "simplex(3000)"], "dimension 3000, over the limit 12"),
     ])
-    def test_oversized_work_refused_quickly(self, capsys, argv, fragment):
+    def test_oversized_work_refused_quickly(self, tmp_path, capsys, argv,
+                                            fragment):
+        if argv[0] == "describe":
+            # argv[1] is a constructor expression; wrap it in a manifest
+            path = tmp_path / "big.ini"
+            path.write_text(f"[polytope]\nconstruct = {argv[1]}\n\n"
+                            "[characteristic]\nrow = 1 0\n\n[spinc]\ngamma = 1 1\n")
+            argv = ["describe", str(path)]
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 3
