@@ -191,7 +191,7 @@ def _verify_anomaly(args, manifest):
     }
     lines = [f"circle: {list(xi)}", f"I = {value}"]
     exit_code = 0
-    q_order = args.q_order if args.q_order is not None else 3
+    q_order = args.q_order
     if value < 0 and twist_matches:
         eq = equivariant_index(manifold, xi, bundles, q_order)
         vanished = eq.is_identically_zero()
@@ -341,7 +341,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run one verifier")
     p.add_argument("manifest", nargs="?")
     p.add_argument("--theorem", required=True, choices=sorted(_VERIFIERS))
-    p.add_argument("--q-order", type=int, default=None)
+    p.add_argument("--q-order", type=int, default=3,
+                   help="truncation order of the index-I equivariant check "
+                        "(default: 3)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

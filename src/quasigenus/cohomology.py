@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import InputError, PropertyViolationError, RingShapeError
-from .linalg import rref, solve_in_span
+from .linalg import rref, unimodular_inverse
 
 
 def _rational(x):
@@ -245,12 +245,13 @@ class FaceRing(GradedRing):
         n, m = p.dimension, p.num_facets
         self.dimension = n
         self.num_generators = m
-        base = manifold.fixed_points()[0]
-        free = [f for f in range(1, m + 1) if f not in base.vertex]
+        base = p.vertices[0]
+        sign, weights = unimodular_inverse(manifold.minor(base))
+        free = [f for f in range(1, m + 1) if f not in base]
         # Pairing the relations sum_j lambda_j v_j = 0 with the weight w_b
         # dual to base facet b leaves v_b = -sum_free <w_b, lambda_j> v_j.
         self._forms = {f: {f: 1} for f in free}
-        for b, w in zip(base.vertex, base.weights):
+        for b, w in zip(base, weights):
             dots = {j: sum(x * y for x, y in zip(w, manifold.column(j)))
                     for j in free}
             self._forms[b] = {j: -a for j, a in dots.items() if a}
@@ -294,8 +295,8 @@ class FaceRing(GradedRing):
         self._reductions.pop()
         # The base vertex monomial spans the top degree and integrates to
         # the determinant of its characteristic minor.
-        self.top_value = (Fraction(base.sign)
-                          / self.reduce_monomial(base.vertex)[self._bases[n][0]])
+        self.top_value = (Fraction(sign)
+                          / self.reduce_monomial(base)[self._bases[n][0]])
 
     def _expand(self, mono):
         """A facet monomial as an integer polynomial in the free classes."""
@@ -454,27 +455,16 @@ class SyntheticConnectedSumRing(GradedRing):
         return self._class({("g", i, 1): 1})
 
 
-def _candidate_generator_sets(ring):
-    """Lex-ordered k-subsets of facets whose classes pairwise multiply to 0
-    and form a basis of the degree-2 part."""
-    k = len(ring.basis(1))
-    for facets in combinations(range(1, ring.num_generators + 1), k):
-        classes = [ring.facet_class(j) for j in facets]
-        if any(c.is_zero() for c in classes):
-            continue
-        if any(not (a * b).is_zero() for a, b in combinations(classes, 2)):
-            continue
-        _, pivots = rref([cls.part(1) for cls in classes])
-        if len(pivots) == k:
-            yield facets, classes
-
-
 def facet_class_decomposition(manifold, ring=None):
     """Integral decomposition of all facet classes over canonical generators.
 
-    Searches for the lexicographically least facet subset whose classes
-    pairwise multiply to zero, span the degree-2 part, and express every
-    facet class with integer coordinates.  Returns (generator facets,
+    Takes the lexicographically least set of k = b_2 facets whose classes
+    pairwise multiply to zero and whose degree-1 coordinate matrix G is
+    unimodular.  The free facet classes are the unit vectors of basis(1)
+    and the base facet classes are integer forms in them, so det G = +-1
+    is exactly the condition that every facet class has integer
+    coordinates over the set; those coordinates are the rows of C G^-1,
+    with C the facets' coordinate matrix.  Returns (generator facets,
     integer coordinate matrix with one row per facet, squared-column-sum
     list).  The last item gives the p1 coefficients on the generator
     squares whenever those squares are independent, and is meaningful for
@@ -483,18 +473,17 @@ def facet_class_decomposition(manifold, ring=None):
     if ring is None:
         ring = build_face_ring(manifold)
     k = len(ring.basis(1))
-    for facets, classes in _candidate_generator_sets(ring):
-        gen_rows = [cls.part(1) for cls in classes]
-        alpha = []
-        ok = True
-        for j in range(1, ring.num_generators + 1):
-            coords = solve_in_span(gen_rows, ring.facet_class(j).part(1))
-            if coords is None or any(c.denominator != 1 for c in coords):
-                ok = False
-                break
-            alpha.append([int(c) for c in coords])
-        if not ok:
+    coords = [ring.facet_class(j).part(1)
+              for j in range(1, ring.num_generators + 1)]
+    for facets in combinations(range(1, ring.num_generators + 1), k):
+        found = unimodular_inverse([coords[j - 1] for j in facets])
+        classes = [ring.facet_class(j) for j in facets]
+        if found is None or any(not (a * b).is_zero()
+                                for a, b in combinations(classes, 2)):
             continue
+        _, inverse = found
+        alpha = [[sum(x * inverse[r][i] for r, x in enumerate(row))
+                  for i in range(k)] for row in coords]
         beta = [sum(row[i] ** 2 for row in alpha) for i in range(k)]
         # Cross-check: with pairwise-zero generators the facet-square sum
         # must reproduce p1 on the nose.

@@ -148,13 +148,6 @@ class HalfLaurent:
     def value_at_one(self):
         return sum(self.coeffs.values(), Fraction(0))
 
-    def evaluate_doubled(self, u):
-        """Value at t = u^2, i.e. substitute u for t^(1/2)."""
-        u = _as_fraction(u)
-        if u == 0:
-            raise ZeroDivisionError("cannot evaluate at t = 0")
-        return sum((c * u ** d for d, c in self.coeffs.items()), Fraction(0))
-
     def items_halved(self):
         """Sorted (exponent as Fraction, coefficient) pairs, descending."""
         return [(Fraction(d, 2), self.coeffs[d]) for d in sorted(self.coeffs, reverse=True)]
@@ -294,11 +287,6 @@ class QSeries:
                 acc = term if acc is None else acc + term
             inv.append(-(b0 * acc) if acc is not None else _coeff_zero(b0))
         return QSeries(inv, self.order)
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1], order)
 
     def __str__(self):
         terms = []

@@ -172,7 +172,9 @@ def _fixed_point_weights(fp, xi, lines=()):
 
 
 class _VertexTerm:
-    """Everything the sampler needs about one fixed point."""
+    """One fixed point's weights on the circle, as the localization sum
+    reads them: the oriented sign, the tangent, twist (c), V and W weights,
+    the half-integer exponent and the largest weight magnitude."""
 
     __slots__ = ("vertex", "sigma", "tangent", "c", "v_weights", "w_weights",
                  "zero", "halfexp", "top")

@@ -8,10 +8,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
-
-
 def rref(rows):
     """Reduced row echelon form over Fraction.
 
@@ -61,28 +57,6 @@ def nullspace(rows):
     return basis
 
 
-def solve_in_span(basis_rows, target):
-    """Coordinates of target in the row span of basis_rows, or None."""
-    if not basis_rows:
-        return None if any(x != 0 for x in target) else []
-    n = len(basis_rows)
-    # Solve basis^T * c = target by row reducing [basis^T | target].
-    cols = transpose(basis_rows)
-    m = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(cols, target)]
-    red, pivots = rref(m)
-    if n in pivots:
-        return None
-    coords = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        coords[p] = red[r][n]
-    # Verify (the system may be underdetermined only if basis rows are
-    # dependent, which callers avoid; check anyway).
-    check = [sum(c * row[j] for c, row in zip(coords, basis_rows)) for j in range(len(target))]
-    if any(a != b for a, b in zip(check, target)):
-        return None
-    return coords
-
-
 def int_det(mat):
     """Determinant of a square integer matrix (Bareiss, exact)."""
     n = len(mat)
@@ -103,6 +77,37 @@ def int_det(mat):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def unimodular_inverse(mat):
+    """(det, inverse) of a square integer matrix with determinant +-1.
+
+    Returns None for any other determinant.  Integer Gauss-Jordan on
+    [M | I]: Euclidean row steps leave the gcd of each column's remaining
+    entries on the diagonal, and every such pivot must be a unit when
+    det M is.  The inverse comes back as integer rows.
+    """
+    n = len(mat)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(mat)]
+    det = 1
+    for c in range(n):
+        for r in range(c + 1, n):
+            while rows[r][c]:
+                q = rows[c][c] // rows[r][c]
+                rows[c] = [x - q * y for x, y in zip(rows[c], rows[r])]
+                rows[c], rows[r] = rows[r], rows[c]
+                det = -det
+        if rows[c][c] not in (1, -1):
+            return None
+        if rows[c][c] == -1:
+            rows[c] = [-x for x in rows[c]]
+            det = -det
+        for r in range(c):
+            f = rows[r][c]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det, [row[n:] for row in rows]
 
 
 def perm_parity(perm):

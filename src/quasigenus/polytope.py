@@ -14,7 +14,7 @@ from collections import deque
 from itertools import combinations, product as iproduct
 
 from .errors import InputError
-from .linalg import int_det, perm_parity
+from .linalg import int_det, perm_parity, unimodular_inverse
 
 
 class SimplePolytope:
@@ -183,24 +183,6 @@ def connected_sum(p, vp, q, vq, pairing=None):
     return SimplePolytope(p.dimension, fresh, verts)
 
 
-def _int_inverse(mat):
-    """Inverse of a unimodular integer matrix, as integer rows."""
-    n = len(mat)
-    det = int_det(mat)
-    if det not in (1, -1):
-        raise InputError(f"matrix determinant {det} is not a unit")
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = int_det(minor) * (-1) ** (i + j)
-            row.append(cof * det)
-        inv.append(row)
-    return inv
-
-
 class FixedPointDatum:
     """Localization data at one fixed point (vertex) of the torus action.
 
@@ -278,9 +260,7 @@ class QuasitoricManifold:
         if self._fixed is None:
             data = []
             for v in self.polytope.vertices:
-                minor = self.minor(v)
-                det = int_det(minor)
-                weights = _int_inverse(minor)
+                det, weights = unimodular_inverse(self.minor(v))
                 data.append(FixedPointDatum(v, weights, det))
             self._fixed = tuple(data)
         return self._fixed

@@ -207,12 +207,17 @@ class TestDecomposition:
         count = 0
         for mat in enumerate_characteristic_matrices(p, 1):
             manifold = QuasitoricManifold(p, mat, (1,) * 4)
+            ring = build_face_ring(manifold)
             try:
-                _, alpha, beta = facet_class_decomposition(manifold)
+                facets, alpha, beta = facet_class_decomposition(manifold, ring)
             except RingShapeError:
                 continue
             count += 1
             assert all(b > 0 for b in beta)
+            generators = [ring.facet_class(f) for f in facets]
+            for j in range(1, 5):
+                assert ring.facet_class(j) == ring.combination(
+                    generators, alpha[j - 1])
         assert count > 0
 
     def test_spin_product_is_not_projective_shaped(self):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, kernels, GF(2) solves.
+"""Exact linear algebra: determinants, inverses, kernels, GF(2) solves.
 
 Oracles here are deliberately naive: permutation-expansion determinants
 and brute-force GF(2) searches.  The library must agree with them on
@@ -13,7 +13,7 @@ import pytest
 
 from quasigenus.linalg import (gf2_solve, int_det, is_primitive, nullspace,
                                perm_parity, primitive_vector, rref,
-                               solve_in_span, transpose)
+                               unimodular_inverse)
 
 
 def det_by_permutation_expansion(mat):
@@ -55,9 +55,37 @@ def test_perm_parity():
     assert perm_parity([3, 1, 2]) == 1
 
 
-def test_matrix_helpers():
-    a = [[1, 2], [3, 4]]
-    assert transpose(a) == [[1, 3], [2, 4]]
+def random_unimodular(rng, n):
+    """A signed permutation matrix under random elementary row additions."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mat = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
+           for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randint(-3, 3)
+        mat[i] = [x + f * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+def test_unimodular_inverse_matches_permutation_expansion():
+    rng = random.Random(404)
+    for n in range(1, 7):
+        for _ in range(25):
+            mat = random_unimodular(rng, n)
+            det, inv = unimodular_inverse(mat)
+            assert det == det_by_permutation_expansion(mat)
+            product = [[sum(mat[i][k] * inv[k][j] for k in range(n))
+                        for j in range(n)] for i in range(n)]
+            assert product == [[int(i == j) for j in range(n)]
+                               for i in range(n)]
+            assert all(isinstance(x, int) for row in inv for x in row)
+
+
+def test_unimodular_inverse_refuses_other_determinants():
+    assert unimodular_inverse([[2]]) is None
+    assert unimodular_inverse([[1, 2], [2, 4]]) is None
+    assert unimodular_inverse([[1, 0], [0, 2]]) is None
 
 
 def test_rref_and_rank():
@@ -87,16 +115,6 @@ def test_nullspace_example():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0
-
-
-def test_solve_in_span():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    coeffs = solve_in_span(basis, [2, 3, 5])
-    assert coeffs is not None
-    got = [sum(Fraction(c) * Fraction(basis[i][j]) for i, c in enumerate(coeffs))
-           for j in range(3)]
-    assert got == [2, 3, 5]
-    assert solve_in_span(basis, [1, 0, 0]) is None
 
 
 def brute_gf2(rows, target):

@@ -283,11 +283,12 @@ class TestCensus:
         assert rep["all_within_bound"]
 
     def test_two_fold_sum(self):
-        rep = finiteness_census(3, 2, 1)
-        assert rep["total_matrices"] == 88
-        assert rep["pattern_matches"] == 16
-        assert rep["beta_vectors"] == [(4, 4)]
-        assert rep["all_within_bound"]
+        for bound, total, matches in ((1, 88, 16), (2, 328, 64)):
+            rep = finiteness_census(3, 2, bound)
+            assert rep["total_matrices"] == total
+            assert rep["pattern_matches"] == matches
+            assert rep["beta_vectors"] == [(4, 4)]
+            assert rep["all_within_bound"]
 
     def test_dimension_four(self):
         for k, total, matches, betas in ((1, 16, 16, [(5,)]),
