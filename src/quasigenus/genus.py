@@ -5,8 +5,12 @@ the circle character t for each power of q.  Each fixed point contributes an
 integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts every
 term over one product D of cyclotomic polynomials, sums the numerators and
 divides by D in Z[t].  A nonzero remainder, or a mismatch with the
-fixed-point sum evaluated in integers at t = 2 and 3, aborts the
-computation; it is never papered over.
+fixed-point sum evaluated in integers at t = 2 and 3 over one common
+denominator each, aborts the computation; it is never papered over.  A
+term's theta product depends only on its weight magnitudes, its signature,
+so within one circle the terms of a signature share their theta rows, in
+the division and at both held-out points alike.  The t-free squares of
+every theta factor form one integer q-series per weight count.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as q-series with nilpotent-polynomial coefficients, substitute
@@ -32,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
@@ -174,10 +178,15 @@ def _fixed_point_weights(fp, xi, lines=()):
 class _VertexTerm:
     """One fixed point's weights on the circle, as the localization sum
     reads them: the oriented sign, the tangent, twist (c), V and W weights,
-    the half-integer exponent and the largest weight magnitude."""
+    the half-integer exponent and the largest weight magnitude.
+
+    ``signature`` holds the multisets of |tangent|, |V| and |W| weights.  A
+    term's theta product depends on nothing else, as every factor pairs
+    t^x with t^-x, so terms of one signature share it.
+    """
 
     __slots__ = ("vertex", "sigma", "tangent", "c", "v_weights", "w_weights",
-                 "zero", "halfexp", "top")
+                 "zero", "halfexp", "top", "signature")
 
     def __init__(self, vertex, sigma, tangent, c, v_weights, w_weights):
         self.vertex = vertex
@@ -189,6 +198,8 @@ class _VertexTerm:
         self.zero = any(a == 0 for a in v_weights)
         self.halfexp = c + sum(tangent) - sum(w_weights)
         self.top = max(map(abs, tangent + v_weights + w_weights))
+        self.signature = tuple(tuple(sorted(map(abs, weights)))
+                               for weights in (tangent, v_weights, w_weights))
 
 
 def _vertex_term(fp, xi, sigma, gamma, v_lines, w_lines, tangent_as_w=False):
@@ -240,28 +251,78 @@ def _theta_binomials(term, q_order):
     return ups, downs
 
 
-def _term_value(term, parity, tau, q_order):
-    """One fixed point's contribution at a rational t = tau = p/r.
+def _power(p, r, e):
+    """t^e at t = p/r as an integer numerator and denominator."""
+    return (p ** e, r ** e) if e >= 0 else (r ** -e, p ** -e)
 
-    With q -> (p r)^top q, top the term's largest |weight|, each theta
-    binomial 1 + s tau^e q^k is 1 + s p^(k top + e) r^(k top - e) q^k, an
-    integer as |e| <= top; q^j is scaled back at the end.
+
+def _prefactor_at(term, parity, p, r):
+    """sigma t^g prod_V (1 - t^-a) prod_W (t^b + 1) / prod_k (t^w_k - 1) at
+    t = p/r, with g = (halfexp - parity)/2, as an integer numerator and
+    denominator.  With t^e = P/R from ``_power``, t^w - 1 = (P - R)/R,
+    1 - t^-a = (R - P)/R and t^b + 1 = (P + R)/R.
     """
-    if term.zero:
-        return QSeries.constant(Fraction(0), q_order)
-    scalar = term.sigma * tau ** ((term.halfexp - parity) // 2)
+    num, den = _power(p, r, (term.halfexp - parity) // 2)
+    num *= term.sigma
     for w in term.tangent:
-        scalar /= tau ** w - 1
+        up, down = _power(p, r, w)
+        num, den = num * down, den * (up - down)
     for a in term.v_weights:
-        scalar *= 1 - tau ** -a
+        up, down = _power(p, r, -a)
+        num, den = num * (down - up), den * down
     for b in term.w_weights:
-        scalar *= tau ** b + 1
-    p, r, top = tau.numerator, tau.denominator, term.top
+        up, down = _power(p, r, b)
+        num, den = num * (up + down), den * down
+    return num, den
+
+
+def _theta_at(term, p, r, q_order):
+    """A term's theta product at t = p/r in the gauge q -> (p r)^top q:
+    entry j is the integer (p r)^(j top) times the q^j coefficient.
+
+    Each theta binomial 1 + s t^e q^k of ``_theta_binomials`` becomes
+    1 + s p^(k top + e) r^(k top - e) q^k, an integer as |e| <= top.
+    """
+    top = term.top
     steps = [[(s * p ** (k * top + e) * r ** (k * top - e), k) for s, e, k in half]
              for half in _theta_binomials(term, q_order)]
-    rows = binomial_quotient(*steps, 1, q_order).coeffs
-    return QSeries([scalar * Fraction(c, (p * r) ** (j * top))
-                    for j, c in enumerate(rows)], q_order)
+    return binomial_quotient(*steps, 1, q_order).coeffs
+
+
+def _term_value(term, parity, tau, q_order):
+    """One fixed point's contribution at a rational t = tau: the integer
+    prefactor of ``_prefactor_at`` times the rows of ``_theta_at``."""
+    if term.zero:
+        return QSeries.constant(Fraction(0), q_order)
+    p, r = tau.numerator, tau.denominator
+    num, den = _prefactor_at(term, parity, p, r)
+    scale = (p * r) ** term.top
+    return QSeries([Fraction(num * c, den * scale ** j)
+                    for j, c in enumerate(_theta_at(term, p, r, q_order))],
+                   q_order)
+
+
+def _fixed_point_sum_at(terms, parity, tau, q_order):
+    """The fixed-point sum at an integer t = tau as (sums, lcm, top): its
+    q^j coefficient is sums[j] / (lcm tau^(j top)).
+
+    lcm is the lcm of the terms' prefactor denominators and top their
+    largest weight magnitude.  The prefactors of one signature are summed
+    over lcm first, so ``_theta_at`` runs once per signature.
+    """
+    terms = [t for t in terms if not t.zero]
+    prefactors = [_prefactor_at(t, parity, tau, 1) for t in terms]
+    lcm = math.lcm(*(den for _, den in prefactors))
+    top = max((t.top for t in terms), default=0)
+    scales = {}
+    for t, (num, den) in zip(terms, prefactors):
+        scales.setdefault(t.signature, [t, 0])[1] += num * (lcm // den)
+    sums = [0] * (q_order + 1)
+    for t, scale in scales.values():
+        if scale:
+            for j, c in enumerate(_theta_at(t, tau, 1, q_order)):
+                sums[j] += scale * c * tau ** (j * (top - t.top))
+    return sums, lcm, top
 
 
 # Largest q-order either route accepts, and largest predicted degree of the
@@ -269,6 +330,10 @@ def _term_value(term, parity, tau, q_order):
 # before any polynomial is built (docs/manifest_format.md).
 MAX_Q_ORDER = 12
 MAX_LOCALIZATION_DEGREE = 3000
+# Largest number of candidate vectors the generic circle search may cost,
+# predicted shell by shell before each is enumerated.  CP^6 needs box bound
+# 3 (58824 candidates); CP^7 would need bound 4 (2391484).
+MAX_CIRCLE_CANDIDATES = 10 ** 5
 
 
 def _check_limit(name, value, limit):
@@ -293,25 +358,71 @@ def _prefactor(term):
     return coeffs
 
 
-def _term_series(term, q_order, top):
+@lru_cache(maxsize=128)
+def _square_series(tangents, v_count, w_count, q_order):
+    """The t-free squares of all theta factors as one integer q-series,
+    prod_k (1 - q^k)^(2 tangents - 2 v_count) / (1 + q^k)^(2 w_count).
+
+    It depends on the weight counts alone, so it is built once per
+    (tangents, v_count, w_count, q_order) and kept read-only, like the
+    universal tables.
+    """
+    ks = range(1, q_order + 1)
+    net = tangents - v_count
+    ups = [(-1, k) for k in ks] * (2 * max(net, 0))
+    downs = ([(-1, k) for k in ks] * (2 * max(-net, 0))
+             + [(1, k) for k in ks] * (2 * w_count))
+    return tuple(binomial_quotient(ups, downs, 1, q_order).coeffs)
+
+
+def _term_series(term, q_order):
     """The product of a term's theta factors: row j holds the integer
     coefficients of t^-j*top .. t^j*top in q^j, top its largest |weight|.
 
-    It runs the recurrence of ``exactalg.binomial_quotient`` on
-    ``_theta_binomials``, each c a monomial +-t^e, so a step adds a shifted
-    row onto another: row j - k times t^e lies in row j from e + k*top >= 0.
+    Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k) of
+    ``_theta_binomials`` run the recurrence of
+    ``exactalg.binomial_quotient``, each c a monomial +-t^e, so a step adds
+    a shifted row onto another: row j - k times t^e lies in row j from
+    e + k*top >= 0.  The squares (1 + s q^k)^2 are the one integer q-series
+    S of ``_square_series``, applied last: S_i times row j - i lies in row
+    j from i*top.  The rows depend only on ``term.signature``.
     """
-    ups, downs = _theta_binomials(term, q_order)
-    rows = [[1]] + [[0] * (2 * j * top + 1) for j in range(1, q_order + 1)]
-    for sign, steps, js in ((1, ups, lambda k: range(q_order, k - 1, -1)),
-                            (-1, downs, lambda k: range(k, q_order + 1))):
-        for s, e, k in steps:
-            for j in js(k):
-                src, at = rows[j - k], e + k * top
-                rows[j][at:at + len(src)] = [
-                    x + sign * s * y
-                    for x, y in zip(rows[j][at:at + len(src)], src)]
+    top, ks = term.top, range(1, q_order + 1)
+    tangent, v_weights, w_weights = term.signature
+    rows = [[1]] + [[0] * (2 * j * top + 1) for j in ks]
+    # dividing by 1 - t^e q^k (tangent) adds row j - k, j rising;
+    # multiplying by 1 - t^e q^k (V) or 1 + t^e q^k (W) subtracts or adds
+    # it, j falling
+    for x, op, rising in ([(w, add, True) for w in tangent]
+                          + [(a, sub, False) for a in v_weights]
+                          + [(b, add, False) for b in w_weights]):
+        for e in (x, -x):
+            for k in ks:
+                for j in (range(k, q_order + 1) if rising
+                          else range(q_order, k - 1, -1)):
+                    src, row, at = rows[j - k], rows[j], e + k * top
+                    row[at:at + len(src)] = map(op, row[at:at + len(src)], src)
+    squares = _square_series(len(tangent), len(v_weights), len(w_weights),
+                             q_order)
+    for j in range(q_order, 0, -1):
+        row = rows[j]
+        for i in range(1, j + 1):
+            c, src, at = squares[i], rows[j - i], i * top
+            if c:
+                row[at:at + len(src)] = [
+                    x + c * y for x, y in zip(row[at:at + len(src)], src)]
     return rows
+
+
+def _aligned_sum(parts):
+    """Sum of the polynomials t^low * piece over (low, piece), as
+    (lowest exponent, coefficients)."""
+    low = min(lo for lo, _ in parts)
+    total = [0] * (max(lo + len(piece) for lo, piece in parts) - low)
+    for lo, piece in parts:
+        at = lo - low
+        total[at:at + len(piece)] = map(add, total[at:at + len(piece)], piece)
+    return low, total
 
 
 def _divided_sum(terms, parity, q_order):
@@ -320,11 +431,12 @@ def _divided_sum(terms, parity, q_order):
     A term's q^j coefficient is its prefactor times row j of its theta
     series over prod_k (t^|w_k| - 1), which divides D = prod_d Phi_d^e_d,
     with e_d the most tangent weights at one fixed point that d divides.
-    The numerators over D are summed and divided by D in Z[t]; a nonzero
-    remainder means the sum is no Laurent polynomial, so the terms are
-    wrong.  Before any polynomial is built, deg D = sum e_d phi(d) plus the
-    span of the summed numerators must stay within the limit, which a
-    single weight over it already exceeds.
+    The numerators over D of one signature are summed first, so each
+    signature's ``_term_series`` is built and multiplied once; the sum is
+    divided by D in Z[t], and a nonzero remainder means it is no Laurent
+    polynomial, so the terms are wrong.  Before any polynomial is built,
+    deg D = sum e_d phi(d) plus the span of the summed numerators must stay
+    within the limit, which a single weight over it already exceeds.
     """
     terms = [t for t in terms if not t.zero]
     if not terms:
@@ -349,19 +461,18 @@ def _divided_sum(terms, parity, q_order):
     phis = {d: cyclotomic(d) for d in exponents}
     denominator = reduce(poly_mul, (
         phis[d] for d, e in exponents.items() for _ in range(e)), [1])
-    numerators = [reduce(poly_mul, (
-        phis[d] for d, e in exponents.items() for _ in range(e - count[d])),
-        _prefactor(t)) for t, count in zip(terms, counts)]
-    series = [_term_series(t, q_order, top) for t, top in zip(terms, tops)]
+    groups = {}
+    for t, low, count in zip(terms, lows, counts):
+        numerator = reduce(poly_mul, (
+            phis[d] for d, e in exponents.items() for _ in range(e - count[d])),
+            _prefactor(t))
+        groups.setdefault(t.signature, (t, []))[1].append((low, numerator))
+    shared = [(t.top, *_aligned_sum(pieces), _term_series(t, q_order))
+              for t, pieces in groups.values()]
     out = []
     for j in range(q_order + 1):
-        parts = [(lo - j * top, poly_mul(numerator, rows[j])) for lo, top,
-                 numerator, rows in zip(lows, tops, numerators, series)]
-        low = min(lo for lo, _ in parts)
-        total = [0] * (max(lo + len(piece) for lo, piece in parts) - low)
-        for lo, piece in parts:
-            at, end = lo - low, lo - low + len(piece)
-            total[at:end] = [x + y for x, y in zip(total[at:end], piece)]
+        low, total = _aligned_sum([(lo - j * top, poly_mul(numerator, rows[j]))
+                                   for top, lo, numerator, rows in shared])
         quotient, remainder = poly_divmod(total, denominator)
         if any(remainder):
             raise PropertyViolationError(
@@ -374,30 +485,41 @@ def _divided_sum(terms, parity, q_order):
 
 def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
                         tangent_as_w=False):
-    """Shared engine: returns (QSeries of HalfLaurent, parity).
+    """Shared engine: returns (polys, parity), polys[j] the q^j coefficient
+    as {e: c} for the character sum c t^(e + parity/2).
 
     The zero remainder of ``_divided_sum`` certifies every q-coefficient
     with no exponent window and no coefficient bound; the fixed-point sum,
-    evaluated term by term in integers at t = 2 and 3 from its own
-    recurrence, must match it there too.
+    evaluated in integers at t = 2 and 3 by ``_fixed_point_sum_at`` from
+    its own recurrence, must match it there too.  Both sides stay integers:
+    they are compared by cross-multiplying their denominators.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
     parity = _common_parity(terms)
     polys = _divided_sum(terms, parity, q_order)
     low = min((e for p in polys for e in p), default=0)
-    for tau in (Fraction(2), Fraction(3)):  # integers: tau is tau.numerator
-        total = QSeries.constant(Fraction(0), q_order)
-        for term in terms:
-            total = total + _term_value(term, parity, tau, q_order)
-        got = [sum(c * tau.numerator ** (e - low) for e, c in p.items())
-               * tau ** low for p in polys]
-        if got != total.coeffs:
+    for tau in (2, 3):
+        sums, lcm, top = _fixed_point_sum_at(terms, parity, tau, q_order)
+        # q^j: the divided sum is got * tau^low, the fixed-point sum
+        # sums[j] / (lcm tau^(j top))
+        gots = [sum(c * tau ** (e - low) for e, c in p.items()) for p in polys]
+        shifts = [low + j * top for j in range(q_order + 1)]
+        if any(got * lcm * tau ** max(shift, 0) != s * tau ** max(-shift, 0)
+               for got, s, shift in zip(gots, sums, shifts)):
+            divided = [got * Fraction(tau) ** low for got in gots]
+            fixed = [Fraction(s, lcm * tau ** (j * top))
+                     for j, s in enumerate(sums)]
             raise PropertyViolationError(
-                f"held-out check at t = {tau}: the divided sum gives {got}, "
-                f"the fixed-point sum {total.coeffs}")
+                f"held-out check at t = {tau}: the divided sum gives "
+                f"{divided}, the fixed-point sum {fixed}")
+    return polys, parity
+
+
+def _characters(polys, parity):
+    """The q-coefficients of ``_equivariant_series`` as characters."""
     return QSeries([HalfLaurent.from_integer_poly(p, parity) for p in polys],
-                   q_order), parity
+                   len(polys) - 1)
 
 
 def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
@@ -433,9 +555,9 @@ def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None):
     if gamma is None:
         gamma = manifold.spin_c
     xi = _as_circle(xi)
-    series, parity = _equivariant_series(
+    polys, parity = _equivariant_series(
         manifold, xi, bundles.v_lines, bundles.w_lines, gamma, q_order)
-    return EquivariantIndex(series, xi, parity)
+    return EquivariantIndex(_characters(polys, parity), xi, parity)
 
 
 def choose_generic_circles(manifold, bundles=None, count=2):
@@ -445,7 +567,9 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     bound, each bound adding only its shell; genericity means no tangent
     weight pairs to zero anywhere.  The cost orders candidates by the total
     weight mass they produce, which is what the polynomial degrees of
-    localization scale with.
+    localization scale with, and ties by the vector.  Before a shell is
+    enumerated its size is predicted, and a search whose shells would
+    cost more than ``MAX_CIRCLE_CANDIDATES`` candidates is refused.
     """
     n = manifold.dimension
     fps = manifold.fixed_points()
@@ -454,26 +578,32 @@ def choose_generic_circles(manifold, bundles=None, count=2):
         bundles.validate_for(manifold)
         lines = list(bundles.v_lines) + list(bundles.w_lines)
 
-    weights = {w for fp in fps for w in fp.weights}
+    # The mass is sum |<u, xi>| over every fixed point's tangent weights u
+    # and, for each line, its vector u = sum_k line[f_k] w_k there, so it is
+    # a weighted sum over the distinct vectors up to sign.
+    def up_to_sign(u):
+        return max(u, tuple(-x for x in u))
+
+    masses = Counter()
+    for fp in fps:
+        vectors = list(fp.weights)
+        for line in lines:
+            vectors.append(tuple(
+                sum(line[f - 1] * w[i] for f, w in zip(fp.vertex, fp.weights))
+                for i in range(n)))
+        masses.update(map(up_to_sign, vectors))
+    weights = {up_to_sign(w) for fp in fps for w in fp.weights}
 
     def cost(xi):
         if any(_dot(w, xi) == 0 for w in weights):
             return None
-        total = 0
-        for fp in fps:
-            tangent, line_weights = _fixed_point_weights(fp, xi, lines)
-            total += sum(map(abs, tangent)) + sum(map(abs, line_weights))
-        return total
+        return sum(c * abs(_dot(u, xi)) for u, c in masses.items())
 
-    # Only one primitive direction exists for n = 1; scaled copies give
-    # honest independent evaluations for cross-checking.
-    shells = ([[(k,) for k in range(1, count + 1)]] if n == 1
-              else (_primitive_shell(n, bound) for bound in range(1, 65)))
     found = []
-    for shell in shells:
+    for shell in _shells(n, count):
+        found += [(c, xi) for xi in shell if (c := cost(xi)) is not None]
         if len(found) >= count:
             break
-        found += [(c, xi) for xi in shell if (c := cost(xi)) is not None]
     if len(found) < count:
         raise DegenerateCircleError(
             "could not find enough generic circle vectors; "
@@ -482,12 +612,47 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     return [CircleSubgroup(xi) for _, xi in found[:count]]
 
 
+def _shells(n, count):
+    """The candidate shells of ``choose_generic_circles``, box bound 1 to 64.
+
+    Only one primitive direction exists for n = 1; scaled copies give
+    honest independent evaluations for cross-checking.  Otherwise the shell
+    of bound b holds ((2b+1)^n - (2b-1)^n)/2 vectors before the primitivity
+    test, and the running total of that prediction is checked against
+    ``MAX_CIRCLE_CANDIDATES`` before the shell is enumerated.
+    """
+    if n == 1:
+        yield [(k,) for k in range(1, count + 1)]
+        return
+    predicted = 0
+    for bound in range(1, 65):
+        predicted += ((2 * bound + 1) ** n - (2 * bound - 1) ** n) // 2
+        if predicted > MAX_CIRCLE_CANDIDATES:
+            raise InputError(
+                f"generic circle search in dimension {n} would cost "
+                f"{predicted} candidates by box bound {bound}, over the "
+                f"limit {MAX_CIRCLE_CANDIDATES}")
+        yield _primitive_shell(n, bound)
+
+
 def _primitive_shell(n, bound):
-    """Primitive vectors whose largest |entry| is bound, first nonzero > 0."""
-    for xi in product(range(-bound, bound + 1), repeat=n):
-        if (max(map(abs, xi)) == bound and next(x for x in xi if x) > 0
-                and is_primitive(xi)):
-            yield xi
+    """Primitive vectors whose largest |entry| is bound, first nonzero > 0.
+
+    The first entry of magnitude bound sits at some position i: the
+    entries before it lie strictly inside the box and those after it
+    anywhere in it, and its sign is free once an earlier entry is positive.
+    """
+    inner, outer = range(1 - bound, bound), range(-bound, bound + 1)
+    for i in range(n):
+        for head in product(inner, repeat=i):
+            lead = next((x for x in head if x), 0)
+            if lead < 0:
+                continue
+            for x in ((bound, -bound) if lead else (bound,)):
+                for tail in product(outer, repeat=n - 1 - i):
+                    xi = head + (x,) + tail
+                    if is_primitive(xi):
+                        yield xi
 
 
 def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
@@ -497,10 +662,11 @@ def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
     circles = choose_generic_circles(manifold, spec, count=2)
     results = []
     for xi in circles:
-        series, _ = _equivariant_series(
+        polys, _ = _equivariant_series(
             manifold, xi, v_lines, w_lines, gamma, q_order,
             tangent_as_w=tangent_as_w)
-        results.append(QSeries([c.value_at_one() for c in series.coeffs], q_order))
+        results.append(QSeries([Fraction(sum(p.values())) for p in polys],
+                               q_order))
     if results[0] != results[1]:
         raise PropertyViolationError(
             "index differs between generic circles "
@@ -567,16 +733,16 @@ def elliptic_genus(manifold, q_order):
 def equivariant_witten_genus(manifold, xi, q_order):
     gamma, eta = spin_gamma(manifold)
     xi = _as_circle(xi)
-    series, parity = _equivariant_series(manifold, xi, (), (), gamma, q_order)
-    return _strip_character_shift(series, parity, eta, xi)
+    polys, parity = _equivariant_series(manifold, xi, (), (), gamma, q_order)
+    return _strip_character_shift(_characters(polys, parity), parity, eta, xi)
 
 
 def equivariant_elliptic_genus(manifold, xi, q_order):
     gamma, eta = spin_gamma(manifold)
     xi = _as_circle(xi)
-    series, parity = _equivariant_series(
+    polys, parity = _equivariant_series(
         manifold, xi, (), (), gamma, q_order, tangent_as_w=True)
-    return _strip_character_shift(series, parity, eta, xi)
+    return _strip_character_shift(_characters(polys, parity), parity, eta, xi)
 
 
 def _strip_character_shift(series, parity, eta, xi):
@@ -607,8 +773,8 @@ def signature(manifold):
     gamma = (0,) * manifold.num_facets
     results = []
     for xi in choose_generic_circles(manifold, None, count=2):
-        series, _ = _equivariant_series(manifold, xi, (), (), gamma, 0,
-                                        tangent_as_w=True)
+        series = _characters(*_equivariant_series(
+            manifold, xi, (), (), gamma, 0, tangent_as_w=True))
         if set(series.coeffs[0].coeffs) - {0}:
             raise PropertyViolationError(
                 f"signature sum is not constant in t for circle {xi.xi}: "

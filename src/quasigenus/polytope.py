@@ -238,6 +238,17 @@ class QuasitoricManifold:
         self._fixed = None
         self._signs = None
 
+    @classmethod
+    def _enumerated(cls, polytope, rows):
+        """The manifold of a matrix ``enumerate_characteristic_matrices``
+        yielded, with the all-ones twist.  The enumeration has checked every
+        vertex minor, so the constructor's checks are not run again."""
+        self = cls.__new__(cls)
+        self.polytope, self.char_matrix = polytope, rows
+        self.spin_c = (1,) * polytope.num_facets
+        self._fixed = self._signs = None
+        return self
+
     @property
     def dimension(self):
         return self.polytope.dimension

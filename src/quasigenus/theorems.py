@@ -553,7 +553,7 @@ def finiteness_census(n, k, entry_bound):
     matches = []
     for rows in enumerate_characteristic_matrices(poly, entry_bound):
         total += 1
-        manifold = QuasitoricManifold(poly, rows, [1] * poly.num_facets)
+        manifold = QuasitoricManifold._enumerated(poly, rows)
         try:
             _, _, beta = facet_class_decomposition(manifold)
         except RingShapeError:

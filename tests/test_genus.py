@@ -10,6 +10,7 @@ from independent hand computations done inline.
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
@@ -355,15 +356,44 @@ class TestCircleSelection:
 
     def test_shells_match_full_boxes(self):
         parsed = parse_manifest((MANIFESTS / "cp3_twisted.ini").read_text())
+        # the V lines below change which circles are cheapest
         cases = ([(projective_space(n), None) for n in range(1, 6)]
                  + [(sphere_product(n), None) for n in range(1, 5)]
                  + [(cp2_connected_sum(), None),
-                    (parsed.build_manifold(), parsed.bundles())])
+                    (parsed.build_manifold(), parsed.bundles()),
+                    (projective_space(3), BundleSpec([[-2, 1, 1, -2]])),
+                    (sphere_product(3), BundleSpec([[-1, 1, 0, 2, 1, -3]]))])
         for m, bundles in cases:
             for count in (2, 3):
                 got = choose_generic_circles(m, bundles, count=count)
                 assert [c.xi for c in got] == _circles_by_full_boxes(
                     m, bundles, count)
+
+
+    def test_shells_are_the_box_boundaries(self):
+        # each shell is the primitive part of the boundary of its box, and
+        # the boundary holds the predicted number of vectors
+        for n in range(2, 6):
+            for bound in range(1, 4 if n < 5 else 3):
+                box = [xi for xi in product(range(-bound, bound + 1), repeat=n)
+                       if max(map(abs, xi)) == bound
+                       and next(x for x in xi if x) > 0]
+                assert len(box) == ((2 * bound + 1) ** n
+                                    - (2 * bound - 1) ** n) // 2
+                shell = list(genus._primitive_shell(n, bound))
+                assert len(set(shell)) == len(shell)
+                assert sorted(shell) == [xi for xi in box
+                                         if math.gcd(*xi) == 1]
+
+    def test_search_is_bounded_before_it_starts(self):
+        # CP^6 needs box bound 3, within the limit; CP^7 would need bound 4
+        # and is refused by the prediction for bound 3, before that shell
+        circles = choose_generic_circles(projective_space(6))
+        assert [max(map(abs, c.xi)) for c in circles] == [3, 3]
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="circle search in dimension 7"):
+            choose_generic_circles(projective_space(7))
+        assert time.perf_counter() - start < 5
 
 
 def _circles_by_full_boxes(manifold, bundles, count):
@@ -838,6 +868,21 @@ class TestCertificate:
             index(projective_space(2), None, 1)
         assert len(calls) == 2
 
+    def test_a_shared_signature_keeps_each_sign(self, monkeypatch):
+        # on CP^2 with xi = (1, 2) two fixed points have weights of
+        # magnitudes {1, 2} and share their theta rows; flipping the sign of
+        # only one of them is still caught
+        m = projective_space(2)
+        terms, parity = self.terms(m, (1, 2))
+        first, second = [t for t in terms if t.signature == ((1, 2), (), ())]
+        assert first.tangent != second.tangent
+        tampered = [_flip_sign(t) if t is second else t for t in terms]
+        with pytest.raises(PropertyViolationError, match="remainder"):
+            genus._divided_sum(tampered, parity, 2)
+        monkeypatch.setattr(genus, "_vertex_terms", lambda *args: tampered)
+        with pytest.raises(PropertyViolationError):
+            equivariant_index(m, (1, 2), None, 2)
+
 
 def _term_value_reference(term, parity, tau, q_order):
     """A fixed point's contribution at t = tau, all in Fraction arithmetic:
@@ -855,6 +900,114 @@ def _term_value_reference(term, parity, tau, q_order):
     return binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
                              [(s * tau ** e, k) for s, e, k in downs],
                              Fraction(1), q_order) * scalar
+
+
+def _term_series_reference(term, q_order):
+    """A term's theta rows by the full recurrence: every binomial of
+    ``_theta_binomials``, the t-free squares included, is one step."""
+    top = term.top
+    ups, downs = genus._theta_binomials(term, q_order)
+    rows = [[1]] + [[0] * (2 * j * top + 1) for j in range(1, q_order + 1)]
+    for sign, steps, js in ((1, ups, lambda k: range(q_order, k - 1, -1)),
+                            (-1, downs, lambda k: range(k, q_order + 1))):
+        for s, e, k in steps:
+            for j in js(k):
+                src, at = rows[j - k], e + k * top
+                rows[j][at:at + len(src)] = [
+                    x + sign * s * y
+                    for x, y in zip(rows[j][at:at + len(src)], src)]
+    return rows
+
+
+def _random_term(rng, vertex=(1,)):
+    """A vertex term with 1-4 tangent, 0-2 V and 0-3 W weights of either
+    sign; V and W weights may be 0."""
+    def weights(count, low):
+        return tuple(rng.choice([-1, 1]) * rng.randint(low, 6)
+                     for _ in range(count))
+    return _VertexTerm(vertex, rng.choice([-1, 1]), weights(rng.randint(1, 4), 1),
+                       rng.randint(-9, 9), weights(rng.randint(0, 2), 0),
+                       weights(rng.randint(0, 3), 0))
+
+
+def _scrambled(term, rng, vertex=(2,), c_shift=0):
+    """A term of the same signature: weights permuted, signs flipped."""
+    def scramble(weights):
+        out = [rng.choice([-1, 1]) * w for w in weights]
+        rng.shuffle(out)
+        return tuple(out)
+    return _VertexTerm(vertex, rng.choice([-1, 1]), scramble(term.tangent),
+                       term.c + c_shift, scramble(term.v_weights),
+                       scramble(term.w_weights))
+
+
+class TestSharedTheta:
+    def test_rows_equal_the_full_recurrence(self):
+        rng = random.Random(5)
+        for case in range(120):
+            term = _random_term(rng)
+            q_order = case % 7
+            assert (genus._term_series(term, q_order)
+                    == _term_series_reference(term, q_order))
+
+    def test_rows_depend_only_on_the_signature(self):
+        rng = random.Random(6)
+        for case in range(40):
+            term = _random_term(rng)
+            other = _scrambled(term, rng)
+            assert other.signature == term.signature
+            for q_order in (0, 1, 3, 5):
+                assert (genus._term_series(other, q_order)
+                        == genus._term_series(term, q_order))
+                for p, r in ((2, 1), (3, 1), (5, 3)):
+                    assert (genus._theta_at(other, p, r, q_order)
+                            == genus._theta_at(term, p, r, q_order))
+
+    def test_integer_held_out_values_equal_the_fraction_reference(self):
+        rng = random.Random(7)
+        negative = 0
+        for case in range(80):
+            term = _random_term(rng)
+            if term.zero:
+                continue
+            parity = term.halfexp % 2
+            negative += (term.halfexp - parity) // 2 < 0
+            q_order = case % 6
+            for tau in (Fraction(2), Fraction(3), Fraction(5, 3),
+                        Fraction(-7, 2)):
+                p, r = tau.numerator, tau.denominator
+                num, den = genus._prefactor_at(term, parity, p, r)
+                rows = genus._theta_at(term, p, r, q_order)
+                assert all(type(x) is int for x in [num, den, *rows])
+                got = [Fraction(num * c, den * (p * r) ** (j * term.top))
+                       for j, c in enumerate(rows)]
+                want = _term_value_reference(term, parity, tau, q_order)
+                assert got == want.coeffs
+        assert negative >= 10
+
+    def test_held_out_sum_equals_the_reference_sum(self):
+        # terms of one parity, some of them sharing a signature, summed over
+        # one denominator per integer t
+        rng = random.Random(8)
+        for case in range(30):
+            terms = [_random_term(rng, (k,)) for k in range(3)]
+            parity = terms[0].halfexp % 2
+            terms = [_VertexTerm(t.vertex, t.sigma, t.tangent,
+                                 t.c + (t.halfexp - parity) % 2,
+                                 t.v_weights, t.w_weights) for t in terms]
+            terms += [_scrambled(t, rng, (9 + k,), 2 * rng.randint(-3, 3))
+                      for k, t in enumerate(terms[:2])]
+            assert {t.halfexp % 2 for t in terms} == {parity}
+            q_order = case % 5
+            for tau in (2, 3):
+                sums, lcm, top = genus._fixed_point_sum_at(
+                    terms, parity, tau, q_order)
+                want = QSeries.constant(Fraction(0), q_order)
+                for t in terms:
+                    want = want + _term_value_reference(t, parity,
+                                                        Fraction(tau), q_order)
+                assert [Fraction(s, lcm * tau ** (j * top))
+                        for j, s in enumerate(sums)] == want.coeffs
 
 
 class TestHeldOutIntegers:

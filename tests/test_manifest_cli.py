@@ -27,6 +27,15 @@ S2_BOUNDING = str(MANIFESTS / "s2_bounding.ini")
 S2XS2 = str(MANIFESTS / "s2xs2_spin.ini")
 
 
+def _projective_manifest(n):
+    """CP^n over simplex(n): the identity matrix with a column of -1s."""
+    rows = "".join("row = " + " ".join(
+        str(1 if i == j else -(j == n)) for j in range(n + 1)) + "\n"
+                   for i in range(n))
+    return (f"[polytope]\nconstruct = simplex({n})\n\n[characteristic]\n"
+            f"{rows}\n[spinc]\ngamma = {' '.join(['1'] * (n + 1))}\n")
+
+
 class TestExpressions:
     def test_round_trip(self):
         for text in [
@@ -200,6 +209,24 @@ class TestCliExitCodes:
         assert main(["genus", S2XS2, "--q-order", "0",
                      "--equivariant", "1,0"]) == 3
 
+    def test_circle_search_over_the_limit(self, tmp_path, capsys):
+        # simplex(12) passes every manifest limit, but already the first
+        # shell of candidate circles of CP^12 is over MAX_CIRCLE_CANDIDATES
+        path = tmp_path / "cp12.ini"
+        path.write_text(_projective_manifest(12))
+        start = time.perf_counter()
+        assert main(["genus", str(path), "--q-order", "1"]) == 2
+        assert time.perf_counter() - start < 2
+        assert "circle search in dimension 12" in capsys.readouterr().err
+
+    def test_largest_projective_space_under_the_circle_limit(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "cp6.ini"
+        path.write_text(_projective_manifest(6))
+        assert main(["genus", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "q^0: 1", "q^1: 35", "q^2: 273", "q^3: 1190", "q^4: 3675"]
+
     @pytest.mark.parametrize("argv, fragment", [
         (["genus", CP2, "--equivariant", "100000000,1", "--q-order", "1"],
          "localization degree"),
@@ -357,9 +384,13 @@ class TestCliGuard:
         for case in range(200):
             path.write_text(_mutate(sources[case % len(sources)], rng))
             for argv in (["describe", str(path), "--json"],
-                         ["genus", str(path), "--q-order", "1"]):
+                         ["genus", str(path), "--q-order", "1"],
+                         *(["verify", str(path), "--theorem", theorem,
+                            "--q-order", "1"]
+                           for theorem in ("circle", "index-I", "thm34",
+                                           "lemma52"))):
                 codes.append(main(argv))
                 err = capsys.readouterr().err
                 assert codes[-1] in (0, 1, 2, 3), (path.read_text(), argv)
                 assert "internal error" not in err, (path.read_text(), argv, err)
-        assert {0, 2} <= set(codes)
+        assert {0, 2, 3} <= set(codes)

@@ -203,6 +203,20 @@ class TestEnumeration:
         for mat in enumerate_characteristic_matrices(simplex(2), 1):
             QuasitoricManifold(simplex(2), mat, (1, 1, 1))
 
+    def test_enumerated_manifolds_equal_constructed_ones(self):
+        # the census skips the constructor's minor checks, which the
+        # enumeration has already made; nothing else may differ
+        for p in (simplex(3), cube(2), vertex_cut(simplex(3), (1, 2, 3))):
+            for mat in enumerate_characteristic_matrices(p, 1):
+                fast = QuasitoricManifold._enumerated(p, mat)
+                full = QuasitoricManifold(p, mat, (1,) * p.num_facets)
+                assert (fast.polytope, fast.char_matrix, fast.spin_c) == (
+                    full.polytope, full.char_matrix, full.spin_c)
+                assert [(d.vertex, d.weights, d.sign)
+                        for d in fast.fixed_points()] == [
+                    (d.vertex, d.weights, d.sign) for d in full.fixed_points()]
+                assert fast.orientation_signs() == full.orientation_signs()
+
 
 
 def test_random_polytopes_stay_simple():

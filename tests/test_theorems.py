@@ -8,11 +8,13 @@ from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
 from quasigenus.errors import (InputError, PreconditionError,
                                PropertyViolationError, RankHypothesisError,
                                WellDefinednessError)
+from quasigenus import polytope
 from quasigenus.genus import equivariant_index
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.theorems import (EquivariantDegree4Class, SymmetryBoundInput,
-                                 anomaly_coefficient, check_twist_classes,
+                                 _iterated_connected_sum, anomaly_coefficient,
+                                 check_twist_classes,
                                  construct_twist_bundles,
                                  construct_twist_bundles_on_ring, find_circle,
                                  finiteness_census, max_dim_rank_ratio,
@@ -289,6 +291,19 @@ class TestCensus:
             assert rep["pattern_matches"] == matches
             assert rep["beta_vectors"] == [(4, 4)]
             assert rep["all_within_bound"]
+
+    def test_each_vertex_minor_is_checked_once(self, monkeypatch):
+        # the census reads its manifolds from the enumeration's matrices and
+        # does not run the constructor's determinant checks a second time
+        calls = []
+        real = polytope.int_det
+        monkeypatch.setattr(polytope, "int_det",
+                            lambda mat: calls.append(1) or real(mat))
+        poly = _iterated_connected_sum(3, 2)
+        assert len(list(polytope.enumerate_characteristic_matrices(poly, 1))) == 88
+        alone = len(calls)
+        assert finiteness_census(3, 2, 1)["total_matrices"] == 88
+        assert len(calls) == 2 * alone
 
     def test_dimension_four(self):
         for k, total, matches, betas in ((1, 16, 16, [(5,)]),
