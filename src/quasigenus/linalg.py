@@ -1,7 +1,10 @@
 """Exact dense linear algebra over Fraction, the integers and GF(2).
 
-Everything here works on plain lists of lists.  Matrices are small (at most
-a dozen rows at desk scale) so simplicity beats asymptotics throughout.
+Everything here works on plain lists of lists and favours simplicity over
+asymptotics, although sizes range widely: from a manifold's n x n vertex
+minors, or their free blocks of at most (m - n) x (m - n) in the census,
+to the 2766 x 792 row reduction in the face ring of (S^2)^6, where dense
+elimination dominates the ring's construction.
 """
 
 from fractions import Fraction

@@ -331,14 +331,22 @@ def _free_columns(polytope):
     return [f for f in range(1, polytope.num_facets + 1) if f not in base]
 
 
-def _vertices_by_column(polytope, free):
-    """For each free column, the vertices whose minors close at that column."""
+def _vertex_blocks_by_column(polytope, free):
+    """For each free column, the free blocks of the vertices whose minors
+    close at that column.
+
+    With the base columns pinned to unit vectors, a vertex's minor equals,
+    up to sign, the minor of its free columns on the rows its base facets
+    leave out.  Each entry is that (free facets, rows) pair.
+    """
     order = {f: i for i, f in enumerate(free)}
+    base_row = {f: k for k, f in enumerate(polytope.vertices[0])}
     buckets = [[] for _ in free]
     for v in polytope.vertices:
         outside = [f for f in v if f in order]
         if outside:
-            buckets[max(order[f] for f in outside)].append(v)
+            rows = [k for f, k in base_row.items() if f not in v]
+            buckets[max(order[f] for f in outside)].append((outside, rows))
     return buckets
 
 
@@ -347,13 +355,14 @@ def enumerate_characteristic_matrices(polytope, bound):
 
     The minor at the smallest vertex is pinned to the identity; remaining
     columns are enumerated by backtracking, checking each vertex minor as
-    soon as all of its columns are decided.  Yields full n x m integer
-    matrices.
+    soon as all of its columns are decided.  A minor is checked on its free
+    block only: the vertex's free columns on the rows its base facets leave
+    out, at most (m - n) x (m - n).  Yields full n x m integer matrices.
     """
     n = polytope.dimension
     base = polytope.vertices[0]
     free = _free_columns(polytope)
-    buckets = _vertices_by_column(polytope, free)
+    buckets = _vertex_blocks_by_column(polytope, free)
     cols = {f: None for f in range(1, polytope.num_facets + 1)}
     for k, f in enumerate(base):
         cols[f] = tuple(1 if i == k else 0 for i in range(n))
@@ -362,8 +371,8 @@ def enumerate_characteristic_matrices(polytope, bound):
     candidates = [tuple(c) for c in iproduct(entries, repeat=n)]
 
     def minors_ok(idx):
-        for v in buckets[idx]:
-            mat = [[cols[f][i] for f in v] for i in range(n)]
+        for facets, rows in buckets[idx]:
+            mat = [[cols[f][i] for f in facets] for i in rows]
             if int_det(mat) not in (1, -1):
                 return False
         return True

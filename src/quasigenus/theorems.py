@@ -530,10 +530,33 @@ def _iterated_connected_sum(n, k):
 MAX_CENSUS_SIZE = 10 ** 5
 
 
+def _sign_orbit_key(rows):
+    """The matrix's columns, each negated where its first nonzero entry is
+    negative.  Every column of an enumerated matrix is nonzero, and the
+    base columns are unit vectors, so two matrices share a key exactly when
+    they differ by the signs of free columns."""
+    key = []
+    for col in zip(*rows):
+        lead = next(x for x in col if x)
+        key.append(col if lead > 0 else tuple(-x for x in col))
+    return tuple(key)
+
+
 def finiteness_census(n, k, entry_bound):
     """Enumerate characteristic matrices over a k-fold connected sum of
     n-simplices, extract p1 coefficients where the ring has the expected
     split shape, and check them against the 0 < beta <= n+1 bound.
+
+    Two cuts keep this cheap without changing the report.  The enumeration
+    checks each vertex minor on its free block only.  The census builds one
+    face ring and runs one decomposition per sign orbit of the free
+    columns: negating free column j only changes the omniorientation, as
+    v_j -> -v_j fixes the Stanley-Reisner ideal and carries the linear
+    relations to the flipped matrix's (the base vertex keeps its facets, so
+    the integral is unchanged), and the chosen facet subset and
+    beta_i = sum_r alpha_ri^2 do not see those signs.  The entry box is
+    symmetric and |det| ignores column signs, so all 2^(m-n) members of an
+    orbit are still enumerated and each is counted and reported.
     """
     if n < 3:
         raise PreconditionError(f"census needs dimension >= 3, got {n}")
@@ -549,16 +572,20 @@ def finiteness_census(n, k, entry_bound):
                          f"the limit {MAX_CENSUS_SIZE}")
     poly = _iterated_connected_sum(n, k)
 
+    orbit_beta = {}     # sign-orbit key -> beta, or None for RingShapeError
     total = 0
     matches = []
     for rows in enumerate_characteristic_matrices(poly, entry_bound):
         total += 1
-        manifold = QuasitoricManifold._enumerated(poly, rows)
-        try:
-            _, _, beta = facet_class_decomposition(manifold)
-        except RingShapeError:
-            continue
-        matches.append((rows, tuple(beta)))
+        key = _sign_orbit_key(rows)
+        if key not in orbit_beta:
+            manifold = QuasitoricManifold._enumerated(poly, rows)
+            try:
+                orbit_beta[key] = tuple(facet_class_decomposition(manifold)[2])
+            except RingShapeError:
+                orbit_beta[key] = None
+        if orbit_beta[key] is not None:
+            matches.append((rows, orbit_beta[key]))
     beta_vectors = sorted({tuple(sorted(beta)) for _, beta in matches})
     violations = [
         {"matrix": rows, "beta": beta}

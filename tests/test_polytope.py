@@ -11,6 +11,7 @@ from quasigenus.polytope import (QuasitoricManifold, SimplePolytope,
                                  connected_sum, cube,
                                  enumerate_characteristic_matrices, polygon,
                                  polytope_product, simplex, vertex_cut)
+from quasigenus.theorems import _iterated_connected_sum
 
 
 class TestConstructions:
@@ -216,6 +217,29 @@ class TestEnumeration:
                         for d in fast.fixed_points()] == [
                     (d.vertex, d.weights, d.sign) for d in full.fixed_points()]
                 assert fast.orientation_signs() == full.orientation_signs()
+
+    @pytest.mark.parametrize("poly", [
+        simplex(3), cube(2), vertex_cut(simplex(3), (1, 2, 3)),
+        _iterated_connected_sum(3, 2)])
+    def test_matches_full_minor_oracle(self, poly):
+        # oracle: every gauge-fixed candidate, in backtracking order, kept
+        # when each vertex's full n x n minor is unimodular
+        n, m = poly.dimension, poly.num_facets
+        base = poly.vertices[0]
+        free = [f for f in range(1, m + 1) if f not in base]
+        unit = {f: tuple(int(i == k) for i in range(n))
+                for k, f in enumerate(base)}
+        boxes = list(iproduct((-1, 0, 1), repeat=n))
+        expected = []
+        for choice in iproduct(boxes, repeat=len(free)):
+            cols = dict(unit)
+            cols.update(zip(free, choice))
+            if all(int_det([[cols[f][i] for f in v] for i in range(n)])
+                   in (1, -1) for v in poly.vertices):
+                expected.append(tuple(
+                    tuple(cols[f][i] for f in range(1, m + 1))
+                    for i in range(n)))
+        assert list(enumerate_characteristic_matrices(poly, 1)) == expected
 
 
 

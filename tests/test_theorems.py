@@ -1,14 +1,17 @@
 """Circle construction, anomaly integers, twist bundles, bounds, census."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
+from quasigenus.cli import main
+from quasigenus.cohomology import (SyntheticConnectedSumRing, build_face_ring,
+                                   facet_class_decomposition)
 from quasigenus.errors import (InputError, PreconditionError,
                                PropertyViolationError, RankHypothesisError,
-                               WellDefinednessError)
-from quasigenus import polytope
+                               RingShapeError, WellDefinednessError)
+from quasigenus import polytope, theorems
 from quasigenus.genus import equivariant_index
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
@@ -275,6 +278,31 @@ class TestSymmetryBounds:
             SymmetryBoundInput(["Q5"])
 
 
+def _free_facets(poly):
+    return [f for f in range(1, poly.num_facets + 1)
+            if f not in poly.vertices[0]]
+
+
+def _subsets(items):
+    return [set(c) for r in range(len(items) + 1)
+            for c in combinations(items, r)]
+
+
+def _negate_columns(rows, facets):
+    return tuple(tuple(-x if j in facets else x for j, x in enumerate(row, 1))
+                 for row in rows)
+
+
+def _beta(poly, rows):
+    """The decomposition's beta for an enumerated matrix, or None where the
+    ring has no connected-sum shape."""
+    manifold = polytope.QuasitoricManifold._enumerated(poly, rows)
+    try:
+        return facet_class_decomposition(manifold)[2]
+    except RingShapeError:
+        return None
+
+
 class TestCensus:
     def test_single_simplex(self):
         rep = finiteness_census(3, 1, 2)
@@ -304,6 +332,66 @@ class TestCensus:
         alone = len(calls)
         assert finiteness_census(3, 2, 1)["total_matrices"] == 88
         assert len(calls) == 2 * alone
+
+    def test_sign_orbits_share_their_decomposition(self):
+        # negating free columns only changes the omniorientation: every
+        # flip of an enumerated matrix is enumerated too, and has the same
+        # beta or the same RingShapeError, checked without the census
+        poly = _iterated_connected_sum(3, 2)
+        free = _free_facets(poly)
+        for bound in (1, 2):
+            results = {rows: _beta(poly, rows) for rows in
+                       polytope.enumerate_characteristic_matrices(poly, bound)}
+            for rows, beta in results.items():
+                for flip in _subsets(free):
+                    assert results[_negate_columns(rows, flip)] == beta
+
+    def test_one_decomposition_per_sign_orbit(self, monkeypatch):
+        calls = []
+        real = theorems.facet_class_decomposition
+        monkeypatch.setattr(theorems, "facet_class_decomposition",
+                            lambda manifold: calls.append(1) or real(manifold))
+        rep = finiteness_census(3, 2, 1)
+        assert (rep["total_matrices"], rep["pattern_matches"]) == (88, 16)
+        assert len(calls) == 88 // 2 ** 2 == 22
+
+    def test_violations_list_every_member_of_an_orbit(self, monkeypatch,
+                                                      capsys):
+        # inflate beta on the first two sign orbits that decompose; their
+        # members interleave in enumeration order, and every one of them
+        # must be reported in that order
+        poly = _iterated_connected_sum(3, 2)
+        free = _free_facets(poly)
+        enumerated = list(polytope.enumerate_characteristic_matrices(poly, 1))
+        inflated = set()
+        for rows in enumerated:
+            if (len(inflated) < 2 * 2 ** len(free) and rows not in inflated
+                    and _beta(poly, rows) is not None):
+                inflated.update(_negate_columns(rows, flip)
+                                for flip in _subsets(free))
+        real = theorems.facet_class_decomposition
+
+        def inflate(manifold):
+            facets, alpha, beta = real(manifold)
+            if manifold.char_matrix in inflated:
+                beta = [9] + list(beta[1:])
+            return facets, alpha, beta
+
+        monkeypatch.setattr(theorems, "facet_class_decomposition", inflate)
+        rep = finiteness_census(3, 2, 1)
+        expected = [rows for rows in enumerated if rows in inflated]
+        assert len(expected) == 8
+        assert [v["matrix"] for v in rep["violations"]] == expected
+        assert not rep["all_within_bound"]
+        assert main(["census", "--n", "3", "--k", "2", "--bound", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+    def test_five_dimensional_two_fold_sum(self):
+        rep = finiteness_census(5, 2, 1)
+        assert rep["total_matrices"] == 2656
+        assert rep["pattern_matches"] == 64
+        assert rep["beta_vectors"] == [(6, 6)]
+        assert rep["all_within_bound"]
 
     def test_dimension_four(self):
         for k, total, matches, betas in ((1, 16, 16, [(5,)]),
