@@ -7,7 +7,10 @@ solved at the smallest vertex: its n facet classes become integer linear
 forms in the m - n free facet classes, so what remains is the free
 polynomial algebra modulo the images of the minimal non-faces.  Each degree
 is represented on an explicit monomial basis of free facet labels, computed
-by dense Fraction row reduction; no Groebner machinery, the rings are tiny.
+by one sparse exact row reduction (``linalg.rref``) of that degree's
+relations; no Groebner machinery.  The relations have about one nonzero
+per row, and the faces and minimal non-faces come grouped by size from the
+polytope, which computes them once.
 
 Integration against the fundamental class is normalised so that the product
 of the facet classes through the lexicographically least vertex integrates
@@ -20,8 +23,9 @@ products as integers over one common denominator delta, built from
 ``basis``, ``mul_basis`` and ``token_degree`` on first use.  Everything
 else multiplies through it: a ``CohomologyClass`` is a vector of rational
 coordinates over that basis, whose product is one sparse pass over the
-structure constants divided by delta, and the cohomological route of the
-genus engine runs the same constants on integer vectors.
+structure constants (``GradedStructure.add_product``) divided by delta,
+and the cohomological route of the genus engine runs the same pass on
+integer vectors.
 """
 
 import math
@@ -115,16 +119,8 @@ class CohomologyClass:
         # The unit is token 0, so its products are scalings; the rows hold
         # every other product times delta.
         out = [0] * len(u)
-        sparse = [(j, y) for j, y in enumerate(v) if y and j]
-        for i, x in enumerate(u):
-            if x and i:
-                row = structure.rows[i]
-                for j, y in sparse:
-                    terms = row.get(j)
-                    if terms:
-                        xy = x * y
-                        for k, c in terms:
-                            out[k] += c * xy
+        structure.add_product(out, u,
+                              [(j, y) for j, y in enumerate(v) if y and j])
         if structure.delta != 1:
             out = [_rational(Fraction(a, structure.delta)) if a else 0
                    for a in out]
@@ -187,6 +183,22 @@ class GradedStructure:
                 self.rows[i][j] = tuple(
                     (k, c.numerator * (self.delta // c.denominator))
                     for k, c in terms)
+
+    def add_product(self, out, u, v):
+        """out += delta * (u * v) for the products the rows hold: u is a
+        dense coordinate vector and v a list of (position, nonzero
+        coordinate) pairs.  Products with the unit are left to the caller.
+        """
+        rows = self.rows
+        for i, x in enumerate(u):
+            if x:
+                row = rows[i]
+                for j, y in v:
+                    terms = row.get(j)
+                    if terms:
+                        xy = x * y
+                        for k, c in terms:
+                            out[k] += c * xy
 
 
 class GradedRing:
@@ -255,8 +267,7 @@ class FaceRing(GradedRing):
             dots = {j: sum(x * y for x, y in zip(w, manifold.column(j)))
                     for j in free}
             self._forms[b] = {j: -a for j, a in dots.items() if a}
-        faces = {s for v in p.vertices for r in range(n + 1)
-                 for s in combinations(v, r)}
+        faces, non_faces = p.faces()
         monos, ideal = [()], []
         self._bases, self._reductions = [], []
         for d in range(n + 2):
@@ -266,22 +277,20 @@ class FaceRing(GradedRing):
             if d:
                 monos = [t + (j,) for t in monos for j in free
                          if not t or j >= t[-1]]
-                monos = [t for t in monos if tuple(sorted(set(t))) in faces]
+                monos = [t for t in monos
+                         if (s := tuple(sorted(set(t)))) in faces[len(s)]]
+            column = {t: i for i, t in enumerate(monos)}
             polys = [{tuple(sorted(t + (j,))): c for t, c in row.items()}
                      for row in ideal for j in free]
-            polys += [self._expand(s + (j,)) for s in faces if len(s) == d - 1
-                      for j in range(s[-1] + 1 if s else 1, m + 1)
-                      if s + (j,) not in faces
-                      and all(c in faces for c in combinations(s + (j,), d - 1))]
-            rows = [row for row in ([poly.get(t, 0) for t in monos]
-                                    for poly in polys) if any(row)]
-            red, pivots = rref(rows)
-            reduction = {monos[c]: {monos[i]: -x for i, x in enumerate(r)
-                                    if x and i != c}
+            polys += [self._expand(s) for s in non_faces[d]]
+            red, pivots = rref([{column[t]: c for t, c in poly.items()
+                                 if t in column} for poly in polys])
+            reduction = {monos[c]: {monos[i]: -x for i, x in r.items()
+                                    if i != c}
                          for r, c in zip(red, pivots)}
             basis = tuple(t for t in monos if t not in reduction)
             reduction.update({t: {t: Fraction(1)} for t in basis})
-            ideal = [{monos[i]: x for i, x in enumerate(r) if x} for r in red]
+            ideal = [{monos[i]: x for i, x in r.items()} for r in red]
             self._bases.append(basis)
             self._reductions.append(reduction)
         if len(self._bases[n]) != 1:

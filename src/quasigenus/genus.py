@@ -916,7 +916,7 @@ def _integer_tables(cap, q_order):
         for name, table in polys.items()})
 
 
-def _add_product(out, u, v, rows):
+def _add_product(out, u, v, structure):
     """out += u * v over a ``GradedStructure`` basis, with u a dense vector
     and v a list of (position, nonzero coordinate) pairs.  Degree-d
     coordinates, d >= 1, are scaled by delta^(d-1); the product keeps that
@@ -928,15 +928,7 @@ def _add_product(out, u, v, rows):
             out[j] += u0 * y
         else:
             out[:] = [o + y * x for o, x in zip(out, u)]
-    for i, x in enumerate(u):
-        if x:
-            row = rows[i]
-            for j, y in v:
-                terms = row.get(j)
-                if terms:
-                    xy = x * y
-                    for k, c in terms:
-                        out[k] += c * xy
+    structure.add_product(out, u, v)
 
 
 def _degree_one_coordinates(ring, cls):
@@ -954,13 +946,13 @@ def _degree_one_coordinates(ring, cls):
 def _power_table(ring, vec):
     """1 + a + a^2 + ... + a^n for an integer degree-1 vector a: degree d
     holds a^d, its coordinates scaled by delta^(d-1) like every vector."""
-    rows, n = ring.structure.rows, ring.dimension
+    structure, n = ring.structure, ring.dimension
     sparse = [(j, y) for j, y in enumerate(vec) if y]
     table, power = list(vec), vec
     table[0] = 1
     for _ in range(n - 1):
         out = [0] * len(vec)
-        _add_product(out, power, sparse, rows)
+        _add_product(out, power, sparse, structure)
         power = out
         table = [x + y for x, y in zip(table, power)]
     return table
@@ -1007,7 +999,7 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
             if any(u):
                 for j, v in enumerate(series[key][:q_order + 1 - i]):
                     if v:
-                        _add_product(out[i + j], u, v, structure.rows)
+                        _add_product(out[i + j], u, v, structure)
         integrand = out
     scale = (gauge * mu) ** n * structure.delta ** (n - 1) * 2 ** w_trivial_rank
     return QSeries([Fraction(vec[-1], scale) * ring.top_value

@@ -1,61 +1,79 @@
-"""Exact dense linear algebra over Fraction, the integers and GF(2).
+"""Exact linear algebra over the rationals, the integers and GF(2).
 
-Everything here works on plain lists of lists and favours simplicity over
-asymptotics, although sizes range widely: from a manifold's n x n vertex
-minors, or their free blocks of at most (m - n) x (m - n) in the census,
-to the 2766 x 792 row reduction in the face ring of (S^2)^6, where dense
-elimination dominates the ring's construction.
+Row reduction works on sparse rows, ``{column: value}`` dicts with int or
+Fraction values: the face ring's eliminations, up to the 2766 x 792
+reduction in degree 7 of (S^2)^6, hold about one nonzero per row.  The
+small integer routines (determinants, unimodular inverses, GF(2) solves)
+work on plain lists of lists and favour simplicity over asymptotics: their
+sizes are a manifold's n x n vertex minors, or their free blocks of at most
+(m - n) x (m - n) in the census.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
+def _quotient(x, y):
+    """x / y exactly, as an int when it is integral."""
+    q = Fraction(x, y)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _subtract(row, f, other):
+    """row -= f * other on sparse rows, in place, dropping zeros."""
+    for k, y in other.items():
+        x = row.get(k, 0) - f * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
 def rref(rows):
-    """Reduced row echelon form over Fraction.
+    """Reduced row echelon form of sparse rows over the rationals.
 
-    Returns (reduced nonzero rows, pivot column indices).  The input is not
-    modified.
+    Each row is a ``{column: value}`` dict with int or Fraction values;
+    zero values are allowed and the input is not modified.  Returns
+    (reduced rows, pivot columns): the nonzero rows of the unique reduced
+    row echelon form in increasing pivot order, each a dict with value 1
+    at its pivot, no other pivot column and its columns in increasing
+    order, and the increasing list of pivot columns.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    pivot_rows = {}  # pivot column -> its fully reduced row
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        for c in [c for c in r if c in pivot_rows]:
+            _subtract(r, r[c], pivot_rows[c])
+        if not r:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        # The least column leads the row: every earlier pivot row has its
+        # own pivot first, so clearing this column from it keeps that.
+        p = min(r)
+        lead = r[p]
+        if lead != 1:
+            r = {k: _quotient(x, lead) for k, x in r.items()}
+        for q in pivot_rows.values():
+            if p in q:
+                _subtract(q, q[p], r)
+        pivot_rows[p] = r
+    pivots = sorted(pivot_rows)
+    return [{k: pivot_rows[p][k] for k in sorted(pivot_rows[p])}
+            for p in pivots], pivots
 
 
-def nullspace(rows):
-    """Basis of the right kernel, one vector per free column.
+def nullspace(rows, ncols):
+    """Basis of the right kernel of sparse rows with ``ncols`` columns.
 
-    Each basis vector has entry 1 at its free column; computed from the
+    One dense vector per free column, with entry 1 there; read off the
     reduced row echelon form, so the result is deterministic.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for r, p in zip(red, pivots):
+            v[p] = -Fraction(r.get(f, 0))
         basis.append(v)
     return basis
 

@@ -25,7 +25,8 @@ class SimplePolytope:
     vertex-edge graph is connected, and that no facet is redundant.
     """
 
-    __slots__ = ("dimension", "num_facets", "vertices", "_vertex_index")
+    __slots__ = ("dimension", "num_facets", "vertices", "_vertex_index",
+                 "_faces")
 
     def __init__(self, dimension, num_facets, vertices):
         n, m = int(dimension), int(num_facets)
@@ -53,6 +54,7 @@ class SimplePolytope:
         self.num_facets = m
         self.vertices = tuple(verts)
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self._faces = None
         self._check_simplicity()
 
     def _check_simplicity(self):
@@ -87,6 +89,30 @@ class SimplePolytope:
             for r in combinations(v, self.dimension - 1):
                 ridges.setdefault(r, []).append(v)
         return [(vs[0], vs[1], r) for r, vs in sorted(ridges.items()) if len(vs) == 2]
+
+    def faces(self):
+        """(faces, minimal non-faces), both grouped by size r = 0..n + 1.
+
+        faces[r] is the set of r-element facet sets that meet, the subsets
+        of vertices; non_faces[r] lists the r-element sets that do not meet
+        although every (r - 1)-subset does, each generated once from its
+        first r - 1 facets.  Computed on first use and kept.
+        """
+        if self._faces is None:
+            n, m = self.dimension, self.num_facets
+            faces = [set() for _ in range(n + 2)]
+            for v in self.vertices:
+                for r in range(n + 1):
+                    faces[r].update(combinations(v, r))
+            non_faces = [()] + [
+                tuple(s + (j,) for s in sorted(faces[r - 1])
+                      for j in range(s[-1] + 1 if s else 1, m + 1)
+                      if s + (j,) not in faces[r]
+                      and all(c in faces[r - 1]
+                              for c in combinations(s + (j,), r - 1)))
+                for r in range(1, n + 2)]
+            self._faces = tuple(map(frozenset, faces)), tuple(non_faces)
+        return self._faces
 
     def __eq__(self, other):
         return (isinstance(other, SimplePolytope)

@@ -78,10 +78,8 @@ class EquivariantDegree4Class:
         """
         n = manifold.dimension
         m = manifold.num_facets
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
-            for i, row in enumerate(manifold.char_matrix)
-        ]
+        aug = [{**{j: x for j, x in enumerate(row) if x}, m + i: 1}
+               for i, row in enumerate(manifold.char_matrix)]
         red, pivots = rref(aug)
         if len(pivots) != n or any(p >= m for p in pivots):
             raise PropertyViolationError(
@@ -89,12 +87,12 @@ class EquivariantDegree4Class:
         free = [j for j in range(m) if j not in pivots]
         mu = {}
         rho = {}
-        for idx, p in enumerate(pivots):
-            mu[p] = tuple(red[idx][m:])
-            rho[p] = tuple(-red[idx][f] for f in free)
+        for row, p in zip(red, pivots):
+            mu[p] = tuple(row.get(m + k, 0) for k in range(n))
+            rho[p] = tuple(-row.get(f, 0) for f in free)
         for pos, f in enumerate(free):
-            mu[f] = tuple(Fraction(0) for _ in range(n))
-            rho[f] = tuple(Fraction(int(k == pos)) for k in range(len(free)))
+            mu[f] = (0,) * n
+            rho[f] = tuple(int(k == pos) for k in range(len(free)))
         a40 = [[-sum(mu[j][i] * mu[j][k] for j in range(m)) for k in range(n)]
                for i in range(n)]
         a22 = [[-2 * sum(mu[j][i] * rho[j][f] for j in range(m))
@@ -116,8 +114,9 @@ def find_circle(cls4):
             "can reduce this class to a pullback")
     rank_t = cls4.torus_rank
     b2 = cls4.b2
-    rows = [[cls4.a22[i][f] for i in range(rank_t)] for f in range(b2)]
-    basis = nullspace(rows) if rows else None
+    rows = [{i: cls4.a22[i][f] for i in range(rank_t) if cls4.a22[i][f]}
+            for f in range(b2)]
+    basis = nullspace(rows, rank_t) if rows else None
     if rank_t <= b2:
         kernel = None
         if basis:

@@ -10,12 +10,13 @@ import pytest
 
 from quasigenus.cohomology import (CohomologyClass, SyntheticConnectedSumRing,
                                    build_face_ring, facet_class_decomposition)
-from quasigenus.errors import InputError, RingShapeError
+from quasigenus.errors import (InputError, PropertyViolationError,
+                               RingShapeError)
 from quasigenus.genus import localization_integral
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
-from quasigenus.polytope import (QuasitoricManifold, connected_sum,
+from quasigenus.polytope import (QuasitoricManifold, connected_sum, cube,
                                  enumerate_characteristic_matrices,
                                  polytope_product, simplex)
 from quasigenus.theorems import _iterated_connected_sum
@@ -89,9 +90,31 @@ class TestOracles:
         first = QuasitoricManifold(
             p, next(enumerate_characteristic_matrices(p, 1)), (1,) * 8)
         assert build_face_ring(first).betti_numbers() == (1, 2, 3, 4, 3, 2, 1)
-        for manifold in (projective_space(5), sphere_product(5), first):
+        six = build_face_ring(sphere_product(6))
+        assert six.betti_numbers() == (1, 6, 15, 20, 15, 6, 1)
+        for manifold in (projective_space(5), sphere_product(5),
+                         sphere_product(6), first):
             ring = build_face_ring(manifold)
             assert ring.betti_numbers() == h_vector(manifold.polytope)
+
+
+class TestConsistencyChecks:
+    """Matrices with a singular vertex minor, built without the minor
+    checks, so that only the ring's own checks can refuse them."""
+
+    def test_cohomology_above_the_top_degree(self):
+        bad = QuasitoricManifold._enumerated(simplex(2),
+                                             ((1, 0, 0), (0, 1, 1)))
+        with pytest.raises(PropertyViolationError,
+                           match="does not vanish above the top degree"):
+            build_face_ring(bad)
+
+    def test_top_degree_of_dimension_two(self):
+        bad = QuasitoricManifold._enumerated(cube(2),
+                                             ((1, 0, 1, 0), (0, 1, 0, 0)))
+        with pytest.raises(PropertyViolationError,
+                           match="top cohomology has dimension 2"):
+            build_face_ring(bad)
 
 
 class TestRingStructure:

@@ -88,13 +88,91 @@ def test_unimodular_inverse_refuses_other_determinants():
     assert unimodular_inverse([[1, 0], [0, 2]]) is None
 
 
+def sparse(mat):
+    """Dense rows as the {column: value} rows that rref takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def dense(rows, ncols):
+    """Sparse rows back as dense Fraction lists."""
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
+def _rref_reference(rows):
+    """The dense Fraction Gauss-Jordan that the sparse rref replaced.
+
+    Returns (reduced nonzero rows, pivot column indices).
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
 def test_rref_and_rank():
-    rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
+    rows = sparse([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
     reduced, pivots = rref(rows)
     assert pivots == [0]
-    assert reduced == [[Fraction(1), Fraction(2)]]
-    assert len(rref([[1, 2], [2, 4]])[1]) == 1
-    assert len(rref([[1, 0], [0, 1]])[1]) == 2
+    assert dense(reduced, 2) == [[Fraction(1), Fraction(2)]]
+    assert len(rref(sparse([[1, 2], [2, 4]]))[1]) == 1
+    assert len(rref(sparse([[1, 0], [0, 1]]))[1]) == 2
+
+
+def random_rank_deficient(rng, nrows, ncols, rank):
+    """Integer combinations of ``rank`` random rows."""
+    basis = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(rng.randint(-2, 2) * b[j] for b in basis)
+             for j in range(ncols)] for _ in range(nrows)]
+
+
+def test_rref_matches_dense_reference():
+    rng = random.Random(303)
+    cases = [[], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]]]
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        kind = rng.choice(("dense", "sparse", "zero rows", "deficient"))
+        if kind == "deficient":
+            mat = random_rank_deficient(rng, nrows, ncols,
+                                        rng.randint(0, min(nrows, ncols)))
+        else:
+            mat = [[rng.randint(-4, 4) if rng.random() < (
+                        0.3 if kind == "sparse" else 0.9) else 0
+                    for _ in range(ncols)] for _ in range(nrows)]
+            if kind == "zero rows":
+                mat += [[0] * ncols for _ in range(rng.randint(1, 3))]
+                rng.shuffle(mat)
+        cases.append(mat)
+    shapes = {(len(mat) > len(mat[0]), len(mat) < len(mat[0]))
+              for mat in cases if mat}
+    assert shapes == {(True, False), (False, True), (False, False)}
+    for i, mat in enumerate(cases):
+        ncols = len(mat[0]) if mat else 0
+        want_rows, want_pivots = _rref_reference(mat)
+        # Every other case also passes its zeros explicitly.
+        rows = [dict(enumerate(row)) for row in mat] if i % 2 else sparse(mat)
+        frozen = [dict(row) for row in rows]
+        got_rows, got_pivots = rref(rows)
+        assert rows == frozen
+        assert got_pivots == want_pivots
+        assert dense(got_rows, ncols) == want_rows
+        assert all(list(row) == sorted(row) and 0 not in row.values()
+                   for row in got_rows)
 
 
 def test_nullspace_annihilates():
@@ -103,15 +181,15 @@ def test_nullspace_annihilates():
         nrows = rng.randint(1, 3)
         ncols = rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        basis = nullspace(mat)
-        assert len(basis) == ncols - len(rref(mat)[1])
+        basis = nullspace(sparse(mat), ncols)
+        assert len(basis) == ncols - len(rref(sparse(mat))[1])
         for vec in basis:
             assert all(sum(Fraction(row[j]) * vec[j] for j in range(ncols)) == 0
                        for row in mat)
 
 
 def test_nullspace_example():
-    basis = nullspace([[1, 1]])
+    basis = nullspace([{0: 1, 1: 1}], 2)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0

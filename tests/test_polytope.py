@@ -1,7 +1,7 @@
 """Simple polytopes, characteristic matrices, fixed-point data, enumeration."""
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -88,6 +88,25 @@ class TestConstructions:
         with pytest.raises(InputError):
             connected_sum(simplex(2), (1, 2), simplex(2), (1, 2),
                           pairing={1: 1, 3: 2})
+
+    def test_faces_and_minimal_non_faces_by_brute_force(self):
+        cases = [simplex(3), cube(3), polygon(5),
+                 vertex_cut(simplex(3), (1, 2, 3)),
+                 polytope_product(simplex(2), simplex(2)),
+                 connected_sum(simplex(3), (1, 2, 3), simplex(3), (1, 2, 3))]
+        for p in cases:
+            faces, non_faces = p.faces()
+            n, m = p.dimension, p.num_facets
+            assert len(faces) == len(non_faces) == n + 2
+            for r in range(n + 2):
+                subsets = list(combinations(range(1, m + 1), r))
+                want = {s for s in subsets
+                        if any(set(s) <= set(v) for v in p.vertices)}
+                assert faces[r] == want
+                assert sorted(non_faces[r]) == [
+                    s for s in subsets if s not in want
+                    and all(c in faces[r - 1] for c in combinations(s, r - 1))]
+            assert p.faces() is p.faces()
 
 
 class TestValidation:
