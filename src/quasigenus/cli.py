@@ -114,6 +114,8 @@ def cmd_genus(args):
     xi = _parse_circle(args.equivariant) if args.equivariant else None
 
     if args.twist == "signature":
+        if args.equivariant is not None:
+            raise InputError("--twist signature takes no --equivariant circle")
         value = signature(manifold)
         report = {"twist": "signature", "value": value}
         _emit(report, args.json, [f"signature: {value}"])
@@ -334,7 +336,8 @@ def build_parser():
     p.add_argument("--q-order", type=int, default=4,
                    help="truncation order (default: 4)")
     p.add_argument("--equivariant", metavar="XI", default=None,
-                   help="circle vector, e.g. '1,2'; emits Laurent coefficients")
+                   help="circle vector, e.g. '1,2'; emits Laurent coefficients "
+                        "(not with --twist signature)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_genus)
 

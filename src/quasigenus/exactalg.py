@@ -1,13 +1,13 @@
 """Exact arithmetic building blocks.
 
-Three small algebras cover everything the index computations need:
+Three small types cover everything the index computations need:
 
-* ``HalfLaurent``: Laurent polynomials in a formal square root of the
-  circle variable t.  Exponents are stored doubled so every exponent is an
-  integer; coefficients are Fractions.
+* ``HalfLaurent``: circle characters, Laurent polynomials in a formal
+  square root of the circle variable t, read but never multiplied.
+  Exponents are stored doubled so every exponent is an integer.
 * ``QSeries``: truncated power series in the modular parameter q whose
   coefficients live in any commutative ring that speaks +, * and ==
-  (Fraction, HalfLaurent, TruncatedPolynomial, cohomology classes).
+  (Fraction, TruncatedPolynomial, cohomology classes), or characters.
 * ``TruncatedPolynomial``: polynomials in one nilpotent variable, truncated
   above a fixed degree cap.  These build the universal one-root Taylor
   tables, which the cohomological route scales to integers and evaluates
@@ -35,7 +35,8 @@ def _as_fraction(x):
 
 
 class HalfLaurent:
-    """Laurent polynomial in t^(1/2) with Fraction coefficients.
+    """A circle character: a Laurent polynomial in t^(1/2) with Fraction
+    coefficients, read but never multiplied.
 
     The key of ``coeffs`` is the doubled exponent: key 3 means t^(3/2),
     key -4 means t^(-2).  Zero coefficients are never stored, so equality
@@ -44,23 +45,13 @@ class HalfLaurent:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
+    def __init__(self, coeffs):
         clean = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    clean[int(d)] = c
+        for d, c in coeffs.items():
+            c = _as_fraction(c)
+            if c != 0:
+                clean[int(d)] = c
         self.coeffs = clean
-
-    @staticmethod
-    def constant(c):
-        c = _as_fraction(c)
-        return HalfLaurent({0: c} if c != 0 else {})
-
-    @staticmethod
-    def monomial(doubled_exponent, coeff=1):
-        return HalfLaurent({int(doubled_exponent): _as_fraction(coeff)})
 
     @staticmethod
     def from_integer_poly(poly, parity=0):
@@ -78,66 +69,6 @@ class HalfLaurent:
                 return not self.coeffs
             return self.coeffs == {0: _as_fraction(other)}
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __neg__(self):
-        return HalfLaurent({d: -c for d, c in self.coeffs.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfLaurent.constant(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out.get(d, Fraction(0)) + c
-            if s == 0:
-                out.pop(d, None)
-            else:
-                out[d] = s
-        return HalfLaurent(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfLaurent.constant(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
-                return HalfLaurent({})
-            return HalfLaurent({d: c * f for d, c in self.coeffs.items()})
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                s = out.get(d, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(d, None)
-                else:
-                    out[d] = s
-        return HalfLaurent(out)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Inverse of a single monomial; anything else is not a unit here."""
-        if len(self.coeffs) != 1:
-            raise ArithmeticError("only monomials are invertible")
-        (d, c), = self.coeffs.items()
-        return HalfLaurent({-d: Fraction(1) / c})
 
     def shift(self, doubled):
         """Multiply by t^(doubled/2)."""

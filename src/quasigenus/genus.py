@@ -548,15 +548,14 @@ def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
     return _term_value(term, 0, t, q_order)
 
 
-def equivariant_index(manifold, xi, bundles, q_order, *, gamma=None):
-    """The circle-equivariant twisted index as exact Laurent q-coefficients."""
+def equivariant_index(manifold, xi, bundles, q_order):
+    """The circle-equivariant twisted index as exact Laurent q-coefficients,
+    twisted by ``manifold.spin_c``."""
     bundles = bundles or BundleSpec.empty()
     bundles.validate_for(manifold)
-    if gamma is None:
-        gamma = manifold.spin_c
     xi = _as_circle(xi)
     polys, parity = _equivariant_series(
-        manifold, xi, bundles.v_lines, bundles.w_lines, gamma, q_order)
+        manifold, xi, bundles.v_lines, bundles.w_lines, manifold.spin_c, q_order)
     return EquivariantIndex(_characters(polys, parity), xi, parity)
 
 
@@ -655,34 +654,37 @@ def _primitive_shell(n, bound):
                         yield xi
 
 
+def _on_two_circles(manifold, bundles, what, compute):
+    """``compute(circle)`` on the two cheapest generic circles, which must
+    agree: a non-equivariant localization result does not depend on it."""
+    first, second = choose_generic_circles(manifold, bundles, count=2)
+    result, other = compute(first), compute(second)
+    if result != other:
+        raise PropertyViolationError(
+            f"{what} differs between generic circles {first.xi} and "
+            f"{second.xi}: {result} vs {other}")
+    return result
+
+
 def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
                   tangent_as_w=False):
-    """Non-equivariant index, asserted equal over two generic circles."""
-    spec = BundleSpec(v_lines, () if tangent_as_w else w_lines)
-    circles = choose_generic_circles(manifold, spec, count=2)
-    results = []
-    for xi in circles:
+    """Non-equivariant index, certified on two generic circles."""
+    def at_one(xi):
         polys, _ = _equivariant_series(
             manifold, xi, v_lines, w_lines, gamma, q_order,
             tangent_as_w=tangent_as_w)
-        results.append(QSeries([Fraction(sum(p.values())) for p in polys],
-                               q_order))
-    if results[0] != results[1]:
-        raise PropertyViolationError(
-            "index differs between generic circles "
-            f"{circles[0].xi} and {circles[1].xi}: "
-            f"{results[0].coeffs} vs {results[1].coeffs}")
-    return results[0]
+        return QSeries([Fraction(sum(p.values())) for p in polys], q_order)
+    spec = BundleSpec(v_lines, () if tangent_as_w else w_lines)
+    return _on_two_circles(manifold, spec, "index", at_one)
 
 
-def index(manifold, bundles, q_order, *, gamma=None):
-    """The twisted index as a q-series of rationals (t = 1 characters)."""
+def index(manifold, bundles, q_order):
+    """The twisted index as a q-series of rationals (t = 1 characters),
+    twisted by ``manifold.spin_c``."""
     bundles = bundles or BundleSpec.empty()
     bundles.validate_for(manifold)
-    if gamma is None:
-        gamma = manifold.spin_c
-    return _index_at_one(manifold, bundles.v_lines, bundles.w_lines, gamma,
-                         q_order)
+    return _index_at_one(manifold, bundles.v_lines, bundles.w_lines,
+                         manifold.spin_c, q_order)
 
 
 def spin_obstruction(manifold):
@@ -771,19 +773,16 @@ def signature(manifold):
     in t and agree between two generic circles.
     """
     gamma = (0,) * manifold.num_facets
-    results = []
-    for xi in choose_generic_circles(manifold, None, count=2):
-        series = _characters(*_equivariant_series(
-            manifold, xi, (), (), gamma, 0, tangent_as_w=True))
-        if set(series.coeffs[0].coeffs) - {0}:
+
+    def constant(xi):
+        character = _characters(*_equivariant_series(
+            manifold, xi, (), (), gamma, 0, tangent_as_w=True)).coeffs[0]
+        if set(character.coeffs) - {0}:
             raise PropertyViolationError(
                 f"signature sum is not constant in t for circle {xi.xi}: "
-                f"{series.coeffs[0]}")
-        results.append(series.coeffs[0].value_at_one())
-    if results[0] != results[1]:
-        raise PropertyViolationError(
-            f"signature differs between circles: {results}")
-    return results[0]
+                f"{character}")
+        return character.value_at_one()
+    return _on_two_circles(manifold, None, "signature", constant)
 
 
 def localization_integral(manifold, facets):
@@ -806,20 +805,15 @@ def localization_integral(manifold, facets):
     lines = [[int(j == f) for j in range(1, manifold.num_facets + 1)]
              for f in facets]
     signs = manifold.orientation_signs()
-    circles = choose_generic_circles(manifold, None, count=2)
-    results = []
-    for xi in circles:
+
+    def pairing(xi):
         total = Fraction(0)
         for fp in manifold.fixed_points():
             tangent, restricted = _fixed_point_weights(fp, xi.xi, lines)
             total += Fraction(signs[fp.vertex] * fp.sign * math.prod(restricted),
                               math.prod(tangent))
-        results.append(total)
-    if results[0] != results[1]:
-        raise PropertyViolationError(
-            f"localization pairing is circle-dependent: {results}; "
-            "the class is not a top-degree product")
-    return results[0]
+        return total
+    return _on_two_circles(manifold, None, "localization pairing", pairing)
 
 
 # ---------------------------------------------------------------------------

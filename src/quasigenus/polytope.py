@@ -58,17 +58,9 @@ class SimplePolytope:
         self._check_simplicity()
 
     def _check_simplicity(self):
-        ridges = {}
-        for v in self.vertices:
-            for r in combinations(v, self.dimension - 1):
-                ridges.setdefault(r, []).append(v)
-        for r, vs in ridges.items():
-            if len(vs) != 2:
-                raise InputError(
-                    f"ridge {r} lies in {len(vs)} vertices, expected exactly 2")
         # Connectivity of the edge graph.
         adj = {v: [] for v in self.vertices}
-        for r, (a, b) in ridges.items():
+        for a, b, _ in self.edges():
             adj[a].append(b)
             adj[b].append(a)
         seen = {self.vertices[0]}
@@ -83,12 +75,17 @@ class SimplePolytope:
             raise InputError("vertex-edge graph is disconnected")
 
     def edges(self):
-        """Pairs of adjacent vertices together with their shared ridge."""
+        """Pairs of adjacent vertices together with their shared ridge,
+        ordered by ridge; every ridge must lie in exactly two vertices."""
         ridges = {}
         for v in self.vertices:
             for r in combinations(v, self.dimension - 1):
                 ridges.setdefault(r, []).append(v)
-        return [(vs[0], vs[1], r) for r, vs in sorted(ridges.items()) if len(vs) == 2]
+        for r, vs in ridges.items():
+            if len(vs) != 2:
+                raise InputError(
+                    f"ridge {r} lies in {len(vs)} vertices, expected exactly 2")
+        return [(a, b, r) for r, (a, b) in sorted(ridges.items())]
 
     def faces(self):
         """(faces, minimal non-faces), both grouped by size r = 0..n + 1.

@@ -400,23 +400,20 @@ def synthetic_inflated_instance(n, sign=1, q_order=2):
     return report
 
 
+# Simple compact groups: the classical series by (lowest rank, dimension at
+# rank l), the exceptional groups by (rank, dimension).
+_CLASSICAL_SERIES = {"A": (1, lambda l: l * (l + 2)),
+                     "B": (2, lambda l: l * (2 * l + 1)),
+                     "C": (3, lambda l: l * (2 * l + 1)),
+                     "D": (4, lambda l: l * (2 * l - 1))}
 _EXCEPTIONAL_DIMS = {"G2": (2, 14), "F4": (4, 52), "E6": (6, 78),
                      "E7": (7, 133), "E8": (8, 248)}
 
 
 def _classical_dims(rank):
     """Dimensions of the simple compact groups of a given rank."""
-    dims = {rank * (rank + 2)}                       # A series
-    if rank >= 2:
-        dims.add(rank * (2 * rank + 1))              # B series
-    if rank >= 3:
-        dims.add(rank * (2 * rank + 1))              # C series
-    if rank >= 4:
-        dims.add(rank * (2 * rank - 1))              # D series
-    for r, d in _EXCEPTIONAL_DIMS.values():
-        if r == rank:
-            dims.add(d)
-    return dims
+    return ({dim(rank) for low, dim in _CLASSICAL_SERIES.values() if rank >= low}
+            | {d for r, d in _EXCEPTIONAL_DIMS.values() if r == rank})
 
 
 def max_dim_rank_ratio(l):
@@ -491,14 +488,12 @@ class SymmetryBoundInput:
         name = name.strip().upper()
         if name in _EXCEPTIONAL_DIMS:
             return _EXCEPTIONAL_DIMS[name]
-        if len(name) >= 2 and name[0] in "ABCD" and name[1:].isdigit():
+        if len(name) >= 2 and name[0] in _CLASSICAL_SERIES and name[1:].isdigit():
             series, rank = name[0], int(name[1:])
-            low = {"A": 1, "B": 2, "C": 3, "D": 4}[series]
+            low, dim = _CLASSICAL_SERIES[series]
             if rank < low:
                 raise InputError(f"series {series} starts at rank {low}")
-            dim = {"A": rank * (rank + 2), "B": rank * (2 * rank + 1),
-                   "C": rank * (2 * rank + 1), "D": rank * (2 * rank - 1)}[series]
-            return (rank, dim)
+            return (rank, dim(rank))
         raise InputError(f"unknown group name {name!r}")
 
 

@@ -300,7 +300,8 @@ class TestEquivariant:
         # (3, -1, 1) makes the character depend on t
         m = projective_space(2)
         xi, gamma = (1, 2), (3, -1, 1)
-        char = equivariant_index(m, xi, None, 0, gamma=gamma).q_coefficient(0)
+        m = QuasitoricManifold(m.polytope, m.char_matrix, gamma)
+        char = equivariant_index(m, xi, None, 0).q_coefficient(0)
         values = set()
         for u in (Fraction(2), Fraction(3), Fraction(7, 2)):
             direct = Fraction(0)
@@ -765,7 +766,8 @@ class TestDivisionOracle:
     def test_cp2_with_twist(self):
         m = projective_space(2)
         gamma = (3, -1, 1)
-        eq = equivariant_index(m, (2, -5), None, 3, gamma=gamma)
+        m = QuasitoricManifold(m.polytope, m.char_matrix, gamma)
+        eq = equivariant_index(m, (2, -5), None, 3)
         assert eq.parity == 0
         for t in self.POINTS:
             direct = _signed_contributions(m, (2, -5), None, gamma, t, 3)
@@ -853,9 +855,11 @@ class TestCertificate:
         with pytest.raises(PropertyViolationError, match="held-out"):
             equivariant_index(m, (1,), bundles, 2)
 
-    def test_circles_must_agree(self, monkeypatch):
+    @pytest.mark.parametrize("compute", [
+        lambda m: index(m, None, 1), signature], ids=["index", "signature"])
+    def test_circles_must_agree(self, monkeypatch, compute):
         # every sign flipped on the second circle: each circle passes its
-        # own remainder and held-out checks, but the indices differ
+        # own remainder and held-out checks, but the results differ
         real = genus._vertex_terms
         calls = []
 
@@ -864,9 +868,29 @@ class TestCertificate:
             got = real(*args)
             return [_flip_sign(t) for t in got] if len(calls) == 2 else got
         monkeypatch.setattr(genus, "_vertex_terms", second_flipped)
-        with pytest.raises(PropertyViolationError, match="generic circles"):
-            index(projective_space(2), None, 1)
+        with pytest.raises(PropertyViolationError,
+                           match="differs between generic circles"):
+            compute(projective_space(2))
         assert len(calls) == 2
+
+    def test_localization_pairing_circles_must_agree(self, monkeypatch):
+        # one tangent weight negated at every fixed point of the second
+        # circle: each term of the pairing flips its sign
+        real = genus._fixed_point_weights
+        circles = []
+
+        def second_negated(fp, xi, lines=()):
+            if xi not in circles:
+                circles.append(xi)
+            tangent, restricted = real(fp, xi, lines)
+            if circles.index(xi) == 1:
+                tangent = (-tangent[0],) + tangent[1:]
+            return tangent, restricted
+        monkeypatch.setattr(genus, "_fixed_point_weights", second_negated)
+        with pytest.raises(PropertyViolationError,
+                           match="differs between generic circles"):
+            localization_integral(projective_space(2), (1, 1))
+        assert len(circles) == 2
 
     def test_a_shared_signature_keeps_each_sign(self, monkeypatch):
         # on CP^2 with xi = (1, 2) two fixed points have weights of

@@ -156,6 +156,12 @@ class TestCliExitCodes:
         assert main(["genus", CP2, "--twist", "signature"]) == 0
         assert "signature: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("xi", ["0,0", "1,2,3"])
+    def test_signature_refuses_a_circle(self, capsys, xi):
+        assert main(["genus", CP2, "--twist", "signature",
+                     "--equivariant", xi]) == 2
+        assert "--equivariant" in capsys.readouterr().err
+
     def test_custom_twist(self, capsys):
         assert main(["genus", CP3_TWISTED, "--twist", "custom",
                      "--q-order", "1"]) == 0

@@ -114,6 +114,12 @@ class TestValidation:
         with pytest.raises(InputError):
             SimplePolytope(2, 4, [(1, 2), (2, 3), (3, 4)])
 
+    def test_disconnected_edge_graph(self):
+        # two triangles: every ridge lies in two vertices
+        with pytest.raises(InputError, match="disconnected"):
+            SimplePolytope(2, 6, [(1, 2), (2, 3), (1, 3),
+                                  (4, 5), (5, 6), (4, 6)])
+
     def test_unused_facet(self):
         with pytest.raises(InputError):
             SimplePolytope(1, 3, [(1,), (2,)])

@@ -277,6 +277,15 @@ class TestSymmetryBounds:
         with pytest.raises(InputError):
             SymmetryBoundInput(["Q5"])
 
+    def test_classical_names(self):
+        # SU(4), SO(5), Sp(3), SO(8); each series below its lowest rank
+        # would repeat a smaller one and is refused
+        inp = SymmetryBoundInput(["A3", "B2", "C3", "D4"])
+        assert inp.factors == ((3, 15), (2, 10), (3, 21), (4, 28))
+        for name in ("A0", "B1", "C2", "D3"):
+            with pytest.raises(InputError, match="starts at rank"):
+                SymmetryBoundInput([name])
+
 
 def _free_facets(poly):
     return [f for f in range(1, poly.num_facets + 1)
