@@ -111,7 +111,7 @@ def cmd_genus(args):
     manifest = _load_manifest(args.manifest)
     manifold = manifest.build_manifold()
     q_order = args.q_order
-    xi = _parse_circle(args.equivariant) if args.equivariant else None
+    xi = None if args.equivariant is None else _parse_circle(args.equivariant)
 
     if args.twist == "signature":
         if args.equivariant is not None:

@@ -26,11 +26,17 @@ coordinates over that basis, whose product is one sparse pass over the
 structure constants (``GradedStructure.add_product``) divided by delta,
 and the cohomological route of the genus engine runs the same pass on
 integer vectors.
+
+The census needs only degrees 1 and 2: ``facet_class_decomposition`` reads
+the reductions of the facet classes and of their pairwise products through
+``reduce_monomial`` and builds neither the structure constants nor a
+``CohomologyClass``.  Reduction tables map each basis monomial to the int
+1, so reductions stay in ints wherever the ring is integral.
 """
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .errors import InputError, PropertyViolationError, RingShapeError
@@ -289,7 +295,7 @@ class FaceRing(GradedRing):
                                     if i != c}
                          for r, c in zip(red, pivots)}
             basis = tuple(t for t in monos if t not in reduction)
-            reduction.update({t: {t: Fraction(1)} for t in basis})
+            reduction.update({t: {t: 1} for t in basis})
             ideal = [{monos[i]: x for i, x in r.items()} for r in red]
             self._bases.append(basis)
             self._reductions.append(reduction)
@@ -354,7 +360,7 @@ class FaceRing(GradedRing):
         for t, c in self._expand(mono).items():
             for tok, x in table.get(t, {}).items():
                 out[tok] = out.get(tok, 0) + c * x
-        return {tok: x for tok, x in out.items() if x}
+        return {tok: _rational(x) for tok, x in out.items() if x}
 
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))
@@ -464,6 +470,16 @@ class SyntheticConnectedSumRing(GradedRing):
         return self._class({("g", i, 1): 1})
 
 
+def _sum_terms(polys, coefficients):
+    """The sum of coefficients[i] * polys[i] over ``{token: value}`` dicts,
+    without zero values."""
+    out = {}
+    for poly, c in zip(polys, coefficients):
+        for t, x in poly.items():
+            out[t] = out.get(t, 0) + c * x
+    return {t: x for t, x in out.items() if x}
+
+
 def facet_class_decomposition(manifold, ring=None):
     """Integral decomposition of all facet classes over canonical generators.
 
@@ -478,26 +494,37 @@ def facet_class_decomposition(manifold, ring=None):
     list).  The last item gives the p1 coefficients on the generator
     squares whenever those squares are independent, and is meaningful for
     dimension 2 as well.
+
+    Only degrees 1 and 2 of the ring are read, through ``reduce_monomial``:
+    once per facet v_i and at most once per product v_i v_j (i <= j), the
+    squares for p1 and the other products as candidate subsets ask for
+    them.  No structure constants and no ``CohomologyClass`` are built.
+    The pairwise-zero test runs before the unimodularity test; both must
+    hold, so the order changes only the cost.
     """
     if ring is None:
         ring = build_face_ring(manifold)
-    k = len(ring.basis(1))
-    coords = [ring.facet_class(j).part(1)
-              for j in range(1, ring.num_generators + 1)]
-    for facets in combinations(range(1, ring.num_generators + 1), k):
+    labels = range(1, ring.num_generators + 1)
+    basis = ring.basis(1)
+    k = len(basis)
+    coords = [[v.get(t, 0) for t in basis]
+              for v in (ring.reduce_monomial((j,)) for j in labels)]
+    product = cache(lambda i, j: ring.reduce_monomial((i, j)))
+    for facets in combinations(labels, k):
+        if any(product(i, j) for i, j in combinations(facets, 2)):
+            continue
         found = unimodular_inverse([coords[j - 1] for j in facets])
-        classes = [ring.facet_class(j) for j in facets]
-        if found is None or any(not (a * b).is_zero()
-                                for a, b in combinations(classes, 2)):
+        if found is None:
             continue
         _, inverse = found
         alpha = [[sum(x * inverse[r][i] for r, x in enumerate(row))
                   for i in range(k)] for row in coords]
         beta = [sum(row[i] ** 2 for row in alpha) for i in range(k)]
         # Cross-check: with pairwise-zero generators the facet-square sum
-        # must reproduce p1 on the nose.
-        recon = ring.combination([g * g for g in classes], beta)
-        if ring.pontryagin_p1() != recon:
+        # p1 = sum_j v_j^2 must equal sum_i beta_i g_i^2 on the nose.
+        p1 = _sum_terms([product(j, j) for j in labels], [1] * len(labels))
+        recon = _sum_terms([product(f, f) for f in facets], beta)
+        if p1 != recon:
             raise PropertyViolationError(
                 "facet-square decomposition does not reproduce p1; "
                 "generator products are not honestly zero")

@@ -1,5 +1,7 @@
 """Face rings, Poincare pairing, p1, facet-class decompositions."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
@@ -8,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from quasigenus.cli import main
 from quasigenus.cohomology import (CohomologyClass, SyntheticConnectedSumRing,
                                    build_face_ring, facet_class_decomposition)
 from quasigenus.errors import (InputError, PropertyViolationError,
                                RingShapeError)
 from quasigenus.genus import localization_integral
+from quasigenus.linalg import unimodular_inverse
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
@@ -246,6 +250,130 @@ class TestDecomposition:
     def test_spin_product_is_not_projective_shaped(self):
         with pytest.raises(RingShapeError):
             facet_class_decomposition(sphere_product_spin(3))
+
+
+def _decomposition_reference(manifold, ring):
+    """facet_class_decomposition as it ran on CohomologyClass arithmetic:
+    facet classes, their products and p1 through the ring's structure
+    constants, with unimodularity tested before the products."""
+    k = len(ring.basis(1))
+    labels = range(1, ring.num_generators + 1)
+    coords = [ring.facet_class(j).part(1) for j in labels]
+    for facets in combinations(labels, k):
+        found = unimodular_inverse([coords[j - 1] for j in facets])
+        classes = [ring.facet_class(j) for j in facets]
+        if found is None or any(not (a * b).is_zero()
+                                for a, b in combinations(classes, 2)):
+            continue
+        _, inverse = found
+        alpha = [[sum(x * inverse[r][i] for r, x in enumerate(row))
+                  for i in range(k)] for row in coords]
+        beta = [sum(row[i] ** 2 for row in alpha) for i in range(k)]
+        recon = ring.combination([g * g for g in classes], beta)
+        if ring.pontryagin_p1() != recon:
+            raise PropertyViolationError("does not reproduce p1")
+        return facets, alpha, beta
+    raise RingShapeError("not a connected-sum pattern")
+
+
+def _decomposition_or_none(decompose, manifold, ring):
+    try:
+        return decompose(manifold, ring)
+    except RingShapeError:
+        return None
+
+
+def _manifest_ring_digest(path, capsys):
+    """A digest of a manifest's ring structure constants and delta, p1 and
+    ``describe --json`` output; classes are written by ``str``, so an int
+    and an integral Fraction read the same."""
+    ring = build_face_ring(parse_manifest(path.read_text()).build_manifold())
+    s = ring.structure
+    assert main(["describe", str(path), "--json"]) == 0
+    text = json.dumps([[str(t) for t in s.tokens], s.delta,
+                       [sorted(row.items()) for row in s.rows],
+                       str(ring.pontryagin_p1()), capsys.readouterr().out])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestDegreeTwoDecomposition:
+    """The decomposition reads only degree-2 reductions; the class-based
+    reference reads the full structure constants."""
+
+    @pytest.mark.parametrize("polytope, bound, matches", [
+        (simplex(3), 1, 8), (simplex(3), 2, 8), (cube(3), 1, 0),
+        (polytope_product(simplex(2), simplex(2)), 1, 0),
+        (_iterated_connected_sum(3, 2), 1, 16),
+        (_iterated_connected_sum(3, 2), 2, 64),
+        (_iterated_connected_sum(4, 2), 1, 32),
+        (_iterated_connected_sum(4, 2), 2, 256)],
+        ids=["simplex3-1", "simplex3-2", "cube3-1", "d2xd2-1", "sum3-1",
+             "sum3-2", "sum4-1", "sum4-2"])
+    def test_agrees_with_the_class_reference(self, polytope, bound, matches):
+        # no three facets of the cube and no two of the simplex product
+        # pairwise miss each other, so those rings raise RingShapeError
+        found = 0
+        for rows in enumerate_characteristic_matrices(polytope, bound):
+            manifold = QuasitoricManifold._enumerated(polytope, rows)
+            ring = build_face_ring(manifold)
+            got = _decomposition_or_none(facet_class_decomposition,
+                                         manifold, ring)
+            assert "structure" not in vars(ring)
+            assert got == _decomposition_or_none(_decomposition_reference,
+                                                 manifold, ring)
+            found += got is not None
+        assert found == matches
+
+    def test_manifest_rings_are_unchanged(self, capsys):
+        manifests = Path(__file__).resolve().parent.parent / "manifests"
+        got = {p.name: _manifest_ring_digest(p, capsys)
+               for p in sorted(manifests.glob("*.ini"))}
+        # recorded on Fraction reduction tables
+        assert got == {"cp2.ini": "efe7bd50049bb5d8",
+                       "cp2_sum.ini": "4ae06e2400288cf6",
+                       "cp3_twisted.ini": "992eebefe5a5b105",
+                       "s2_bounding.ini": "39af10094bc2feae",
+                       "s2xs2_spin.ini": "bd82054509695347"}
+
+    @pytest.mark.parametrize("manifold", [projective_space(3),
+                                          cp2_connected_sum()],
+                             ids=["cp3", "cp2#cp2"])
+    def test_perturbed_generator_square_fails_the_p1_check(self, manifold,
+                                                          monkeypatch):
+        ring = build_face_ring(manifold)
+        generator = facet_class_decomposition(manifold, ring)[0][0]
+        real = ring.reduce_monomial
+
+        def perturbed(mono):
+            out = real(mono)
+            if mono == (generator, generator):
+                out = {t: 2 * c for t, c in out.items()}
+            return out
+
+        monkeypatch.setattr(ring, "reduce_monomial", perturbed)
+        with pytest.raises(PropertyViolationError,
+                           match="does not reproduce p1"):
+            facet_class_decomposition(manifold, ring)
+
+    def test_reductions_stay_in_integers(self):
+        poly = _iterated_connected_sum(3, 2)
+        rings = ([build_face_ring(projective_space(n)) for n in range(1, 5)]
+                 + [build_face_ring(sphere_product(n)) for n in range(1, 5)]
+                 + [build_face_ring(QuasitoricManifold._enumerated(poly, rows))
+                    for rows in enumerate_characteristic_matrices(poly, 1)]
+                 + _delta_four_census_rings(2, 12))
+        fractions = 0
+        for ring in rings:
+            values = [x for table in ring._reductions
+                      for row in table.values() for x in row.values()]
+            labels = range(1, ring.num_generators + 1)
+            values += [x for d in range(ring.dimension + 1)
+                       for mono in combinations_with_replacement(labels, d)
+                       for x in ring.reduce_monomial(mono).values()]
+            assert all(type(x) is int or x.denominator != 1 for x in values)
+            fractions += sum(type(x) is not int for x in values)
+        # the rings with denominator four have fractional reductions
+        assert fractions
 
 
 class TestGradedStructure:

@@ -174,6 +174,13 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert out.splitlines() == ["q^0: 0", "q^1: 0"]
 
+    @pytest.mark.parametrize("xi", ["", " , "])
+    def test_empty_circle(self, capsys, xi):
+        assert main(["genus", CP2, "--q-order", "1", "--equivariant", xi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty circle vector" in captured.err
+
     def test_witten_requires_spin(self, capsys):
         assert main(["genus", CP2, "--twist", "witten"]) == 3
         assert "not spin" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from quasigenus.cohomology import (SyntheticConnectedSumRing, build_face_ring,
 from quasigenus.errors import (InputError, PreconditionError,
                                PropertyViolationError, RankHypothesisError,
                                RingShapeError, WellDefinednessError)
-from quasigenus import polytope, theorems
+from quasigenus import cohomology, polytope, theorems
 from quasigenus.genus import equivariant_index
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
@@ -328,6 +328,15 @@ class TestCensus:
             assert rep["pattern_matches"] == matches
             assert rep["beta_vectors"] == [(4, 4)]
             assert rep["all_within_bound"]
+
+    def test_census_builds_no_structure(self, monkeypatch):
+        def refuse(self, ring):
+            raise AssertionError("the census built a GradedStructure")
+
+        monkeypatch.setattr(cohomology.GradedStructure, "__init__", refuse)
+        rep = finiteness_census(3, 2, 1)
+        assert (rep["total_matrices"], rep["pattern_matches"]) == (88, 16)
+        assert rep["beta_vectors"] == [(4, 4)]
 
     def test_each_vertex_minor_is_checked_once(self, monkeypatch):
         # the census reads its manifolds from the enumeration's matrices and
