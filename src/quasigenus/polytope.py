@@ -263,9 +263,9 @@ class QuasitoricManifold:
 
     @classmethod
     def _enumerated(cls, polytope, rows):
-        """The manifold of a matrix ``enumerate_characteristic_matrices``
-        yielded, with the all-ones twist.  The enumeration has checked every
-        vertex minor, so the constructor's checks are not run again."""
+        """The manifold of an enumerated matrix, with the all-ones twist.
+        The enumeration has checked every vertex minor, so the constructor's
+        checks are not run again."""
         self = cls.__new__(cls)
         self.polytope, self.char_matrix = polytope, rows
         self.spin_c = (1,) * polytope.num_facets
@@ -373,46 +373,78 @@ def _vertex_blocks_by_column(polytope, free):
     return buckets
 
 
-def enumerate_characteristic_matrices(polytope, bound):
-    """All gauge-fixed characteristic matrices with free entries in [-bound, bound].
+def sign_orbit_representatives(polytope, bound, charge=None):
+    """Gauge-fixed characteristic matrices with free entries in
+    [-bound, bound], one per sign orbit: each free column's first nonzero
+    entry is positive.  Yields full n x m matrices in enumeration order.
 
-    The minor at the smallest vertex is pinned to the identity; remaining
-    columns are enumerated by backtracking, checking each vertex minor as
-    soon as all of its columns are decided.  A minor is checked on its free
-    block only: the vertex's free columns on the rows its base facets leave
-    out, at most (m - n) x (m - n).  Yields full n x m integer matrices.
+    Negating a free column keeps every |det|, and the box is symmetric, so
+    each orbit has 2^(m - n) members and checking one checks all.  A vertex
+    minor is checked on its free block, the vertex's free columns on the
+    rows its base facets leave out.  A block of one free column is 1 x 1,
+    so it filters that column's candidate list once; the blocks joining
+    earlier columns go through ``int_det`` while backtracking.  ``charge``,
+    if given, gets the filtering work, (2 bound + 1)^n per free column,
+    before any candidate is built, and a column's candidate count each time
+    the backtracking enters it.
     """
     n = polytope.dimension
-    base = polytope.vertices[0]
     free = _free_columns(polytope)
-    buckets = _vertex_blocks_by_column(polytope, free)
-    cols = {f: None for f in range(1, polytope.num_facets + 1)}
-    for k, f in enumerate(base):
-        cols[f] = tuple(1 if i == k else 0 for i in range(n))
-
-    entries = range(-bound, bound + 1)
-    candidates = [tuple(c) for c in iproduct(entries, repeat=n)]
-
-    def minors_ok(idx):
-        for facets, rows in buckets[idx]:
-            mat = [[cols[f][i] for f in facets] for i in rows]
-            if int_det(mat) not in (1, -1):
-                return False
-        return True
-
-    def emit():
-        return tuple(tuple(cols[f][i] for f in range(1, polytope.num_facets + 1))
-                     for i in range(n))
+    if charge:
+        charge(len(free) * (2 * bound + 1) ** n)
+    cols = {f: tuple(int(i == k) for i in range(n))
+            for k, f in enumerate(polytope.vertices[0])}
+    positive = [c for c in iproduct(range(-bound, bound + 1), repeat=n)
+                if next((x for x in c if x), 0) > 0]
+    candidates, joint = [], []
+    for blocks in _vertex_blocks_by_column(polytope, free):
+        units = [rows[0] for facets, rows in blocks if len(facets) == 1]
+        candidates.append([c for c in positive
+                           if all(c[i] in (1, -1) for i in units)])
+        joint.append([b for b in blocks if len(b[0]) > 1])
 
     def rec(idx):
         if idx == len(free):
-            yield emit()
+            yield tuple(tuple(cols[f][i]
+                              for f in range(1, polytope.num_facets + 1))
+                        for i in range(n))
             return
-        for cand in candidates:
+        if charge:
+            charge(len(candidates[idx]))
+        for cand in candidates[idx]:
             cols[free[idx]] = cand
-            if minors_ok(idx):
+            if all(int_det([[cols[f][i] for f in facets] for i in rows])
+                   in (1, -1) for facets, rows in joint[idx]):
                 yield from rec(idx + 1)
-        cols[free[idx]] = None
 
     yield from rec(0)
 
+
+def sign_orbit_members(polytope, representatives):
+    """(member, representative) for every member of each representative's
+    sign orbit, sorted by the tuple of the member's free columns, which is
+    the order ``enumerate_characteristic_matrices`` yields them in."""
+    free = _free_columns(polytope)
+    pairs = []
+    for rep in representatives:
+        for signs in iproduct((1, -1), repeat=len(free)):
+            flip = dict(zip(free, signs))
+            pairs.append((tuple(tuple(x * flip.get(j, 1)
+                                      for j, x in enumerate(row, 1))
+                                for row in rep), rep))
+    pairs.sort(key=lambda pair: [[row[f - 1] for row in pair[0]]
+                                 for f in free])
+    return pairs
+
+
+def enumerate_characteristic_matrices(polytope, bound):
+    """All gauge-fixed characteristic matrices with free entries in
+    [-bound, bound]: the minor at the smallest vertex is the identity and
+    every vertex minor is unimodular.  These are the members of the
+    ``sign_orbit_representatives`` orbits, in backtracking order over the
+    free columns, each running through [-bound, bound]^n in ``iproduct``
+    order.  Yields full n x m integer matrices.
+    """
+    for rows, _ in sign_orbit_members(
+            polytope, sign_orbit_representatives(polytope, bound)):
+        yield rows

@@ -26,8 +26,10 @@ from .cohomology import (SyntheticConnectedSumRing, build_face_ring,
                          facet_class_decomposition)
 from .genus import (BundleSpec, CircleSubgroup, _vertex_terms,
                     cohomological_index_on_ring)
+from .manifest import MAX_DIMENSION
 from .polytope import (QuasitoricManifold, connected_sum,
-                       enumerate_characteristic_matrices, simplex)
+                       sign_orbit_members, sign_orbit_representatives,
+                       simplex)
 
 
 class EquivariantDegree4Class:
@@ -519,21 +521,11 @@ def _iterated_connected_sum(n, k):
     return poly
 
 
-# Largest census accepted: the (2b+1)^(n(m-n)) matrices with free entries in
-# [-b, b], checked before anything is built (docs/manifest_format.md).
-MAX_CENSUS_SIZE = 10 ** 5
-
-
-def _sign_orbit_key(rows):
-    """The matrix's columns, each negated where its first nonzero entry is
-    negative.  Every column of an enumerated matrix is nonzero, and the
-    base columns are unit vectors, so two matrices share a key exactly when
-    they differ by the signs of free columns."""
-    key = []
-    for col in zip(*rows):
-        lead = next(x for x in col if x)
-        key.append(col if lead > 0 else tuple(-x for x in col))
-    return tuple(key)
+# Work a census may do, in units of one candidate column filtered, one
+# backtracking node, or one (vertex, facet) pair of a face ring built; a
+# unit takes about 2-60 us on a 2-core host with Python 3.11.7
+# (docs/manifest_format.md).
+MAX_CENSUS_WORK = 5 * 10 ** 5
 
 
 def finiteness_census(n, k, entry_bound):
@@ -541,16 +533,20 @@ def finiteness_census(n, k, entry_bound):
     n-simplices, extract p1 coefficients where the ring has the expected
     split shape, and check them against the 0 < beta <= n+1 bound.
 
-    Two cuts keep this cheap without changing the report.  The enumeration
-    checks each vertex minor on its free block only.  The census builds one
-    face ring and runs one decomposition per sign orbit of the free
-    columns: negating free column j only changes the omniorientation, as
-    v_j -> -v_j fixes the Stanley-Reisner ideal and carries the linear
-    relations to the flipped matrix's (the base vertex keeps its facets, so
-    the integral is unchanged), and the chosen facet subset and
-    beta_i = sum_r alpha_ri^2 do not see those signs.  The entry box is
-    symmetric and |det| ignores column signs, so all 2^(m-n) members of an
-    orbit are still enumerated and each is counted and reported.
+    One face ring and one decomposition serve each sign orbit of the free
+    columns, built on its ``sign_orbit_representatives`` matrix: negating
+    free column j only changes the omniorientation, as v_j -> -v_j fixes
+    the Stanley-Reisner ideal and carries the linear relations to the
+    flipped matrix's (the base vertex keeps its facets, so the integral is
+    unchanged), and the chosen facet subset and beta_i = sum_r alpha_ri^2
+    do not see those signs.  Each orbit counts 2^k matrices; violations
+    list every member, in ``enumerate_characteristic_matrices`` order.
+
+    Dimensions over ``manifest.MAX_DIMENSION`` are refused at once, and
+    passing ``MAX_CENSUS_WORK`` is invalid input: the candidate filtering
+    is charged before it runs, the backtracking as it goes, and each ring,
+    weighted by vertices times facets, as its representative is found.
+    No ring is built before the enumeration has finished.
     """
     if n < 3:
         raise PreconditionError(f"census needs dimension >= 3, got {n}")
@@ -559,40 +555,42 @@ def finiteness_census(n, k, entry_bound):
             f"summand count must satisfy 1 <= k < n, got k={k}, n={n}")
     if entry_bound < 1:
         raise InputError("entry bound must be at least 1")
-    # The sum has m = n + k facets.  Capping the exponent at 64 keeps the
-    # power small and decides exactly, as 3^64 exceeds the limit.
-    if (2 * entry_bound + 1) ** min(n * k, 64) > MAX_CENSUS_SIZE:
-        raise InputError(f"census size (2*{entry_bound}+1)^({n}*{k}) exceeds "
-                         f"the limit {MAX_CENSUS_SIZE}")
-    poly = _iterated_connected_sum(n, k)
+    if n > MAX_DIMENSION:
+        raise InputError(f"census dimension {n} is over the limit "
+                         f"{MAX_DIMENSION}")
+    spent = 0
 
-    orbit_beta = {}     # sign-orbit key -> beta, or None for RingShapeError
-    total = 0
-    matches = []
-    for rows in enumerate_characteristic_matrices(poly, entry_bound):
-        total += 1
-        key = _sign_orbit_key(rows)
-        if key not in orbit_beta:
-            manifold = QuasitoricManifold._enumerated(poly, rows)
-            try:
-                orbit_beta[key] = tuple(facet_class_decomposition(manifold)[2])
-            except RingShapeError:
-                orbit_beta[key] = None
-        if orbit_beta[key] is not None:
-            matches.append((rows, orbit_beta[key]))
-    beta_vectors = sorted({tuple(sorted(beta)) for _, beta in matches})
-    violations = [
-        {"matrix": rows, "beta": beta}
-        for rows, beta in matches
-        if any(not 0 < b <= n + 1 for b in beta)
-    ]
+    def charge(units):
+        nonlocal spent
+        spent += units
+        if spent > MAX_CENSUS_WORK:
+            raise InputError(f"census ({n}, {k}, {entry_bound}) needs more "
+                             f"than the work budget {MAX_CENSUS_WORK}")
+
+    poly = _iterated_connected_sum(n, k)
+    reps = []
+    for rows in sign_orbit_representatives(poly, entry_bound, charge):
+        charge(len(poly.vertices) * poly.num_facets)
+        reps.append(rows)
+    matches = {}
+    for rows in reps:
+        manifold = QuasitoricManifold._enumerated(poly, rows)
+        try:
+            matches[rows] = tuple(facet_class_decomposition(manifold)[2])
+        except RingShapeError:
+            pass
+    violating = {rows: beta for rows, beta in matches.items()
+                 if any(not 0 < b <= n + 1 for b in beta)}
+    violations = [{"matrix": rows, "beta": violating[rep]}
+                  for rows, rep in sign_orbit_members(poly, violating)]
     return {
         "dimension": n,
         "summands": k,
         "entry_bound": entry_bound,
-        "total_matrices": total,
-        "pattern_matches": len(matches),
-        "beta_vectors": beta_vectors,
+        "total_matrices": len(reps) * 2 ** k,
+        "pattern_matches": len(matches) * 2 ** k,
+        "beta_vectors": sorted({tuple(sorted(beta))
+                                for beta in matches.values()}),
         "beta_bound": n + 1,
         "violations": violations,
         "all_within_bound": not violations,

@@ -10,7 +10,8 @@ from quasigenus.linalg import int_det
 from quasigenus.polytope import (QuasitoricManifold, SimplePolytope,
                                  connected_sum, cube,
                                  enumerate_characteristic_matrices, polygon,
-                                 polytope_product, simplex, vertex_cut)
+                                 polytope_product, sign_orbit_representatives,
+                                 simplex, vertex_cut)
 from quasigenus.theorems import _iterated_connected_sum
 
 
@@ -266,6 +267,71 @@ class TestEnumeration:
                     for i in range(n)))
         assert list(enumerate_characteristic_matrices(poly, 1)) == expected
 
+
+
+def _enumerate_reference(poly, bound):
+    """The backtracking enumeration over every sign, as it was before the
+    sign-orbit cut: free columns run through [-bound, bound]^n in iproduct
+    order, and each vertex's full n x n minor goes through int_det once
+    all of its columns are decided."""
+    n, m = poly.dimension, poly.num_facets
+    base = poly.vertices[0]
+    free = [f for f in range(1, m + 1) if f not in base]
+    cols = {f: tuple(int(i == k) for i in range(n)) for k, f in enumerate(base)}
+    closing = [[v for v in poly.vertices
+                if max((free.index(f) for f in v if f in free), default=-1)
+                == idx] for idx in range(len(free))]
+    boxes = list(iproduct(range(-bound, bound + 1), repeat=n))
+    out = []
+
+    def rec(idx):
+        if idx == len(free):
+            out.append(tuple(tuple(cols[f][i] for f in range(1, m + 1))
+                             for i in range(n)))
+            return
+        for cand in boxes:
+            cols[free[idx]] = cand
+            if all(int_det([[cols[f][i] for f in v] for i in range(n)])
+                   in (1, -1) for v in closing[idx]):
+                rec(idx + 1)
+
+    rec(0)
+    return out
+
+
+ORBIT_CASES = [(simplex(3), 1), (simplex(3), 2), (cube(2), 1), (cube(3), 1),
+               (_iterated_connected_sum(3, 2), 2),
+               (_iterated_connected_sum(4, 2), 1)]
+
+
+class TestSignOrbits:
+    @pytest.mark.parametrize("poly, bound", ORBIT_CASES)
+    def test_matches_reference_in_order(self, poly, bound):
+        assert (list(enumerate_characteristic_matrices(poly, bound))
+                == _enumerate_reference(poly, bound))
+
+    @pytest.mark.parametrize("poly, bound", ORBIT_CASES)
+    def test_representatives_have_positive_leads(self, poly, bound):
+        n, m = poly.dimension, poly.num_facets
+        free = [f for f in range(1, m + 1) if f not in poly.vertices[0]]
+        reps = list(sign_orbit_representatives(poly, bound))
+        for rows in reps:
+            for f in free:
+                assert next(x for x in (row[f - 1] for row in rows) if x) > 0
+        total = len(list(enumerate_characteristic_matrices(poly, bound)))
+        assert total == 2 ** (m - n) * len(reps)
+
+    def test_cube_count(self):
+        assert len(list(enumerate_characteristic_matrices(cube(3), 1))) == 872
+
+    def test_charge_sees_candidates_then_columns(self):
+        # simplex(2): 3^2 candidates filtered for its one free column, then
+        # that column's candidates, the two with entries +-1 and a positive
+        # lead, as the backtracking enters it
+        charged = []
+        reps = list(sign_orbit_representatives(simplex(2), 1, charged.append))
+        assert charged == [9, 2]
+        assert [rows[0][2] for rows in reps] == [1, 1]
 
 
 def test_random_polytopes_stay_simple():

@@ -339,15 +339,17 @@ class TestCensus:
         assert rep["beta_vectors"] == [(4, 4)]
 
     def test_each_vertex_minor_is_checked_once(self, monkeypatch):
-        # the census reads its manifolds from the enumeration's matrices and
-        # does not run the constructor's determinant checks a second time
+        # the census reads its manifolds from its own enumeration of sign-
+        # orbit representatives and runs no int_det outside it: no
+        # constructor re-check and no second enumeration
         calls = []
         real = polytope.int_det
         monkeypatch.setattr(polytope, "int_det",
                             lambda mat: calls.append(1) or real(mat))
         poly = _iterated_connected_sum(3, 2)
-        assert len(list(polytope.enumerate_characteristic_matrices(poly, 1))) == 88
+        assert len(list(polytope.sign_orbit_representatives(poly, 1))) == 22
         alone = len(calls)
+        assert alone > 0
         assert finiteness_census(3, 2, 1)["total_matrices"] == 88
         assert len(calls) == 2 * alone
 
@@ -419,6 +421,38 @@ class TestCensus:
             assert rep["pattern_matches"] == matches
             assert rep["beta_vectors"] == betas
             assert rep["all_within_bound"]
+
+    def test_sizes_admitted_by_the_work_budget(self):
+        for size, total, matches, betas in (((3, 2, 3), 536, 64, [(4, 4)]),
+                                            ((4, 2, 2), 2512, 256, [(5, 5)])):
+            rep = finiteness_census(*size)
+            assert rep["total_matrices"] == total
+            assert rep["pattern_matches"] == matches
+            assert rep["beta_vectors"] == betas
+            assert rep["all_within_bound"]
+
+    def test_work_budget_refuses_before_any_ring(self, monkeypatch):
+        # (5, 3, 1) has 12672 sign orbits of 14 vertices and 8 facets each,
+        # far past the budget: it is refused while still enumerating
+        calls = []
+        monkeypatch.setattr(theorems, "facet_class_decomposition",
+                            lambda manifold: calls.append(1))
+        with pytest.raises(InputError, match="work budget"):
+            finiteness_census(5, 3, 1)
+        assert calls == []
+
+    def test_work_budget_is_charged_as_the_census_goes(self, monkeypatch):
+        # (3, 2, 1): 2 * 3^3 candidate columns filtered, 60 backtracking
+        # nodes and 22 rings of 6 vertices and 5 facets are 774 units
+        monkeypatch.setattr(theorems, "MAX_CENSUS_WORK", 774)
+        assert finiteness_census(3, 2, 1)["total_matrices"] == 88
+        monkeypatch.setattr(theorems, "MAX_CENSUS_WORK", 773)
+        with pytest.raises(InputError, match="work budget 773"):
+            finiteness_census(3, 2, 1)
+
+    def test_dimension_limit(self):
+        with pytest.raises(InputError, match="over the limit 12"):
+            finiteness_census(13, 1, 1)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
