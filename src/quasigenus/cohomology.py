@@ -5,12 +5,21 @@ non-intersecting facet sets and the n linear relations read off the rows of
 the characteristic matrix (Davis-Januszkiewicz).  The linear relations are
 solved at the smallest vertex: its n facet classes become integer linear
 forms in the m - n free facet classes, so what remains is the free
-polynomial algebra modulo the images of the minimal non-faces.  Each degree
-is represented on an explicit monomial basis of free facet labels, computed
-by one sparse exact row reduction (``linalg.rref``) of that degree's
-relations; no Groebner machinery.  The relations have about one nonzero
-per row, and the faces and minimal non-faces come grouped by size from the
-polytope, which computes them once.
+polynomial algebra modulo the images of the minimal non-faces.
+
+What does not depend on the characteristic matrix is the polytope's
+``face_ring_skeleton``, built once per polytope and shared by every ring
+over it: for each degree, the free monomials supported on a face, which
+are the columns (every other monomial is zero, and so is each multiple of
+it), and a shift table giving the column of each such monomial times each
+free class, or None when the product leaves the faces.  A ring expands a
+facet monomial by walking the shift tables from the column of 1, so a term
+off the faces is dropped the moment it appears, and shifts its ideal rows
+the same way.  Each degree's basis then comes from one sparse exact row
+reduction (``linalg.rref``) of that degree's relations on integer columns;
+no Groebner machinery.  The relations have about one nonzero per row, and
+the faces and minimal non-faces come grouped by size from the polytope,
+which computes them once.
 
 Integration against the fundamental class is normalised so that the product
 of the facet classes through the lexicographically least vertex integrates
@@ -30,8 +39,9 @@ integer vectors.
 The census needs only degrees 1 and 2: ``facet_class_decomposition`` reads
 the reductions of the facet classes and of their pairwise products through
 ``reduce_monomial`` and builds neither the structure constants nor a
-``CohomologyClass``.  Reduction tables map each basis monomial to the int
-1, so reductions stay in ints wherever the ring is integral.
+``CohomologyClass``.  Reduction tables are keyed by column and map each
+basis column to the int 1, so reductions stay in ints wherever the ring is
+integral.
 """
 
 import math
@@ -253,8 +263,13 @@ class FaceRing(GradedRing):
 
     Basis tokens are sorted tuples, with repetition, of the free facet
     labels: the facets off the smallest vertex v0.  The empty tuple is 1.
-    ``reduce_monomial`` expresses any facet monomial in the chosen basis (or
-    as 0); it builds the ring's ``structure`` and the facet classes.
+    Everything that depends only on the polytope, the face-supported free
+    monomials of each degree and the shift tables that multiply them by a
+    free class, is the polytope's ``face_ring_skeleton``, shared by every
+    ring over it; a ring adds its linear forms and one row reduction per
+    degree on the skeleton's integer columns.  ``reduce_monomial``
+    expresses any facet monomial in the chosen basis (or as 0); it builds
+    the ring's ``structure`` and the facet classes.
     """
 
     def __init__(self, manifold):
@@ -263,41 +278,38 @@ class FaceRing(GradedRing):
         n, m = p.dimension, p.num_facets
         self.dimension = n
         self.num_generators = m
+        skeleton = self.skeleton = p.face_ring_skeleton()
         base = p.vertices[0]
         sign, weights = unimodular_inverse(manifold.minor(base))
-        free = [f for f in range(1, m + 1) if f not in base]
+        vectors = [manifold.column(j) for j in skeleton.free]
         # Pairing the relations sum_j lambda_j v_j = 0 with the weight w_b
         # dual to base facet b leaves v_b = -sum_free <w_b, lambda_j> v_j.
-        self._forms = {f: {f: 1} for f in free}
+        # Each form is a tuple of (free index, coefficient) pairs.
+        self._forms = {f: ((i, 1),) for i, f in enumerate(skeleton.free)}
         for b, w in zip(base, weights):
-            dots = {j: sum(x * y for x, y in zip(w, manifold.column(j)))
-                    for j in free}
-            self._forms[b] = {j: -a for j, a in dots.items() if a}
-        faces, non_faces = p.faces()
-        monos, ideal = [()], []
+            dots = (sum(x * y for x, y in zip(w, col)) for col in vectors)
+            self._forms[b] = tuple((i, -a) for i, a in enumerate(dots) if a)
+        non_faces = p.faces()[1]
+        free = range(len(skeleton.free))
+        ideal = []
         self._bases, self._reductions = [], []
-        for d in range(n + 2):
-            # Columns: free monomials supported on a face (the others are
-            # zero).  Rows: the previous degree's ideal times each free
-            # class, plus the images of the minimal non-faces of size d.
-            if d:
-                monos = [t + (j,) for t in monos for j in free
-                         if not t or j >= t[-1]]
-                monos = [t for t in monos
-                         if (s := tuple(sorted(set(t)))) in faces[len(s)]]
-            column = {t: i for i, t in enumerate(monos)}
-            polys = [{tuple(sorted(t + (j,))): c for t, c in row.items()}
-                     for row in ideal for j in free]
-            polys += [self._expand(s) for s in non_faces[d]]
-            red, pivots = rref([{column[t]: c for t, c in poly.items()
-                                 if t in column} for poly in polys])
-            reduction = {monos[c]: {monos[i]: -x for i, x in r.items()
-                                    if i != c}
-                         for r, c in zip(red, pivots)}
-            basis = tuple(t for t in monos if t not in reduction)
-            reduction.update({t: {t: 1} for t in basis})
-            ideal = [{monos[i]: x for i, x in r.items()} for r in red]
-            self._bases.append(basis)
+        for d, monos in enumerate(skeleton.monomials):
+            # Columns: the skeleton's free monomials of degree d.  Rows: the
+            # previous degree's ideal times each free class, plus the
+            # images of the minimal non-faces of size d.
+            shift = skeleton.shifts[d]
+            rows = [{s: x for c, x in row.items()
+                     if (s := shift[c][i]) is not None}
+                    for row in ideal for i in free]
+            rows += [self._expand(s) for s in non_faces[d]]
+            ideal, pivots = rref(rows)
+            # Keyed by column: a pivot maps to minus the rest of its row,
+            # a basis column to itself.
+            reduction = {c: {i: -x for i, x in r.items() if i != c}
+                         for r, c in zip(ideal, pivots)}
+            basis = [c for c in range(len(monos)) if c not in reduction]
+            reduction.update({c: {c: 1} for c in basis})
+            self._bases.append(tuple(monos[c] for c in basis))
             self._reductions.append(reduction)
         if len(self._bases[n]) != 1:
             raise PropertyViolationError(
@@ -314,14 +326,21 @@ class FaceRing(GradedRing):
                           / self.reduce_monomial(base)[self._bases[n][0]])
 
     def _expand(self, mono):
-        """A facet monomial as an integer polynomial in the free classes."""
-        poly = {(): 1}
-        for f in mono:
-            out = {}
-            for t, c in poly.items():
-                for j, a in self._forms[f].items():
-                    key = tuple(sorted(t + (j,)))
-                    out[key] = out.get(key, 0) + c * a
+        """A facet monomial as an integer polynomial in the free classes,
+        ``{column: coefficient}`` in degree len(mono).  It walks the shift
+        tables from the column of 1, so a term off the faces is dropped as
+        soon as it appears."""
+        shifts = self.skeleton.shifts
+        poly = {0: 1}
+        for d, f in enumerate(mono, 1):
+            shift, out = shifts[d], {}
+            form = self._forms[f]
+            for c, x in poly.items():
+                row = shift[c]
+                for i, a in form:
+                    s = row[i]
+                    if s is not None:
+                        out[s] = out.get(s, 0) + x * a
             poly = out
         return poly
 
@@ -353,14 +372,16 @@ class FaceRing(GradedRing):
         if bad:
             raise InputError(
                 f"facet labels {bad} leave 1..{self.num_generators}")
-        if len(mono) > self.dimension:
+        d = len(mono)
+        if d > self.dimension:
             return {}
-        table = self._reductions[len(mono)]
+        table = self._reductions[d]
         out = {}
         for t, c in self._expand(mono).items():
-            for tok, x in table.get(t, {}).items():
-                out[tok] = out.get(tok, 0) + c * x
-        return {tok: _rational(x) for tok, x in out.items() if x}
+            for i, x in table[t].items():
+                out[i] = out.get(i, 0) + c * x
+        monos = self.skeleton.monomials[d]
+        return {monos[i]: _rational(x) for i, x in out.items() if x}
 
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))

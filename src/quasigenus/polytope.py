@@ -10,6 +10,7 @@ characteristic matrix whose vertex minors are unimodular, and a stable
 complex twist vector of odd integers, one per facet.
 """
 
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations, product as iproduct
 
@@ -26,7 +27,7 @@ class SimplePolytope:
     """
 
     __slots__ = ("dimension", "num_facets", "vertices", "_vertex_index",
-                 "_faces")
+                 "_faces", "_skeleton")
 
     def __init__(self, dimension, num_facets, vertices):
         n, m = int(dimension), int(num_facets)
@@ -54,7 +55,7 @@ class SimplePolytope:
         self.num_facets = m
         self.vertices = tuple(verts)
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._faces = None
+        self._faces = self._skeleton = None
         self._check_simplicity()
 
     def _check_simplicity(self):
@@ -111,6 +112,14 @@ class SimplePolytope:
             self._faces = tuple(map(frozenset, faces)), tuple(non_faces)
         return self._faces
 
+    def face_ring_skeleton(self):
+        """The ``FaceRingSkeleton`` every face ring over this polytope
+        expands along.  Computed on first use and kept, like ``faces()``,
+        so it lives exactly as long as the polytope."""
+        if self._skeleton is None:
+            self._skeleton = FaceRingSkeleton(self)
+        return self._skeleton
+
     def __eq__(self, other):
         return (isinstance(other, SimplePolytope)
                 and self.dimension == other.dimension
@@ -123,6 +132,54 @@ class SimplePolytope:
     def __repr__(self):
         return (f"SimplePolytope(dim={self.dimension}, facets={self.num_facets}, "
                 f"vertices={len(self.vertices)})")
+
+
+def _insert(t, j):
+    """The sorted tuple t with j inserted."""
+    i = bisect_right(t, j)
+    return t[:i] + (j,) + t[i:]
+
+
+class FaceRingSkeleton:
+    """The part of a face ring that depends only on the polytope.
+
+    ``free`` lists the free facets, those off the smallest vertex, in
+    increasing order.  For each degree d = 0..n + 1, ``monomials[d]`` lists
+    the sorted tuples of d free facet labels, with repetition, whose
+    support is a face, in lexicographic order; the others are zero in every
+    face ring (Davis-Januszkiewicz), and so is each multiple of them.
+    ``columns[d]`` maps each back to its position, its column.  For d >= 1,
+    ``shifts[d][c][i]`` is the column of monomials[d - 1][c] times
+    free[i], or None when that product lies off every face.
+    """
+
+    __slots__ = ("free", "monomials", "columns", "shifts")
+
+    def __init__(self, polytope):
+        faces, _ = polytope.faces()
+        free = self.free = tuple(f for f in range(1, polytope.num_facets + 1)
+                                 if f not in polytope.vertices[0])
+        grown = [((), ())]  # (monomial, its support) pairs
+        monomials, columns, shifts = [], [], [()]
+        for d in range(polytope.dimension + 2):
+            if d:
+                # Extend each monomial by a label no smaller than its last:
+                # a repeated label keeps the support, which is a face.
+                grown = [(t + (j,), s if t and j == t[-1] else s + (j,))
+                         for t, s in grown for j in free
+                         if not t or j >= t[-1]]
+                grown = [(t, s) for t, s in grown if s in faces[len(s)]]
+            monos = tuple(t for t, _ in grown)
+            column = {t: c for c, t in enumerate(monos)}
+            if d:
+                shifts.append(tuple(
+                    tuple(column.get(_insert(t, j)) for j in free)
+                    for t in monomials[-1]))
+            monomials.append(monos)
+            columns.append(column)
+        self.monomials = tuple(monomials)
+        self.columns = tuple(columns)
+        self.shifts = tuple(shifts)
 
 
 def simplex(n):

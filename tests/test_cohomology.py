@@ -1,5 +1,6 @@
 """Face rings, Poincare pairing, p1, facet-class decompositions."""
 
+import gc
 import hashlib
 import json
 import random
@@ -10,20 +11,23 @@ from pathlib import Path
 
 import pytest
 
+from quasigenus import cohomology
 from quasigenus.cli import main
-from quasigenus.cohomology import (CohomologyClass, SyntheticConnectedSumRing,
-                                   build_face_ring, facet_class_decomposition)
+from quasigenus.cohomology import (CohomologyClass, FaceRing,
+                                   SyntheticConnectedSumRing, build_face_ring,
+                                   facet_class_decomposition)
 from quasigenus.errors import (InputError, PropertyViolationError,
                                RingShapeError)
 from quasigenus.genus import localization_integral
-from quasigenus.linalg import unimodular_inverse
+from quasigenus.linalg import rref, unimodular_inverse
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
-from quasigenus.polytope import (QuasitoricManifold, connected_sum, cube,
+from quasigenus.polytope import (FaceRingSkeleton, QuasitoricManifold,
+                                 connected_sum, cube,
                                  enumerate_characteristic_matrices,
                                  polytope_product, simplex)
-from quasigenus.theorems import _iterated_connected_sum
+from quasigenus.theorems import _iterated_connected_sum, finiteness_census
 
 
 def localization_pairing_oracle(manifold, facet_labels, xi):
@@ -507,3 +511,229 @@ class TestClassArithmetic:
         census = off_corner_manifolds()[1:]
         assert [str(build_face_ring(m).pontryagin_p1())
                 for m in census] == ["4*v3^2", "4*v3^2"]
+
+
+# -- the face ring without the polytope skeleton ------------------------------
+
+def _face_ring_reference(manifold):
+    """The face ring as each ring once built it alone: its own monomial
+    lists per degree, and an expansion that multiplies a monomial out into
+    every free monomial before dropping those off the faces.  Returns
+    (bases by degree, top value, reduce_monomial)."""
+    p = manifold.polytope
+    n, m = p.dimension, p.num_facets
+    base = p.vertices[0]
+    sign, weights = unimodular_inverse(manifold.minor(base))
+    free = [f for f in range(1, m + 1) if f not in base]
+    forms = {f: {f: 1} for f in free}
+    for b, w in zip(base, weights):
+        dots = {j: sum(x * y for x, y in zip(w, manifold.column(j)))
+                for j in free}
+        forms[b] = {j: -a for j, a in dots.items() if a}
+
+    def expand(mono):
+        poly = {(): 1}
+        for f in mono:
+            out = {}
+            for t, c in poly.items():
+                for j, a in forms[f].items():
+                    key = tuple(sorted(t + (j,)))
+                    out[key] = out.get(key, 0) + c * a
+            poly = out
+        return poly
+
+    faces, non_faces = p.faces()
+    monos, ideal = [()], []
+    bases, reductions = [], []
+    for d in range(n + 2):
+        if d:
+            monos = [t + (j,) for t in monos for j in free
+                     if not t or j >= t[-1]]
+            monos = [t for t in monos
+                     if (s := tuple(sorted(set(t)))) in faces[len(s)]]
+        column = {t: i for i, t in enumerate(monos)}
+        polys = [{tuple(sorted(t + (j,))): c for t, c in row.items()}
+                 for row in ideal for j in free]
+        polys += [expand(s) for s in non_faces[d]]
+        red, pivots = rref([{column[t]: c for t, c in poly.items()
+                             if t in column} for poly in polys])
+        reduction = {monos[c]: {monos[i]: -x for i, x in r.items() if i != c}
+                     for r, c in zip(red, pivots)}
+        basis = tuple(t for t in monos if t not in reduction)
+        reduction.update({t: {t: 1} for t in basis})
+        ideal = [{monos[i]: x for i, x in r.items()} for r in red]
+        bases.append(basis)
+        reductions.append(reduction)
+    if len(bases[n]) != 1 or bases.pop():
+        raise PropertyViolationError("inconsistent characteristic data")
+
+    def reduce_monomial(mono):
+        if len(mono) > n:
+            return {}
+        out = {}
+        for t, c in expand(mono).items():
+            for tok, x in reductions[len(mono)].get(t, {}).items():
+                out[tok] = out.get(tok, 0) + c * x
+        return {tok: x.numerator if x.denominator == 1 else x
+                for tok, x in out.items() if x}
+
+    top_value = Fraction(sign) / reduce_monomial(base)[bases[n][0]]
+    return bases, top_value, reduce_monomial
+
+
+def _summed_projective_spaces(n, k):
+    """A manifold over ``_iterated_connected_sum(n, k)``: CP^n's columns on
+    the first simplex, and each glued simplex's fresh facet gets minus the
+    sum of the columns on the vertex it is glued at, so every new vertex
+    minor is unimodular."""
+    poly = simplex(n)
+    cols = {j: tuple(int(i == j - 1) for i in range(n))
+            for j in range(1, n + 1)}
+    cols[n + 1] = (-1,) * n
+    for _ in range(k - 1):
+        extra = simplex(n)
+        v = poly.vertices[0]
+        poly = connected_sum(poly, v, extra, extra.vertices[0])
+        cols[poly.num_facets] = tuple(-sum(cols[f][i] for f in v)
+                                      for i in range(n))
+    assert poly == _iterated_connected_sum(n, k)
+    rows = [[cols[j][i] for j in range(1, poly.num_facets + 1)]
+            for i in range(n)]
+    return QuasitoricManifold(poly, rows, (1,) * poly.num_facets)
+
+
+def _assert_matches_reference(manifold, monomials=None):
+    """The ring equals the reference on its bases, Betti numbers, top value
+    and every reduction, key order included; by default every facet
+    monomial up to the dimension is reduced."""
+    ring = build_face_ring(manifold)
+    bases, top_value, reduce_monomial = _face_ring_reference(manifold)
+    n = ring.dimension
+    assert [ring.basis(d) for d in range(n + 1)] == bases
+    assert ring.betti_numbers() == tuple(map(len, bases))
+    assert ring.top_value == top_value
+    if monomials is None:
+        labels = range(1, ring.num_generators + 1)
+        monomials = (mono for d in range(n + 1)
+                     for mono in combinations_with_replacement(labels, d))
+    for mono in monomials:
+        assert list(ring.reduce_monomial(mono).items()) == list(
+            reduce_monomial(mono).items()), mono
+
+
+class TestSkeletonAgainstReference:
+    """Rings expanded along the polytope skeleton against rings that build
+    their own monomial lists and multiply out before they filter."""
+
+    @pytest.mark.parametrize("manifold", [
+        *(projective_space(n) for n in range(1, 5)),
+        *(sphere_product(n) for n in range(1, 5))],
+        ids=[f"cp{n}" for n in range(1, 5)] + [f"s2^{n}" for n in range(1, 5)])
+    def test_named_manifolds(self, manifold):
+        _assert_matches_reference(manifold)
+
+    def test_manifests(self):
+        manifests = Path(__file__).resolve().parent.parent / "manifests"
+        paths = sorted(manifests.glob("*.ini"))
+        assert len(paths) == 5
+        for path in paths:
+            _assert_matches_reference(
+                parse_manifest(path.read_text()).build_manifold())
+
+    def test_every_census_matrix(self):
+        poly = _iterated_connected_sum(3, 2)
+        mats = list(enumerate_characteristic_matrices(poly, 1))
+        assert len(mats) == 88
+        for rows in mats:
+            _assert_matches_reference(
+                QuasitoricManifold._enumerated(poly, rows))
+
+    def test_rings_with_denominator_four(self):
+        rings = _delta_four_census_rings(2, 12)
+        assert len(rings) == 2
+        for ring in rings:
+            _assert_matches_reference(ring.manifold)
+
+    def test_nine_dimensional_eight_fold_sum(self):
+        # Every facet monomial up to degree 2, every face-supported free
+        # monomial (the reduction tables) and seeded monomials of each
+        # higher degree; all monomials up to degree 9 are about 3 * 10^6.
+        manifold = _summed_projective_spaces(9, 8)
+        skeleton = manifold.polytope.face_ring_skeleton()
+        labels = range(1, 18)
+        rng = random.Random(17)
+        monomials = [mono for d in range(3)
+                     for mono in combinations_with_replacement(labels, d)]
+        monomials += [mono for block in skeleton.monomials[3:10]
+                      for mono in block]
+        monomials += [tuple(sorted(rng.choices(labels, k=d)))
+                      for d in range(3, 10) for _ in range(40)]
+        monomials += list(manifold.polytope.vertices)
+        _assert_matches_reference(manifold, monomials)
+        ring = build_face_ring(manifold)
+        assert ring.betti_numbers() == (1,) + (8,) * 8 + (1,)
+
+
+class TestSkeletonSharing:
+    def test_census_rings_share_their_polytope_skeleton(self, monkeypatch):
+        rings = []
+        init = FaceRing.__init__
+
+        def recording(self, manifold):
+            init(self, manifold)
+            rings.append(self)
+
+        monkeypatch.setattr(FaceRing, "__init__", recording)
+        finiteness_census(3, 2, 1)
+        first = rings[0].skeleton
+        assert len(rings) == 22
+        assert all(ring.skeleton is first for ring in rings)
+        assert first is rings[0].manifold.polytope.face_ring_skeleton()
+        for ring in rings:
+            assert [sorted(table) for table in ring._reductions] == [
+                list(range(len(block))) for block in first.monomials[:-1]]
+        count = len(rings)
+        finiteness_census(3, 2, 1)
+        assert rings[count].manifold.polytope is not rings[0].manifold.polytope
+        assert rings[count].skeleton is not first
+        assert all(ring.skeleton is rings[count].skeleton
+                   for ring in rings[count:])
+
+    def test_no_module_level_cache(self):
+        def sizes():
+            return {name: len(value)
+                    for name, value in vars(cohomology).items()
+                    if isinstance(value, (dict, list, set))}
+
+        def live_skeletons():
+            gc.collect()
+            return sum(isinstance(x, FaceRingSkeleton)
+                       for x in gc.get_objects())
+
+        finiteness_census(3, 2, 1)
+        before = sizes(), live_skeletons()
+        for _ in range(3):
+            finiteness_census(3, 2, 1)
+        assert (sizes(), live_skeletons()) == before
+
+    def test_skeleton_shifts_multiply_by_free_classes(self):
+        for p in (cube(3), _iterated_connected_sum(4, 3),
+                  polytope_product(simplex(2), simplex(2))):
+            skeleton = p.face_ring_skeleton()
+            assert p.face_ring_skeleton() is skeleton
+            faces = p.faces()[0]
+            assert skeleton.free == tuple(
+                f for f in range(1, p.num_facets + 1)
+                if f not in p.vertices[0])
+            for d, block in enumerate(skeleton.monomials):
+                assert list(block) == sorted(
+                    t for t in combinations_with_replacement(skeleton.free, d)
+                    if tuple(sorted(set(t))) in faces[len(set(t))])
+                assert skeleton.columns[d] == {
+                    t: c for c, t in enumerate(block)}
+                if not d:
+                    continue
+                for c, t in enumerate(skeleton.monomials[d - 1]):
+                    for j, s in zip(skeleton.free, skeleton.shifts[d][c]):
+                        product = tuple(sorted(t + (j,)))
+                        assert s == skeleton.columns[d].get(product)

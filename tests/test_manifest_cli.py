@@ -6,7 +6,10 @@ verified property, 2 on invalid input, 3 on an unmet precondition;
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -336,6 +339,23 @@ class TestCliJson:
 class TestCliEnvironment:
     def test_census_precondition_exit(self, capsys):
         assert main(["census", "--n", "3", "--k", "3", "--bound", "1"]) == 3
+
+    def test_module_entry_point_keeps_the_exit_codes(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "quasigenus", *args],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=REPO, timeout=60)
+
+        done = run("describe", CP2, "--json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["betti"] == [1, 1, 1]
+        refused = run("census", "--n", "13", "--k", "1", "--bound", "1")
+        assert refused.returncode == 2
+        assert "over the limit 12" in refused.stderr
 
 
 def _mutate(text, rng):
