@@ -15,15 +15,20 @@ Three small types cover everything the index computations need:
 
 Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
-indices, in place on one coefficient list.  ``poly_mul``, ``poly_divmod``
-and ``cyclotomic`` handle integer polynomials in t as coefficient lists,
-lowest degree first: localization divides a sum of fixed-point numerators
-by a product of cyclotomic polynomials.
+indices, in place on one coefficient list.  Integer polynomials in t are
+coefficient lists, lowest degree first, and are only ever multiplied or
+divided by binomials t^m +- 1, each in one shift-add pass:
+``mul_binomial``, ``divmod_binomial`` and ``binomial_passes``, which
+applies a map {m: exponent} of powers of t^m - 1.  ``binomial_exponents``
+rewrites a product of cyclotomic polynomials in that form, which is how
+localization divides a sum of fixed-point numerators by their common
+denominator.
 """
 
-import itertools
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, sub
 
 
 def _as_fraction(x):
@@ -256,65 +261,80 @@ def binomial_quotient(ups, downs, one, order):
     return QSeries(a, order)
 
 
-def poly_mul(a, b):
-    """Product of two integer polynomials given as coefficient lists."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    n = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
-    return out
-
-
-def poly_divmod(a, b):
-    """Quotient and remainder of the integer polynomial a by the monic b.
-
-    The remainder list has length deg b (shorter when a is), so ``any`` of
-    it says whether b divides a.
-    """
-    if b[-1] != 1:
-        raise ValueError("divisor must be monic")
-    n = len(b) - 1
-    r = list(a)
-    quotient = [0] * max(len(a) - n, 0)
-    lower = b[:-1]
-    for i in range(len(quotient) - 1, -1, -1):
-        c = r[i + n]
-        if c:
-            quotient[i] = c
-            r[i:i + n] = [x - c * y for x, y in zip(r[i:i + n], lower)]
-    return quotient, r[:n]
-
-
 def divisors(n):
     """The positive divisors of n >= 1, ascending."""
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def cyclotomic(d):
-    """The d-th cyclotomic polynomial as an integer coefficient list.
+def binomial_exponents(cyclotomic_exponents):
+    """{m: E_m} with prod_m (t^m - 1)^E_m = prod_d Phi_d^e_d.
 
-    For d > 1, Phi_d = prod (1 - t^(d/s))^mu(s) over the squarefree
-    divisors s of d, a binomial quotient in t that is a polynomial of
-    degree phi(d), so its power series truncated there is exact.
+    ``cyclotomic_exponents`` maps d to e_d and must hold every divisor of
+    each of its keys.  As t^m - 1 = prod_{d | m} Phi_d, e_d is the sum of
+    E_m over the multiples m of d, so E_m = sum_{m | d} e_d mu(d/m), got
+    here from the largest m down; an E_m may be negative.  Zero exponents
+    are dropped.
     """
-    if d < 1:
-        raise ValueError("cyclotomic index must be positive")
-    if d == 1:
-        return [-1, 1]
-    primes = []
-    for p in divisors(d)[1:]:
-        if all(p % r for r in primes):
-            primes.append(p)
-    degree = d // math.prod(primes) * math.prod(p - 1 for p in primes)
-    ups, downs = [], []
-    for size in range(len(primes) + 1):
-        for chosen in itertools.combinations(primes, size):
-            (downs if size % 2 else ups).append((-1, d // math.prod(chosen)))
-    return binomial_quotient(ups, downs, 1, degree).coeffs
+    out = {}
+    for m in sorted(cyclotomic_exponents, reverse=True):
+        e = cyclotomic_exponents[m] - sum(E for d, E in out.items() if d % m == 0)
+        if e:
+            out[m] = e
+    return out
+
+
+def mul_binomial(a, m, sign=-1):
+    """The integer polynomial a (a coefficient list, lowest degree first)
+    times t^m + sign, for m >= 1 and sign = +-1: a shifted up by m, plus
+    or minus a."""
+    out = [0] * m + a
+    out[:len(a)] = map(add if sign > 0 else sub, out[:len(a)], a)
+    return out
+
+
+def divmod_binomial(a, m):
+    """Quotient and remainder of the integer polynomial a by t^m - 1.
+
+    Quotient coefficient k is a[k + m] + a[k + 2m] + ..., a running sum
+    from the top of each residue class mod m: one ``accumulate`` per
+    class when there are fewer classes than chunks of m, else one
+    shifted addition per chunk of m, from the top down.  The remainder
+    has length min(m, len(a)) and holds the sums of whole residue classes,
+    so ``any`` of it says whether t^m - 1 divides a.
+    """
+    q = a[m:]
+    n = len(q)
+    if m * m < n:
+        for r in range(m):
+            q[r::m] = list(accumulate(q[r::m][::-1]))[::-1]
+    else:
+        for hi in range(n - m, 0, -m):
+            lo = max(hi - m, 0)
+            q[lo:hi] = map(add, q[lo:hi], q[lo + m:hi + m])
+    remainder = a[:m]
+    remainder[:n] = map(add, remainder, q)
+    return q, remainder
+
+
+def binomial_passes(a, exponents):
+    """The integer polynomial a times prod_m (t^m - 1)^exponents[m], as
+    (product, exact).
+
+    The factors with a positive exponent are multiplied in first, smallest
+    m first, then those with a negative one divided out, largest m first,
+    so a division is exact whenever the product is a polynomial.  exact is
+    False, and the product unfinished, once a division leaves a remainder.
+    """
+    for m in sorted(exponents):
+        for _ in range(exponents[m]):
+            a = mul_binomial(a, m)
+    for m in sorted(exponents, reverse=True):
+        for _ in range(-exponents[m]):
+            a, remainder = divmod_binomial(a, m)
+            if any(remainder):
+                return a, False
+    return a, True
 
 
 class TruncatedPolynomial:

@@ -3,8 +3,11 @@
 Localization route: the circle-equivariant index is a Laurent polynomial in
 the circle character t for each power of q.  Each fixed point contributes an
 integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts every
-term over one product D of cyclotomic polynomials, sums the numerators and
-divides by D in Z[t].  A nonzero remainder, or a mismatch with the
+term over one common denominator D, a product of cyclotomic polynomials
+written as a product of binomials t^m - 1 with signed exponents, sums the
+numerators and divides by D in Z[t]; every step multiplies or divides by
+one binomial in a single pass over a coefficient list.  A nonzero
+remainder, or a mismatch with the
 fixed-point sum evaluated in integers at t = 2 and 3 over one common
 denominator each, aborts the computation; it is never papered over.  A
 term's theta product depends only on its weight magnitudes, its signature,
@@ -36,13 +39,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
-from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_quotient,
-                       cyclotomic, divisors, poly_divmod, poly_mul)
+from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_exponents,
+                       binomial_passes, binomial_quotient, divisors, mul_binomial)
 from .linalg import gf2_solve, is_primitive
 from .cohomology import build_face_ring
 
@@ -341,23 +344,6 @@ def _check_limit(name, value, limit):
         raise InputError(f"{name} must lie in 0..{limit}, got {value}")
 
 
-def _prefactor(term):
-    """Coefficients of sigma t^g prod_V (1 - t^-a) prod_W (t^b + 1) times
-    prod_k (t^|w_k| - 1)/(t^w_k - 1), from its lowest exponent upwards.
-
-    (t^|w| - 1)/(t^w - 1) is 1 for w > 0 and -t^|w| for w < 0.  Without
-    its lowest power of t, 1 - t^-a is t^a - 1 for a > 0 and 1 - t^|a| for
-    a < 0, and t^b + 1 is 1 + t^|b|.
-    """
-    coeffs = [term.sigma * (-1) ** sum(w < 0 for w in term.tangent)]
-    for a in term.v_weights:
-        gap = [0] * (abs(a) - 1)
-        coeffs = poly_mul(coeffs, [-1] + gap + [1] if a > 0 else [1] + gap + [-1])
-    for b in term.w_weights:
-        coeffs = poly_mul(coeffs, [1] + [0] * (abs(b) - 1) + [1] if b else [2])
-    return coeffs
-
-
 @lru_cache(maxsize=128)
 def _square_series(tangents, v_count, w_count, q_order):
     """The t-free squares of all theta factors as one integer q-series,
@@ -375,9 +361,10 @@ def _square_series(tangents, v_count, w_count, q_order):
     return tuple(binomial_quotient(ups, downs, 1, q_order).coeffs)
 
 
-def _term_series(term, q_order):
-    """The product of a term's theta factors: row j holds the integer
-    coefficients of t^-j*top .. t^j*top in q^j, top its largest |weight|.
+def _term_series(term, q_order, seed):
+    """The integer polynomial ``seed`` times the product of a term's theta
+    factors: row j holds the coefficients of t^-j*top .. t^j*top + deg seed
+    in q^j, top its largest |weight|.
 
     Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k) of
     ``_theta_binomials`` run the recurrence of
@@ -389,7 +376,7 @@ def _term_series(term, q_order):
     """
     top, ks = term.top, range(1, q_order + 1)
     tangent, v_weights, w_weights = term.signature
-    rows = [[1]] + [[0] * (2 * j * top + 1) for j in ks]
+    rows = [seed] + [[0] * (2 * j * top + len(seed)) for j in ks]
     # dividing by 1 - t^e q^k (tangent) adds row j - k, j rising;
     # multiplying by 1 - t^e q^k (V) or 1 + t^e q^k (W) subtracts or adds
     # it, j falling
@@ -429,27 +416,39 @@ def _divided_sum(terms, parity, q_order):
     """Each q-coefficient of the fixed-point sum as {exponent: integer}.
 
     A term's q^j coefficient is its prefactor times row j of its theta
-    series over prod_k (t^|w_k| - 1), which divides D = prod_d Phi_d^e_d,
+    series over B = prod_k (t^|w_k| - 1), which divides D = prod_d Phi_d^e_d,
     with e_d the most tangent weights at one fixed point that d divides.
-    The numerators over D of one signature are summed first, so each
-    signature's ``_term_series`` is built and multiplied once; the sum is
-    divided by D in Z[t], and a nonzero remainder means it is no Laurent
-    polynomial, so the terms are wrong.  Before any polynomial is built,
-    deg D = sum e_d phi(d) plus the span of the summed numerators must stay
-    within the limit, which a single weight over it already exceeds.
+    As t^m - 1 is the product of Phi_d over d | m, D is also
+    prod_m (t^m - 1)^E_m with E_m = sum_{m | d} e_d mu(d/m), and every
+    step below is a pass of ``exactalg.binomial_passes`` or
+    ``exactalg.mul_binomial``.
+
+    Up to its sign and lowest power of t, a term's prefactor times B is
+    prod_V (t^|a| - 1) prod_W (1 + t^|b|), with 2 for b = 0, so it
+    depends only on the term's signature g, and so does
+    D/B = prod_m (t^m - 1)^(E_m - #{k : |w_k| = m}).  Each signature's
+    numerator over D is therefore its terms' signs at their offsets times
+    these binomials, built once; it seeds the signature's
+    ``_term_series``, whose rows come out multiplied.  Each q^j row sum is
+    divided by D, and a nonzero remainder means it is no Laurent
+    polynomial, so the terms are wrong.
+
+    Before any polynomial is built, deg D = sum m E_m plus the span of the
+    summed numerators must stay within the limit, which a single weight
+    over it already exceeds.  Should a pass list outgrow its final (or,
+    for a row sum, its first) length by more than deg D, that overshoot
+    takes the place of deg D.
     """
     terms = [t for t in terms if not t.zero]
     if not terms:
         return [{}] * (q_order + 1)
     tops = [t.top for t in terms]
     _check_limit("localization degree", max(tops), MAX_LOCALIZATION_DEGREE)
-    counts = [Counter(d for w in t.tangent for d in divisors(abs(w)))
-              for t in terms]
-    exponents = {d: max(c[d] for c in counts) for c in counts for d in c}
-    totient = {}
-    for d in sorted(exponents):
-        totient[d] = d - sum(totient[m] for m in divisors(d)[:-1])
-    degree = sum(e * totient[d] for d, e in exponents.items())
+    # e_d: Counter | Counter keeps the larger count
+    denominator = binomial_exponents(reduce(or_, (
+        Counter(d for w in tangent for d in divisors(w))
+        for tangent in {t.signature[0] for t in terms})))
+    degree = sum(m * e for m, e in denominator.items())
     lows = [(t.halfexp - parity) // 2 - sum(w for w in t.tangent if w < 0)
             + sum(min(0, -a) for a in t.v_weights)
             + sum(min(0, b) for b in t.w_weights) for t in terms]
@@ -457,24 +456,40 @@ def _divided_sum(terms, parity, q_order):
              - sum(map(abs, t.tangent)) for t, low in zip(terms, lows)]
     span = (max(hi + q_order * top for hi, top in zip(highs, tops))
             - min(lo - q_order * top for lo, top in zip(lows, tops)))
-    _check_limit("localization degree", degree + span, MAX_LOCALIZATION_DEGREE)
-    phis = {d: cyclotomic(d) for d in exponents}
-    denominator = reduce(poly_mul, (
-        phis[d] for d, e in exponents.items() for _ in range(e)), [1])
     groups = {}
-    for t, low, count in zip(terms, lows, counts):
-        numerator = reduce(poly_mul, (
-            phis[d] for d, e in exponents.items() for _ in range(e - count[d])),
-            _prefactor(t))
-        groups.setdefault(t.signature, (t, []))[1].append((low, numerator))
-    shared = [(t.top, *_aligned_sum(pieces), _term_series(t, q_order))
-              for t, pieces in groups.values()]
+    for t, low in zip(terms, lows):
+        sign = t.sigma * (-1) ** (sum(w < 0 for w in t.tangent)
+                                  + sum(a < 0 for a in t.v_weights))
+        groups.setdefault(t.signature, (t, []))[1].append((low, [sign]))
+    maps = {}
+    for signature in groups:
+        tangent, v_weights, _ = signature
+        maps[signature] = exponents = Counter(denominator)
+        exponents.subtract(tangent)
+        exponents.update(v_weights)
+    # binomial_passes multiplies before it divides, so a numerator's list
+    # outgrows its final length, and a row sum's list its first, by the
+    # negative part of the map (of E for the row sums); both lengths are
+    # at most span + 1
+    overshoot = max(sum(-m * e for m, e in exponents.items() if e < 0)
+                    for exponents in [denominator, *maps.values()])
+    _check_limit("localization degree", span + max(degree, overshoot),
+                 MAX_LOCALIZATION_DEGREE)
+    shared = []
+    for t, pieces in groups.values():
+        low, numerator = _aligned_sum(pieces)
+        for b in t.signature[2]:
+            numerator = (mul_binomial(numerator, b, 1) if b
+                         else [2 * c for c in numerator])
+        numerator, _ = binomial_passes(numerator, maps[t.signature])
+        shared.append((t.top, low, _term_series(t, q_order, numerator)))
+    inverse = {m: -e for m, e in denominator.items()}
     out = []
     for j in range(q_order + 1):
-        low, total = _aligned_sum([(lo - j * top, poly_mul(numerator, rows[j]))
-                                   for top, lo, numerator, rows in shared])
-        quotient, remainder = poly_divmod(total, denominator)
-        if any(remainder):
+        low, total = _aligned_sum([(lo - j * top, rows[j])
+                                   for top, lo, rows in shared])
+        quotient, exact = binomial_passes(total, inverse)
+        if not exact:
             raise PropertyViolationError(
                 f"the fixed-point sum at q^{j} leaves a nonzero remainder on "
                 "division by its common denominator, so it is no Laurent "

@@ -1,4 +1,5 @@
-"""Half-integer Laurent polynomials, q-series, binomial quotients, Z[t]."""
+"""Half-integer Laurent polynomials, q-series, binomial quotients, and
+multiplying and dividing by t^m - 1 in Z[t]."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from quasigenus.exactalg import (HalfLaurent, QSeries, TruncatedPolynomial,
-                                 binomial_quotient, cyclotomic, poly_divmod,
-                                 poly_mul)
+                                 binomial_exponents, binomial_passes,
+                                 binomial_quotient, divisors, divmod_binomial,
+                                 mul_binomial)
 
 
 def brute_convolution(a, b, order):
@@ -162,48 +164,123 @@ def brute_poly_mul(a, b):
     return out
 
 
+def brute_divmod(a, b):
+    """Schoolbook long division by the monic b: (quotient, remainder), the
+    remainder of length deg b (shorter when a is)."""
+    n = len(b) - 1
+    r = list(a)
+    quotient = [0] * max(len(a) - n, 0)
+    for i in range(len(quotient) - 1, -1, -1):
+        quotient[i] = c = r[i + n]
+        for k, y in enumerate(b):
+            r[i + k] -= c * y
+    return quotient, r[:n]
+
+
+def binomial(m):
+    """t^m - 1 as a coefficient list."""
+    return [-1] + [0] * (m - 1) + [1]
+
+
+def cyclotomic(d):
+    """Phi_d, by dividing t^d - 1 by Phi_s for every proper divisor s."""
+    out = binomial(d)
+    for s in range(1, d):
+        if d % s == 0:
+            out, remainder = brute_divmod(out, cyclotomic(s))
+            assert not any(remainder)
+    return out
+
+
+def brute_product(factors):
+    out = [1]
+    for f in factors:
+        out = brute_poly_mul(out, f)
+    return out
+
+
 class TestIntegerPolynomials:
+    """Multiplying and dividing by t^m - 1 against schoolbook arithmetic.
+    ``divmod_binomial`` takes m running sums when m^2 is below the
+    quotient's length (one per residue class mod m), and one shifted
+    addition per chunk of m otherwise; the cases below reach both."""
+
+    @staticmethod
+    def random_poly(rng, length):
+        return [rng.randint(-6, 6) for _ in range(length)]
+
     def test_mul_against_double_sum(self):
         rng = random.Random(41)
-        for _ in range(100):
-            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 9))]
-            b = [rng.randint(-5, 5) for _ in range(rng.randint(1, 9))]
-            assert poly_mul(a, b) == brute_poly_mul(a, b)
+        for _ in range(200):
+            a = self.random_poly(rng, rng.randint(1, 30))
+            m = rng.choice([1, 2, 3, rng.randint(1, 40)])
+            assert mul_binomial(a, m) == brute_poly_mul(a, binomial(m))
+            plus = [1] + [0] * (m - 1) + [1]
+            assert mul_binomial(a, m, 1) == brute_poly_mul(a, plus)
 
     def test_division_oracle(self):
-        # (t^2 - 1) / (t - 1) = t + 1 by long division; t^2 + 1 leaves 2
-        assert poly_divmod([-1, 0, 1], [-1, 1]) == ([1, 1], [0])
-        assert poly_divmod([1, 0, 1], [-1, 1]) == ([1, 1], [2])
-        assert poly_divmod([5], [1, 0, 1]) == ([], [5])
+        # (t^2 - 1) / (t - 1) = t + 1; t^2 + 1 leaves 2; a constant or a
+        # list no longer than m is all remainder
+        assert divmod_binomial([-1, 0, 1], 1) == ([1, 1], [0])
+        assert divmod_binomial([1, 0, 1], 1) == ([1, 1], [2])
+        assert divmod_binomial([5], 2) == ([], [5])
+        assert divmod_binomial([3, 1, 4], 3) == ([], [3, 1, 4])
+        assert divmod_binomial([3, 1, 4], 5) == ([], [3, 1, 4])
 
     def test_divmod_recovers_quotient_and_remainder(self):
         rng = random.Random(42)
-        for _ in range(100):
-            divisor = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))] + [1]
-            quotient = [rng.randint(-6, 6) for _ in range(rng.randint(1, 7))]
-            remainder = [rng.randint(-6, 6) for _ in range(len(divisor) - 1)]
-            product = poly_mul(quotient, divisor)
-            dividend = [x + (remainder[i] if i < len(remainder) else 0)
-                        for i, x in enumerate(product)]
-            assert poly_divmod(dividend, divisor) == (quotient, remainder)
+        branches = set()
+        for _ in range(300):
+            m = rng.choice([1, 2, 3, 5, rng.randint(1, 30)])
+            quotient = self.random_poly(rng, rng.randint(1, 60))
+            remainder = self.random_poly(rng, m)
+            dividend = brute_poly_mul(quotient, binomial(m))
+            dividend[:m] = [x + r for x, r in zip(dividend, remainder)]
+            assert divmod_binomial(dividend, m) == (quotient, remainder)
+            branches.add(m * m < len(quotient))
+        assert branches == {True, False}
 
-    def test_divisor_must_be_monic(self):
-        with pytest.raises(ValueError):
-            poly_divmod([1, 2, 1], [1, 2])
+    def test_a_non_multiple_reports_a_remainder(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            m = rng.randint(1, 12)
+            a = brute_poly_mul(self.random_poly(rng, rng.randint(1, 40)),
+                               binomial(m))
+            a[rng.randrange(len(a))] += rng.choice([-1, 1]) * rng.randint(1, 5)
+            _, remainder = divmod_binomial(a, m)
+            assert any(remainder)
+            assert binomial_passes(a, {m: -1})[1] is False
 
     def test_cyclotomic_products_are_binomials(self):
-        # oracle: t^n - 1 is the product of Phi_d over the divisors d of n
+        # t^n - 1 is the product of Phi_d over the divisors d of n
         for n in range(1, 121):
-            product = [1]
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    product = poly_mul(product, cyclotomic(d))
-            assert product == [-1] + [0] * (n - 1) + [1]
+            assert binomial_exponents({d: 1 for d in divisors(n)}) == {n: 1}
 
     def test_cyclotomic_values(self):
+        # the test-local oracle against known values, the last being the
+        # first cyclotomic polynomial with a coefficient other than +-1
         assert cyclotomic(1) == [-1, 1]
         assert cyclotomic(6) == [1, -1, 1]
-        # the first cyclotomic polynomial with a coefficient other than +-1
         assert cyclotomic(105)[7] == -2
-        with pytest.raises(ValueError):
-            cyclotomic(0)
+
+    def test_mobius_form_equals_the_cyclotomic_product(self):
+        # prod (t^m - 1)^E_m = prod Phi_d^e_d for random exponent maps on
+        # divisor-closed supports, E_m of either sign
+        rng = random.Random(44)
+        negative = 0
+        for _ in range(60):
+            support = {d for _ in range(rng.randint(1, 4))
+                       for d in divisors(rng.randint(1, 36))}
+            e = {d: rng.randint(0, 3) for d in support}
+            want = brute_product(cyclotomic(d) for d, k in e.items()
+                                 for _ in range(k))
+            exponents = binomial_exponents(e)
+            assert all(exponents.values())
+            negative += any(k < 0 for k in exponents.values())
+            ups = brute_product(binomial(m) for m, k in exponents.items()
+                                for _ in range(k))
+            downs = brute_product(binomial(m) for m, k in exponents.items()
+                                  for _ in range(-k))
+            assert brute_poly_mul(want, downs) == ups
+            assert binomial_passes([1], exponents) == (want, True)
+        assert negative >= 10

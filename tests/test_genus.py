@@ -8,6 +8,7 @@ q-series is strong evidence both are right.  Individual values are frozen
 from independent hand computations done inline.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
-from quasigenus import genus
+from quasigenus import exactalg, genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
                                PropertyViolationError, SpinObstructionError)
 from quasigenus.exactalg import QSeries, TruncatedPolynomial, binomial_quotient
@@ -971,7 +972,7 @@ class TestSharedTheta:
         for case in range(120):
             term = _random_term(rng)
             q_order = case % 7
-            assert (genus._term_series(term, q_order)
+            assert (genus._term_series(term, q_order, [1])
                     == _term_series_reference(term, q_order))
 
     def test_rows_depend_only_on_the_signature(self):
@@ -981,11 +982,27 @@ class TestSharedTheta:
             other = _scrambled(term, rng)
             assert other.signature == term.signature
             for q_order in (0, 1, 3, 5):
-                assert (genus._term_series(other, q_order)
-                        == genus._term_series(term, q_order))
+                assert (genus._term_series(other, q_order, [1])
+                        == genus._term_series(term, q_order, [1]))
                 for p, r in ((2, 1), (3, 1), (5, 3)):
                     assert (genus._theta_at(other, p, r, q_order)
                             == genus._theta_at(term, p, r, q_order))
+
+    def test_a_seed_multiplies_every_row(self):
+        # the rows are linear in the seed: seeded with N they are N times
+        # the rows seeded with 1, by the defining double sum
+        rng = random.Random(9)
+        for case in range(40):
+            term = _random_term(rng)
+            q_order = case % 5
+            seed = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
+            plain = genus._term_series(term, q_order, [1])
+            for row, got in zip(plain, genus._term_series(term, q_order, seed)):
+                want = [0] * (len(seed) + len(row) - 1)
+                for i, x in enumerate(seed):
+                    for k, y in enumerate(row):
+                        want[i + k] += x * y
+                assert got == want
 
     def test_integer_held_out_values_equal_the_fraction_reference(self):
         rng = random.Random(7)
@@ -1098,6 +1115,76 @@ class TestInputLimits:
         assert eq.value_at_one().coeffs == [1]
         with pytest.raises(InputError, match="localization degree"):
             equivariant_index(m, (k + 1, 1), None, 0)
+
+
+def _list_lengths(value):
+    """Lengths of the integer coefficient lists in a result."""
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        yield len(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _list_lengths(item)
+
+
+class TestDegreeLimit:
+    def test_no_list_outgrows_the_limit(self, monkeypatch):
+        # every coefficient list the division builds on the largest accepted
+        # circle (k, 1) of CP^2 has at most MAX_LOCALIZATION_DEGREE + 1
+        # entries, the intermediate lists of the binomial passes included
+        lengths = []
+
+        def watched(fn):
+            def run(*args):
+                out = fn(*args)
+                lengths.extend(_list_lengths(out))
+                return out
+            return run
+        for module, name in ((exactalg, "mul_binomial"),
+                             (exactalg, "divmod_binomial"),
+                             (genus, "mul_binomial"),
+                             (genus, "binomial_passes"),
+                             (genus, "_term_series"),
+                             (genus, "_aligned_sum")):
+            monkeypatch.setattr(module, name, watched(getattr(module, name)))
+        m = projective_space(2)
+        k = genus.MAX_LOCALIZATION_DEGREE + 1
+        eq = None
+        while eq is None:
+            k -= 1
+            lengths.clear()
+            try:
+                eq = equivariant_index(m, (k, 1), None, 0)
+            except InputError:
+                assert not lengths
+        assert eq.value_at_one().coeffs == [1]
+        assert 2 * k <= max(lengths) <= genus.MAX_LOCALIZATION_DEGREE + 1
+
+
+def _character_digest(eq):
+    text = repr((eq.parity, [sorted(c.coeffs.items())
+                             for c in eq.series.coeffs]))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedCharacters:
+    """Characters at the q-order limit on the largest circles of the
+    degree-limit measurements in docs/manifest_format.md, pinned by
+    digests recorded at commit 3a5f496, whose localization divided by
+    dense products of cyclotomic polynomials."""
+
+    def test_characters_at_q_order_twelve(self):
+        parsed = parse_manifest((MANIFESTS / "cp3_twisted.ini").read_text())
+        characters = [
+            equivariant_index(parsed.build_manifold(), (47, -46, 44),
+                              parsed.bundles(), 12),
+            equivariant_index(projective_space(5), (39, -38, 36, -33, 29),
+                              None, 12),
+            equivariant_witten_genus(sphere_product_spin(5),
+                                     (88, 87, 86, 85, 84), 12)]
+        assert [_character_digest(eq) for eq in characters] == [
+            "fb4889089911bc75e8904cdf69dfcb98e2e836bfad9e9aecde11343909b6ae54",
+            "ea96cdd39b4fadd1afea24f895f3620b7e2fbb5f4b645046d3438b2f581d60ec",
+            "efc88ecf33185ae9d64abd82c49393bfd0d5c64b62da6d84b95deb38000cd7f1"]
 
 
 class TestRandomInstances:
