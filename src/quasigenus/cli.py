@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import (InputError, PreconditionError, PropertyViolationError,
                      WorkbenchError)
@@ -318,7 +319,10 @@ def cmd_census(args):
     return 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process.  Parsing leaves it
+    unchanged; ``main`` finds the handler by command name at call time."""
     parser = argparse.ArgumentParser(
         prog="quasigenus",
         description="Exact twisted Dirac indices of quasitoric manifolds")
@@ -327,7 +331,6 @@ def build_parser():
     p = sub.add_parser("describe", help="basic invariants of a manifest")
     p.add_argument("manifest")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("genus", help="twisted index q-series")
     p.add_argument("manifest")
@@ -339,7 +342,6 @@ def build_parser():
                    help="circle vector, e.g. '1,2'; emits Laurent coefficients "
                         "(not with --twist signature)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("verify", help="run one verifier")
     p.add_argument("manifest", nargs="?")
@@ -348,22 +350,21 @@ def build_parser():
                    help="truncation order of the index-I equivariant check "
                         "(default: 3)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("census", help="characteristic matrix census")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_census)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handlers = {"describe": cmd_describe, "genus": cmd_genus,
+                "verify": cmd_verify, "census": cmd_census}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -35,18 +35,18 @@ the final Laurent polynomials.
 """
 
 import math
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
-from operator import add, mul, or_, sub
+from operator import add, mul, neg, or_, sub
 from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
 from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_exponents,
                        binomial_passes, binomial_quotient, divisors, mul_binomial)
-from .linalg import gf2_solve, is_primitive
+from .linalg import gf2_solve
 from .cohomology import build_face_ring
 
 
@@ -333,10 +333,6 @@ def _fixed_point_sum_at(terms, parity, tau, q_order):
 # before any polynomial is built (docs/manifest_format.md).
 MAX_Q_ORDER = 12
 MAX_LOCALIZATION_DEGREE = 3000
-# Largest number of candidate vectors the generic circle search may cost,
-# predicted shell by shell before each is enumerated.  CP^6 needs box bound
-# 3 (58824 candidates); CP^7 would need bound 4 (2391484).
-MAX_CIRCLE_CANDIDATES = 10 ** 5
 
 
 def _check_limit(name, value, limit):
@@ -433,11 +429,10 @@ def _divided_sum(terms, parity, q_order):
     divided by D, and a nonzero remainder means it is no Laurent
     polynomial, so the terms are wrong.
 
-    Before any polynomial is built, deg D = sum m E_m plus the span of the
-    summed numerators must stay within the limit, which a single weight
-    over it already exceeds.  Should a pass list outgrow its final (or,
-    for a row sum, its first) length by more than deg D, that overshoot
-    takes the place of deg D.
+    Before any polynomial is built, the span of the summed numerators over
+    D, which includes deg D = sum m E_m, plus the most a pass list can
+    outgrow its final (or, for a row sum, its first) length must stay
+    within the limit, which a single weight over it already exceeds.
     """
     terms = [t for t in terms if not t.zero]
     if not terms:
@@ -473,7 +468,7 @@ def _divided_sum(terms, parity, q_order):
     # at most span + 1
     overshoot = max(sum(-m * e for m, e in exponents.items() if e < 0)
                     for exponents in [denominator, *maps.values()])
-    _check_limit("localization degree", span + max(degree, overshoot),
+    _check_limit("localization degree", span + overshoot,
                  MAX_LOCALIZATION_DEGREE)
     shared = []
     for t, pieces in groups.values():
@@ -577,13 +572,13 @@ def equivariant_index(manifold, xi, bundles, q_order):
 def choose_generic_circles(manifold, bundles=None, count=2):
     """Deterministic generic circle vectors, cheapest first.
 
-    Candidates are primitive integer vectors enumerated by growing box
-    bound, each bound adding only its shell; genericity means no tangent
-    weight pairs to zero anywhere.  The cost orders candidates by the total
-    weight mass they produce, which is what the polynomial degrees of
-    localization scale with, and ties by the vector.  Before a shell is
-    enumerated its size is predicted, and a search whose shells would
-    cost more than ``MAX_CIRCLE_CANDIDATES`` candidates is refused.
+    Candidates are primitive integer vectors with a positive first nonzero
+    entry; genericity means no tangent weight pairs to zero anywhere.  The
+    cost orders candidates by the total weight mass they produce, which is
+    what the polynomial degrees of localization scale with, and ties by the
+    vector.  The result is the ``count`` cheapest candidates of the smallest
+    box [-b, b]^n that holds ``count`` of them, found by
+    ``_cheapest_in_box`` within ``MAX_CIRCLE_NODES`` search nodes.
     """
     n = manifold.dimension
     fps = manifold.fixed_points()
@@ -591,82 +586,118 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     if bundles is not None:
         bundles.validate_for(manifold)
         lines = list(bundles.v_lines) + list(bundles.w_lines)
+    if n == 1:
+        # one primitive direction: scaled copies give honest independent
+        # evaluations for cross-checking
+        return [CircleSubgroup((k,)) for k in range(1, count + 1)]
 
     # The mass is sum |<u, xi>| over every fixed point's tangent weights u
     # and, for each line, its vector u = sum_k line[f_k] w_k there, so it is
     # a weighted sum over the distinct vectors up to sign.
+    zero = (0,) * n
+
     def up_to_sign(u):
-        return max(u, tuple(-x for x in u))
+        return u if u > zero else tuple(map(neg, u))
 
-    masses = Counter()
-    for fp in fps:
-        vectors = list(fp.weights)
-        for line in lines:
-            vectors.append(tuple(
-                sum(line[f - 1] * w[i] for f, w in zip(fp.vertex, fp.weights))
-                for i in range(n)))
-        masses.update(map(up_to_sign, vectors))
-    weights = {up_to_sign(w) for fp in fps for w in fp.weights}
-
-    def cost(xi):
-        if any(_dot(w, xi) == 0 for w in weights):
-            return None
-        return sum(c * abs(_dot(u, xi)) for u, c in masses.items())
-
-    found = []
-    for shell in _shells(n, count):
-        found += [(c, xi) for xi in shell if (c := cost(xi)) is not None]
-        if len(found) >= count:
-            break
-    if len(found) < count:
-        raise DegenerateCircleError(
-            "could not find enough generic circle vectors; "
-            "the characteristic data is degenerate")
-    found.sort()
-    return [CircleSubgroup(xi) for _, xi in found[:count]]
+    tangents = [up_to_sign(w) for fp in fps for w in fp.weights]
+    masses = Counter(tangents)
+    masses.update(up_to_sign(tuple(
+        sum(line[f - 1] * w[i] for f, w in zip(fp.vertex, fp.weights))
+        for i in range(n))) for fp in fps for line in lines)
+    best = _cheapest_in_box(n, masses, set(tangents), count)
+    return [CircleSubgroup(xi) for _, xi in best]
 
 
-def _shells(n, count):
-    """The candidate shells of ``choose_generic_circles``, box bound 1 to 64.
+# Largest number of nodes the generic circle search may visit over all the
+# boxes it searches; a node is a partial vector whose completed tangent
+# weights all pair nonzero.  CP^8 needs 55812, CP^9 would need 2931542.
+MAX_CIRCLE_NODES = 6 * 10 ** 4
 
-    Only one primitive direction exists for n = 1; scaled copies give
-    honest independent evaluations for cross-checking.  Otherwise the shell
-    of bound b holds ((2b+1)^n - (2b-1)^n)/2 vectors before the primitivity
-    test, and the running total of that prediction is checked against
-    ``MAX_CIRCLE_CANDIDATES`` before the shell is enumerated.
+
+def _cheapest_in_box(n, masses, weights, count):
+    """The ``count`` cheapest (cost, xi) of the smallest box that holds
+    ``count`` primitive generic vectors, sorted.
+
+    Box bound b = 1, 2, ... adds only its shell, the vectors whose largest
+    |entry| is b, to the candidates of the boxes before it, which number
+    fewer than ``count``.  A shell is searched depth first, one coordinate
+    at a time with small |x| first, carrying every mass vector's partial
+    dot product; a vector's pairing is final at its last nonzero
+    coordinate, where a tangent weight rules out the one value that pairs
+    it to zero.  Once ``count`` candidates are held, a branch is cut when
+    its completed mass, plus one unit for each open tangent weight since it
+    must pair nonzero, passes the dearest of them, or equals its cost with
+    a greater prefix.  Primitivity is tested at the leaves.
     """
-    if n == 1:
-        yield [(k,) for k in range(1, count + 1)]
-        return
-    predicted = 0
-    for bound in range(1, 65):
-        predicted += ((2 * bound + 1) ** n - (2 * bound - 1) ** n) // 2
-        if predicted > MAX_CIRCLE_CANDIDATES:
-            raise InputError(
-                f"generic circle search in dimension {n} would cost "
-                f"{predicted} candidates by box bound {bound}, over the "
-                f"limit {MAX_CIRCLE_CANDIDATES}")
-        yield _primitive_shell(n, bound)
+    # dots at depth i holds the partial pairings of the vectors that close
+    # at i or later, ordered by closing coordinate, tangent weights first,
+    # so the weights closing at i lead the list
+    ends = {u: max(i for i, a in enumerate(u) if a) for u in masses if any(u)}
+    vectors = sorted(ends, key=lambda u: (ends[u], u not in weights))
+    closing = [[u for u in vectors if ends[u] == i] for i in range(n)]
+    coefficients = [[u[i] for u in group] for i, group in enumerate(closing)]
+    costs = [[masses[u] for u in group] for group in closing]
+    closing_weights = [[u[i] for u in group if u in weights]
+                       for i, group in enumerate(closing)]
+    open_weights = [sum(masses[u] for u in vectors
+                        if ends[u] > i and u in weights) for i in range(n)]
+    columns = [[u[i] for u in vectors if ends[u] > i] for i in range(n)]
+    best, xi = [], [0] * n
+    nodes = 0
 
-
-def _primitive_shell(n, bound):
-    """Primitive vectors whose largest |entry| is bound, first nonzero > 0.
-
-    The first entry of magnitude bound sits at some position i: the
-    entries before it lie strictly inside the box and those after it
-    anywhere in it, and its sign is free once an earlier entry is positive.
-    """
-    inner, outer = range(1 - bound, bound), range(-bound, bound + 1)
-    for i in range(n):
-        for head in product(inner, repeat=i):
-            lead = next((x for x in head if x), 0)
-            if lead < 0:
+    def visit(i, dots, mass, lead, hit):
+        nonlocal nodes
+        if i == n - 1 and not hit:
+            values = (bound,) if lead else (bound, -bound)
+        elif lead:
+            values = range(bound + 1)
+        else:
+            values = order
+        terms = list(zip(dots, coefficients[i], costs[i]))
+        banned = {-p // a for p, a in zip(dots, closing_weights[i])
+                  if not p % a}
+        rest = dots[len(terms):]
+        for x in values:
+            if x in banned:
                 continue
-            for x in ((bound, -bound) if lead else (bound,)):
-                for tail in product(outer, repeat=n - 1 - i):
-                    xi = head + (x,) + tail
-                    if is_primitive(xi):
-                        yield xi
+            nodes += 1
+            if nodes > MAX_CIRCLE_NODES:
+                raise InputError(
+                    f"generic circle search in dimension {n} passed "
+                    f"{MAX_CIRCLE_NODES} search nodes at box bound {bound}")
+            total = mass
+            for p, a, c in terms:
+                total += c * abs(p + a * x)
+            xi[i] = x
+            if len(best) == count:
+                low, (cost, dearest) = total + open_weights[i], best[-1]
+                if low > cost or low == cost and xi[:i + 1] > list(
+                        dearest[:i + 1]):
+                    continue
+            if i < n - 1:
+                if x:
+                    now = [d + a * x for d, a in zip(rest, columns[i])]
+                else:
+                    now = rest
+                visit(i + 1, now, total, lead and not x,
+                      hit or abs(x) == bound)
+            elif math.gcd(*xi) == 1:
+                found = (total, tuple(xi))
+                if len(best) < count:
+                    insort(best, found)
+                elif found < best[-1]:
+                    insort(best, found)
+                    best.pop()
+        xi[i] = 0
+
+    for bound in range(1, 65):
+        order = [0] + [y for x in range(1, bound + 1) for y in (x, -x)]
+        visit(0, [0] * len(vectors), 0, True, False)
+        if len(best) == count:
+            return best
+    raise DegenerateCircleError(
+        "could not find enough generic circle vectors; "
+        "the characteristic data is degenerate")
 
 
 def _on_two_circles(manifold, bundles, what, compute):

@@ -364,7 +364,11 @@ class TestCircleSelection:
                  + [(cp2_connected_sum(), None),
                     (parsed.build_manifold(), parsed.bundles()),
                     (projective_space(3), BundleSpec([[-2, 1, 1, -2]])),
-                    (sphere_product(3), BundleSpec([[-1, 1, 0, 2, 1, -3]]))])
+                    (sphere_product(3), BundleSpec([[-1, 1, 0, 2, 1, -3]])),
+                    # here a multiple of the cheapest circle undercuts the
+                    # second primitive one
+                    (projective_space(2), BundleSpec([[2, 2, -4]])),
+                    (sphere_product(2), BundleSpec([[4, -4, -4, 4]]))])
         for m, bundles in cases:
             for count in (2, 3):
                 got = choose_generic_circles(m, bundles, count=count)
@@ -372,30 +376,35 @@ class TestCircleSelection:
                     m, bundles, count)
 
 
-    def test_shells_are_the_box_boundaries(self):
-        # each shell is the primitive part of the boundary of its box, and
-        # the boundary holds the predicted number of vectors
-        for n in range(2, 6):
-            for bound in range(1, 4 if n < 5 else 3):
-                box = [xi for xi in product(range(-bound, bound + 1), repeat=n)
-                       if max(map(abs, xi)) == bound
-                       and next(x for x in xi if x) > 0]
-                assert len(box) == ((2 * bound + 1) ** n
-                                    - (2 * bound - 1) ** n) // 2
-                shell = list(genus._primitive_shell(n, bound))
-                assert len(set(shell)) == len(shell)
-                assert sorted(shell) == [xi for xi in box
-                                         if math.gcd(*xi) == 1]
-
     def test_search_is_bounded_before_it_starts(self):
-        # CP^6 needs box bound 3, within the limit; CP^7 would need bound 4
-        # and is refused by the prediction for bound 3, before that shell
-        circles = choose_generic_circles(projective_space(6))
-        assert [max(map(abs, c.xi)) for c in circles] == [3, 3]
+        # CP^6 and CP^7 fit the node budget and agree with the face ring;
+        # CP^12 passes it, and is refused by the node count, not by time
+        m = projective_space(6)
+        m.fixed_points()
         start = time.perf_counter()
-        with pytest.raises(InputError, match="circle search in dimension 7"):
-            choose_generic_circles(projective_space(7))
+        circles = choose_generic_circles(m)
+        assert time.perf_counter() - start < 0.05
+        assert [max(map(abs, c.xi)) for c in circles] == [3, 3]
+        m = projective_space(7)
+        start = time.perf_counter()
+        got = index(m, None, 4)
+        assert time.perf_counter() - start < 1
+        assert got == cohomological_index(m, None, 4)
+        assert got.coeffs == [1, 48, 504, 2752, 10248]
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="circle search in dimension 12 "
+                           f"passed {genus.MAX_CIRCLE_NODES} search nodes"):
+            choose_generic_circles(projective_space(12))
         assert time.perf_counter() - start < 5
+
+    def test_node_budget_is_deterministic(self, monkeypatch):
+        # CP^7 needs a fixed number of nodes: one fewer is refused
+        m = projective_space(7)
+        monkeypatch.setattr(genus, "MAX_CIRCLE_NODES", 33492)
+        assert len(choose_generic_circles(m)) == 2
+        monkeypatch.setattr(genus, "MAX_CIRCLE_NODES", 33491)
+        with pytest.raises(InputError, match="passed 33491 search nodes"):
+            choose_generic_circles(m)
 
 
 def _circles_by_full_boxes(manifold, bundles, count):
@@ -1102,7 +1111,8 @@ class TestInputLimits:
     def test_largest_accepted_circle(self):
         # every circle (k, 1) with k over the limit is refused by its weight;
         # below it the predicted degree decides, and the largest accepted k
-        # computes CP^2's Todd genus while k + 1 is refused
+        # computes CP^2's Todd genus while k + 1 is refused.  deg D counts
+        # once, so at q-order 0 the limit of 3000 admits k up to 1500
         m = projective_space(2)
         k = genus.MAX_LOCALIZATION_DEGREE + 1
         eq = None
@@ -1112,8 +1122,10 @@ class TestInputLimits:
                 eq = equivariant_index(m, (k, 1), None, 0)
             except InputError as e:
                 assert "localization degree" in str(e)
+        assert k == 1500
         assert eq.value_at_one().coeffs == [1]
-        with pytest.raises(InputError, match="localization degree"):
+        with pytest.raises(InputError, match="localization degree must lie "
+                           "in 0..3000, got 3002"):
             equivariant_index(m, (k + 1, 1), None, 0)
 
 
@@ -1127,10 +1139,10 @@ def _list_lengths(value):
 
 
 class TestDegreeLimit:
-    def test_no_list_outgrows_the_limit(self, monkeypatch):
-        # every coefficient list the division builds on the largest accepted
-        # circle (k, 1) of CP^2 has at most MAX_LOCALIZATION_DEGREE + 1
-        # entries, the intermediate lists of the binomial passes included
+    @pytest.fixture
+    def lengths(self, monkeypatch):
+        """Lengths of every coefficient list the division builds, the
+        intermediate lists of the binomial passes included."""
         lengths = []
 
         def watched(fn):
@@ -1146,18 +1158,37 @@ class TestDegreeLimit:
                              (genus, "_term_series"),
                              (genus, "_aligned_sum")):
             monkeypatch.setattr(module, name, watched(getattr(module, name)))
+        return lengths
+
+    @staticmethod
+    def largest_accepted(lengths, q_order):
+        """The largest accepted circle (k, 1) of CP^2 at the q-order, with
+        its character; no refused circle builds a list."""
         m = projective_space(2)
         k = genus.MAX_LOCALIZATION_DEGREE + 1
-        eq = None
-        while eq is None:
+        while True:
             k -= 1
             lengths.clear()
             try:
-                eq = equivariant_index(m, (k, 1), None, 0)
+                return k, equivariant_index(m, (k, 1), None, q_order)
             except InputError:
                 assert not lengths
+
+    def test_no_list_outgrows_the_limit(self, lengths):
+        # every list built on the largest accepted circle (k, 1) of CP^2
+        # has at most MAX_LOCALIZATION_DEGREE + 1 entries
+        k, eq = self.largest_accepted(lengths, 0)
         assert eq.value_at_one().coeffs == [1]
         assert 2 * k <= max(lengths) <= genus.MAX_LOCALIZATION_DEGREE + 1
+
+    @pytest.mark.parametrize("q_order, largest", [(1, 750), (4, 300)])
+    def test_the_limit_is_spent_once(self, lengths, q_order, largest):
+        # deg D counts once against the limit: the largest accepted circle
+        # builds a list of MAX_LOCALIZATION_DEGREE coefficients, none longer
+        k, eq = self.largest_accepted(lengths, q_order)
+        assert k == largest
+        assert eq.value_at_one().coeffs[0] == 1
+        assert max(lengths) == genus.MAX_LOCALIZATION_DEGREE
 
 
 def _character_digest(eq):

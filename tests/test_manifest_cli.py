@@ -226,8 +226,8 @@ class TestCliExitCodes:
                      "--equivariant", "1,0"]) == 3
 
     def test_circle_search_over_the_limit(self, tmp_path, capsys):
-        # simplex(12) passes every manifest limit, but already the first
-        # shell of candidate circles of CP^12 is over MAX_CIRCLE_CANDIDATES
+        # simplex(12) passes every manifest limit, but the generic circle
+        # search on CP^12 passes MAX_CIRCLE_NODES
         path = tmp_path / "cp12.ini"
         path.write_text(_projective_manifest(12))
         start = time.perf_counter()
@@ -334,6 +334,20 @@ class TestCliJson:
         data = json.loads(capsys.readouterr().out)
         assert data["spin"] is True
         assert data["betti"] == [1, 2, 1]
+
+
+    def test_successive_calls_share_no_state(self, capsys):
+        # the parser is built once per process; a flag or option given to
+        # one call must not leak into the next
+        assert main(["genus", CP2, "--q-order", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["q_order"] == 1
+        assert main(["genus", CP2]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "q^0: 1", "q^1: 3", "q^2: 9", "q^3: 12", "q^4: 21"]
+        assert main(["genus", CP2, "--q-order", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert main(["genus", CP2, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["q_order"] == 4
 
 
 class TestCliEnvironment:
