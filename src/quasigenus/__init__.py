@@ -24,8 +24,8 @@ from .genus import (BundleSpec, CircleSubgroup, EquivariantIndex,
                     cohomological_index, cohomological_witten_genus,
                     elliptic_genus, equivariant_elliptic_genus,
                     equivariant_index, equivariant_witten_genus,
-                    euler_characteristic, fixed_point_contribution, index,
-                    is_spin, localization_integral, signature, spin_gamma,
+                    euler_characteristic, index, is_spin,
+                    localization_integral, signature, spin_gamma,
                     spin_obstruction, witten_genus)
 from .theorems import (EquivariantDegree4Class, SymmetryBoundInput,
                        anomaly_coefficient, check_twist_classes,
@@ -83,7 +83,6 @@ __all__ = [
     "facet_class_decomposition",
     "find_circle",
     "finiteness_census",
-    "fixed_point_contribution",
     "index",
     "is_spin",
     "localization_integral",

@@ -254,55 +254,43 @@ def _theta_binomials(term, q_order):
     return ups, downs
 
 
-def _power(p, r, e):
-    """t^e at t = p/r as an integer numerator and denominator."""
-    return (p ** e, r ** e) if e >= 0 else (r ** -e, p ** -e)
+def _power(tau, e):
+    """t^e at an integer t = tau as an integer numerator and denominator."""
+    return (tau ** e, 1) if e >= 0 else (1, tau ** -e)
 
 
-def _prefactor_at(term, parity, p, r):
+def _prefactor_at(term, parity, tau):
     """sigma t^g prod_V (1 - t^-a) prod_W (t^b + 1) / prod_k (t^w_k - 1) at
-    t = p/r, with g = (halfexp - parity)/2, as an integer numerator and
-    denominator.  With t^e = P/R from ``_power``, t^w - 1 = (P - R)/R,
-    1 - t^-a = (R - P)/R and t^b + 1 = (P + R)/R.
+    an integer t = tau, with g = (halfexp - parity)/2, as an integer
+    numerator and denominator.  With t^e = P/R from ``_power``,
+    t^w - 1 = (P - R)/R, 1 - t^-a = (R - P)/R and t^b + 1 = (P + R)/R.
     """
-    num, den = _power(p, r, (term.halfexp - parity) // 2)
+    num, den = _power(tau, (term.halfexp - parity) // 2)
     num *= term.sigma
     for w in term.tangent:
-        up, down = _power(p, r, w)
+        up, down = _power(tau, w)
         num, den = num * down, den * (up - down)
     for a in term.v_weights:
-        up, down = _power(p, r, -a)
+        up, down = _power(tau, -a)
         num, den = num * (down - up), den * down
     for b in term.w_weights:
-        up, down = _power(p, r, b)
+        up, down = _power(tau, b)
         num, den = num * (up + down), den * down
     return num, den
 
 
-def _theta_at(term, p, r, q_order):
-    """A term's theta product at t = p/r in the gauge q -> (p r)^top q:
-    entry j is the integer (p r)^(j top) times the q^j coefficient.
+def _theta_at(term, tau, q_order):
+    """A term's theta product at an integer t = tau in the gauge
+    q -> tau^top q: entry j is the integer tau^(j top) times the q^j
+    coefficient.
 
     Each theta binomial 1 + s t^e q^k of ``_theta_binomials`` becomes
-    1 + s p^(k top + e) r^(k top - e) q^k, an integer as |e| <= top.
+    1 + s tau^(k top + e) q^k, an integer as |e| <= top.
     """
     top = term.top
-    steps = [[(s * p ** (k * top + e) * r ** (k * top - e), k) for s, e, k in half]
+    steps = [[(s * tau ** (k * top + e), k) for s, e, k in half]
              for half in _theta_binomials(term, q_order)]
     return binomial_quotient(*steps, 1, q_order).coeffs
-
-
-def _term_value(term, parity, tau, q_order):
-    """One fixed point's contribution at a rational t = tau: the integer
-    prefactor of ``_prefactor_at`` times the rows of ``_theta_at``."""
-    if term.zero:
-        return QSeries.constant(Fraction(0), q_order)
-    p, r = tau.numerator, tau.denominator
-    num, den = _prefactor_at(term, parity, p, r)
-    scale = (p * r) ** term.top
-    return QSeries([Fraction(num * c, den * scale ** j)
-                    for j, c in enumerate(_theta_at(term, p, r, q_order))],
-                   q_order)
 
 
 def _fixed_point_sum_at(terms, parity, tau, q_order):
@@ -314,7 +302,7 @@ def _fixed_point_sum_at(terms, parity, tau, q_order):
     over lcm first, so ``_theta_at`` runs once per signature.
     """
     terms = [t for t in terms if not t.zero]
-    prefactors = [_prefactor_at(t, parity, tau, 1) for t in terms]
+    prefactors = [_prefactor_at(t, parity, tau) for t in terms]
     lcm = math.lcm(*(den for _, den in prefactors))
     top = max((t.top for t in terms), default=0)
     scales = {}
@@ -323,7 +311,7 @@ def _fixed_point_sum_at(terms, parity, tau, q_order):
     sums = [0] * (q_order + 1)
     for t, scale in scales.values():
         if scale:
-            for j, c in enumerate(_theta_at(t, tau, 1, q_order)):
+            for j, c in enumerate(_theta_at(t, tau, q_order)):
                 sums[j] += scale * c * tau ** (j * (top - t.top))
     return sums, lcm, top
 
@@ -530,32 +518,6 @@ def _characters(polys, parity):
     """The q-coefficients of ``_equivariant_series`` as characters."""
     return QSeries([HalfLaurent.from_integer_poly(p, parity) for p in polys],
                    len(polys) - 1)
-
-
-def fixed_point_contribution(fp, xi, bundles, gamma, t, q_order):
-    """One fixed point's localization term at a rational sample t.
-
-    Returns the exact truncated q-series of rationals.  The half-integer
-    prefactor exponent (twist character + tangent weights - W weights) must
-    be even here, since a lone rational sample cannot carry t^(1/2); the
-    full engine handles odd parities globally.  No orientation sign is
-    applied: this is the raw local term.
-    """
-    _check_limit("q-order", q_order, MAX_Q_ORDER)
-    bundles = bundles or BundleSpec.empty()
-    xi = _as_circle(xi).xi
-    t = Fraction(t)
-    if t in (Fraction(0), Fraction(1), Fraction(-1)):
-        raise InputError(f"sample point t = {t} is not allowed")
-    if any(len(line) < max(fp.vertex)
-           for line in (gamma,) + bundles.v_lines + bundles.w_lines):
-        raise InputError(f"twist and bundle lines must reach facet {max(fp.vertex)}")
-    term = _vertex_term(fp, xi, 1, gamma, bundles.v_lines, bundles.w_lines)
-    if term.halfexp % 2:
-        raise ParityError(
-            f"half-integer exponent {term.halfexp}/2 at vertex {fp.vertex} "
-            "is odd; a single rational sample cannot represent it")
-    return _term_value(term, 0, t, q_order)
 
 
 def equivariant_index(manifold, xi, bundles, q_order):

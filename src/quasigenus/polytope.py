@@ -147,20 +147,19 @@ class FaceRingSkeleton:
     increasing order.  For each degree d = 0..n + 1, ``monomials[d]`` lists
     the sorted tuples of d free facet labels, with repetition, whose
     support is a face, in lexicographic order; the others are zero in every
-    face ring (Davis-Januszkiewicz), and so is each multiple of them.
-    ``columns[d]`` maps each back to its position, its column.  For d >= 1,
+    face ring (Davis-Januszkiewicz), and so is each multiple of them.  A
+    monomial's position in monomials[d] is its column.  For d >= 1,
     ``shifts[d][c][i]`` is the column of monomials[d - 1][c] times
     free[i], or None when that product lies off every face.
     """
 
-    __slots__ = ("free", "monomials", "columns", "shifts")
+    __slots__ = ("free", "monomials", "shifts")
 
     def __init__(self, polytope):
         faces, _ = polytope.faces()
-        free = self.free = tuple(f for f in range(1, polytope.num_facets + 1)
-                                 if f not in polytope.vertices[0])
+        free = self.free = tuple(_free_columns(polytope))
         grown = [((), ())]  # (monomial, its support) pairs
-        monomials, columns, shifts = [], [], [()]
+        monomials, shifts = [], [()]
         for d in range(polytope.dimension + 2):
             if d:
                 # Extend each monomial by a label no smaller than its last:
@@ -176,9 +175,7 @@ class FaceRingSkeleton:
                     tuple(column.get(_insert(t, j)) for j in free)
                     for t in monomials[-1]))
             monomials.append(monos)
-            columns.append(column)
         self.monomials = tuple(monomials)
-        self.columns = tuple(columns)
         self.shifts = tuple(shifts)
 
 
@@ -227,13 +224,12 @@ def vertex_cut(p, vertex):
     return SimplePolytope(p.dimension, fresh, verts)
 
 
-def connected_sum(p, vp, q, vq, pairing=None):
+def connected_sum(p, vp, q, vq):
     """Connected sum of two simple polytopes at the given vertices.
 
     Both vertices are removed; the facets through vq are identified with the
-    facets through vp.  By default the k-th smallest facet label of vq is
-    glued to the k-th smallest of vp; ``pairing`` may override this with a
-    dict {facet of q: facet of p} covering exactly the facets of vq.
+    facets through vp, the k-th smallest facet label of vq glued to the k-th
+    smallest of vp.
     """
     if p.dimension != q.dimension:
         raise InputError("connected sum needs equal dimensions")
@@ -243,13 +239,7 @@ def connected_sum(p, vp, q, vq, pairing=None):
         raise InputError(f"{vp} is not a vertex of the first summand")
     if vq not in q.vertices:
         raise InputError(f"{vq} is not a vertex of the second summand")
-    if pairing is None:
-        pairing = dict(zip(vq, vp))
-    else:
-        pairing = {int(a): int(b) for a, b in pairing.items()}
-        if sorted(pairing) != list(vq) or sorted(pairing.values()) != list(vp):
-            raise InputError("pairing must match the cut vertices' facets")
-    relabel = dict(pairing)
+    relabel = dict(zip(vq, vp))
     fresh = p.num_facets
     for f in range(1, q.num_facets + 1):
         if f not in relabel:

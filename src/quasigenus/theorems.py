@@ -200,7 +200,11 @@ def check_twist_classes(manifold, classes):
 
 def _case_line_data(beta, n, i0_idx, case):
     """Line-bundle coefficient vectors (over the generator basis) and
-    multiplicities for one parity case of the twist construction."""
+    multiplicities for one parity case of the twist construction.
+
+    The W counts are {generator index: (vector, multiplicity)}, the pivot
+    generator last.
+    """
     k = len(beta)
     alpha = [b % 2 for b in beta]
 
@@ -209,29 +213,20 @@ def _case_line_data(beta, n, i0_idx, case):
         v[i] = scale
         return tuple(v)
 
-    mixed = [0] * k
-    mixed[i0_idx] = 1
-    for i in range(k):
-        if i != i0_idx:
-            mixed[i] = alpha[i]
-    mixed = tuple(mixed)
+    mixed = tuple(1 if i == i0_idx else a for i, a in enumerate(alpha))
 
     if case == 1:
-        parity_ok = alpha[i0_idx] % 2 == (n + 1) % 2
         v_counts = [(unit(i0_idx, 2), 1), (mixed, 1), (unit(i0_idx), n - 2)]
-        w_counts = [(unit(i), beta[i] - alpha[i])
-                    for i in range(k) if i != i0_idx]
-        w_counts.append((unit(i0_idx), beta[i0_idx] - n - 3))
-        twist = [alpha[i] for i in range(k)]
-        twist[i0_idx] = n + 1
+        pivot_twist, pivot_w = n + 1, n + 3
     else:
-        parity_ok = alpha[i0_idx] % 2 == n % 2
         v_counts = [(mixed, 1), (unit(i0_idx), n - 1)]
-        w_counts = [(unit(i), beta[i] - alpha[i])
-                    for i in range(k) if i != i0_idx]
-        w_counts.append((unit(i0_idx), beta[i0_idx] - n))
-        twist = [alpha[i] for i in range(k)]
-        twist[i0_idx] = n
+        pivot_twist, pivot_w = n, n
+    parity_ok = alpha[i0_idx] == pivot_twist % 2
+    w_counts = {i: (unit(i), beta[i] - alpha[i])
+                for i in range(k) if i != i0_idx}
+    w_counts[i0_idx] = (unit(i0_idx), beta[i0_idx] - pivot_w)
+    twist = list(alpha)
+    twist[i0_idx] = pivot_twist
     return parity_ok, v_counts, w_counts, tuple(twist)
 
 
@@ -271,15 +266,14 @@ def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
     for case in (1, 2):
         parity_ok, v_counts, w_counts, twist = _case_line_data(
             beta, n, i0_idx, case)
-        mults = {f"w_generator_{i + 1}": m
-                 for (_, m), i in zip(w_counts, _w_count_indices(k, i0_idx))}
-        nonneg = all(m >= 0 for _, m in v_counts + w_counts)
+        mults = {f"w_generator_{i + 1}": m for i, (_, m) in w_counts.items()}
+        nonneg = all(m >= 0 for _, m in v_counts + list(w_counts.values()))
         entry = {
             "case": case,
             "parity_matches": parity_ok,
             "twist_class": twist,
             "v_lines": _expand_counts(v_counts),
-            "w_lines": _expand_counts(w_counts),
+            "w_lines": _expand_counts(w_counts.values()),
             "w_multiplicities": mults,
             "all_nonnegative": nonneg,
         }
@@ -300,10 +294,6 @@ def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
         "beta_bound_holds": not applicable["all_nonnegative"],
     }
     return report
-
-
-def _w_count_indices(k, i0_idx):
-    return [i for i in range(k) if i != i0_idx] + [i0_idx]
 
 
 def _twist_identities(ring, classes, squared):

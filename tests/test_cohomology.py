@@ -729,11 +729,10 @@ class TestSkeletonSharing:
                 assert list(block) == sorted(
                     t for t in combinations_with_replacement(skeleton.free, d)
                     if tuple(sorted(set(t))) in faces[len(set(t))])
-                assert skeleton.columns[d] == {
-                    t: c for c, t in enumerate(block)}
                 if not d:
                     continue
+                column = {t: c for c, t in enumerate(block)}
                 for c, t in enumerate(skeleton.monomials[d - 1]):
                     for j, s in zip(skeleton.free, skeleton.shifts[d][c]):
                         product = tuple(sorted(t + (j,)))
-                        assert s == skeleton.columns[d].get(product)
+                        assert s == column.get(product)

@@ -27,9 +27,9 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               cohomological_elliptic_genus, cohomological_index,
                               cohomological_witten_genus, elliptic_genus,
                               equivariant_index, equivariant_witten_genus,
-                              euler_characteristic, fixed_point_contribution,
-                              index, is_spin, localization_integral, signature,
-                              spin_gamma, spin_obstruction, witten_genus,
+                              euler_characteristic, index, is_spin,
+                              localization_integral, signature, spin_gamma,
+                              spin_obstruction, witten_genus,
                               equivariant_elliptic_genus, _VertexTerm,
                               _integer_tables, _universal_tables,
                               cohomological_index_on_ring)
@@ -59,59 +59,54 @@ def q1_local_term(t, c, w):
     return q0_local_term(t, c, w) * (tw + 1 / tw - 2)
 
 
+def _held_out_value(term, parity, tau, q_order):
+    """A fixed point's contribution at an integer t = tau from the held-out
+    check's integer prefactor and theta rows, as Fractions."""
+    num, den = genus._prefactor_at(term, parity, tau)
+    rows = genus._theta_at(term, tau, q_order)
+    return [Fraction(num * c, den * tau ** (j * term.top))
+            for j, c in enumerate(rows)]
+
+
 class TestFixedPointContribution:
     def test_bounding_sphere_cancellation(self):
         # both vertices carry c = 1, w = 1 and opposite orientation signs,
         # so the raw terms are equal and the signed sum cancels: A-hat(S2)=0
         m = sphere_product_spin(1)
-        t = Fraction(2)
-        raw = [fixed_point_contribution(d, (1,), None, m.spin_c, t, 1)
-               for d in m.fixed_points()]
-        assert raw[0] == raw[1]
-        assert raw[0].coeffs[0] == q0_local_term(t, 1, 1) == 2
-        assert raw[0].coeffs[1] == q1_local_term(t, 1, 1) == 1
         signs = [m.vertex_sign(d.vertex) for d in m.fixed_points()]
         assert sorted(signs) == [-1, 1]
-        total = raw[0] * signs[0] + raw[1] * signs[1]
-        assert total == QSeries([0, 0], 1)
+        for tau in (2, 3):
+            raw = [_held_out_value(genus._vertex_term(d, (1,), 1, m.spin_c,
+                                                      (), ()), 0, tau, 1)
+                   for d in m.fixed_points()]
+            assert raw[0] == raw[1] == [q0_local_term(tau, 1, 1),
+                                        q1_local_term(tau, 1, 1)]
+            assert [a * signs[0] + b * signs[1]
+                    for a, b in zip(*raw)] == [0, 0]
+        assert [q0_local_term(2, 1, 1), q1_local_term(2, 1, 1)] == [2, 1]
 
     def test_toric_sphere_todd(self):
         # vertices carry (c, w) = (1, 1) and (-1, -1); the q^0 sum is the
-        # Todd genus of CP^1, namely 1, at every sample point
+        # Todd genus of CP^1, namely 1, at every integer point
         m = projective_space(1)
-        for t in (Fraction(2), Fraction(3), Fraction(-5, 3)):
-            total = Fraction(0)
-            for d in m.fixed_points():
-                raw = fixed_point_contribution(d, (1,), None, m.spin_c, t, 0)
-                total += m.vertex_sign(d.vertex) * raw.coeffs[0]
-            assert total == 1
+        terms = genus._vertex_terms(m, (1,), (), (), m.spin_c, False)
+        assert sorted((t.c, t.tangent) for t in terms) == [(-1, (-1,)),
+                                                           (1, (1,))]
+        for tau in (2, 3):
+            assert sum(_held_out_value(t, 0, tau, 0)[0] for t in terms) == 1
         by_hand = q0_local_term(2, 1, 1) + q0_local_term(2, -1, -1)
         assert by_hand == 1
 
     def test_odd_parity_rejected(self):
-        # a W line of odd weight shifts the prefactor exponent to 1/2
-        m = sphere_product_spin(1)
-        spec = BundleSpec((), ((1, 0),))
-        with pytest.raises(ParityError):
-            fixed_point_contribution(m.fixed_points()[0], (1,), spec,
-                                     m.spin_c, Fraction(2), 0)
-
-    def test_lines_must_reach_the_vertex(self):
-        m = projective_space(2)
-        top = m.fixed_points()[-1]
-        assert max(top.vertex) == 3
-        with pytest.raises(InputError):
-            fixed_point_contribution(top, (1, 2), BundleSpec(((1, 1),)),
-                                     m.spin_c, Fraction(2), 0)
-        with pytest.raises(InputError):
-            fixed_point_contribution(top, (1, 2), None, (1, 1), Fraction(2), 0)
-
-    def test_sample_point_guard(self):
-        m = projective_space(1)
-        for bad in (0, 1, -1):
-            with pytest.raises(InputError):
-                fixed_point_contribution(m.fixed_points()[0], (1,), None,
-                                         m.spin_c, bad, 0)
+        # a fixed point whose half-integer exponent is odd among even ones
+        # has no common t^(1/2) shift with them
+        even = _VertexTerm((1,), 1, (1,), 1, (), ())
+        odd = _VertexTerm((2,), -1, (-1,), 1, (), (1,))
+        assert (even.halfexp, odd.halfexp) == (2, -1)
+        assert genus._common_parity([even, even]) == 0
+        assert genus._common_parity([odd]) == 1
+        with pytest.raises(ParityError, match="disagree"):
+            genus._common_parity([even, odd])
 
 
 class TestRouteAgreement:
@@ -759,10 +754,15 @@ def _evaluate(half_laurent, t):
 
 
 def _signed_contributions(m, xi, bundles, gamma, t, q_order):
+    """The fixed-point sum at t by ``_term_value_reference``, each term
+    carrying its orientation sign."""
+    bundles = bundles or BundleSpec.empty()
+    terms = genus._vertex_terms(m, xi, bundles.v_lines, bundles.w_lines,
+                                gamma, False)
+    assert genus._common_parity(terms) == 0
     total = QSeries.constant(Fraction(0), q_order)
-    for fp in m.fixed_points():
-        raw = fixed_point_contribution(fp, xi, bundles, gamma, t, q_order)
-        total = total + raw * m.vertex_sign(fp.vertex)
+    for term in terms:
+        total = total + _term_value_reference(term, 0, t, q_order)
     return total
 
 
@@ -807,8 +807,9 @@ class TestDivisionOracle:
         eq = equivariant_elliptic_genus(m, xi, 2)
         facets = BundleSpec((), [[int(j == f) for j in range(m.num_facets)]
                                  for f in range(m.num_facets)])
-        one = fixed_point_contribution(m.fixed_points()[0], xi, facets, gamma,
-                                       self.POINTS[0], 2)
+        first = genus._vertex_terms(m, xi, (), facets.w_lines, gamma,
+                                    False)[0]
+        one = _term_value_reference(first, 0, self.POINTS[0], 2)
         assert all(one.coeffs)
         scale = 2 ** (m.num_facets - m.dimension)
         for t in self.POINTS:
@@ -993,9 +994,9 @@ class TestSharedTheta:
             for q_order in (0, 1, 3, 5):
                 assert (genus._term_series(other, q_order, [1])
                         == genus._term_series(term, q_order, [1]))
-                for p, r in ((2, 1), (3, 1), (5, 3)):
-                    assert (genus._theta_at(other, p, r, q_order)
-                            == genus._theta_at(term, p, r, q_order))
+                for tau in (2, 3, -2, 5):
+                    assert (genus._theta_at(other, tau, q_order)
+                            == genus._theta_at(term, tau, q_order))
 
     def test_a_seed_multiplies_every_row(self):
         # the rows are linear in the seed: seeded with N they are N times
@@ -1023,16 +1024,14 @@ class TestSharedTheta:
             parity = term.halfexp % 2
             negative += (term.halfexp - parity) // 2 < 0
             q_order = case % 6
-            for tau in (Fraction(2), Fraction(3), Fraction(5, 3),
-                        Fraction(-7, 2)):
-                p, r = tau.numerator, tau.denominator
-                num, den = genus._prefactor_at(term, parity, p, r)
-                rows = genus._theta_at(term, p, r, q_order)
+            for tau in (2, 3, -2, 5):
+                num, den = genus._prefactor_at(term, parity, tau)
+                rows = genus._theta_at(term, tau, q_order)
                 assert all(type(x) is int for x in [num, den, *rows])
-                got = [Fraction(num * c, den * (p * r) ** (j * term.top))
-                       for j, c in enumerate(rows)]
-                want = _term_value_reference(term, parity, tau, q_order)
-                assert got == want.coeffs
+                want = _term_value_reference(term, parity, Fraction(tau),
+                                             q_order)
+                assert (_held_out_value(term, parity, tau, q_order)
+                        == want.coeffs)
         assert negative >= 10
 
     def test_held_out_sum_equals_the_reference_sum(self):
@@ -1060,32 +1059,9 @@ class TestSharedTheta:
                         for j, s in enumerate(sums)] == want.coeffs
 
 
-class TestHeldOutIntegers:
-    def test_integer_gauge_equals_fraction_reference(self):
-        rng = random.Random(11)
-
-        def weights(count, low):
-            return tuple(rng.choice([-1, 1]) * rng.randint(low, 6)
-                         for _ in range(count))
-        for case in range(60):
-            tangent = weights(rng.randint(1, 3), 1)
-            term = _VertexTerm((1,), rng.choice([-1, 1]), tangent,
-                               rng.randint(-9, 9), weights(rng.randint(0, 2), 0),
-                               weights(rng.randint(0, 2), 0))
-            parity = term.halfexp % 2
-            q_order = case % 7
-            for tau in (Fraction(2), Fraction(3), Fraction(5, 3),
-                        Fraction(-7, 2)):
-                assert (genus._term_value(term, parity, tau, q_order)
-                        == _term_value_reference(term, parity, tau, q_order))
-
-
 class TestInputLimits:
     def test_negative_q_order(self):
         m = projective_space(2)
-        with pytest.raises(InputError):
-            fixed_point_contribution(m.fixed_points()[0], (1, 2), None,
-                                     m.spin_c, 2, -1)
         with pytest.raises(InputError):
             cohomological_index(m, None, -1)
         spin = sphere_product_spin(1)

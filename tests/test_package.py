@@ -1,6 +1,11 @@
-"""The package's public export list."""
+"""The package's public export list and its modules' imports."""
+
+import ast
+from pathlib import Path
 
 import quasigenus
+
+SOURCES = Path(quasigenus.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -24,5 +29,33 @@ def test_retired_sampler_is_gone():
     assert not hasattr(exactalg, "laurent_interpolate")
     for name in ("InterpolationError", "InterpolationConsistencyError"):
         assert not hasattr(errors, name)
-    for name in ("_exponent_windows", "_sample_points", "laurent_interpolate"):
+    for name in ("_exponent_windows", "_sample_points", "laurent_interpolate",
+                 "fixed_point_contribution", "_term_value"):
         assert not hasattr(genus, name)
+    for name in ("fixed_point_contribution", "_term_value"):
+        assert name not in quasigenus.__all__
+        assert not hasattr(quasigenus, name)
+
+
+def _unused_imports(tree):
+    """Names bound by the module's top-level imports that nothing in the
+    module reads, by bare name or as the head of an attribute chain."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    unused = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name != "__init__.py":
+            found = _unused_imports(ast.parse(path.read_text()))
+            if found:
+                unused[path.name] = found
+    assert not unused

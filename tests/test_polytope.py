@@ -82,14 +82,6 @@ class TestConstructions:
             assert len(s.vertices) == len(p.vertices) + len(q.vertices) - 2
             assert s.num_facets == p.num_facets + q.num_facets - p.dimension
 
-    def test_connected_sum_custom_pairing(self):
-        s = connected_sum(simplex(2), (1, 2), simplex(2), (1, 2),
-                          pairing={1: 2, 2: 1})
-        assert s.num_facets == 4
-        with pytest.raises(InputError):
-            connected_sum(simplex(2), (1, 2), simplex(2), (1, 2),
-                          pairing={1: 1, 3: 2})
-
     def test_faces_and_minimal_non_faces_by_brute_force(self):
         cases = [simplex(3), cube(3), polygon(5),
                  vertex_cut(simplex(3), (1, 2, 3)),
