@@ -14,7 +14,7 @@ from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PreconditionError, PropertyViolationError,
                      RankHypothesisError, RingShapeError, SpinObstructionError,
                      WellDefinednessError, WorkbenchError)
-from .exactalg import HalfLaurent, QSeries, TruncatedPolynomial
+from .exactalg import HalfLaurent, QSeries
 from .polytope import (QuasitoricManifold, SimplePolytope, connected_sum,
                        cube, enumerate_characteristic_matrices, polygon,
                        polytope_product, simplex, vertex_cut)
@@ -60,7 +60,6 @@ __all__ = [
     "SimplePolytope",
     "SpinObstructionError",
     "SymmetryBoundInput",
-    "TruncatedPolynomial",
     "WellDefinednessError",
     "WorkbenchError",
     "anomaly_coefficient",

@@ -27,18 +27,19 @@ to the determinant of that vertex's characteristic minor.  The localization
 engine independently computes the same pairings, which pins the orientation
 convention and doubles as an oracle.
 
-Each ring's ``structure`` holds its flat graded basis and all basis
-products as integers over one common denominator delta, built from
-``basis``, ``mul_basis`` and ``token_degree`` on first use.  Everything
-else multiplies through it: a ``CohomologyClass`` is a vector of rational
-coordinates over that basis, whose product is one sparse pass over the
-structure constants (``GradedStructure.add_product``) divided by delta,
-and the cohomological route of the genus engine runs the same pass on
-integer vectors.
+Each ring's ``structure`` holds its flat graded basis and, as integers
+over one common denominator delta, the product of every basis class of
+degree below n with every degree-one basis class, built from ``basis``,
+``mul_basis`` and ``token_degree`` on first use.  The ring is generated in
+degree one, so that is all the multiplication anything needs:
+``GradedStructure.multiplier`` turns a degree-one class into one sparse
+degree-raising map.  A ``CohomologyClass`` product needs a factor of degree
+at most one and runs that map once; the cohomological route of the genus
+engine runs it on integer vectors, one Horner step at a time.
 
 The census needs only degrees 1 and 2: ``facet_class_decomposition`` reads
 the reductions of the facet classes and of their pairwise products through
-``reduce_monomial`` and builds neither the structure constants nor a
+``reduce_monomial`` and builds neither the structure nor a
 ``CohomologyClass``.  Reduction tables are keyed by column and map each
 basis column to the int 1, so reductions stay in ints wherever the ring is
 integral.
@@ -47,7 +48,7 @@ integral.
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import InputError, PropertyViolationError, RingShapeError
 from .linalg import rref, unimodular_inverse
@@ -125,6 +126,9 @@ class CohomologyClass:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product; one factor must have no part of degree 2 or more,
+        as every product is built from multiplication by degree-one
+        classes."""
         if isinstance(other, (int, Fraction)):
             return CohomologyClass(self.ring, (c * other for c in self.coords))
         other = self._operand(other)
@@ -132,18 +136,19 @@ class CohomologyClass:
             return NotImplemented
         structure = self.ring.structure
         u, v = self.coords, other.coords
-        # The unit is token 0, so its products are scalings; the rows hold
-        # every other product times delta.
-        out = [0] * len(u)
-        structure.add_product(out, u,
-                              [(j, y) for j, y in enumerate(v) if y and j])
+        low, high = structure.starts[1], structure.starts[2]
+        if any(v[high:]):
+            if any(u[high:]):
+                raise InputError(
+                    "a product needs one factor of degree at most 1; both "
+                    "have a part of degree 2 or more")
+            u, v = v, u
+        out = structure.multiplier(v[low:high])(u)
         if structure.delta != 1:
             out = [_rational(Fraction(a, structure.delta)) if a else 0
                    for a in out]
-        if u[0]:
-            out = [a + u[0] * y for a, y in zip(out, v)]
         if v[0]:
-            out[1:] = [a + v[0] * x for a, x in zip(out[1:], u[1:])]
+            out = [a + v[0] * x for a, x in zip(out, u)]
         return CohomologyClass(self.ring, out)
 
     __rmul__ = __mul__
@@ -163,17 +168,19 @@ class CohomologyClass:
 
 
 class GradedStructure:
-    """A ring's flat graded basis and its products, in integers.
+    """A ring's flat graded basis and its multiplication by degree-one
+    classes, in integers.
 
     ``tokens`` lists basis(0), basis(1), ..., basis(n) in that order;
     ``degrees[i]`` is the degree of tokens[i], ``starts[d]`` the position
     of the first token of degree d (``starts[n + 1]`` the basis size) and
-    ``position`` maps each token back.  basis(0) must be the unit alone, so
-    products with it are scalings and are not stored.  For positions i, j
-    of positive degree with deg i + deg j <= n, ``rows[i][j]`` is
-    ((k, c), ...) for each nonzero product tokens[i] * tokens[j] =
-    sum of (c / delta) tokens[k], with integers c and delta the least common
-    denominator of all those products.
+    ``position`` maps each token back.  For each position i of degree below
+    n and each degree-one token g = tokens[starts[1] + r], ``rows[i][r]``
+    is ((k, c), ...) for each nonzero term of tokens[i] * g =
+    sum of (c / delta) tokens[k], with integers c and delta the least
+    common denominator of all those products.  The ring is generated in
+    degree one, so these products determine every other; no product of two
+    classes of degree 2 or more is stored.
     """
 
     __slots__ = ("tokens", "degrees", "starts", "position", "delta", "rows")
@@ -185,36 +192,45 @@ class GradedStructure:
         self.degrees = tuple(ring.token_degree(t) for t in self.tokens)
         self.starts = tuple(sum(map(len, blocks[:d])) for d in range(n + 2))
         self.position = {t: i for i, t in enumerate(self.tokens)}
-        products = {}
-        for i in range(1, len(self.tokens)):
-            for j in range(i, self.starts[n + 1 - self.degrees[i]]):
-                products[i, j] = products[j, i] = [
-                    (self.position[t], c) for t, c in
-                    ring.mul_basis(self.tokens[i], self.tokens[j]).items()]
-        self.delta = math.lcm(1, *(c.denominator for terms in products.values()
-                                   for _, c in terms))
-        self.rows = tuple({} for _ in self.tokens)
-        for (i, j), terms in products.items():
-            if terms:
-                self.rows[i][j] = tuple(
-                    (k, c.numerator * (self.delta // c.denominator))
-                    for k, c in terms)
+        products = [[ring.mul_basis(t, g).items() for g in blocks[1]]
+                    for t in self.tokens[:self.starts[n]]]
+        self.delta = math.lcm(1, *(c.denominator for row in products
+                                   for terms in row for _, c in terms))
+        self.rows = tuple(
+            tuple(tuple((self.position[t],
+                         c.numerator * (self.delta // c.denominator))
+                        for t, c in terms) for terms in row)
+            for row in products)
 
-    def add_product(self, out, u, v):
-        """out += delta * (u * v) for the products the rows hold: u is a
-        dense coordinate vector and v a list of (position, nonzero
-        coordinate) pairs.  Products with the unit are left to the caller.
+    def multiplier(self, a):
+        """Multiplication by delta * a, for the degree-one class a given by
+        its coordinates over basis(1): a function taking a coordinate
+        vector u to a new vector delta * a * u.  It reads u only below
+        position ``stop``, by default every position of degree below n, so
+        a caller that keeps the product only up to some degree passes the
+        start of that degree.  The rows of a are summed for each position
+        the first time a vector is nonzero there, so one multiplier serves
+        many vectors at the cost of one.
         """
-        rows = self.rows
-        for i, x in enumerate(u):
-            if x:
+        terms = [(r, y) for r, y in enumerate(a) if y]
+        rows = [None] * len(self.rows)
+        size = len(self.tokens)
+
+        def times(u, stop=len(rows)):
+            out = [0] * size
+            for i in compress(range(stop), u):
                 row = rows[i]
-                for j, y in v:
-                    terms = row.get(j)
-                    if terms:
-                        xy = x * y
-                        for k, c in terms:
-                            out[k] += c * xy
+                if row is None:
+                    acc = {}
+                    for r, y in terms:
+                        for k, c in self.rows[i][r]:
+                            acc[k] = acc.get(k, 0) + c * y
+                    row = rows[i] = [(k, c) for k, c in acc.items() if c]
+                x = u[i]
+                for k, c in row:
+                    out[k] += c * x
+            return out
+        return times
 
 
 class GradedRing:
@@ -519,7 +535,7 @@ def facet_class_decomposition(manifold, ring=None):
     Only degrees 1 and 2 of the ring are read, through ``reduce_monomial``:
     once per facet v_i and at most once per product v_i v_j (i <= j), the
     squares for p1 and the other products as candidate subsets ask for
-    them.  No structure constants and no ``CohomologyClass`` are built.
+    them.  No ``structure`` and no ``CohomologyClass`` are built.
     The pairwise-zero test runs before the unimodularity test; both must
     hold, so the order changes only the cost.
     """

@@ -1,17 +1,13 @@
 """Exact arithmetic building blocks.
 
-Three small types cover everything the index computations need:
+Two small types cover everything the index computations need:
 
 * ``HalfLaurent``: circle characters, Laurent polynomials in a formal
   square root of the circle variable t, read but never multiplied.
   Exponents are stored doubled so every exponent is an integer.
 * ``QSeries``: truncated power series in the modular parameter q whose
-  coefficients live in any commutative ring that speaks +, * and ==
-  (Fraction, TruncatedPolynomial, cohomology classes), or characters.
-* ``TruncatedPolynomial``: polynomials in one nilpotent variable, truncated
-  above a fixed degree cap.  These build the universal one-root Taylor
-  tables, which the cohomological route scales to integers and evaluates
-  at degree-two cohomology classes.
+  coefficients are exact rationals, or characters that are added but
+  never multiplied together.
 
 Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
@@ -121,10 +117,12 @@ def _coeff_zero(sample):
 
 
 class QSeries:
-    """Power series in q truncated above q^order, generic coefficients.
+    """Power series in q truncated above q^order.
 
     ``coeffs[k]`` is the coefficient of q^k; the list always has length
-    order + 1.  Arithmetic silently truncates, which is the whole point.
+    order + 1.  Coefficients are exact rationals, or characters, which are
+    added but never multiplied together.  Arithmetic silently truncates,
+    which is the whole point.
     """
 
     __slots__ = ("coeffs", "order")
@@ -207,14 +205,12 @@ class QSeries:
         return out
 
     def invert(self):
-        """Multiplicative inverse; the constant term must be a unit."""
+        """Multiplicative inverse; the constant term must be a nonzero
+        rational."""
         a0 = self.coeffs[0]
-        if isinstance(a0, (int, Fraction)):
-            if a0 == 0:
-                raise ArithmeticError("constant term vanishes, not invertible")
-            b0 = Fraction(1) / a0
-        else:
-            b0 = a0.inverse()
+        if a0 == 0:
+            raise ArithmeticError("constant term vanishes, not invertible")
+        b0 = Fraction(1) / a0
         inv = [b0]
         for k in range(1, self.order + 1):
             acc = None
@@ -244,8 +240,8 @@ def binomial_quotient(ups, downs, one, order):
 
     ``ups`` and ``downs`` are iterables of (c, k) pairs with k >= 1; a factor
     with k > order is 1 to this order.  ``one`` is the unit of the
-    coefficient ring (Fraction or TruncatedPolynomial), and each c is a
-    Fraction or an element of that ring.  The result is a QSeries truncated
+    coefficient ring, an int or a Fraction, and each c is an exact
+    rational.  The result is a QSeries truncated
     above q^order.  Each factor is one pass over the coefficient list, in
     place: multiplying by 1 + c q^k adds c a[j-k] to a[j] for j falling, and
     dividing subtracts c a[j-k] from a[j] for j rising, where a[j-k] already
@@ -335,104 +331,3 @@ def binomial_passes(a, exponents):
             if any(remainder):
                 return a, False
     return a, True
-
-
-class TruncatedPolynomial:
-    """Polynomial in a nilpotent variable x with x^(cap+1) treated as 0.
-
-    Coefficients are Fractions.  Used for one-variable Taylor expansions of
-    the characteristic power series that later get evaluated at degree-two
-    cohomology classes, whose honest nilpotency degree matches the cap.
-    """
-
-    __slots__ = ("coeffs", "cap")
-
-    def __init__(self, coeffs, cap):
-        coeffs = [_as_fraction(c) for c in coeffs[: cap + 1]]
-        coeffs += [Fraction(0)] * (cap + 1 - len(coeffs))
-        self.coeffs = tuple(coeffs)
-        self.cap = cap
-
-    @staticmethod
-    def constant(c, cap):
-        return TruncatedPolynomial([c], cap)
-
-    @staticmethod
-    def variable(cap, scale=1):
-        return TruncatedPolynomial([0, scale], cap)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPolynomial.constant(other, self.cap)
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return self.cap == other.cap and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.cap, self.coeffs))
-
-    def __neg__(self):
-        return TruncatedPolynomial([-c for c in self.coeffs], self.cap)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPolynomial.constant(other, self.cap)
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return TruncatedPolynomial(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.cap)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPolynomial.constant(other, self.cap)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return TruncatedPolynomial([c * f for c in self.coeffs], self.cap)
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        out = [Fraction(0)] * (self.cap + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.cap:
-                    break
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedPolynomial(out, self.cap)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.coeffs[0] == 0:
-            raise ArithmeticError("constant term vanishes, not invertible")
-        b0 = Fraction(1) / self.coeffs[0]
-        inv = [b0]
-        for k in range(1, self.cap + 1):
-            s = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1))
-            inv.append(-b0 * s)
-        return TruncatedPolynomial(inv, self.cap)
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{i}")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"TruncatedPolynomial({list(self.coeffs)!r}, cap={self.cap})"

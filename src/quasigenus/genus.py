@@ -16,15 +16,17 @@ the division and at both held-out points alike.  The t-free squares of
 every theta factor form one integer q-series per weight count.
 
 Cohomological route: expand the universal one-root power series of each
-index factor as q-series with nilpotent-polynomial coefficients, substitute
-the facet classes of the stable tangent splitting, multiply in the twist
-and bundle factors, and integrate.  It runs in integers: the tables are
-scaled once by the least gauge L that clears every denominator of x^i with
-L^i, the degree-1 input classes by the lcm mu of theirs, and products use
-the ring's integer structure constants over one denominator delta, so
-degree d carries (L mu)^d delta^(d-1) and only the top coordinate of each
-q-coefficient is divided.  The two routes agreeing exactly is the
-workbench's core consistency contract.
+index factor as tables of x^i coefficients per power of q, substitute the
+facet classes of the stable tangent splitting, multiply in the twist and
+bundle factors, and integrate.  It runs in integers: the tables are scaled
+once by the least gauge L that clears every denominator of x^i with L^i,
+the degree-1 input classes by the lcm mu of theirs, and the ring multiplies
+by a degree-one class over one integer denominator delta.  The factors on
+one class multiply their tables first and enter by Horner's rule, one
+multiplication by the class per degree, so degree d carries
+(L mu delta)^d and only the top coordinate of each q-coefficient is
+divided.  The two routes agreeing exactly is the workbench's core
+consistency contract.
 
 Exponent bookkeeping: t^(1/2) never appears at run time.  With an all-odd
 twist vector, (twist character + sum of tangent weights) is even at every
@@ -44,8 +46,8 @@ from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
-from .exactalg import (HalfLaurent, QSeries, TruncatedPolynomial, binomial_exponents,
-                       binomial_passes, binomial_quotient, divisors, mul_binomial)
+from .exactalg import (HalfLaurent, QSeries, binomial_exponents, binomial_passes,
+                       binomial_quotient, divisors, mul_binomial)
 from .linalg import gf2_solve
 from .cohomology import build_face_ring
 
@@ -345,10 +347,10 @@ def _square_series(tangents, v_count, w_count, q_order):
     return tuple(binomial_quotient(ups, downs, 1, q_order).coeffs)
 
 
-def _term_series(term, q_order, seed):
-    """The integer polynomial ``seed`` times the product of a term's theta
-    factors: row j holds the coefficients of t^-j*top .. t^j*top + deg seed
-    in q^j, top its largest |weight|.
+def _term_series(signature, q_order, seed):
+    """The integer polynomial ``seed`` times the product of the theta
+    factors of a term's ``signature``: row j holds the coefficients of
+    t^-j*top .. t^j*top + deg seed in q^j, top its largest |weight|.
 
     Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k) of
     ``_theta_binomials`` run the recurrence of
@@ -356,10 +358,10 @@ def _term_series(term, q_order, seed):
     a shifted row onto another: row j - k times t^e lies in row j from
     e + k*top >= 0.  The squares (1 + s q^k)^2 are the one integer q-series
     S of ``_square_series``, applied last: S_i times row j - i lies in row
-    j from i*top.  The rows depend only on ``term.signature``.
+    j from i*top.
     """
-    top, ks = term.top, range(1, q_order + 1)
-    tangent, v_weights, w_weights = term.signature
+    top, ks = max(max(w, default=0) for w in signature), range(1, q_order + 1)
+    tangent, v_weights, w_weights = signature
     rows = [seed] + [[0] * (2 * j * top + len(seed)) for j in ks]
     # dividing by 1 - t^e q^k (tangent) adds row j - k, j rising;
     # multiplying by 1 - t^e q^k (V) or 1 + t^e q^k (W) subtracts or adds
@@ -465,7 +467,8 @@ def _divided_sum(terms, parity, q_order):
             numerator = (mul_binomial(numerator, b, 1) if b
                          else [2 * c for c in numerator])
         numerator, _ = binomial_passes(numerator, maps[t.signature])
-        shared.append((t.top, low, _term_series(t, q_order, numerator)))
+        shared.append((t.top, low, _term_series(t.signature, q_order,
+                                                 numerator)))
     inverse = {m: -e for m, e in denominator.items()}
     out = []
     for j in range(q_order + 1):
@@ -829,55 +832,60 @@ def localization_integral(manifold, facets):
 # ---------------------------------------------------------------------------
 
 
-def _factorial_fraction(i):
-    return Fraction(math.factorial(i))
+def _truncated_product(a, b):
+    """The product of two tables, truncated to the larger.  A table lists
+    the q^j coefficients of a power series in q and x, each as the list of
+    its x^i coefficients, and all its rows have one length."""
+    width = len(a[0])
+    out = [[0] * width for _ in range(max(len(a), len(b)))]
+    for j, row in enumerate(a):
+        for i, x in enumerate(row):
+            if x:
+                for target, other in zip(out[j:], b):
+                    for k, y in enumerate(other[:width - i], i):
+                        target[k] += x * y
+    return out
 
 
-def _exp_poly(cap, scale):
-    """TruncatedPolynomial for e^(scale*x)."""
-    return TruncatedPolynomial(
-        [Fraction(scale) ** i / _factorial_fraction(i) for i in range(cap + 1)],
-        cap)
-
-
-def _div_x(poly):
-    if poly.coeffs[0] != 0:
-        raise ArithmeticError("not divisible by x")
-    return TruncatedPolynomial(list(poly.coeffs[1:]) + [Fraction(0)], poly.cap)
+def _exp_row(cap, s):
+    """e^(s x) up to x^cap, for a Fraction s."""
+    return [s ** i / math.factorial(i) for i in range(cap + 1)]
 
 
 @lru_cache(maxsize=128)
 def _universal_tables(cap, q_order):
-    """One-root q-series tables for the three index factors, each a
-    read-only tuple of q-coefficients, built once per (cap, q_order).
+    """One-root tables for the three index factors, each a read-only tuple
+    of q-coefficients, each a tuple of its x^i coefficients for i <= cap,
+    built once per (cap, q_order).
 
     tangent: (x/2)/sinh(x/2) * prod_k (1-q^k)^2 / ((1-e^x q^k)(1-e^-x q^k))
     vline:   (1-e^-x) * prod_k (1-e^x q^k)(1-e^-x q^k) / (1-q^k)^2
     wline:   (e^(x/2)+e^(-x/2)) * prod_k (1+e^x q^k)(1+e^-x q^k) / (1+q^k)^2
+
+    Each theta product is a Laurent polynomial in t = e^x per power of q,
+    row j of ``_term_series`` for a single weight 1, and t^e adds
+    e^i / i! to the x^i coefficient; the prefactor multiplies it as a table
+    of one row.
     """
-    E = _exp_poly(cap, 1)
-    Einv = _exp_poly(cap, -1)
-    Eh = _exp_poly(cap, Fraction(1, 2))
-    Ehinv = _exp_poly(cap, Fraction(-1, 2))
-    one = TruncatedPolynomial.constant(1, cap)
-
-    # (e^(x/2) - e^(-x/2))/x needs one extra degree before the division.
-    diff = _exp_poly(cap + 1, Fraction(1, 2)) - _exp_poly(cap + 1, Fraction(-1, 2))
-    sinh_norm = TruncatedPolynomial(list(_div_x(diff).coeffs[: cap + 1]), cap)
-    a_root = sinh_norm.inverse()            # (x/2)/sinh(x/2)
-
-    ks = range(1, q_order + 1)
-    pair_minus = [(-E, k) for k in ks] + [(-Einv, k) for k in ks]
-    pair_plus = [(E, k) for k in ks] + [(Einv, k) for k in ks]
-    minus_sq = [(Fraction(-1), k) for k in ks] * 2
-    plus_sq = [(Fraction(1), k) for k in ks] * 2
-
-    def table(prefactor, ups, downs):
-        return tuple((binomial_quotient(ups, downs, one, q_order) * prefactor).coeffs)
-
-    return MappingProxyType({"tangent": table(a_root, minus_sq, pair_minus),
-                             "vline": table(one - Einv, pair_minus, minus_sq),
-                             "wline": table(Eh + Ehinv, pair_plus, plus_sq)})
+    # (x/2)/sinh(x/2) inverts sinh(x/2)/(x/2) = sum_i x^2i / (4^i (2i+1)!),
+    # a power series in x
+    sinh_norm = [0 if i % 2 else Fraction(1, 2 ** i * math.factorial(i + 1))
+                 for i in range(cap + 1)]
+    one = _exp_row(cap, Fraction(0))
+    factors = {
+        "tangent": (((1,), (), ()), QSeries(sinh_norm).invert().coeffs),
+        "vline": (((), (1,), ()),
+                  list(map(sub, one, _exp_row(cap, Fraction(-1))))),
+        "wline": (((), (), (1,)), list(map(add, _exp_row(cap, Fraction(1, 2)),
+                                           _exp_row(cap, Fraction(-1, 2))))),
+    }
+    tables = {}
+    for name, (signature, prefactor) in factors.items():
+        theta = [[Fraction(sum(c * e ** i for e, c in enumerate(row, -j)),
+                           math.factorial(i)) for i in range(cap + 1)]
+                 for j, row in enumerate(_term_series(signature, q_order, [1]))]
+        tables[name] = tuple(map(tuple, _truncated_product([prefactor], theta)))
+    return MappingProxyType(tables)
 
 
 def _prime_exponents(n):
@@ -903,38 +911,38 @@ def _integer_tables(cap, q_order):
     denominators of all x^i coefficients, so every entry is an integer.
     Built once per (cap, q_order) and read-only, like ``_universal_tables``.
     """
-    polys = dict(_universal_tables(cap, q_order),
-                 twist=(_exp_poly(cap, Fraction(1, 2)),))
+    tables = dict(_universal_tables(cap, q_order),
+                  twist=(tuple(_exp_row(cap, Fraction(1, 2))),))
     need = Counter()
     for i in range(1, cap + 1):
-        lcm = math.lcm(*(tp.coeffs[i].denominator
-                         for table in polys.values() for tp in table))
+        lcm = math.lcm(*(row[i].denominator
+                         for table in tables.values() for row in table))
         for p, e in _prime_exponents(lcm).items():
             need[p] = max(need[p], -(-e // i))
     gauge = math.prod(p ** e for p, e in need.items())
     return gauge, MappingProxyType({
-        name: tuple(tuple(int(c * gauge ** i) for i, c in enumerate(tp.coeffs))
-                    for tp in table)
-        for name, table in polys.items()})
+        name: tuple(tuple(int(c * gauge ** i) for i, c in enumerate(row))
+                    for row in table)
+        for name, table in tables.items()})
 
 
-def _add_product(out, u, v, structure):
-    """out += u * v over a ``GradedStructure`` basis, with u a dense vector
-    and v a list of (position, nonzero coordinate) pairs.  Degree-d
-    coordinates, d >= 1, are scaled by delta^(d-1); the product keeps that
-    scaling, as rows hold delta times the structure constants.
+@lru_cache(maxsize=128)
+def _class_table(names, cap, q_order):
+    """The product of the integer tables of ``names``, the sorted names of
+    the factors on one class, repeats kept.  The gauge L^i is
+    multiplicative, so the product is in the same gauge and in integers.
+    Built once per (names, cap, q_order) and read-only, like
+    ``_integer_tables``.
     """
-    u0 = u[0]
-    for j, y in v:
-        if j:
-            out[j] += u0 * y
-        else:
-            out[:] = [o + y * x for o, x in zip(out, u)]
-    structure.add_product(out, u, v)
+    tables = _integer_tables(cap, q_order)[1]
+    out = tables[names[0]]
+    for name in names[1:]:
+        out = _truncated_product(out, tables[name])
+    return tuple(map(tuple, out))
 
 
 def _degree_one_coordinates(ring, cls):
-    """A class's coordinates over ``ring.structure``; it must lie in degree 1."""
+    """A class's coordinates over ``ring.basis(1)``; it must lie in degree 1."""
     if cls.ring is not ring:
         raise InputError("input class belongs to a different ring")
     starts = ring.structure.starts
@@ -942,22 +950,7 @@ def _degree_one_coordinates(ring, cls):
         raise InputError(
             f"input class {cls} is not homogeneous of degree 1; the "
             "integer gauge of the cohomological route needs degree-1 inputs")
-    return cls.coords
-
-
-def _power_table(ring, vec):
-    """1 + a + a^2 + ... + a^n for an integer degree-1 vector a: degree d
-    holds a^d, its coordinates scaled by delta^(d-1) like every vector."""
-    structure, n = ring.structure, ring.dimension
-    sparse = [(j, y) for j, y in enumerate(vec) if y]
-    table, power = list(vec), vec
-    table[0] = 1
-    for _ in range(n - 1):
-        out = [0] * len(vec)
-        _add_product(out, power, sparse, structure)
-        power = out
-        table = [x + y for x, y in zip(table, power)]
-    return table
+    return cls.coords[starts[1]:starts[2]]
 
 
 def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
@@ -970,40 +963,51 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
     that describe W through a stable splitting.  Every input class must be
     homogeneous of degree 1.
 
-    The integrand runs on integer vectors over ``ring.structure``.  With mu
-    the lcm of the input denominators, substituting L mu a into the integer
-    tables of ``_integer_tables`` scales degree d by (L mu)^d, and degree-d
-    coordinates carry delta^(d-1) as well; each top coordinate is divided
-    back once.
+    The integrand U is a q-series of integer vectors over
+    ``ring.structure``.  The factors on one class a share one table T, the
+    product of theirs, which enters by Horner's rule: R_d = a R_(d+1) +
+    T_d U for d from n, or from the largest d with a^d != 0, down to 0,
+    with T_d the q-series of x^d coefficients, and U becomes R_0.  R_d is
+    later multiplied by a^d, so only its degrees up to n - d are kept, and
+    zero vectors are skipped.  With mu the lcm of the input denominators,
+    L the gauge of ``_integer_tables`` and delta the structure's
+    denominator, degree d carries (L mu delta)^d throughout, and each top
+    coordinate is divided back once.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     structure = ring.structure
-    n, degrees, size = ring.dimension, structure.degrees, len(structure.tokens)
-    gauge, tables = _integer_tables(n, q_order)
-    factors = ([("tangent", c) for c in tangent_roots]
-               + [("vline", c) for c in v_classes]
-               + [("wline", c) for c in w_classes] + [("twist", c1c_class)])
-    ids = {}  # identical classes share one power table
-    keys = [(name, ids.setdefault(cls, len(ids))) for name, cls in factors]
-    coordinates = [_degree_one_coordinates(ring, cls) for cls in ids]
+    n, starts, size = ring.dimension, structure.starts, len(structure.tokens)
+    # Identical classes share one table and one pass.  The twist's table
+    # is one row in q, so it goes first, while the integrand is still 1.
+    names = {}
+    for name, classes in (("twist", (c1c_class,)), ("wline", w_classes),
+                          ("vline", v_classes), ("tangent", tangent_roots)):
+        for cls in classes:
+            names.setdefault(cls, []).append(name)
+    coordinates = [_degree_one_coordinates(ring, cls) for cls in names]
     mu = math.lcm(1, *(x.denominator for vec in coordinates for x in vec))
-    powers = [_power_table(ring, [x.numerator * (mu // x.denominator)
-                                  for x in vec]) for vec in coordinates]
-    series = {(name, at): [[(k, c) for k, (d, x)
-                            in enumerate(zip(degrees, powers[at]))
-                            if (c := row[d] * x)]
-                           for row in tables[name]]
-              for name, at in set(keys)}
     integrand = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(q_order)]
-    for key in keys:
-        out = [[0] * size for _ in range(q_order + 1)]
-        for i, u in enumerate(integrand):
-            if any(u):
-                for j, v in enumerate(series[key][:q_order + 1 - i]):
-                    if v:
-                        _add_product(out[i + j], u, v, structure)
+    for factors, vec in zip(names.values(), coordinates):
+        table = _class_table(tuple(sorted(factors)), n, q_order)
+        times = structure.multiplier([x.numerator * (mu // x.denominator)
+                                      for x in vec])
+        top, power = 0, times([1] + [0] * (size - 1))
+        while top < n and any(power):
+            top, power = top + 1, times(power)
+        live = [u if any(u) else None for u in integrand]
+        out = [[0] * size for _ in integrand]
+        for d in range(top, -1, -1):
+            keep = starts[n - d + 1]
+            out = [times(r, starts[n - d]) if any(r) else r for r in out]
+            for i, row in enumerate(table):
+                if row[d]:
+                    for target, u in zip(out[i:], live):
+                        if u:
+                            target[:keep] = [x + row[d] * y
+                                             for x, y in zip(target[:keep], u)]
         integrand = out
-    scale = (gauge * mu) ** n * structure.delta ** (n - 1) * 2 ** w_trivial_rank
+    gauge = _integer_tables(n, q_order)[0]
+    scale = (gauge * mu * structure.delta) ** n * 2 ** w_trivial_rank
     return QSeries([Fraction(vec[-1], scale) * ring.top_value
                     for vec in integrand], q_order)
 

@@ -420,20 +420,19 @@ def _vertex_blocks_by_column(polytope, free):
     return buckets
 
 
-def sign_orbit_representatives(polytope, bound, charge=None):
+def _free_column_search(polytope, bound, keep, charge=None):
     """Gauge-fixed characteristic matrices with free entries in
-    [-bound, bound], one per sign orbit: each free column's first nonzero
-    entry is positive.  Yields full n x m matrices in enumeration order.
+    [-bound, bound] whose free columns all pass ``keep``, in backtracking
+    order over the free columns, each running through [-bound, bound]^n in
+    ``iproduct`` order.  Yields full n x m matrices.
 
-    Negating a free column keeps every |det|, and the box is symmetric, so
-    each orbit has 2^(m - n) members and checking one checks all.  A vertex
-    minor is checked on its free block, the vertex's free columns on the
-    rows its base facets leave out.  A block of one free column is 1 x 1,
-    so it filters that column's candidate list once; the blocks joining
-    earlier columns go through ``int_det`` while backtracking.  ``charge``,
-    if given, gets the filtering work, (2 bound + 1)^n per free column,
-    before any candidate is built, and a column's candidate count each time
-    the backtracking enters it.
+    A vertex minor is checked on its free block, the vertex's free columns
+    on the rows its base facets leave out.  A block of one free column is
+    1 x 1, so it filters that column's candidate list once; the blocks
+    joining earlier columns go through ``int_det`` while backtracking.
+    ``charge``, if given, gets the filtering work, (2 bound + 1)^n per free
+    column, before any candidate is built, and a column's candidate count
+    each time the backtracking enters it.
     """
     n = polytope.dimension
     free = _free_columns(polytope)
@@ -441,12 +440,11 @@ def sign_orbit_representatives(polytope, bound, charge=None):
         charge(len(free) * (2 * bound + 1) ** n)
     cols = {f: tuple(int(i == k) for i in range(n))
             for k, f in enumerate(polytope.vertices[0])}
-    positive = [c for c in iproduct(range(-bound, bound + 1), repeat=n)
-                if next((x for x in c if x), 0) > 0]
+    kept = [c for c in iproduct(range(-bound, bound + 1), repeat=n) if keep(c)]
     candidates, joint = [], []
     for blocks in _vertex_blocks_by_column(polytope, free):
         units = [rows[0] for facets, rows in blocks if len(facets) == 1]
-        candidates.append([c for c in positive
+        candidates.append([c for c in kept
                            if all(c[i] in (1, -1) for i in units)])
         joint.append([b for b in blocks if len(b[0]) > 1])
 
@@ -465,6 +463,19 @@ def sign_orbit_representatives(polytope, bound, charge=None):
                 yield from rec(idx + 1)
 
     yield from rec(0)
+
+
+def sign_orbit_representatives(polytope, bound, charge=None):
+    """Gauge-fixed characteristic matrices with free entries in
+    [-bound, bound], one per sign orbit: each free column's first nonzero
+    entry is positive.  Yields full n x m matrices in enumeration order;
+    ``charge`` is as in ``_free_column_search``.
+
+    Negating a free column keeps every |det|, and the box is symmetric, so
+    each orbit has 2^(m - n) members and checking one checks all.
+    """
+    return _free_column_search(
+        polytope, bound, lambda c: next((x for x in c if x), 0) > 0, charge)
 
 
 def sign_orbit_members(polytope, representatives):
@@ -487,11 +498,10 @@ def sign_orbit_members(polytope, representatives):
 def enumerate_characteristic_matrices(polytope, bound):
     """All gauge-fixed characteristic matrices with free entries in
     [-bound, bound]: the minor at the smallest vertex is the identity and
-    every vertex minor is unimodular.  These are the members of the
-    ``sign_orbit_representatives`` orbits, in backtracking order over the
-    free columns, each running through [-bound, bound]^n in ``iproduct``
-    order.  Yields full n x m integer matrices.
+    every vertex minor is unimodular.  Yields full n x m integer matrices
+    lazily, in backtracking order over the free columns, each running
+    through the nonzero vectors of [-bound, bound]^n in ``iproduct`` order;
+    that is the order of ``sign_orbit_members`` over all the
+    ``sign_orbit_representatives``.
     """
-    for rows, _ in sign_orbit_members(
-            polytope, sign_orbit_representatives(polytope, bound)):
-        yield rows
+    return _free_column_search(polytope, bound, any)

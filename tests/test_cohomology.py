@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
@@ -287,22 +288,45 @@ def _decomposition_or_none(decompose, manifold, ring):
         return None
 
 
+def _all_pairs(ring):
+    """(delta, rows): the product of every two basis classes of positive
+    degree whose degrees sum to at most n, through ``mul_basis``, as
+    integer terms over their least common denominator delta.  rows[i][j]
+    holds the terms of tokens[i] * tokens[j] over the structure's token
+    positions, for nonzero products: the table each ring once stored."""
+    s, n = ring.structure, ring.dimension
+    products = {}
+    for i in range(1, len(s.tokens)):
+        for j in range(i, s.starts[n + 1 - s.degrees[i]]):
+            products[i, j] = products[j, i] = [
+                (s.position[t], c) for t, c in
+                ring.mul_basis(s.tokens[i], s.tokens[j]).items()]
+    delta = math.lcm(1, *(c.denominator for terms in products.values()
+                          for _, c in terms))
+    rows = [{} for _ in s.tokens]
+    for (i, j), terms in products.items():
+        if terms:
+            rows[i][j] = tuple((k, c.numerator * (delta // c.denominator))
+                               for k, c in terms)
+    return delta, rows
+
+
 def _manifest_ring_digest(path, capsys):
-    """A digest of a manifest's ring structure constants and delta, p1 and
-    ``describe --json`` output; classes are written by ``str``, so an int
-    and an integral Fraction read the same."""
+    """A digest of a manifest's ring basis, all basis products and their
+    denominator, p1 and ``describe --json`` output; classes are written by
+    ``str``, so an int and an integral Fraction read the same."""
     ring = build_face_ring(parse_manifest(path.read_text()).build_manifold())
-    s = ring.structure
+    delta, rows = _all_pairs(ring)
     assert main(["describe", str(path), "--json"]) == 0
-    text = json.dumps([[str(t) for t in s.tokens], s.delta,
-                       [sorted(row.items()) for row in s.rows],
+    text = json.dumps([[str(t) for t in ring.structure.tokens], delta,
+                       [sorted(row.items()) for row in rows],
                        str(ring.pontryagin_p1()), capsys.readouterr().out])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestDegreeTwoDecomposition:
     """The decomposition reads only degree-2 reductions; the class-based
-    reference reads the full structure constants."""
+    reference multiplies facet classes through the ring's structure."""
 
     @pytest.mark.parametrize("polytope, bound, matches", [
         (simplex(3), 1, 8), (simplex(3), 2, 8), (cube(3), 1, 0),
@@ -382,7 +406,8 @@ class TestDegreeTwoDecomposition:
 
 class TestGradedStructure:
     def test_built_on_first_use_and_equal_to_mul_basis(self):
-        # the last ring's products carry denominators 2 and 4
+        # the last ring's products carry denominators 2 and 4, among the
+        # degree-one products as among all pairs
         rings = [build_face_ring(sphere_product(3)),
                  SyntheticConnectedSumRing(3, 2, (1, -1)),
                  build_face_ring(QuasitoricManifold(
@@ -397,14 +422,15 @@ class TestGradedStructure:
             assert s.tokens == sum((ring.basis(d) for d in range(n + 1)), ())
             assert [s.tokens[s.starts[d]:s.starts[d + 1]]
                     for d in range(n + 1)] == [ring.basis(d) for d in range(n + 1)]
-            for i, a in enumerate(s.tokens):
-                for j, b in enumerate(s.tokens):
-                    if s.degrees[i] and s.degrees[j] and (
-                            s.degrees[i] + s.degrees[j] <= n):
-                        assert {s.tokens[k]: Fraction(c, s.delta)
-                                for k, c in s.rows[i].get(j, ())} == (
-                            ring.mul_basis(a, b))
+            # one row per token of degree below n, one entry per generator
+            assert len(s.rows) == s.starts[n]
+            for i, a in enumerate(s.tokens[:s.starts[n]]):
+                assert len(s.rows[i]) == len(ring.basis(1))
+                for r, g in enumerate(ring.basis(1)):
+                    assert {s.tokens[k]: Fraction(c, s.delta)
+                            for k, c in s.rows[i][r]} == ring.mul_basis(a, g)
         assert [r.structure.delta for r in rings] == [1, 1, 4]
+        assert [_all_pairs(r)[0] for r in rings] == [1, 1, 4]
 
 
 # -- token-dict reference arithmetic ----------------------------------------
@@ -455,13 +481,13 @@ def _as_class(ring, terms):
 
 def _delta_four_census_rings(count, seed):
     """Face rings of seeded census matrices over the twice-summed 3-simplex
-    at entry bound 2 whose structure denominator is 4."""
+    at entry bound 2 whose basis products have denominator 4."""
     poly = _iterated_connected_sum(3, 2)
     mats = list(enumerate_characteristic_matrices(poly, 2))
     random.Random(seed).shuffle(mats)
     rings = (build_face_ring(QuasitoricManifold(poly, rows, (1,) * 5))
              for rows in mats)
-    return list(islice((r for r in rings if r.structure.delta == 4), count))
+    return list(islice((r for r in rings if _all_pairs(r)[0] == 4), count))
 
 
 class TestClassArithmetic:
@@ -469,6 +495,7 @@ class TestClassArithmetic:
 
     @staticmethod
     def check(ring, rng, trials=12):
+        low = ring.basis(0) + ring.basis(1)
         for _ in range(trials):
             a, b = _random_dict(ring, rng), _random_dict(ring, rng)
             x, y = _as_class(ring, a), _as_class(ring, b)
@@ -476,11 +503,25 @@ class TestClassArithmetic:
             assert x + y == _as_class(ring, _dict_add(a, b))
             assert x - y == _as_class(ring, _dict_add(a, b, -1))
             assert x * c == _as_class(ring, {t: v * c for t, v in a.items()})
+            # a product needs one factor of degree at most 1
+            b = {t: v for t, v in b.items() if t in low}
+            y = _as_class(ring, b)
             product = _dict_mul(ring, a, b)
-            assert x * y == _as_class(ring, product)
+            for left, right in ((x, y), (y, x)):
+                assert left * right == _as_class(ring, product)
             assert ring.integrate(x * y) == _dict_integral(ring, product)
             assert str(x * y) == _dict_str(ring, product)
             assert str(x) == _dict_str(ring, a)
+
+    def test_two_factors_of_degree_two_raise(self):
+        for ring in (build_face_ring(sphere_product(2)),
+                     SyntheticConnectedSumRing(4, 2, (1, -1))):
+            top = ring.basis(2)[0]
+            x = _as_class(ring, {top: 1})
+            y = _as_class(ring, {(): 3, ring.basis(1)[0]: 1, top: 2})
+            for left, right in ((x, x), (x, y), (y, x)):
+                with pytest.raises(InputError, match="degree at most 1"):
+                    left * right
 
     def test_named_manifolds(self):
         rng = random.Random(11)

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from quasigenus.exactalg import (HalfLaurent, QSeries, TruncatedPolynomial,
-                                 binomial_exponents, binomial_passes,
-                                 binomial_quotient, divisors, divmod_binomial,
-                                 mul_binomial)
+from quasigenus.exactalg import (HalfLaurent, QSeries, binomial_exponents,
+                                 binomial_passes, binomial_quotient, divisors,
+                                 divmod_binomial, mul_binomial)
 
 
 def brute_convolution(a, b, order):
@@ -90,18 +89,6 @@ class TestHalfLaurent:
         assert f.shift(-2) == 1
 
 
-class TestTruncatedPolynomial:
-    def test_inverse(self):
-        x = TruncatedPolynomial.variable(3)
-        one_minus = TruncatedPolynomial.constant(1, 3) - x
-        inv = one_minus.inverse()
-        assert inv == TruncatedPolynomial([1, 1, 1, 1], 3)
-
-    def test_nilpotent_truncation(self):
-        x = TruncatedPolynomial.variable(2)
-        assert x * x * x == TruncatedPolynomial.constant(0, 2)
-
-
 def dense_binomial_quotient(ups, downs, one, order):
     """The quotient from dense products of one-binomial series and their
     inverses, the defining formula."""
@@ -130,25 +117,6 @@ class TestBinomialQuotient:
         one = Fraction(1)
         for order in range(7):
             for _ in range(5):
-                ups = self.random_factors(rng, coefficient, order)
-                downs = self.random_factors(rng, coefficient, order)
-                assert (binomial_quotient(ups, downs, one, order)
-                        == dense_binomial_quotient(ups, downs, one, order))
-
-    def test_truncated_polynomial_coefficients(self):
-        # c is either a ring element or a scalar Fraction; k runs past order
-        rng = random.Random(18)
-        cap = 3
-        one = TruncatedPolynomial.constant(1, cap)
-
-        def coefficient():
-            if rng.random() < 0.3:
-                return Fraction(rng.randint(-3, 3))
-            return TruncatedPolynomial(
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for _ in range(cap + 1)], cap)
-        for order in range(7):
-            for _ in range(3):
                 ups = self.random_factors(rng, coefficient, order)
                 downs = self.random_factors(rng, coefficient, order)
                 assert (binomial_quotient(ups, downs, one, order)

@@ -2,10 +2,14 @@
 
 The strongest check in the file is route agreement: the exact-division
 localization engine and the face-ring integration share only the
-combinatorial input and the ``exactalg`` arithmetic types and primitives,
-each writing out its own index formula, so exact equality of their
-q-series is strong evidence both are right.  Individual values are frozen
-from independent hand computations done inline.
+combinatorial input, the ``exactalg`` arithmetic types and primitives and
+the theta-row recurrence ``_term_series``, each writing out its own index
+formula, so exact equality of their q-series is strong evidence both are
+right.  The recurrence is checked apart from both: against the full
+recurrence below, against dense products of one-binomial tables through
+the universal tables, and by localization itself at held-out points.
+Individual values are frozen from independent hand computations done
+inline.
 """
 
 import hashlib
@@ -13,7 +17,9 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import islice, product
+from functools import cache
+from itertools import combinations_with_replacement, islice, product
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -22,7 +28,7 @@ from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
 from quasigenus import exactalg, genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
                                PropertyViolationError, SpinObstructionError)
-from quasigenus.exactalg import QSeries, TruncatedPolynomial, binomial_quotient
+from quasigenus.exactalg import QSeries, binomial_quotient
 from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles,
                               cohomological_elliptic_genus, cohomological_index,
                               cohomological_witten_genus, elliptic_genus,
@@ -31,7 +37,7 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               localization_integral, signature, spin_gamma,
                               spin_obstruction, witten_genus,
                               equivariant_elliptic_genus, _VertexTerm,
-                              _integer_tables, _universal_tables,
+                              _class_table, _integer_tables, _universal_tables,
                               cohomological_index_on_ring)
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
@@ -464,72 +470,147 @@ class TestMultiplicativity:
         assert together == cohomological_index(prod, spec, order)
 
 
-def _binomial(c, k, one, q_order):
-    """The q-series 1 + c q^k, truncated above q^q_order."""
-    coeffs = [one] + [one * 0] * q_order
-    if k <= q_order:
-        coeffs[k] = one * c
-    return QSeries(coeffs, q_order)
+# -- reference arithmetic ---------------------------------------------------
+# Series in q and x as tables: row j lists the x^i coefficients of q^j.
+# Classes as {basis token: coefficient} dicts, every product through the
+# ring's mul_basis.
+
+def _exp(s, cap):
+    """e^(s x) up to x^cap, from its Taylor coefficients."""
+    return [Fraction(s) ** i / _fact(i) for i in range(cap + 1)]
 
 
-def _vline_reduced(cap, q_order):
-    """The V-line table with the Euler root divided out of its prefactor:
+def _table(rows, cap, q_order):
+    """rows padded with zeros to q_order + 1 rows of cap + 1 entries."""
+    rows = [[*row, *[0] * (cap + 1)][:cap + 1] for row in rows]
+    return rows + [[0] * (cap + 1) for _ in range(q_order + 1 - len(rows))]
+
+
+def _table_mul(a, b):
+    """The product of two tables of one shape, by the defining double sum."""
+    return [[sum(a[j1][i1] * b[j - j1][i - i1]
+                 for j1 in range(j + 1) for i1 in range(i + 1))
+             for i in range(len(a[0]))] for j in range(len(a))]
+
+
+def _table_inverse(a):
+    """The inverse of a table with a nonzero constant term, entry by entry
+    from the defining identity a * b = 1."""
+    b = [[0] * len(a[0]) for _ in a]
+    for j in range(len(a)):
+        for i in range(len(a[0])):
+            rest = sum(a[j1][i1] * b[j - j1][i - i1]
+                       for j1 in range(j + 1) for i1 in range(i + 1)
+                       if j1 or i1)
+            b[j][i] = (int(i == j == 0) - rest) / Fraction(a[0][0])
+    return b
+
+
+def _reference_tables(cap, q_order):
+    """The universal tables, e^(x/2) and the V-line table with the Euler
+    root divided out of its prefactor,
     (e^(x/2)-e^(-x/2))/x * prod_k (1-e^x q^k)(1-e^-x q^k) / (1-q^k)^2,
-    built here from its Taylor coefficients and dense products of
-    one-binomial series."""
-    sinh_norm = TruncatedPolynomial(
-        [0 if i % 2 else Fraction(1, 2) ** i / _fact(i + 1)
-         for i in range(cap + 1)], cap)
-    e = TruncatedPolynomial([Fraction(1, _fact(i)) for i in range(cap + 1)], cap)
-    e_inv = TruncatedPolynomial(
-        [Fraction((-1) ** i, _fact(i)) for i in range(cap + 1)], cap)
-    one = TruncatedPolynomial.constant(1, cap)
-    out = QSeries.constant(sinh_norm, q_order)
-    for k in range(1, q_order + 1):
-        out = out * _binomial(-e, k, one, q_order) * _binomial(-e_inv, k, one, q_order)
-        out = out * (_binomial(-1, k, one, q_order) ** 2).invert()
-    return out
+    from Taylor coefficients and dense products of one-binomial tables."""
+    def binomial(c, s, k):
+        # 1 + c e^(s x) q^k
+        rows = [[1]] + [[]] * (k - 1) + [[c * x for x in _exp(s, cap)]]
+        return _table(rows[:q_order + 1], cap, q_order)
+
+    def multiply(tables):
+        out = _table([[1]], cap, q_order)
+        for table in tables:
+            out = _table_mul(out, table)
+        return out
+
+    def row(coefficients):
+        return _table([coefficients], cap, q_order)
+    ks = range(1, q_order + 1)
+    pairs = {c: multiply(binomial(c, s, k) for s in (1, -1) for k in ks)
+             for c in (1, -1)}
+    squares = {c: multiply(binomial(c, 0, k) for k in ks for _ in range(2))
+               for c in (1, -1)}
+    sinh_norm = row([0 if i % 2 else Fraction(1, 2) ** i / _fact(i + 1)
+                     for i in range(cap + 1)])
+    return {
+        "tangent": multiply([_table_inverse(sinh_norm), squares[-1],
+                             _table_inverse(pairs[-1])]),
+        "vline": multiply([row(map(sub, _exp(0, cap), _exp(-1, cap))),
+                           pairs[-1], _table_inverse(squares[-1])]),
+        "wline": multiply([row(map(add, _exp(Fraction(1, 2), cap),
+                                   _exp(Fraction(-1, 2), cap))),
+                           pairs[1], _table_inverse(squares[1])]),
+        "twist": [_exp(Fraction(1, 2), cap)],
+        "vline_reduced": multiply([sinh_norm, pairs[-1],
+                                   _table_inverse(squares[-1])]),
+    }
 
 
-def _substitute(table, powers):
-    """Each q-coefficient of a table of truncated polynomials, evaluated at
-    a class from its precomputed powers."""
-    return QSeries([sum((powers[i] * c for i, c in enumerate(tp.coeffs) if c),
-                        powers[0] * 0) for tp in table])
+def _dict_ring(ring):
+    """Token-dict arithmetic over ring: (one, mul), each basis product
+    through ``mul_basis`` and computed once."""
+    basis_product = cache(ring.mul_basis)
+
+    def mul(a, b):
+        out = {}
+        for t1, c1 in a.items():
+            for t2, c2 in b.items():
+                for t, c in basis_product(t1, t2).items():
+                    out[t] = out.get(t, 0) + c1 * c2 * c
+        return {t: c for t, c in out.items() if c}
+    return {ring.basis(0)[0]: 1}, mul
 
 
-def _class_powers(cls, cap, ring):
-    powers = [ring.one()]
+def _as_dict(cls):
+    tokens = cls.ring.structure.tokens
+    return {tokens[i]: c for i, c in enumerate(cls.coords) if c}
+
+
+def _combine(dicts, coefficients):
+    """The sum of coefficients[i] * dicts[i]."""
+    out = {}
+    for d, c in zip(dicts, coefficients):
+        for t, x in d.items():
+            out[t] = out.get(t, 0) + c * x
+    return {t: x for t, x in out.items() if x}
+
+
+def _powers(one, mul, a, cap):
+    powers = [one]
     for _ in range(cap):
-        powers.append(powers[-1] * cls)
+        powers.append(mul(powers[-1], a))
     return powers
 
 
-def _exp_class(cls, cap, ring):
-    out = ring.zero()
-    power = ring.one()
-    for i in range(cap + 1):
-        out = out + power * Fraction(1, _fact(i))
-        power = power * cls
-    return out
+def _substitute(table, powers):
+    """Each q-coefficient of a table evaluated at a class from its powers."""
+    return [_combine(powers, row) for row in table]
+
+
+def _series_mul(mul, a, b):
+    """The product of two q-series of classes of one order."""
+    return [_combine([mul(a[i], b[j - i]) for i in range(j + 1)],
+                     [1] * (j + 1)) for j in range(len(a))]
 
 
 def _cohomological_reference(ring, tangent_roots, v_classes, w_classes,
                              c1c_class, q_order, w_trivial_rank=0):
-    """The cohomological route in CohomologyClass arithmetic: the universal
+    """The cohomological route in token-dict arithmetic: the universal
     tables substituted at each class, multiplied as q-series of classes."""
     cap = ring.dimension
     tables = _universal_tables(cap, q_order)
-    integrand = QSeries([ring.one()] + [ring.zero()] * q_order, q_order)
+    one, mul = _dict_ring(ring)
+    integrand = [one] + [{}] * q_order
     for name, classes in (("tangent", tangent_roots), ("vline", v_classes),
                           ("wline", w_classes)):
         for cls in classes:
-            integrand = integrand * _substitute(
-                tables[name], _class_powers(cls, cap, ring))
-    half_twist = _exp_class(c1c_class * Fraction(1, 2), cap, ring)
+            integrand = _series_mul(mul, integrand, _substitute(
+                tables[name], _powers(one, mul, _as_dict(cls), cap)))
+    half_twist = _combine(_powers(one, mul, _as_dict(c1c_class), cap),
+                          _exp(Fraction(1, 2), cap))
+    top = ring.basis(cap)[0]
     scale = Fraction(1, 2 ** w_trivial_rank)
-    return QSeries([ring.integrate(cls * half_twist) * scale
-                    for cls in integrand.coeffs], q_order)
+    return QSeries([mul(cls, half_twist).get(top, 0) * ring.top_value * scale
+                    for cls in integrand], q_order)
 
 
 class TestUniversalTableIdentity:
@@ -541,37 +622,39 @@ class TestUniversalTableIdentity:
         ring = build_face_ring(manifold)
         report = construct_twist_bundles(manifold)
         case = report["cases"][report["applicable_case"] - 1]
-        v_classes = [ring.line_class(vec) for vec in case["v_bundle"]]
+        v_classes = [_as_dict(ring.line_class(vec)) for vec in case["v_bundle"]]
         cap = ring.dimension
         q_order = 2
         tables = _universal_tables(cap, q_order)
-        vline_reduced = _vline_reduced(cap, q_order)
-
-        lhs = QSeries([ring.one()] + [ring.zero()] * q_order, q_order)
-        rhs = QSeries([ring.one()] + [ring.zero()] * q_order, q_order)
-        c1v = ring.zero()
-        euler = ring.one()
+        vline_reduced = _reference_tables(cap, q_order)["vline_reduced"]
+        one, mul = _dict_ring(ring)
+        lhs = rhs = [one] + [{}] * q_order
+        c1v, euler = {}, one
         for a in v_classes:
-            powers = _class_powers(a, cap, ring)
-            lhs = lhs * _substitute(tables["vline"], powers)
-            rhs = rhs * _substitute(vline_reduced.coeffs, powers)
-            c1v = c1v + a
-            euler = euler * a
-        half = _exp_class(c1v * Fraction(1, 2), cap, ring)
-        lhs = QSeries([cls * half for cls in lhs.coeffs], q_order)
-        rhs = QSeries([cls * euler for cls in rhs.coeffs], q_order)
-        assert lhs == rhs
+            powers = _powers(one, mul, a, cap)
+            lhs = _series_mul(mul, lhs, _substitute(tables["vline"], powers))
+            rhs = _series_mul(mul, rhs, _substitute(vline_reduced, powers))
+            c1v = _combine([c1v, a], [1, 1])
+            euler = mul(euler, a)
+        half = _combine(_powers(one, mul, c1v, cap), _exp(Fraction(1, 2), cap))
+        assert euler
+        assert [mul(c, half) for c in lhs] == [mul(c, euler) for c in rhs]
 
     def test_single_root_identity_truncated(self):
         # same identity on the nilpotent universal variable itself
         cap, q_order = 4, 2
-        tables = _universal_tables(cap, q_order)
-        x = TruncatedPolynomial.variable(cap)
-        half_exp = TruncatedPolynomial(
-            [Fraction(1, 2) ** i / _fact(i) for i in range(cap + 1)], cap)
-        lhs = QSeries([tp * half_exp for tp in tables["vline"]])
-        rhs = QSeries([tp * x for tp in _vline_reduced(cap, q_order).coeffs])
-        assert lhs == rhs
+        vline = _universal_tables(cap, q_order)["vline"]
+        half_exp = _table([_exp(Fraction(1, 2), cap)], cap, q_order)
+        x = _table([[0, 1]], cap, q_order)
+        reduced = _reference_tables(cap, q_order)["vline_reduced"]
+        assert _table_mul(vline, half_exp) == _table_mul(x, reduced)
+
+    def test_tables_equal_dense_products(self):
+        for cap in range(1, 6):
+            for q_order in range(4):
+                reference = _reference_tables(cap, q_order)
+                for name, table in _universal_tables(cap, q_order).items():
+                    assert [list(row) for row in table] == reference[name]
 
     def test_cached_tables_equal_fresh_builds_and_are_read_only(self):
         for cap in range(1, 7):
@@ -585,6 +668,8 @@ class TestUniversalTableIdentity:
             tables["vline"] = tables["wline"]
         with pytest.raises(TypeError):
             tables["vline"][0] = tables["vline"][1]
+        with pytest.raises(TypeError):
+            tables["vline"][0][0] = 1
         _, integer = _integer_tables(2, 1)
         with pytest.raises(TypeError):
             integer["vline"] = integer["wline"]
@@ -599,46 +684,75 @@ class TestUniversalTableIdentity:
         for cap in range(1, 7):
             for q_order in range(5):
                 gauge, integer = _integer_tables(cap, q_order)
-                fresh = dict(_universal_tables(cap, q_order))
-                fresh["twist"] = (TruncatedPolynomial(
-                    [Fraction(1, 2 ** i * _fact(i)) for i in range(cap + 1)],
-                    cap),)
+                fresh = _reference_tables(cap, q_order)
+                del fresh["vline_reduced"]
                 assert set(integer) == set(fresh)
-                coeffs = [(i, c) for table in fresh.values() for tp in table
-                          for i, c in enumerate(tp.coeffs)]
+                coeffs = [(i, c) for table in fresh.values() for row in table
+                          for i, c in enumerate(row)]
                 for name, table in fresh.items():
                     assert integer[name] == tuple(
-                        tuple(c * gauge ** i for i, c in enumerate(tp.coeffs))
-                        for tp in table)
+                        tuple(c * gauge ** i for i, c in enumerate(row))
+                        for row in table)
                 assert all((c * gauge ** i).denominator == 1 for i, c in coeffs)
                 for p in (p for p in range(2, gauge + 1)
                           if gauge % p == 0 and all(p % r for r in range(2, p))):
                     assert any((c * (gauge // p) ** i).denominator != 1
                                for i, c in coeffs)
 
+    def test_class_tables_are_the_factor_products(self):
+        # factors on one class share the product of their integer tables,
+        # memoized by the sorted tuple of their names
+        names = ("tangent", "twist", "vline", "wline")
+        combos = [c for size in (1, 2, 3)
+                  for c in combinations_with_replacement(names, size)]
+        for cap in range(1, 7):
+            for q_order in range(5):
+                _, integer = _integer_tables(cap, q_order)
+                for combo in combos:
+                    expect = _table([[1]], cap, q_order)
+                    for name in combo:
+                        expect = _table_mul(
+                            expect, _table(integer[name], cap, q_order))
+                    got = _class_table(combo, cap, q_order)
+                    assert got is _class_table(combo, cap, q_order)
+                    assert _table(got, cap, q_order) == expect
+        with pytest.raises(TypeError):
+            got[0][0] = 1
+
+
+def _pair_denominator(ring):
+    """The least common denominator of the products of every two basis
+    classes of positive degree, through ``mul_basis``."""
+    n = ring.dimension
+    tokens = [t for d in range(1, n + 1) for t in ring.basis(d)]
+    return math.lcm(1, *(
+        c.denominator for a in tokens for b in tokens
+        if ring.token_degree(a) + ring.token_degree(b) <= n
+        for c in ring.mul_basis(a, b).values()))
+
 
 def _census_rings(count, seed):
     """Face rings of seeded census matrices over the twice-summed
-    3-simplex at entry bound 2 whose structure denominator is 4."""
+    3-simplex at entry bound 2 whose basis products have denominator 4."""
     poly = _iterated_connected_sum(3, 2)
     mats = list(enumerate_characteristic_matrices(poly, 2))
     random.Random(seed).shuffle(mats)
     rings = (build_face_ring(QuasitoricManifold(poly, rows, (1,) * 5))
              for rows in mats)
-    return list(islice((r for r in rings if r.structure.delta == 4), count))
+    return list(islice((r for r in rings if _pair_denominator(r) == 4), count))
 
 
 def _cube_rings(count, seed):
-    """Face rings of seeded cube(3) matrices at entry bound 2 whose
-    structure denominator exceeds 1; a seeded coin picks the matrices as
-    they are enumerated."""
+    """Face rings of seeded cube(3) matrices at entry bound 2 whose basis
+    products have a denominator; a seeded coin picks the matrices as they
+    are enumerated."""
     rng = random.Random(seed)
     poly = cube(3)
     found = []
     for rows in enumerate_characteristic_matrices(poly, 2):
         if rng.random() < 0.02:
             ring = build_face_ring(QuasitoricManifold(poly, rows, (1,) * 6))
-            if ring.structure.delta > 1:
+            if _pair_denominator(ring) > 1:
                 found.append(ring)
                 if len(found) == count:
                     return found
@@ -982,7 +1096,7 @@ class TestSharedTheta:
         for case in range(120):
             term = _random_term(rng)
             q_order = case % 7
-            assert (genus._term_series(term, q_order, [1])
+            assert (genus._term_series(term.signature, q_order, [1])
                     == _term_series_reference(term, q_order))
 
     def test_rows_depend_only_on_the_signature(self):
@@ -992,8 +1106,6 @@ class TestSharedTheta:
             other = _scrambled(term, rng)
             assert other.signature == term.signature
             for q_order in (0, 1, 3, 5):
-                assert (genus._term_series(other, q_order, [1])
-                        == genus._term_series(term, q_order, [1]))
                 for tau in (2, 3, -2, 5):
                     assert (genus._theta_at(other, tau, q_order)
                             == genus._theta_at(term, tau, q_order))
@@ -1006,8 +1118,9 @@ class TestSharedTheta:
             term = _random_term(rng)
             q_order = case % 5
             seed = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
-            plain = genus._term_series(term, q_order, [1])
-            for row, got in zip(plain, genus._term_series(term, q_order, seed)):
+            plain = genus._term_series(term.signature, q_order, [1])
+            for row, got in zip(plain, genus._term_series(term.signature,
+                                                          q_order, seed)):
                 want = [0] * (len(seed) + len(row) - 1)
                 for i, x in enumerate(seed):
                     for k, y in enumerate(row):

@@ -59,3 +59,14 @@ def test_no_unused_imports():
             if found:
                 unused[path.name] = found
     assert not unused
+
+
+def test_all_pairs_products_are_gone():
+    # every product is built from multiplication by degree-one classes
+    from quasigenus import cohomology, exactalg, genus
+    assert not hasattr(exactalg, "TruncatedPolynomial")
+    assert "TruncatedPolynomial" not in quasigenus.__all__
+    assert not hasattr(quasigenus, "TruncatedPolynomial")
+    for name in ("_add_product", "_power_table"):
+        assert not hasattr(genus, name)
+    assert not hasattr(cohomology.GradedStructure, "add_product")

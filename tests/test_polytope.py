@@ -5,13 +5,15 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
+from quasigenus import polytope
 from quasigenus.errors import InputError
 from quasigenus.linalg import int_det
 from quasigenus.polytope import (QuasitoricManifold, SimplePolytope,
                                  connected_sum, cube,
                                  enumerate_characteristic_matrices, polygon,
-                                 polytope_product, sign_orbit_representatives,
-                                 simplex, vertex_cut)
+                                 polytope_product, sign_orbit_members,
+                                 sign_orbit_representatives, simplex,
+                                 vertex_cut)
 from quasigenus.theorems import _iterated_connected_sum
 
 
@@ -315,6 +317,30 @@ class TestSignOrbits:
 
     def test_cube_count(self):
         assert len(list(enumerate_characteristic_matrices(cube(3), 1))) == 872
+
+    @pytest.mark.parametrize("poly, bound", ORBIT_CASES[:2] + ORBIT_CASES[3:5])
+    def test_order_is_the_sorted_orbit_members(self, poly, bound):
+        members = sign_orbit_members(
+            poly, sign_orbit_representatives(poly, bound))
+        assert (list(enumerate_characteristic_matrices(poly, bound))
+                == [rows for rows, _ in members])
+
+    def test_first_matrix_comes_before_the_rest_are_built(self, monkeypatch):
+        # cube(4) at bound 1 has 151184 matrices; the first needs
+        # under a hundred determinants, and the second a few more
+        calls = []
+        real = polytope.int_det
+        monkeypatch.setattr(polytope, "int_det",
+                            lambda rows: calls.append(rows) or real(rows))
+        matrices = enumerate_characteristic_matrices(cube(4), 1)
+        first = next(matrices)
+        assert first == ((1, 0, 0, 0, -1, 0, 0, 0), (0, 1, 0, 0, -1, -1, 0, 0),
+                         (0, 0, 1, 0, -1, -1, -1, 0),
+                         (0, 0, 0, 1, -1, -1, -1, -1))
+        assert len(calls) < 100
+        assert next(matrices)[3][7] == 1
+        assert len(calls) < 120
+        QuasitoricManifold(cube(4), first, (1,) * 8)
 
     def test_charge_sees_candidates_then_columns(self):
         # simplex(2): 3^2 candidates filtered for its one free column, then
