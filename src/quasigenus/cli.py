@@ -118,7 +118,7 @@ def cmd_genus(args):
         if args.equivariant is not None:
             raise InputError("--twist signature takes no --equivariant circle")
         value = signature(manifold)
-        report = {"twist": "signature", "value": value}
+        report = {"twist": "signature", "value": str(value)}
         _emit(report, args.json, [f"signature: {value}"])
         return 0
 

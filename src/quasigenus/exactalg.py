@@ -9,6 +9,10 @@ Two small types cover everything the index computations need:
   coefficients are exact rationals, or characters that are added but
   never multiplied together.
 
+An exact rational value is an ``int`` when it is integral and a
+``Fraction`` only otherwise, as elsewhere in the library; the characters
+localization computes therefore hold ints only.
+
 Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
 indices, in place on one coefficient list.  Integer polynomials in t are
@@ -27,21 +31,23 @@ from itertools import accumulate
 from operator import add, sub
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 class HalfLaurent:
-    """A circle character: a Laurent polynomial in t^(1/2) with Fraction
-    coefficients, read but never multiplied.
+    """A circle character: a Laurent polynomial in t^(1/2), read but never
+    multiplied.
 
     The key of ``coeffs`` is the doubled exponent: key 3 means t^(3/2),
-    key -4 means t^(-2).  Zero coefficients are never stored, so equality
-    is plain dict equality.  Instances are treated as immutable.
+    key -4 means t^(-2).  Each coefficient is an int when it is integral
+    and a Fraction otherwise, and zeros are never stored, so equality is
+    plain dict equality.  Instances are treated as immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -49,15 +55,24 @@ class HalfLaurent:
     def __init__(self, coeffs):
         clean = {}
         for d, c in coeffs.items():
-            c = _as_fraction(c)
-            if c != 0:
+            c = _exact(c)
+            if c:
                 clean[int(d)] = c
         self.coeffs = clean
 
     @staticmethod
+    def _of_clean(coeffs):
+        """Wrap a dict that already holds int keys and nonzero exact
+        coefficients in the library's convention, without copying it."""
+        out = object.__new__(HalfLaurent)
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
     def from_integer_poly(poly, parity=0):
-        """Lift {integer exponent: coeff} to exponents e + parity/2."""
-        return HalfLaurent({2 * e + parity: c for e, c in poly.items()})
+        """Lift {integer exponent: nonzero int} to exponents e + parity/2."""
+        return HalfLaurent._of_clean(
+            {2 * e + parity: c for e, c in poly.items()})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -68,21 +83,24 @@ class HalfLaurent:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.coeffs
-            return self.coeffs == {0: _as_fraction(other)}
+            return self.coeffs == {0: other}
         return NotImplemented
 
     def shift(self, doubled):
         """Multiply by t^(doubled/2)."""
         if not doubled:
             return self
-        return HalfLaurent({d + doubled: c for d, c in self.coeffs.items()})
+        return HalfLaurent._of_clean(
+            {d + doubled: c for d, c in self.coeffs.items()})
 
     def value_at_one(self):
-        return sum(self.coeffs.values(), Fraction(0))
+        return _exact(sum(self.coeffs.values()))
 
     def items_halved(self):
-        """Sorted (exponent as Fraction, coefficient) pairs, descending."""
-        return [(Fraction(d, 2), self.coeffs[d]) for d in sorted(self.coeffs, reverse=True)]
+        """Sorted (exponent, coefficient) pairs, descending; an exponent is
+        an int when it is integral and a Fraction otherwise."""
+        return [(d // 2 if d % 2 == 0 else Fraction(d, 2), self.coeffs[d])
+                for d in sorted(self.coeffs, reverse=True)]
 
     def __str__(self):
         if not self.coeffs:

@@ -120,7 +120,11 @@ class BundleSpec:
 
 
 class EquivariantIndex:
-    """A q-series of circle characters (Laurent polynomials in t^(1/2))."""
+    """A q-series of circle characters (Laurent polynomials in t^(1/2)).
+
+    Localization divides exactly in Z[t], so every coefficient of every
+    character is an int, and so is each value at t = 1.
+    """
 
     __slots__ = ("series", "xi", "parity")
 
@@ -399,7 +403,8 @@ def _aligned_sum(parts):
 
 
 def _divided_sum(terms, parity, q_order):
-    """Each q-coefficient of the fixed-point sum as {exponent: integer}.
+    """Each q-coefficient of the fixed-point sum as (low, coefficients),
+    the integer polynomial t^low * sum_i coefficients[i] t^i.
 
     A term's q^j coefficient is its prefactor times row j of its theta
     series over B = prod_k (t^|w_k| - 1), which divides D = prod_d Phi_d^e_d,
@@ -426,7 +431,7 @@ def _divided_sum(terms, parity, q_order):
     """
     terms = [t for t in terms if not t.zero]
     if not terms:
-        return [{}] * (q_order + 1)
+        return [(0, [])] * (q_order + 1)
     tops = [t.top for t in terms]
     _check_limit("localization degree", max(tops), MAX_LOCALIZATION_DEGREE)
     # e_d: Counter | Counter keeps the larger count
@@ -480,7 +485,7 @@ def _divided_sum(terms, parity, q_order):
                 f"the fixed-point sum at q^{j} leaves a nonzero remainder on "
                 "division by its common denominator, so it is no Laurent "
                 "polynomial and the fixed-point data is inconsistent")
-        out.append({low + i: c for i, c in enumerate(quotient) if c})
+        out.append((low, quotient))
     return out
 
 
@@ -493,18 +498,20 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
     with no exponent window and no coefficient bound; the fixed-point sum,
     evaluated in integers at t = 2 and 3 by ``_fixed_point_sum_at`` from
     its own recurrence, must match it there too.  Both sides stay integers:
-    they are compared by cross-multiplying their denominators.
+    the divided sum is evaluated by Horner's rule on its coefficient lists,
+    and they are compared by cross-multiplying their denominators.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
     parity = _common_parity(terms)
-    polys = _divided_sum(terms, parity, q_order)
-    low = min((e for p in polys for e in p), default=0)
+    rows = _divided_sum(terms, parity, q_order)
+    low = min(lo for lo, _ in rows)
     for tau in (2, 3):
         sums, lcm, top = _fixed_point_sum_at(terms, parity, tau, q_order)
         # q^j: the divided sum is got * tau^low, the fixed-point sum
         # sums[j] / (lcm tau^(j top))
-        gots = [sum(c * tau ** (e - low) for e, c in p.items()) for p in polys]
+        gots = [_horner(quotient, tau) * tau ** (lo - low)
+                for lo, quotient in rows]
         shifts = [low + j * top for j in range(q_order + 1)]
         if any(got * lcm * tau ** max(shift, 0) != s * tau ** max(-shift, 0)
                for got, s, shift in zip(gots, sums, shifts)):
@@ -514,7 +521,17 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
             raise PropertyViolationError(
                 f"held-out check at t = {tau}: the divided sum gives "
                 f"{divided}, the fixed-point sum {fixed}")
-    return polys, parity
+    return [{lo + i: c for i, c in enumerate(quotient) if c}
+            for lo, quotient in rows], parity
+
+
+def _horner(a, tau):
+    """The integer polynomial a (lowest degree first) at t = tau."""
+    acc = 0
+    if any(a):
+        for c in reversed(a):
+            acc = acc * tau + c
+    return acc
 
 
 def _characters(polys, parity):
@@ -684,13 +701,13 @@ def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
         polys, _ = _equivariant_series(
             manifold, xi, v_lines, w_lines, gamma, q_order,
             tangent_as_w=tangent_as_w)
-        return QSeries([Fraction(sum(p.values())) for p in polys], q_order)
+        return QSeries([sum(p.values()) for p in polys], q_order)
     spec = BundleSpec(v_lines, () if tangent_as_w else w_lines)
     return _on_two_circles(manifold, spec, "index", at_one)
 
 
 def index(manifold, bundles, q_order):
-    """The twisted index as a q-series of rationals (t = 1 characters),
+    """The twisted index as a q-series of integers (t = 1 characters),
     twisted by ``manifold.spin_c``."""
     bundles = bundles or BundleSpec.empty()
     bundles.validate_for(manifold)

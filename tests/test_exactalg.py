@@ -88,6 +88,50 @@ class TestHalfLaurent:
         f = HalfLaurent({2: 1})
         assert f.shift(-2) == 1
 
+    def test_integral_coefficients_are_stored_as_int(self):
+        f = HalfLaurent({2: 3, -1: Fraction(4, 2), 5: Fraction(-7)})
+        assert f.coeffs == {2: 3, -1: 2, 5: -7}
+        assert all(type(c) is int for c in f.coeffs.values())
+        assert type(f.value_at_one()) is int and f.value_at_one() == -2
+
+    def test_non_integral_coefficients_stay_fractions(self):
+        f = HalfLaurent({1: Fraction(1, 2), 3: Fraction(6, 4)})
+        assert f.coeffs == {1: Fraction(1, 2), 3: Fraction(3, 2)}
+        assert all(type(c) is Fraction for c in f.coeffs.values())
+        # a value at t = 1 that is integral is an int again
+        assert type(f.value_at_one()) is int and f.value_at_one() == 2
+
+    def test_zeros_are_dropped(self):
+        f = HalfLaurent({0: 0, 2: Fraction(0), 4: Fraction(0, 5), 6: 1})
+        assert f.coeffs == {6: 1}
+        assert HalfLaurent({1: 0}).coeffs == {}
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 0.5, -0.0])
+    def test_floats_raise(self, c):
+        with pytest.raises(TypeError):
+            HalfLaurent({2: c})
+
+    def test_equality_across_int_and_fraction_inputs(self):
+        assert HalfLaurent({2: 3, 1: Fraction(1, 2)}) == HalfLaurent(
+            {2: Fraction(6, 2), 1: Fraction(1, 2)})
+        assert HalfLaurent({0: Fraction(5, 1)}) == 5
+        assert HalfLaurent({0: 5}) == Fraction(5)
+        assert HalfLaurent({0: 2}) != HalfLaurent({0: Fraction(5, 2)})
+
+    def test_halved_exponents_and_text(self):
+        f = HalfLaurent({3: 1, 4: Fraction(2), -1: Fraction(-1, 3)})
+        assert f.items_halved() == [(2, 2), (Fraction(3, 2), 1),
+                                    (Fraction(-1, 2), Fraction(-1, 3))]
+        assert [type(e) for e, _ in f.items_halved()] == [int, Fraction, Fraction]
+        assert str(f) == "2*t^2 + t^(3/2) - 1/3*t^(-1/2)"
+        assert str(HalfLaurent({-2: 1, 2: -4, 0: 7})) == "-4*t + 7 + t^(-1)"
+
+    def test_integer_polynomials_and_shifts_keep_their_coefficients(self):
+        f = HalfLaurent.from_integer_poly({-1: 3, 2: -5}, 1)
+        assert f.coeffs == {-1: 3, 5: -5}
+        assert f.shift(2).coeffs == {1: 3, 7: -5}
+        assert f.shift(0) is f
+
 
 def dense_binomial_quotient(ups, downs, one, order):
     """The quotient from dense products of one-binomial series and their

@@ -296,6 +296,19 @@ class TestEquivariant:
         char = eq.q_coefficient(0)
         assert char.value_at_one() == 1
 
+    def test_characters_and_indices_hold_ints(self):
+        # localization divides exactly in Z[t]: every character
+        # coefficient, value at t = 1 and non-equivariant index is an int
+        parsed = parse_manifest((MANIFESTS / "cp3_twisted.ini").read_text())
+        manifold, bundles = parsed.build_manifold(), parsed.bundles()
+        eq = equivariant_index(manifold, (1, 2, 5), bundles, 3)
+        assert any(c.coeffs for c in eq.series.coeffs)
+        assert {type(x) for c in eq.series.coeffs
+                for x in c.coeffs.values()} == {int}
+        assert {type(x) for x in eq.value_at_one().coeffs} == {int}
+        assert {type(x) for x in index(manifold, bundles, 3).coeffs} == {int}
+        assert type(signature(projective_space(2))) is int
+
     def test_cp2_character_against_direct_sum(self):
         # independent oracle: the three-term localization sum at t = u^2
         # against the engine's character at t^(1/2) = u; the twist
@@ -974,7 +987,7 @@ class TestCertificate:
         tampered = [_flip_sign(terms[0]), terms[1]]
         real = genus._divided_sum
         assert real(tampered, parity, 2) == [
-            {e: -c for e, c in p.items()} for p in real(terms, parity, 2)]
+            (low, [-c for c in p]) for low, p in real(terms, parity, 2)]
         monkeypatch.setattr(genus, "_divided_sum",
                             lambda terms, parity, q: real(tampered, parity, q))
         with pytest.raises(PropertyViolationError, match="held-out"):
@@ -1281,8 +1294,12 @@ class TestDegreeLimit:
 
 
 def _character_digest(eq):
-    text = repr((eq.parity, [sorted(c.coeffs.items())
-                             for c in eq.series.coeffs]))
+    """Digest of the characters' exact values: each coefficient is read
+    as a Fraction, so it does not depend on whether an integral value is
+    stored as an int or a Fraction."""
+    text = repr((eq.parity, [
+        sorted((d, Fraction(x)) for d, x in c.coeffs.items())
+        for c in eq.series.coeffs]))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
