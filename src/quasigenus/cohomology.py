@@ -271,7 +271,7 @@ class GradedRing:
     def integrate(self, cls):
         if cls.ring is not self:
             raise InputError("class belongs to a different ring")
-        return cls.coords[-1] * self.top_value
+        return _rational(cls.coords[-1] * self.top_value)
 
 
 class FaceRing(GradedRing):
@@ -338,8 +338,8 @@ class FaceRing(GradedRing):
         self._reductions.pop()
         # The base vertex monomial spans the top degree and integrates to
         # the determinant of its characteristic minor.
-        self.top_value = (Fraction(sign)
-                          / self.reduce_monomial(base)[self._bases[n][0]])
+        self.top_value = _rational(
+            Fraction(sign) / self.reduce_monomial(base)[self._bases[n][0]])
 
     def _expand(self, mono):
         """A facet monomial as an integer polynomial in the free classes,

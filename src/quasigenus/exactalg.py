@@ -22,10 +22,16 @@ divided by binomials t^m +- 1, each in one shift-add pass:
 applies a map {m: exponent} of powers of t^m - 1.  ``binomial_exponents``
 rewrites a product of cyclotomic polynomials in that form, which is how
 localization divides a sum of fixed-point numerators by their common
-denominator.
+denominator.  Where such a polynomial is only shifted, added and scaled,
+it is packed into one int, coefficient i in slot i of a fixed width
+(Kronecker substitution), so that each step is one big-integer operation:
+``slot_size`` picks the width from a bound on the coefficients,
+``pack_slots`` and ``unpack_slots`` convert.
 """
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
@@ -349,3 +355,57 @@ def binomial_passes(a, exponents):
             if any(remainder):
                 return a, False
     return a, True
+
+
+# Signed array type codes by item size; on a big-endian host none is used,
+# as their bytes would put the slots in the wrong order.
+_SLOT_CODES = ({array(code).itemsize: code for code in "bhiq"}
+               if sys.byteorder == "little" else {})
+
+
+def slot_size(bound):
+    """The slot size in bytes for integers of magnitude at most bound: the
+    least of 1, 2, 4 and 8 with bound < 2^(8 size - 1), else the least
+    size that fits."""
+    for size in (1, 2, 4, 8):
+        if bound < 1 << (8 * size - 1):
+            return size
+    return (bound.bit_length() + 8) // 8
+
+
+def _slot_bias(count, size):
+    """The int with the top bit of each of count slots of size bytes set."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def pack_slots(coeffs, size):
+    """The integer polynomial coeffs (lowest degree first) at t = 2^(8 size),
+    sum_i coeffs[i] 2^(8 size i).  Every coefficient must lie in
+    [-2^(8 size - 1), 2^(8 size - 1)).
+
+    The slots are first written in two's complement; setting each one's
+    top bit with xor adds 2^(8 size - 1) to it, which the bias subtracts
+    again, borrows included.
+    """
+    code = _SLOT_CODES.get(size)
+    if code:
+        data = array(code, coeffs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(size, "little", signed=True)
+                        for c in coeffs)
+    bias = _slot_bias(len(coeffs), size)
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def unpack_slots(value, count, size):
+    """The count coefficients of a ``pack_slots`` value, each of which must
+    lie in [-2^(8 size - 1), 2^(8 size - 1)): adding the bias lifts every
+    slot to [0, 2^(8 size)) with no carry between slots, and the xor puts
+    each back in two's complement."""
+    bias = _slot_bias(count, size)
+    data = ((value + bias) ^ bias).to_bytes(count * size, "little")
+    code = _SLOT_CODES.get(size)
+    if code:
+        return memoryview(data).cast(code).tolist()
+    return [int.from_bytes(data[i:i + size], "little", signed=True)
+            for i in range(0, len(data), size)]

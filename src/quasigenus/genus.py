@@ -13,7 +13,12 @@ denominator each, aborts the computation; it is never papered over.  A
 term's theta product depends only on its weight magnitudes, its signature,
 so within one circle the terms of a signature share their theta rows, in
 the division and at both held-out points alike.  The t-free squares of
-every theta factor form one integer q-series per weight count.
+every theta factor form one integer q-series per weight count.  The theta
+rows and their sums over signatures are packed, one int per power of q
+with one fixed-width slot per coefficient of t, so that each step of the
+recurrence is one shift and one addition of ints; the slot width comes
+from a bound on every coefficient, computed before anything is packed,
+and each row sum is unpacked once, to be divided.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as tables of x^i coefficients per power of q, substitute the
@@ -47,7 +52,8 @@ from types import MappingProxyType
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
 from .exactalg import (HalfLaurent, QSeries, binomial_exponents, binomial_passes,
-                       binomial_quotient, divisors, mul_binomial)
+                       binomial_quotient, divisors, mul_binomial, pack_slots,
+                       slot_size, unpack_slots)
 from .linalg import gf2_solve
 from .cohomology import build_face_ring
 
@@ -351,44 +357,79 @@ def _square_series(tangents, v_count, w_count, q_order):
     return tuple(binomial_quotient(ups, downs, 1, q_order).coeffs)
 
 
+@lru_cache(maxsize=128)
+def _theta_majorant(tangents, v_count, w_count, q_order):
+    """A bound on the sum of |coefficients| of every row of
+    ``_term_series`` seeded with [1], for signatures with these weight
+    counts: the largest coefficient of the recurrence's nonnegative
+    majorant prod_k (1 + q^k)^(2 v_count + 2 w_count) / (1 - q^k)^(2 tangents),
+    times the q-series of |coefficients| of ``_square_series``.
+
+    Every pair factor's recurrence adds or subtracts shifted rows, and
+    adding everything, with t = 1, bounds it; built once per
+    (tangents, v_count, w_count, q_order), like ``_square_series``.
+    """
+    ks = range(1, q_order + 1)
+    pairs = binomial_quotient([(1, k) for k in ks] * (2 * (v_count + w_count)),
+                              [(-1, k) for k in ks] * (2 * tangents),
+                              1, q_order).coeffs
+    squares = _square_series(tangents, v_count, w_count, q_order)
+    return max(sum(pairs[j - i] * abs(squares[i]) for i in range(j + 1))
+               for j in range(q_order + 1))
+
+
+def _packed_rows(signature, q_order, seed, bits):
+    """The rows of ``_term_series`` for a packed seed, each one int with
+    coefficient i in slot i of ``bits`` bits (``exactalg.pack_slots``).
+
+    Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k) of
+    ``_theta_binomials`` run the recurrence of
+    ``exactalg.binomial_quotient``, each c a monomial +-t^e, so a step adds
+    a shifted row onto another: row j - k times t^e lies in row j from slot
+    e + k*top >= 0, one shift and one addition.  The squares (1 + s q^k)^2
+    are the one integer q-series S of ``_square_series``, applied last: S_i
+    times row j - i lies in row j from slot i*top.  The ints are exact
+    whatever the slots hold; only unpacking needs each coefficient to fit.
+    """
+    top, ks = max(max(w, default=0) for w in signature), range(1, q_order + 1)
+    tangent, v_weights, w_weights = signature
+    rows = [seed] + [0] * q_order
+    # dividing by 1 - t^e q^k (tangent) adds row j - k, j rising;
+    # multiplying by 1 - t^e q^k (V) or 1 + t^e q^k (W) subtracts or adds
+    # it, j falling
+    for x, subtract, rising in ([(w, False, True) for w in tangent]
+                                + [(a, True, False) for a in v_weights]
+                                + [(b, False, False) for b in w_weights]):
+        for e in (x, -x):
+            for k in ks:
+                shift = bits * (e + k * top)
+                for j in (range(k, q_order + 1) if rising
+                          else range(q_order, k - 1, -1)):
+                    step = rows[j - k] << shift
+                    rows[j] = rows[j] - step if subtract else rows[j] + step
+    squares = _square_series(len(tangent), len(v_weights), len(w_weights),
+                             q_order)
+    for j in range(q_order, 0, -1):
+        rows[j] += sum(c * (rows[j - i] << bits * i * top)
+                       for i, c in enumerate(squares[1:j + 1], 1) if c)
+    return rows
+
+
 def _term_series(signature, q_order, seed):
     """The integer polynomial ``seed`` times the product of the theta
     factors of a term's ``signature``: row j holds the coefficients of
     t^-j*top .. t^j*top + deg seed in q^j, top its largest |weight|.
 
-    Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k) of
-    ``_theta_binomials`` run the recurrence of
-    ``exactalg.binomial_quotient``, each c a monomial +-t^e, so a step adds
-    a shifted row onto another: row j - k times t^e lies in row j from
-    e + k*top >= 0.  The squares (1 + s q^k)^2 are the one integer q-series
-    S of ``_square_series``, applied last: S_i times row j - i lies in row
-    j from i*top.
+    The rows are ``_packed_rows`` on the packed seed, unpacked; the slots
+    hold max |seed| times ``_theta_majorant``, which bounds every
+    coefficient of every row.
     """
-    top, ks = max(max(w, default=0) for w in signature), range(1, q_order + 1)
-    tangent, v_weights, w_weights = signature
-    rows = [seed] + [[0] * (2 * j * top + len(seed)) for j in ks]
-    # dividing by 1 - t^e q^k (tangent) adds row j - k, j rising;
-    # multiplying by 1 - t^e q^k (V) or 1 + t^e q^k (W) subtracts or adds
-    # it, j falling
-    for x, op, rising in ([(w, add, True) for w in tangent]
-                          + [(a, sub, False) for a in v_weights]
-                          + [(b, add, False) for b in w_weights]):
-        for e in (x, -x):
-            for k in ks:
-                for j in (range(k, q_order + 1) if rising
-                          else range(q_order, k - 1, -1)):
-                    src, row, at = rows[j - k], rows[j], e + k * top
-                    row[at:at + len(src)] = map(op, row[at:at + len(src)], src)
-    squares = _square_series(len(tangent), len(v_weights), len(w_weights),
-                             q_order)
-    for j in range(q_order, 0, -1):
-        row = rows[j]
-        for i in range(1, j + 1):
-            c, src, at = squares[i], rows[j - i], i * top
-            if c:
-                row[at:at + len(src)] = [
-                    x + c * y for x, y in zip(row[at:at + len(src)], src)]
-    return rows
+    top = max(max(w, default=0) for w in signature)
+    size = slot_size(max(map(abs, seed))
+                     * _theta_majorant(*map(len, signature), q_order))
+    rows = _packed_rows(signature, q_order, pack_slots(seed, size), 8 * size)
+    return [unpack_slots(row, 2 * j * top + len(seed), size)
+            for j, row in enumerate(rows)]
 
 
 def _aligned_sum(parts):
@@ -420,9 +461,13 @@ def _divided_sum(terms, parity, q_order):
     D/B = prod_m (t^m - 1)^(E_m - #{k : |w_k| = m}).  Each signature's
     numerator over D is therefore its terms' signs at their offsets times
     these binomials, built once; it seeds the signature's
-    ``_term_series``, whose rows come out multiplied.  Each q^j row sum is
-    divided by D, and a nonzero remainder means it is no Laurent
-    polynomial, so the terms are wrong.
+    ``_packed_rows``, whose rows come out multiplied.  All rows are packed
+    in slots of one width, which hold the sum over signatures of
+    max |numerator| times ``_theta_majorant``, a bound on every
+    coefficient of every row sum.  Each signature's packed row j, shifted
+    to its offset low - j*top, is added into the q^j row sum, which is
+    unpacked once and divided by D; a nonzero remainder means it is no
+    Laurent polynomial, so the terms are wrong.
 
     Before any polynomial is built, the span of the summed numerators over
     D, which includes deg D = sum m E_m, plus the most a pass list can
@@ -465,21 +510,37 @@ def _divided_sum(terms, parity, q_order):
                     for exponents in [denominator, *maps.values()])
     _check_limit("localization degree", span + overshoot,
                  MAX_LOCALIZATION_DEGREE)
-    shared = []
+    numerators = []
     for t, pieces in groups.values():
         low, numerator = _aligned_sum(pieces)
         for b in t.signature[2]:
             numerator = (mul_binomial(numerator, b, 1) if b
                          else [2 * c for c in numerator])
         numerator, _ = binomial_passes(numerator, maps[t.signature])
-        shared.append((t.top, low, _term_series(t.signature, q_order,
-                                                 numerator)))
+        numerators.append((t, low, numerator))
+    # no coefficient of a row sum exceeds the sum over signatures of
+    # max |numerator| times the majorant of their theta rows
+    size = slot_size(sum(
+        max(map(abs, numerator))
+        * _theta_majorant(*map(len, t.signature), q_order)
+        for t, _, numerator in numerators))
+    bits = 8 * size
+    shared = [(t.top, low, len(numerator),
+               _packed_rows(t.signature, q_order, pack_slots(numerator, size),
+                            bits))
+              for t, low, numerator in numerators]
     inverse = {m: -e for m, e in denominator.items()}
     out = []
     for j in range(q_order + 1):
-        low, total = _aligned_sum([(lo - j * top, rows[j])
-                                   for top, lo, rows in shared])
-        quotient, exact = binomial_passes(total, inverse)
+        # a signature's row j holds t^(lo - j*top) up to, not including,
+        # t^(lo + j*top + length)
+        low = min(lo - j * top for top, lo, _, _ in shared)
+        count = max(lo + j * top + length
+                    for top, lo, length, _ in shared) - low
+        total = sum(rows[j] << bits * (lo - j * top - low)
+                    for top, lo, _, rows in shared)
+        quotient, exact = binomial_passes(unpack_slots(total, count, size),
+                                          inverse)
         if not exact:
             raise PropertyViolationError(
                 f"the fixed-point sum at q^{j} leaves a nonzero remainder on "

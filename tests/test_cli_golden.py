@@ -8,7 +8,10 @@ as text and with ``--json``: 150 runs, in process.  Exit code, stdout and
 stderr must match ``golden/cli_transcript.json`` byte for byte.
 
 The transcript was recorded at commit 97585836ab19e3ae0191723fc66f51e7b55dc86e,
-whose characters carried Fraction coefficients.  To re-record it after an
+whose characters carried Fraction coefficients.  Its four ``verify --theorem
+lemma52 --json`` entries were re-recorded when face-ring integrals became
+ints when integral: ``euler_pairing`` prints as a JSON number, not a
+string.  To re-record it after an
 intended output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
 from the repository root and review the diff.
 """

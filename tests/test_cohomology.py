@@ -192,6 +192,18 @@ class TestPairing:
         oracle = localization_pairing_oracle(manifold, [3, 4], (1, 2))
         assert got == oracle == 1
 
+    def test_top_class_integrates_to_an_int(self):
+        # an integral value is an int, as elsewhere in the library, so the
+        # pairings the theorems report print as JSON numbers
+        for ring in (build_face_ring(projective_space(2)),
+                     _delta_four_census_rings(1, 12)[0]):
+            n = ring.dimension
+            top = ring._class({ring.basis(n)[0]: 1})
+            assert type(ring.top_value) is int
+            assert type(ring.integrate(top)) is int
+            power = math.prod([ring.facet_class(1)] * n, start=ring.one())
+            assert type(ring.integrate(power)) is int
+
 
 class TestCharacteristicClasses:
     def test_cp2_p1(self):

@@ -3,12 +3,14 @@ multiplying and dividing by t^m - 1 in Z[t]."""
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from quasigenus.exactalg import (HalfLaurent, QSeries, binomial_exponents,
                                  binomial_passes, binomial_quotient, divisors,
-                                 divmod_binomial, mul_binomial)
+                                 divmod_binomial, mul_binomial, pack_slots,
+                                 slot_size, unpack_slots)
 
 
 def brute_convolution(a, b, order):
@@ -296,3 +298,42 @@ class TestIntegerPolynomials:
             assert brute_poly_mul(want, downs) == ups
             assert binomial_passes([1], exponents) == (want, True)
         assert negative >= 10
+
+
+class TestPackedSlots:
+    def test_slot_sizes(self):
+        # the least of 1, 2, 4 and 8 bytes whose signed range holds
+        # +-bound, then the least byte count that does
+        bounds = {0: 1, 127: 1, 128: 2, 2 ** 15 - 1: 2, 2 ** 15: 4,
+                  2 ** 31: 8, 2 ** 63 - 1: 8, 2 ** 63: 9, 2 ** 71 - 1: 9,
+                  2 ** 71: 10, 2 ** 100: 13}
+        assert {b: slot_size(b) for b in bounds} == bounds
+
+    def test_round_trip_at_the_slot_edges(self):
+        # a packed list is its polynomial at t = 2^(8 size), and unpacks
+        # to itself; every size from 1 to 8 runs on array type codes
+        rng = random.Random(3)
+        for size in (1, 2, 4, 8, 9, 13):
+            half = 2 ** (8 * size - 1)
+            for count in (0, 1, 2, 7, 30):
+                coeffs = [rng.choice([-half, half - 1, -1, 0, 1,
+                                      rng.randrange(-half, half)])
+                          for _ in range(count)]
+                value = pack_slots(coeffs, size)
+                assert value == sum(c << 8 * size * i
+                                    for i, c in enumerate(coeffs))
+                assert unpack_slots(value, count, size) == coeffs
+                # sums and shifts of packed values are sums and shifts of
+                # the polynomials, as long as each coefficient fits: here
+                # halves plus halves shifted by three slots
+                halves = [c // 2 for c in coeffs]
+                packed = pack_slots(halves, size)
+                assert unpack_slots(packed + (packed << 24 * size),
+                                    count + 3, size) == list(map(
+                                        add, halves + [0] * 3,
+                                        [0] * 3 + halves))
+
+    def test_a_coefficient_over_the_slot_is_refused_when_packed(self):
+        for size in (1, 8, 9):
+            with pytest.raises(OverflowError):
+                pack_slots([0, 2 ** (8 * size - 1)], size)

@@ -1081,6 +1081,18 @@ def _term_series_reference(term, q_order):
     return rows
 
 
+def _seeded(rows, seed):
+    """Each row times the polynomial seed, by the defining double sum."""
+    out = []
+    for row in rows:
+        want = [0] * (len(seed) + len(row) - 1)
+        for i, x in enumerate(seed):
+            for k, y in enumerate(row):
+                want[i + k] += x * y
+        out.append(want)
+    return out
+
+
 def _random_term(rng, vertex=(1,)):
     """A vertex term with 1-4 tangent, 0-2 V and 0-3 W weights of either
     sign; V and W weights may be 0."""
@@ -1132,13 +1144,53 @@ class TestSharedTheta:
             q_order = case % 5
             seed = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
             plain = genus._term_series(term.signature, q_order, [1])
-            for row, got in zip(plain, genus._term_series(term.signature,
-                                                          q_order, seed)):
-                want = [0] * (len(seed) + len(row) - 1)
-                for i, x in enumerate(seed):
-                    for k, y in enumerate(row):
-                        want[i + k] += x * y
-                assert got == want
+            assert (genus._term_series(term.signature, q_order, seed)
+                    == _seeded(plain, seed))
+
+    def test_every_slot_width(self, monkeypatch):
+        # the rows pack into slots of 1, 2, 4, 8 and, past that, as many
+        # bytes as the bound needs.  At q-order 0 the bound is max |seed|:
+        # +-(2^(8s - 1) - 1) fits s bytes and 2^(8s - 1) needs the next
+        # size.  Above it, seeds of up to +-(2^(8s - 1) - 1) // G, with G
+        # the majorant, fill s bytes; seeds of up to 2^100 need 13 or more
+        sizes, real = [], genus.slot_size
+
+        def recorded(bound):
+            sizes.append(real(bound))
+            return sizes[-1]
+        monkeypatch.setattr(genus, "slot_size", recorded)
+
+        def sizes_used(term, q_order, seed):
+            sizes.clear()
+            want = _seeded(_term_series_reference(term, q_order), seed)
+            assert genus._term_series(term.signature, q_order, seed) == want
+            return sizes
+        rng = random.Random(11)
+        for size, wider in ((1, 2), (2, 4), (4, 8), (8, 9)):
+            edge = 2 ** (8 * size - 1) - 1
+            for case in range(24):
+                term, q_order = _random_term(rng), case % 5
+                if not q_order:
+                    seed = [edge, -edge, 0, rng.randint(-edge, edge)]
+                    rng.shuffle(seed)
+                    if case % 2:
+                        seed[0] = rng.choice([edge + 1, -edge - 1])
+                    assert sizes_used(term, q_order, seed) == [
+                        wider if case % 2 else size]
+                    continue
+                limit = edge // genus._theta_majorant(
+                    *map(len, term.signature), q_order)
+                if limit:
+                    seed = [rng.choice([limit, -limit,
+                                        rng.randint(-limit, limit)])
+                            for _ in range(rng.randint(1, 8))]
+                    seed[rng.randrange(len(seed))] = rng.choice(
+                        [limit, -limit])
+                    assert sizes_used(term, q_order, seed) == [size]
+        for case in range(12):
+            seed = [rng.randint(-2 ** 100, 2 ** 100)
+                    for _ in range(rng.randint(1, 6))] + [2 ** 100]
+            assert sizes_used(_random_term(rng), case % 4, seed)[0] >= 13
 
     def test_integer_held_out_values_equal_the_fraction_reference(self):
         rng = random.Random(7)
@@ -1240,11 +1292,19 @@ def _list_lengths(value):
             yield from _list_lengths(item)
 
 
+def _slot_count(value, bits):
+    """The slots of ``bits`` bits a packed integer polynomial occupies: the
+    least count whose signed range [-2^(count bits - 1), 2^(count bits - 1))
+    holds it, one past its highest nonzero coefficient."""
+    return ((value if value >= 0 else ~value).bit_length() + bits) // bits
+
+
 class TestDegreeLimit:
     @pytest.fixture
     def lengths(self, monkeypatch):
         """Lengths of every coefficient list the division builds, the
-        intermediate lists of the binomial passes included."""
+        intermediate lists of the binomial passes and every unpacked row
+        sum included, and the slot count of every packed theta row."""
         lengths = []
 
         def watched(fn):
@@ -1253,13 +1313,20 @@ class TestDegreeLimit:
                 lengths.extend(_list_lengths(out))
                 return out
             return run
+
+        def packed(*args):
+            rows = real(*args)
+            lengths.extend(_slot_count(row, args[-1]) for row in rows)
+            return rows
         for module, name in ((exactalg, "mul_binomial"),
                              (exactalg, "divmod_binomial"),
                              (genus, "mul_binomial"),
                              (genus, "binomial_passes"),
-                             (genus, "_term_series"),
+                             (genus, "unpack_slots"),
                              (genus, "_aligned_sum")):
             monkeypatch.setattr(module, name, watched(getattr(module, name)))
+        real = genus._packed_rows
+        monkeypatch.setattr(genus, "_packed_rows", packed)
         return lengths
 
     @staticmethod
