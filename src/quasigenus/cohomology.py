@@ -51,12 +51,8 @@ from functools import cache, cached_property
 from itertools import combinations, compress
 
 from .errors import InputError, PropertyViolationError, RingShapeError
+from .exactalg import _exact
 from .linalg import rref, unimodular_inverse
-
-
-def _rational(x):
-    """x as an int when it is integral, else as a Fraction."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class CohomologyClass:
@@ -145,7 +141,7 @@ class CohomologyClass:
             u, v = v, u
         out = structure.multiplier(v[low:high])(u)
         if structure.delta != 1:
-            out = [_rational(Fraction(a, structure.delta)) if a else 0
+            out = [_exact(Fraction(a, structure.delta)) if a else 0
                    for a in out]
         if v[0]:
             out = [a + v[0] * x for a, x in zip(out, u)]
@@ -250,7 +246,7 @@ class GradedRing:
         """The class with coefficient terms[t] on each basis token t."""
         coords = [0] * len(self.structure.tokens)
         for t, c in terms.items():
-            coords[self.structure.position[t]] = _rational(c)
+            coords[self.structure.position[t]] = _exact(c)
         return CohomologyClass(self, coords)
 
     def constant(self, c):
@@ -271,7 +267,7 @@ class GradedRing:
     def integrate(self, cls):
         if cls.ring is not self:
             raise InputError("class belongs to a different ring")
-        return _rational(cls.coords[-1] * self.top_value)
+        return _exact(cls.coords[-1] * self.top_value)
 
 
 class FaceRing(GradedRing):
@@ -338,8 +334,8 @@ class FaceRing(GradedRing):
         self._reductions.pop()
         # The base vertex monomial spans the top degree and integrates to
         # the determinant of its characteristic minor.
-        self.top_value = _rational(
-            Fraction(sign) / self.reduce_monomial(base)[self._bases[n][0]])
+        self.top_value = _exact(
+            Fraction(sign, self.reduce_monomial(base)[self._bases[n][0]]))
 
     def _expand(self, mono):
         """A facet monomial as an integer polynomial in the free classes,
@@ -397,7 +393,7 @@ class FaceRing(GradedRing):
             for i, x in table[t].items():
                 out[i] = out.get(i, 0) + c * x
         monos = self.skeleton.monomials[d]
-        return {monos[i]: _rational(x) for i, x in out.items() if x}
+        return {monos[i]: _exact(x) for i, x in out.items() if x}
 
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))
@@ -485,9 +481,9 @@ class SyntheticConnectedSumRing(GradedRing):
 
     def mul_basis(self, t1, t2):
         if t1 == self.ONE:
-            return {t2: Fraction(1)}
+            return {t2: 1}
         if t2 == self.ONE:
-            return {t1: Fraction(1)}
+            return {t1: 1}
         if t1 == self.TOP or t2 == self.TOP:
             return {}
         _, i, d1 = t1
@@ -496,9 +492,9 @@ class SyntheticConnectedSumRing(GradedRing):
             return {}
         d = d1 + d2
         if d < self.dimension:
-            return {("g", i, d): Fraction(1)}
+            return {("g", i, d): 1}
         if d == self.dimension:
-            return {self.TOP: Fraction(self.signs[i - 1])}
+            return {self.TOP: self.signs[i - 1]}
         return {}
 
     def generator(self, i):

@@ -10,8 +10,11 @@ Two small types cover everything the index computations need:
   never multiplied together.
 
 An exact rational value is an ``int`` when it is integral and a
-``Fraction`` only otherwise, as elsewhere in the library; the characters
-localization computes therefore hold ints only.
+``Fraction`` only otherwise.  ``_exact`` is the one place that rule is
+written: ``linalg``, ``cohomology``, ``genus`` and ``theorems`` call it
+wherever a value may come out of a division, so equal results of the two
+index routes are also alike in type and print alike.  The characters
+localization computes hold ints only.
 
 Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
@@ -135,11 +138,6 @@ class HalfLaurent:
         return f"HalfLaurent({self.coeffs!r})"
 
 
-def _coeff_zero(sample):
-    """A zero of the same coefficient ring as sample."""
-    return sample * 0
-
-
 class QSeries:
     """Power series in q truncated above q^order.
 
@@ -159,16 +157,6 @@ class QSeries:
             raise ValueError("coefficient list does not match the order")
         self.coeffs = coeffs
         self.order = order
-
-    @staticmethod
-    def constant(value, order):
-        value = value if not isinstance(value, int) else Fraction(value)
-        zero = _coeff_zero(value)
-        return QSeries([value] + [zero] * order, order)
-
-    @staticmethod
-    def one(order):
-        return QSeries.constant(Fraction(1), order)
 
     def _check(self, other):
         if self.order != other.order:
@@ -214,34 +202,17 @@ class QSeries:
     def __rmul__(self, other):
         return QSeries([other * c for c in self.coeffs], self.order)
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.invert() ** (-k)
-        out = QSeries.one(self.order) if k == 0 else None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            base = base * base
-            k >>= 1
-        if out is None:
-            out = QSeries.one(self.order)
-        return out
-
     def invert(self):
         """Multiplicative inverse; the constant term must be a nonzero
         rational."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ArithmeticError("constant term vanishes, not invertible")
-        b0 = Fraction(1) / a0
+        b0 = _exact(Fraction(1, a0))
         inv = [b0]
         for k in range(1, self.order + 1):
-            acc = None
-            for i in range(1, k + 1):
-                term = self.coeffs[i] * inv[k - i]
-                acc = term if acc is None else acc + term
-            inv.append(-(b0 * acc) if acc is not None else _coeff_zero(b0))
+            acc = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1))
+            inv.append(_exact(-b0 * acc))
         return QSeries(inv, self.order)
 
     def __str__(self):
@@ -259,26 +230,25 @@ class QSeries:
         return f"QSeries({self.coeffs!r})"
 
 
-def binomial_quotient(ups, downs, one, order):
+def binomial_quotient(ups, downs, order):
     """prod (1 + c q^k) over ``ups`` divided by prod (1 + c q^k) over ``downs``.
 
     ``ups`` and ``downs`` are iterables of (c, k) pairs with k >= 1; a factor
-    with k > order is 1 to this order.  ``one`` is the unit of the
-    coefficient ring, an int or a Fraction, and each c is an exact
-    rational.  The result is a QSeries truncated
-    above q^order.  Each factor is one pass over the coefficient list, in
+    with k > order is 1 to this order.  Each c is an exact rational; the
+    result is the list of the q^0 .. q^order coefficients, ints when every
+    c is an int.  Each factor is one pass over the coefficient list, in
     place: multiplying by 1 + c q^k adds c a[j-k] to a[j] for j falling, and
     dividing subtracts c a[j-k] from a[j] for j rising, where a[j-k] already
     holds the quotient's coefficient.
     """
-    a = [one] + [_coeff_zero(one)] * order
+    a = [1] + [0] * order
     for c, k in ups:
         for j in range(order, k - 1, -1):
             a[j] = a[j] + a[j - k] * c
     for c, k in downs:
         for j in range(k, order + 1):
             a[j] = a[j] - a[j - k] * c
-    return QSeries(a, order)
+    return a
 
 
 def divisors(n):

@@ -51,9 +51,9 @@ from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
-from .exactalg import (HalfLaurent, QSeries, binomial_exponents, binomial_passes,
-                       binomial_quotient, divisors, mul_binomial, pack_slots,
-                       slot_size, unpack_slots)
+from .exactalg import (HalfLaurent, QSeries, _exact, binomial_exponents,
+                       binomial_passes, binomial_quotient, divisors,
+                       mul_binomial, pack_slots, slot_size, unpack_slots)
 from .linalg import gf2_solve
 from .cohomology import build_face_ring
 
@@ -302,7 +302,7 @@ def _theta_at(term, tau, q_order):
     top = term.top
     steps = [[(s * tau ** (k * top + e), k) for s, e, k in half]
              for half in _theta_binomials(term, q_order)]
-    return binomial_quotient(*steps, 1, q_order).coeffs
+    return binomial_quotient(*steps, q_order)
 
 
 def _fixed_point_sum_at(terms, parity, tau, q_order):
@@ -354,7 +354,7 @@ def _square_series(tangents, v_count, w_count, q_order):
     ups = [(-1, k) for k in ks] * (2 * max(net, 0))
     downs = ([(-1, k) for k in ks] * (2 * max(-net, 0))
              + [(1, k) for k in ks] * (2 * w_count))
-    return tuple(binomial_quotient(ups, downs, 1, q_order).coeffs)
+    return tuple(binomial_quotient(ups, downs, q_order))
 
 
 @lru_cache(maxsize=128)
@@ -372,7 +372,7 @@ def _theta_majorant(tangents, v_count, w_count, q_order):
     ks = range(1, q_order + 1)
     pairs = binomial_quotient([(1, k) for k in ks] * (2 * (v_count + w_count)),
                               [(-1, k) for k in ks] * (2 * tangents),
-                              1, q_order).coeffs
+                              q_order)
     squares = _square_series(tangents, v_count, w_count, q_order)
     return max(sum(pairs[j - i] * abs(squares[i]) for i in range(j + 1))
                for j in range(q_order + 1))
@@ -516,7 +516,12 @@ def _divided_sum(terms, parity, q_order):
         for b in t.signature[2]:
             numerator = (mul_binomial(numerator, b, 1) if b
                          else [2 * c for c in numerator])
-        numerator, _ = binomial_passes(numerator, maps[t.signature])
+        numerator, exact = binomial_passes(numerator, maps[t.signature])
+        if not exact:
+            raise PropertyViolationError(
+                f"the numerator of signature {t.signature} over the common "
+                "denominator leaves a nonzero remainder, so the fixed-point "
+                "data is inconsistent")
         numerators.append((t, low, numerator))
     # no coefficient of a row sum exceeds the sum over signatures of
     # max |numerator| times the majorant of their theta rows
@@ -896,12 +901,12 @@ def localization_integral(manifold, facets):
     signs = manifold.orientation_signs()
 
     def pairing(xi):
-        total = Fraction(0)
+        total = 0
         for fp in manifold.fixed_points():
             tangent, restricted = _fixed_point_weights(fp, xi.xi, lines)
             total += Fraction(signs[fp.vertex] * fp.sign * math.prod(restricted),
                               math.prod(tangent))
-        return total
+        return _exact(total)
     return _on_two_circles(manifold, None, "localization pairing", pairing)
 
 
@@ -1086,7 +1091,7 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
         integrand = out
     gauge = _integer_tables(n, q_order)[0]
     scale = (gauge * mu * structure.delta) ** n * 2 ** w_trivial_rank
-    return QSeries([Fraction(vec[-1], scale) * ring.top_value
+    return QSeries([_exact(Fraction(vec[-1], scale) * ring.top_value)
                     for vec in integrand], q_order)
 
 

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals, the integers and GF(2).
 
-Row reduction works on sparse rows, ``{column: value}`` dicts with int or
-Fraction values: the face ring's eliminations, up to the 2766 x 792
+Row reduction works on sparse rows, ``{column: value}`` dicts with exact
+values, each an int when it is integral and a Fraction otherwise
+(``exactalg._exact``): the face ring's eliminations, up to the 2766 x 792
 reduction in degree 7 of (S^2)^6, hold about one nonzero per row.  The
 small integer routines (determinants, unimodular inverses, GF(2) solves)
 work on plain lists of lists and favour simplicity over asymptotics: their
@@ -12,11 +13,7 @@ sizes are a manifold's n x n vertex minors, or their free blocks of at most
 from fractions import Fraction
 from math import gcd
 
-
-def _quotient(x, y):
-    """x / y exactly, as an int when it is integral."""
-    q = Fraction(x, y)
-    return q.numerator if q.denominator == 1 else q
+from .exactalg import _exact
 
 
 def _subtract(row, f, other):
@@ -36,8 +33,9 @@ def rref(rows):
     zero values are allowed and the input is not modified.  Returns
     (reduced rows, pivot columns): the nonzero rows of the unique reduced
     row echelon form in increasing pivot order, each a dict with value 1
-    at its pivot, no other pivot column and its columns in increasing
-    order, and the increasing list of pivot columns.
+    at its pivot, no other pivot column, its columns in increasing order
+    and its values exact (``exactalg._exact``), and the increasing list of
+    pivot columns.
     """
     pivot_rows = {}  # pivot column -> its fully reduced row
     for row in rows:
@@ -51,13 +49,13 @@ def rref(rows):
         p = min(r)
         lead = r[p]
         if lead != 1:
-            r = {k: _quotient(x, lead) for k, x in r.items()}
+            r = {k: _exact(Fraction(x, lead)) for k, x in r.items()}
         for q in pivot_rows.values():
             if p in q:
                 _subtract(q, q[p], r)
         pivot_rows[p] = r
     pivots = sorted(pivot_rows)
-    return [{k: pivot_rows[p][k] for k in sorted(pivot_rows[p])}
+    return [{k: _exact(pivot_rows[p][k]) for k in sorted(pivot_rows[p])}
             for p in pivots], pivots
 
 
@@ -65,15 +63,16 @@ def nullspace(rows, ncols):
     """Basis of the right kernel of sparse rows with ``ncols`` columns.
 
     One dense vector per free column, with entry 1 there; read off the
-    reduced row echelon form, so the result is deterministic.
+    reduced row echelon form, so the result is deterministic and its
+    entries follow ``rref``'s: an int when integral, else a Fraction.
     """
     red, pivots = rref(rows)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, p in zip(red, pivots):
-            v[p] = -Fraction(r.get(f, 0))
+            v[p] = -r.get(f, 0)
         basis.append(v)
     return basis
 
@@ -197,10 +196,3 @@ def primitive_vector(vec):
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def is_primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    return g == 1

@@ -384,12 +384,6 @@ class QuasitoricManifold:
         self._signs = eps
         return eps
 
-    def vertex_sign(self, vertex):
-        """Oriented localization sign: eps(v) times the minor determinant."""
-        v = tuple(sorted(vertex))
-        datum = next(d for d in self.fixed_points() if d.vertex == v)
-        return self.orientation_signs()[v] * datum.sign
-
     def __repr__(self):
         return (f"QuasitoricManifold(dim={self.dimension}, "
                 f"facets={self.num_facets})")

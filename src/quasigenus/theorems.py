@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import (InputError, PreconditionError, PropertyViolationError,
                      RankHypothesisError, RingShapeError, WellDefinednessError)
+from .exactalg import _exact
 from .linalg import nullspace, primitive_vector, rref
 from .cohomology import (SyntheticConnectedSumRing, build_face_ring,
                          facet_class_decomposition)
@@ -430,12 +431,10 @@ def rank_ratio_table_check(l_max=30):
     """Compare the closed form against a direct maximum over the simple
     compact groups, rank by rank."""
     report = {"rows": {}, "total": l_max, "matches": 0}
-    best = Fraction(0)
+    best = 0
     for l in range(1, l_max + 1):
-        for dim in sorted(_classical_dims(l)):
-            ratio = Fraction(dim, l)
-            if ratio > best:
-                best = ratio
+        for dim in _classical_dims(l):
+            best = max(best, _exact(Fraction(dim, l)))
         closed = max_dim_rank_ratio(l)
         ok = best == closed
         report["rows"][l] = {"closed_form": closed, "recomputed": best, "match": ok}

@@ -9,12 +9,12 @@ approximate.
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 from quasigenus.cohomology import build_face_ring
 from quasigenus.genus import (BundleSpec, cohomological_index,
                               equivariant_index, euler_characteristic, index,
                               localization_integral, signature, witten_genus)
-from quasigenus.linalg import is_primitive
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.polytope import (QuasitoricManifold, cube,
@@ -146,7 +146,7 @@ def test_criterion_6_hundred_random_circle_constructions():
             zero = [[0] * rank_t for _ in range(rank_t)]
             xi = find_circle(EquivariantDegree4Class(zero, a22)).xi
             assert len(xi) == rank_t
-            assert is_primitive(xi)
+            assert gcd(*xi) == 1
             for f in range(b2):
                 assert sum(a22[i][f] * xi[i] for i in range(rank_t)) == 0
 

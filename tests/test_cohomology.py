@@ -54,7 +54,7 @@ def localization_pairing_oracle(manifold, facet_labels, xi):
         den = Fraction(1)
         for w in weights:
             den *= w
-        total += manifold.vertex_sign(d.vertex) * num / den
+        total += manifold.orientation_signs()[d.vertex] * d.sign * num / den
     return total
 
 

@@ -31,7 +31,7 @@ class TestQSeries:
 
     def test_multiplicative_identity(self):
         a = QSeries([3, -2, 5], 2)
-        assert a * QSeries.one(2) == a
+        assert a * QSeries([1, 0, 0], 2) == a
 
     def test_geometric_series_telescopes(self):
         # oracle: brute-force convolution of [1,1,1,1,1,1] with [1,-1,0,...]
@@ -61,15 +61,11 @@ class TestQSeries:
             coeffs = [Fraction(rng.randint(1, 5))]
             coeffs += [Fraction(rng.randint(-4, 4)) for _ in range(order)]
             a = QSeries(coeffs, order)
-            assert a * a.invert() == QSeries.one(order)
+            assert a * a.invert() == QSeries([1] + [0] * order, order)
 
     def test_invert_needs_unit(self):
         with pytest.raises(ArithmeticError):
             QSeries([0, 1], 1).invert()
-
-    def test_truncate_and_pow(self):
-        a = QSeries([1, 1, 0, 0], 3)
-        assert a ** 2 == QSeries([1, 2, 1, 0], 3)
 
 
 class TestHalfLaurent:
@@ -135,20 +131,20 @@ class TestHalfLaurent:
         assert f.shift(0) is f
 
 
-def dense_binomial_quotient(ups, downs, one, order):
-    """The quotient from dense products of one-binomial series and their
-    inverses, the defining formula."""
+def dense_binomial_quotient(ups, downs, order):
+    """The coefficients of the quotient from dense products of one-binomial
+    series and their inverses, the defining formula."""
     def binomial(c, k):
-        coeffs = [one] + [one * 0] * order
+        coeffs = [1] + [0] * order
         if k <= order:
-            coeffs[k] = one * c
+            coeffs[k] = c
         return QSeries(coeffs, order)
-    out = QSeries([one] + [one * 0] * order, order)
+    out = QSeries([1] + [0] * order, order)
     for c, k in ups:
         out = out * binomial(c, k)
     for c, k in downs:
         out = out * binomial(c, k).invert()
-    return out
+    return out.coeffs
 
 
 class TestBinomialQuotient:
@@ -160,13 +156,12 @@ class TestBinomialQuotient:
     def test_fraction_coefficients(self):
         rng = random.Random(17)
         coefficient = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        one = Fraction(1)
         for order in range(7):
             for _ in range(5):
                 ups = self.random_factors(rng, coefficient, order)
                 downs = self.random_factors(rng, coefficient, order)
-                assert (binomial_quotient(ups, downs, one, order)
-                        == dense_binomial_quotient(ups, downs, one, order))
+                assert (binomial_quotient(ups, downs, order)
+                        == dense_binomial_quotient(ups, downs, order))
 
 
 def brute_poly_mul(a, b):

@@ -15,6 +15,7 @@ inline.
 import hashlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from functools import cache
@@ -39,6 +40,7 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               equivariant_elliptic_genus, _VertexTerm,
                               _class_table, _integer_tables, _universal_tables,
                               cohomological_index_on_ring)
+from quasigenus.linalg import nullspace
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
@@ -65,6 +67,13 @@ def q1_local_term(t, c, w):
     return q0_local_term(t, c, w) * (tw + 1 / tw - 2)
 
 
+def _oriented_signs(m):
+    """Each fixed point's localization sign by vertex: eps(v) times the
+    determinant of its characteristic minor."""
+    eps = m.orientation_signs()
+    return {d.vertex: eps[d.vertex] * d.sign for d in m.fixed_points()}
+
+
 def _held_out_value(term, parity, tau, q_order):
     """A fixed point's contribution at an integer t = tau from the held-out
     check's integer prefactor and theta rows, as Fractions."""
@@ -79,7 +88,7 @@ class TestFixedPointContribution:
         # both vertices carry c = 1, w = 1 and opposite orientation signs,
         # so the raw terms are equal and the signed sum cancels: A-hat(S2)=0
         m = sphere_product_spin(1)
-        signs = [m.vertex_sign(d.vertex) for d in m.fixed_points()]
+        signs = list(_oriented_signs(m).values())
         assert sorted(signs) == [-1, 1]
         for tau in (2, 3):
             raw = [_held_out_value(genus._vertex_term(d, (1,), 1, m.spin_c,
@@ -145,6 +154,60 @@ class TestRouteAgreement:
         assert index(sphere_product_spin(1), None, 3) == QSeries([0] * 4, 3)
 
 
+def _exact_ints(series):
+    """Whether every coefficient of a q-series is an int, not a Fraction
+    that happens to be integral."""
+    return all(type(c) is int for c in series.coeffs)
+
+
+class TestExactValues:
+    """Every integral value is an int, not an integral Fraction, so equal
+    results of the two routes also print alike."""
+
+    MANIFOLDS = ([(path.stem,
+                   parse_manifest(path.read_text()).build_manifold())
+                  for path in sorted(MANIFESTS.glob("*.ini"))]
+                 + [(f"CP{n}", projective_space(n)) for n in range(1, 5)]
+                 + [(f"S2^{n}", sphere_product(n)) for n in range(1, 4)]
+                 + [("CP2#CP2", cp2_connected_sum())])
+
+    @pytest.mark.parametrize("manifold", [m for _, m in MANIFOLDS],
+                             ids=[name for name, _ in MANIFOLDS])
+    def test_both_routes_give_ints(self, manifold):
+        a = index(manifold, None, 2)
+        b = cohomological_index(manifold, None, 2)
+        assert a == b and _exact_ints(a) and _exact_ints(b)
+        assert repr(a) == repr(b)
+
+    def test_witten_and_elliptic_genera_give_ints(self):
+        m = sphere_product_spin(2)
+        for local, ring in ((witten_genus, cohomological_witten_genus),
+                            (elliptic_genus, cohomological_elliptic_genus)):
+            a, b = local(m, 2), ring(m, 2)
+            assert a == b and _exact_ints(a) and _exact_ints(b)
+            assert repr(a) == repr(b)
+
+    def test_synthetic_index_series_gives_ints(self):
+        for n in range(3, 7):
+            series = synthetic_inflated_instance(n)["index_series"]
+            assert _exact_ints(series)
+            assert repr(series) == "QSeries([2, 0, 0])"
+
+    def test_localization_integral_gives_ints(self):
+        for m in (projective_space(2), sphere_product(2), cp2_connected_sum()):
+            for v in m.polytope.vertices:
+                assert type(localization_integral(m, v)) is int
+        assert repr(localization_integral(projective_space(2), (1, 1))) == "1"
+
+    def test_nullspace_gives_ints_where_integral(self):
+        basis = nullspace([{0: 2, 1: 1}], 3)
+        assert basis == [[Fraction(-1, 2), 1, 0], [0, 0, 1]]
+        assert [[type(x) for x in v] for v in basis] == [[Fraction, int, int],
+                                                         [int, int, int]]
+        assert repr(nullspace([{0: 2, 1: 1}, {0: 1, 2: 3}], 3)) == \
+            "[[-3, 6, 1]]"
+
+
 class TestClassicalInvariants:
     def test_euler_characteristic_is_vertex_count(self):
         for n in (1, 2, 3, 4):
@@ -170,7 +233,7 @@ class TestClassicalInvariants:
             ring = build_face_ring(m)
             for v in m.polytope.vertices:
                 got = localization_integral(m, v)
-                assert got == m.vertex_sign(v)
+                assert got == _oriented_signs(m)[v]
                 cls = ring.one()
                 for f in v:
                     cls = cls * ring.facet_class(f)
@@ -326,7 +389,7 @@ class TestEquivariant:
                 term = u ** (c + sum(w))
                 for wk in w:
                     term /= u ** (2 * wk) - 1
-                direct += m.vertex_sign(d.vertex) * term
+                direct += _oriented_signs(m)[d.vertex] * term
             assert _evaluate(char, u ** 2) == direct
             values.add(direct)
         assert len(values) == 3
@@ -887,7 +950,7 @@ def _signed_contributions(m, xi, bundles, gamma, t, q_order):
     terms = genus._vertex_terms(m, xi, bundles.v_lines, bundles.w_lines,
                                 gamma, False)
     assert genus._common_parity(terms) == 0
-    total = QSeries.constant(Fraction(0), q_order)
+    total = QSeries([0] * (q_order + 1))
     for term in terms:
         total = total + _term_value_reference(term, 0, t, q_order)
     return total
@@ -976,6 +1039,23 @@ class TestCertificate:
         with pytest.raises(PropertyViolationError, match="remainder"):
             genus._divided_sum([terms[0], flipped] + terms[2:], parity, 2)
 
+    def test_an_inexact_numerator_is_reported(self, monkeypatch):
+        # the first pass list, a numerator over the common denominator,
+        # reports a remainder; the error names that numerator's signature
+        terms, parity = self.terms(projective_space(2), (1, 2))
+        real = genus.binomial_passes
+        calls = []
+
+        def first_inexact(a, exponents):
+            calls.append(exponents)
+            product, exact = real(a, exponents)
+            return product, exact and len(calls) > 1
+        monkeypatch.setattr(genus, "binomial_passes", first_inexact)
+        with pytest.raises(PropertyViolationError,
+                           match=re.escape(f"signature {terms[0].signature}")):
+            genus._divided_sum(terms, parity, 2)
+        assert len(calls) == 1
+
     def test_held_out_catches_what_divides(self, monkeypatch):
         # CP^1 with V the first facet line: one fixed point's term vanishes
         # and the other is a Laurent polynomial, so flipping its sign still
@@ -1050,7 +1130,7 @@ def _term_value_reference(term, parity, tau, q_order):
     """A fixed point's contribution at t = tau, all in Fraction arithmetic:
     the binomial quotient runs on the coefficients s tau^e themselves."""
     if term.zero:
-        return QSeries.constant(Fraction(0), q_order)
+        return QSeries([0] * (q_order + 1))
     scalar = term.sigma * tau ** ((term.halfexp - parity) // 2)
     for w in term.tangent:
         scalar /= tau ** w - 1
@@ -1059,9 +1139,9 @@ def _term_value_reference(term, parity, tau, q_order):
     for b in term.w_weights:
         scalar *= tau ** b + 1
     ups, downs = genus._theta_binomials(term, q_order)
-    return binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
-                             [(s * tau ** e, k) for s, e, k in downs],
-                             Fraction(1), q_order) * scalar
+    return QSeries(binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
+                                     [(s * tau ** e, k) for s, e, k in downs],
+                                     q_order)) * scalar
 
 
 def _term_series_reference(term, q_order):
@@ -1229,7 +1309,7 @@ class TestSharedTheta:
             for tau in (2, 3):
                 sums, lcm, top = genus._fixed_point_sum_at(
                     terms, parity, tau, q_order)
-                want = QSeries.constant(Fraction(0), q_order)
+                want = QSeries([0] * (q_order + 1))
                 for t in terms:
                     want = want + _term_value_reference(t, parity,
                                                         Fraction(tau), q_order)

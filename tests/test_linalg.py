@@ -8,12 +8,12 @@ random inputs, not just on the hand-picked cases.
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
-from quasigenus.linalg import (gf2_solve, int_det, is_primitive, nullspace,
-                               perm_parity, primitive_vector, rref,
-                               unimodular_inverse)
+from quasigenus.linalg import (gf2_solve, int_det, nullspace, perm_parity,
+                               primitive_vector, rref, unimodular_inverse)
 
 
 def det_by_permutation_expansion(mat):
@@ -245,7 +245,7 @@ def test_primitive_vector_random():
         if all(x == 0 for x in vec):
             continue
         prim = primitive_vector(vec)
-        assert is_primitive(prim)
+        assert gcd(*prim) == 1
         lead = next(x for x in prim if x != 0)
         assert lead > 0
         # proportional to the input
@@ -257,9 +257,3 @@ def test_primitive_vector_random():
                 ratio = r
             else:
                 assert a == 0
-
-
-def test_is_primitive():
-    assert is_primitive((1, 2))
-    assert not is_primitive((2, 4))
-    assert is_primitive((0, 1, 0))

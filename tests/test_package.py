@@ -70,3 +70,19 @@ def test_all_pairs_products_are_gone():
     for name in ("_add_product", "_power_table"):
         assert not hasattr(genus, name)
     assert not hasattr(cohomology.GradedStructure, "add_product")
+
+
+def test_one_exact_value_rule():
+    # an exact value is an int when integral and a Fraction otherwise, and
+    # exactalg._exact is the one place that says so
+    from quasigenus import cohomology, exactalg, linalg, polytope
+    assert not hasattr(cohomology, "_rational")
+    assert not hasattr(linalg, "_quotient")
+    assert not hasattr(linalg, "is_primitive")
+    assert not hasattr(exactalg, "_coeff_zero")
+    for name in ("constant", "one", "__pow__"):
+        assert not hasattr(exactalg.QSeries, name)
+    assert not hasattr(polytope.QuasitoricManifold, "vertex_sign")
+    written = [path.name for path in sorted(SOURCES.glob("*.py"))
+               if "denominator == 1" in path.read_text()]
+    assert written == ["exactalg.py"]
