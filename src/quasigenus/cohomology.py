@@ -106,8 +106,8 @@ class CohomologyClass:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return CohomologyClass(
-            self.ring, (a + b for a, b in zip(self.coords, other.coords)))
+        return CohomologyClass(self.ring, (_exact(a + b) for a, b
+                                           in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
@@ -115,8 +115,8 @@ class CohomologyClass:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return CohomologyClass(
-            self.ring, (a - b for a, b in zip(self.coords, other.coords)))
+        return CohomologyClass(self.ring, (_exact(a - b) for a, b
+                                           in zip(self.coords, other.coords)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -126,7 +126,8 @@ class CohomologyClass:
         as every product is built from multiplication by degree-one
         classes."""
         if isinstance(other, (int, Fraction)):
-            return CohomologyClass(self.ring, (c * other for c in self.coords))
+            return CohomologyClass(self.ring,
+                                   (_exact(c * other) for c in self.coords))
         other = self._operand(other)
         if other is None:
             return NotImplemented

@@ -23,16 +23,19 @@ families) or as an explicit vertex list.  Example:
     xi = 1 2
 
 Parsing never guesses: anything unexpected fails with the line number.
+The constructors (with their size rules) and the keys of every section
+are each declared once, in `_CONSTRUCTORS` and `_SECTIONS`.
 Serialization is canonical, so parse -> serialize -> parse is the identity
 on the parsed structure.
 """
 
 import re
+from collections import namedtuple
 
 from .errors import InputError
 from .genus import BundleSpec
-from .polytope import (SimplePolytope, connected_sum, cube, polygon,
-                       polytope_product, simplex, vertex_cut)
+from .polytope import (QuasitoricManifold, SimplePolytope, connected_sum,
+                       cube, polygon, polytope_product, simplex, vertex_cut)
 
 
 class Manifest:
@@ -67,7 +70,6 @@ class Manifest:
         return _build_polytope(self.polytope_spec)
 
     def build_manifold(self):
-        from .polytope import QuasitoricManifold
         return QuasitoricManifold(self.build_polytope(), self.char_rows,
                                   self.gamma)
 
@@ -77,13 +79,26 @@ class Manifest:
 
 _TOKEN = re.compile(r"\s*([a-z_]+|-?\d+|[(){},])")
 
+# A constructor's argument kinds ("int", "expr" for a nested spec, or
+# "vertices"), its builder, and its size rule: the (dimension, vertex
+# count) of the result.  The builder gets each operand built, the size
+# rule each operand's (dimension, vertex count).
+_Constructor = namedtuple("_Constructor", "kinds build size")
+
 _CONSTRUCTORS = {
-    "simplex": ("int",),
-    "cube": ("int",),
-    "polygon": ("int",),
-    "product": ("expr", "expr"),
-    "vertex_cut": ("expr", "vertices"),
-    "connected_sum": ("expr", "vertices", "expr", "vertices"),
+    "simplex": _Constructor(("int",), simplex, lambda n: (n, n + 1)),
+    # Arguments below 1 fail in the builder, with its own message; the cap
+    # keeps cube(n) for a huge n from computing 2^n before it is refused.
+    "cube": _Constructor(("int",), cube,
+                         lambda n: (n, 2 ** min(max(n, 0), 64))),
+    "polygon": _Constructor(("int",), polygon, lambda k: (2, k)),
+    "product": _Constructor(("expr", "expr"), polytope_product,
+                            lambda p, q: (p[0] + q[0], p[1] * q[1])),
+    "vertex_cut": _Constructor(("expr", "vertices"), vertex_cut,
+                               lambda p, vertex: (p[0], p[1] + p[0] - 1)),
+    "connected_sum": _Constructor(
+        ("expr", "vertices", "expr", "vertices"), connected_sum,
+        lambda p, vp, q, vq: (p[0], p[1] + q[1] - 2)),
 }
 
 
@@ -134,7 +149,7 @@ class _ExpressionParser:
             raise InputError(f"unknown polytope constructor {name!r}")
         self.take("(")
         args = []
-        for i, kind in enumerate(_CONSTRUCTORS[name]):
+        for i, kind in enumerate(_CONSTRUCTORS[name].kinds):
             if i:
                 self.take(",")
             if kind == "int":
@@ -169,40 +184,35 @@ def parse_expression(text):
     return _ExpressionParser(_tokenize_expression(text)).parse()
 
 
+def _row(values):
+    return " ".join(str(x) for x in values)
+
+
 def serialize_expression(spec):
     if spec[0] == "explicit":
         return "<explicit>"
-    name = spec[0]
-    parts = []
-    for kind, arg in zip(_CONSTRUCTORS[name], spec[1:]):
-        if kind == "int":
-            parts.append(str(arg))
-        elif kind == "expr":
-            parts.append(serialize_expression(arg))
-        else:
-            parts.append("{" + " ".join(str(v) for v in arg) + "}")
-    return f"{name}({', '.join(parts)})"
+    entry, args = _apply(spec, serialize_expression)
+    parts = ["{" + _row(arg) + "}" if kind == "vertices" else str(arg)
+             for kind, arg in zip(entry.kinds, args)]
+    return f"{spec[0]}({', '.join(parts)})"
+
+
+def _apply(spec, operand):
+    """The table entry of spec's constructor, and spec's arguments with each
+    nested spec replaced by operand(spec)."""
+    if spec[0] not in _CONSTRUCTORS:
+        raise InputError(f"unknown polytope spec {spec[0]!r}")
+    entry = _CONSTRUCTORS[spec[0]]
+    return entry, [operand(arg) if kind == "expr" else arg
+                   for kind, arg in zip(entry.kinds, spec[1:])]
 
 
 def _build_polytope(spec):
-    kind = spec[0]
-    if kind == "explicit":
+    if spec[0] == "explicit":
         _, dimension, num_facets, vertices = spec
         return SimplePolytope(dimension, num_facets, vertices)
-    if kind == "simplex":
-        return simplex(spec[1])
-    if kind == "cube":
-        return cube(spec[1])
-    if kind == "polygon":
-        return polygon(spec[1])
-    if kind == "product":
-        return polytope_product(_build_polytope(spec[1]), _build_polytope(spec[2]))
-    if kind == "vertex_cut":
-        return vertex_cut(_build_polytope(spec[1]), spec[2])
-    if kind == "connected_sum":
-        return connected_sum(_build_polytope(spec[1]), spec[2],
-                             _build_polytope(spec[3]), spec[4])
-    raise InputError(f"unknown polytope spec {kind!r}")
+    entry, args = _apply(spec, _build_polytope)
+    return entry.build(*args)
 
 
 # Largest polytope a manifest may describe, checked on the parsed spec
@@ -214,26 +224,11 @@ MAX_VERTICES = 24
 def _checked_size(spec):
     """(dimension, vertex count) of the polytope spec describes, read from
     the spec alone; InputError as soon as either passes its limit."""
-    kind = spec[0]
-    if kind == "product":
-        (d1, v1), (d2, v2) = _checked_size(spec[1]), _checked_size(spec[2])
-        dimension, vertices = d1 + d2, v1 * v2
-    elif kind == "vertex_cut":
-        dimension, v = _checked_size(spec[1])
-        vertices = v + dimension - 1
-    elif kind == "connected_sum":
-        dimension, v1 = _checked_size(spec[1])
-        vertices = v1 + _checked_size(spec[3])[1] - 2
-    elif kind == "explicit":
+    if spec[0] == "explicit":
         dimension, vertices = spec[1], len(spec[3])
     else:
-        # simplex(n), cube(n) or polygon(n).  Arguments below 1 fail later,
-        # in the constructor, with its own message; the cap keeps cube(n)
-        # for a huge n from computing 2^n before it is refused.
-        n = spec[1]
-        dimension = 2 if kind == "polygon" else n
-        vertices = {"simplex": n + 1, "cube": 2 ** min(max(n, 0), 64),
-                    "polygon": n}[kind]
+        entry, args = _apply(spec, _checked_size)
+        dimension, vertices = entry.size(*args)
     if dimension > MAX_DIMENSION:
         raise InputError(f"{serialize_expression(spec)} has dimension "
                          f"{dimension}, over the limit {MAX_DIMENSION}")
@@ -243,10 +238,27 @@ def _checked_size(spec):
     return dimension, vertices
 
 
-_SECTIONS = ("polytope", "characteristic", "spinc", "bundles", "circle")
+# Each section's keys, in the order serialize_manifest writes them: key ->
+# (the Manifest attribute it fills, whether it may repeat).  A key that may
+# not repeat appears at most once, and a repeating one gives a list.  Every
+# key of a section not in _OPTIONAL must appear, except in [polytope], which
+# holds construct alone or the explicit listing: dimension and facets, one
+# integer each, and one vertex per line.
+_SECTIONS = {
+    "polytope": {"construct": ("polytope_spec", False),
+                 "dimension": ("polytope_spec", False),
+                 "facets": ("polytope_spec", False),
+                 "vertex": ("polytope_spec", True)},
+    "characteristic": {"row": ("char_rows", True)},
+    "spinc": {"gamma": ("gamma", False)},
+    "bundles": {"v": ("v_lines", True), "w": ("w_lines", True)},
+    "circle": {"xi": ("circle", False)},
+}
+_OPTIONAL = ("bundles", "circle")
 
 
-def _ints(value, where):
+def _ints(value, where, one=False):
+    """The integers of value, at least one, and exactly one if one is set."""
     out = []
     for piece in value.split():
         try:
@@ -255,13 +267,15 @@ def _ints(value, where):
             raise InputError(f"{where}: expected integers, found {piece!r}") from None
     if not out:
         raise InputError(f"{where}: empty integer list")
+    if one and len(out) != 1:
+        raise InputError(f"{where}: expected one integer, found {len(out)}")
     return out
 
 
 def parse_manifest(text):
     """Parse manifest text into a Manifest, with line-located diagnostics."""
     section = None
-    data = {name: [] for name in _SECTIONS}
+    entries = {name: [] for name in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -282,51 +296,39 @@ def parse_manifest(text):
         value = value.strip()
         if not value:
             raise InputError(f"{where}: empty value for {key!r}")
-        data[section].append((key, value, where))
+        if key not in _SECTIONS[section]:
+            raise InputError(f"{where}: [{section}] takes the keys "
+                             f"{', '.join(_SECTIONS[section])}, not {key!r}")
+        entries[section].append((key, value, where))
 
-    polytope_spec = _parse_polytope_section(data["polytope"])
-    char_rows = [_ints(v, w) for k, v, w in data["characteristic"]
-                 if _expect_key(k, "row", w)]
-    if not char_rows:
-        raise InputError("missing [characteristic] row entries")
-    gamma = None
-    for k, v, w in data["spinc"]:
-        _expect_key(k, "gamma", w)
-        if gamma is not None:
-            raise InputError(f"{w}: duplicate gamma")
-        gamma = _ints(v, w)
-    if gamma is None:
-        raise InputError("missing [spinc] gamma entry")
-    v_lines, w_lines = [], []
-    for k, v, w in data["bundles"]:
-        if k == "v":
-            v_lines.append(_ints(v, w))
-        elif k == "w":
-            w_lines.append(_ints(v, w))
-        else:
-            raise InputError(f"{w}: bundle lines are keyed v or w, not {k!r}")
-    circle = None
-    for k, v, w in data["circle"]:
-        _expect_key(k, "xi", w)
-        if circle is not None:
-            raise InputError(f"{w}: duplicate xi")
-        circle = _ints(v, w)
-    return Manifest(polytope_spec, char_rows, gamma, v_lines, w_lines, circle)
+    fields = {"polytope_spec": _polytope_spec(entries["polytope"])}
+    for name in list(_SECTIONS)[1:]:
+        for key, attribute, repeats, found in _keyed(name, entries[name]):
+            if not found and name not in _OPTIONAL:
+                raise InputError(f"missing [{name}] {key} entry")
+            rows = [_ints(v, w) for v, w in found]
+            fields[attribute] = rows if repeats else rows[0] if rows else None
+    return Manifest(**fields)
 
 
-def _expect_key(key, expected, where):
-    if key != expected:
-        raise InputError(f"{where}: expected key {expected!r}, found {key!r}")
-    return True
+def _keyed(name, entries):
+    """(key, attribute, repeats, [(value, where), ...]) for each key of
+    [name], in table order; InputError at the second line of a key that
+    may not repeat."""
+    for key, (attribute, repeats) in _SECTIONS[name].items():
+        found = [(v, w) for k, v, w in entries if k == key]
+        if len(found) > 1 and not repeats:
+            raise InputError(f"{found[1][1]}: duplicate {key}")
+        yield key, attribute, repeats, found
 
 
-def _parse_polytope_section(entries):
+def _polytope_spec(entries):
     if not entries:
         raise InputError("missing [polytope] section")
-    keys = {k for k, _, _ in entries}
-    if "construct" in keys:
+    if any(key == "construct" for key, _, _ in entries):
         if len(entries) != 1:
-            raise InputError("constructor polytopes take no other keys")
+            raise InputError(
+                f"{entries[1][2]}: constructor polytopes take no other keys")
         _, value, where = entries[0]
         try:
             spec = parse_expression(value)
@@ -334,55 +336,49 @@ def _parse_polytope_section(entries):
         except InputError as e:
             raise InputError(f"{where}: {e}") from None
         return spec
-    dimension = None
-    num_facets = None
-    vertices = []
-    for k, v, w in entries:
-        if k == "dimension":
-            dimension = _ints(v, w)[0]
-        elif k == "facets":
-            num_facets = _ints(v, w)[0]
-        elif k == "vertex":
-            body = v.strip()
-            if not (body.startswith("{") and body.endswith("}")):
-                raise InputError(f"{w}: vertex values look like {{1 2 3}}")
-            vertices.append(tuple(_ints(body[1:-1], w)))
-        else:
-            raise InputError(f"{w}: unknown polytope key {k!r}")
-    if dimension is None or num_facets is None or not vertices:
+    # the keys after construct: dimension, facets and vertex
+    dimension, facets, vertices = [
+        [_vertex(v, w) if repeats else _ints(v, w, one=True)[0]
+         for v, w in found]
+        for _, _, repeats, found in list(_keyed("polytope", entries))[1:]]
+    if not (dimension and facets and vertices):
         raise InputError(
             "explicit polytopes need dimension, facets and vertex entries")
-    spec = ("explicit", dimension, num_facets, tuple(sorted(vertices)))
+    spec = ("explicit", dimension[0], facets[0], tuple(sorted(vertices)))
     _checked_size(spec)
     return spec
 
 
+def _vertex(value, where):
+    if not (value.startswith("{") and value.endswith("}")):
+        raise InputError(f"{where}: vertex values look like {{1 2 3}}")
+    return tuple(_ints(value[1:-1], where))
+
+
+def _texts(manifest, name):
+    """One list of value texts per key of [name], in table order."""
+    if name == "polytope":
+        spec = manifest.polytope_spec
+        if spec[0] == "explicit":
+            return [[], [str(spec[1])], [str(spec[2])],
+                    ["{" + _row(v) + "}" for v in spec[3]]]
+        return [[serialize_expression(spec)], [], [], []]
+    out = []
+    for attribute, repeats in _SECTIONS[name].values():
+        value = getattr(manifest, attribute)
+        rows = value if repeats else [value] if value else []
+        out.append([_row(row) for row in rows])
+    return out
+
+
 def serialize_manifest(manifest):
-    lines = ["[polytope]"]
-    spec = manifest.polytope_spec
-    if spec[0] == "explicit":
-        lines.append(f"dimension = {spec[1]}")
-        lines.append(f"facets = {spec[2]}")
-        for v in spec[3]:
-            lines.append("vertex = {" + " ".join(str(x) for x in v) + "}")
-    else:
-        lines.append(f"construct = {serialize_expression(spec)}")
-    lines.append("")
-    lines.append("[characteristic]")
-    for row in manifest.char_rows:
-        lines.append("row = " + " ".join(str(x) for x in row))
-    lines.append("")
-    lines.append("[spinc]")
-    lines.append("gamma = " + " ".join(str(x) for x in manifest.gamma))
-    if manifest.v_lines or manifest.w_lines:
-        lines.append("")
-        lines.append("[bundles]")
-        for line in manifest.v_lines:
-            lines.append("v = " + " ".join(str(x) for x in line))
-        for line in manifest.w_lines:
-            lines.append("w = " + " ".join(str(x) for x in line))
-    if manifest.circle:
-        lines.append("")
-        lines.append("[circle]")
-        lines.append("xi = " + " ".join(str(x) for x in manifest.circle))
-    return "\n".join(lines) + "\n"
+    """Canonical manifest text: sections and keys in table order, one line
+    per value, a section without values left out."""
+    blocks = []
+    for name, keys in _SECTIONS.items():
+        lines = [f"{key} = {text}"
+                 for key, texts in zip(keys, _texts(manifest, name))
+                 for text in texts]
+        if lines:
+            blocks.append("\n".join([f"[{name}]", *lines]))
+    return "\n\n".join(blocks) + "\n"

@@ -549,6 +549,17 @@ class TestClassArithmetic:
         for ring in rings:
             self.check(ring, rng)
 
+    def test_integral_results_are_ints(self):
+        # sums, differences and rational multiples keep the exact-value
+        # rule: an integral coordinate is an int, never Fraction(1, 1)
+        ring = _delta_four_census_rings(1, 12)[0]
+        cube = math.prod([ring.facet_class(5)] * 3, start=ring.one())
+        x = cube * Fraction(1, 2)
+        assert Fraction(1, 2) in x.coords
+        for y in (x + x, x - (-x), x * 2, 2 * x, x * Fraction(2)):
+            assert y == cube
+            assert all(type(c) is int for c in y.coords)
+
     def test_synthetic_ring(self):
         self.check(SyntheticConnectedSumRing(4, 3, (1, -1, 1)),
                    random.Random(13), trials=30)

@@ -8,6 +8,7 @@ verified property, 2 on invalid input, 3 on an unmet precondition;
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,8 @@ import pytest
 
 from quasigenus.cli import main
 from quasigenus.errors import InputError
-from quasigenus.manifest import (Manifest, _build_polytope, _checked_size,
+from quasigenus.manifest import (_CONSTRUCTORS, _SECTIONS, Manifest,
+                                 _build_polytope, _checked_size,
                                  parse_expression, parse_manifest,
                                  serialize_expression, serialize_manifest)
 
@@ -28,6 +30,9 @@ CP2 = str(MANIFESTS / "cp2.ini")
 CP3_TWISTED = str(MANIFESTS / "cp3_twisted.ini")
 S2_BOUNDING = str(MANIFESTS / "s2_bounding.ini")
 S2XS2 = str(MANIFESTS / "s2xs2_spin.ini")
+
+# the sections after an explicit [polytope] listing of the segment
+SEGMENT_REST = "[characteristic]\nrow = 1 1\n[spinc]\ngamma = 1 1\n"
 
 
 def _projective_manifest(n):
@@ -132,6 +137,16 @@ gamma = 1 1
          "30 vertices"),
         ("[polytope]\ndimension = 13\nfacets = 14\n"
          "vertex = {1 2 3 4 5 6 7 8 9 10 11 12 13}\n", "dimension 13"),
+        # dimension and facets each take exactly one line of one integer
+        ("[polytope]\ndimension = 1 7\nfacets = 2\nvertex = {1}\n"
+         "vertex = {2}\n" + SEGMENT_REST, "line 2: expected one integer"),
+        ("[polytope]\ndimension = 1\nfacets = 2 9\nvertex = {1}\n"
+         "vertex = {2}\n" + SEGMENT_REST, "line 3: expected one integer"),
+        ("[polytope]\ndimension = 1\nfacets = 2\ndimension = 1\n"
+         "vertex = {1}\nvertex = {2}\n" + SEGMENT_REST,
+         "line 4: duplicate dimension"),
+        ("[polytope]\nconstruct = simplex(2)\n[bundles]\nu = 0 0 1\n",
+         r"line 4: \[bundles\] takes the keys v, w, not 'u'"),
     ])
     def test_diagnostics(self, text, fragment):
         with pytest.raises(InputError, match=fragment):
@@ -141,6 +156,23 @@ gamma = 1 1
         text = "[polytope]\nconstruct = simplex(2)\nbogus\n"
         with pytest.raises(InputError, match="line 3"):
             parse_manifest(text)
+
+
+class TestFormatDoc:
+    """docs/manifest_format.md names what quasigenus.manifest declares."""
+
+    DOC = (REPO / "docs" / "manifest_format.md").read_text()
+
+    def test_grammar_names_the_constructors(self):
+        grammar = re.search(r"^name +::=(.*(?:\n +\|.*)*)", self.DOC, re.M)
+        names = re.findall(r'"(\w+)"', grammar.group(1))
+        assert sorted(names) == sorted(_CONSTRUCTORS)
+
+    def test_every_key_is_documented(self):
+        for name, keys in _SECTIONS.items():
+            assert f"### `[{name}]`" in self.DOC
+            for key in keys:
+                assert f"\n{key} = " in self.DOC, key
 
 
 class TestCliExitCodes:
