@@ -12,7 +12,9 @@ fixed-point sum evaluated in integers at t = 2 and 3 over one common
 denominator each, aborts the computation; it is never papered over.  A
 term's theta product depends only on its weight magnitudes, its signature,
 so within one circle the terms of a signature share their theta rows, in
-the division and at both held-out points alike.  The t-free squares of
+the division and at both held-out points alike; the two circles of one
+non-equivariant result read one table of held-out theta values, dropped
+when the result returns.  The t-free squares of
 every theta factor form one integer q-series per weight count.  The theta
 rows and their sums over signatures are packed, one int per power of q
 with one fixed-width slot per coefficient of t, so that each step of the
@@ -305,13 +307,16 @@ def _theta_at(term, tau, q_order):
     return binomial_quotient(*steps, q_order)
 
 
-def _fixed_point_sum_at(terms, parity, tau, q_order):
+def _fixed_point_sum_at(terms, parity, tau, q_order, thetas):
     """The fixed-point sum at an integer t = tau as (sums, lcm, top): its
     q^j coefficient is sums[j] / (lcm tau^(j top)).
 
     lcm is the lcm of the terms' prefactor denominators and top their
     largest weight magnitude.  The prefactors of one signature are summed
-    over lcm first, so ``_theta_at`` runs once per signature.
+    over lcm first, so ``_theta_at`` runs once per signature.  Its values
+    are read from, and added to, the table ``thetas``, keyed by
+    (signature, tau): at one q-order a theta product depends on nothing
+    else, so the circles of one result can share the table.
     """
     terms = [t for t in terms if not t.zero]
     prefactors = [_prefactor_at(t, parity, tau) for t in terms]
@@ -323,7 +328,10 @@ def _fixed_point_sum_at(terms, parity, tau, q_order):
     sums = [0] * (q_order + 1)
     for t, scale in scales.values():
         if scale:
-            for j, c in enumerate(_theta_at(t, tau, q_order)):
+            key = (t.signature, tau)
+            if key not in thetas:
+                thetas[key] = _theta_at(t, tau, q_order)
+            for j, c in enumerate(thetas[key]):
                 sums[j] += scale * c * tau ** (j * (top - t.top))
     return sums, lcm, top
 
@@ -556,7 +564,7 @@ def _divided_sum(terms, parity, q_order):
 
 
 def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
-                        tangent_as_w=False):
+                        thetas, tangent_as_w=False):
     """Shared engine: returns (polys, parity), polys[j] the q^j coefficient
     as {e: c} for the character sum c t^(e + parity/2).
 
@@ -566,6 +574,9 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
     its own recurrence, must match it there too.  Both sides stay integers:
     the divided sum is evaluated by Horner's rule on its coefficient lists,
     and they are compared by cross-multiplying their denominators.
+    ``thetas`` is the held-out table of ``_fixed_point_sum_at`` at this
+    q-order: a new ``{}`` for one circle, one shared table for the two
+    circles of ``_on_two_circles``.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
@@ -573,7 +584,8 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
     rows = _divided_sum(terms, parity, q_order)
     low = min(lo for lo, _ in rows)
     for tau in (2, 3):
-        sums, lcm, top = _fixed_point_sum_at(terms, parity, tau, q_order)
+        sums, lcm, top = _fixed_point_sum_at(terms, parity, tau, q_order,
+                                             thetas)
         # q^j: the divided sum is got * tau^low, the fixed-point sum
         # sums[j] / (lcm tau^(j top))
         gots = [_horner(quotient, tau) * tau ** (lo - low)
@@ -613,7 +625,8 @@ def equivariant_index(manifold, xi, bundles, q_order):
     bundles.validate_for(manifold)
     xi = _as_circle(xi)
     polys, parity = _equivariant_series(
-        manifold, xi, bundles.v_lines, bundles.w_lines, manifold.spin_c, q_order)
+        manifold, xi, bundles.v_lines, bundles.w_lines, manifold.spin_c,
+        q_order, {})
     return EquivariantIndex(_characters(polys, parity), xi, parity)
 
 
@@ -749,10 +762,13 @@ def _cheapest_in_box(n, masses, weights, count):
 
 
 def _on_two_circles(manifold, bundles, what, compute):
-    """``compute(circle)`` on the two cheapest generic circles, which must
-    agree: a non-equivariant localization result does not depend on it."""
+    """``compute(circle, thetas)`` on the two cheapest generic circles,
+    which must agree: a non-equivariant localization result does not
+    depend on it.  Both calls get one new held-out table ``thetas`` (see
+    ``_fixed_point_sum_at``), dropped when this returns."""
     first, second = choose_generic_circles(manifold, bundles, count=2)
-    result, other = compute(first), compute(second)
+    thetas = {}
+    result, other = compute(first, thetas), compute(second, thetas)
     if result != other:
         raise PropertyViolationError(
             f"{what} differs between generic circles {first.xi} and "
@@ -763,9 +779,9 @@ def _on_two_circles(manifold, bundles, what, compute):
 def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
                   tangent_as_w=False):
     """Non-equivariant index, certified on two generic circles."""
-    def at_one(xi):
+    def at_one(xi, thetas):
         polys, _ = _equivariant_series(
-            manifold, xi, v_lines, w_lines, gamma, q_order,
+            manifold, xi, v_lines, w_lines, gamma, q_order, thetas,
             tangent_as_w=tangent_as_w)
         return QSeries([sum(p.values()) for p in polys], q_order)
     spec = BundleSpec(v_lines, () if tangent_as_w else w_lines)
@@ -829,7 +845,8 @@ def elliptic_genus(manifold, q_order):
 def equivariant_witten_genus(manifold, xi, q_order):
     gamma, eta = spin_gamma(manifold)
     xi = _as_circle(xi)
-    polys, parity = _equivariant_series(manifold, xi, (), (), gamma, q_order)
+    polys, parity = _equivariant_series(manifold, xi, (), (), gamma, q_order,
+                                        {})
     return _strip_character_shift(_characters(polys, parity), parity, eta, xi)
 
 
@@ -837,7 +854,7 @@ def equivariant_elliptic_genus(manifold, xi, q_order):
     gamma, eta = spin_gamma(manifold)
     xi = _as_circle(xi)
     polys, parity = _equivariant_series(
-        manifold, xi, (), (), gamma, q_order, tangent_as_w=True)
+        manifold, xi, (), (), gamma, q_order, {}, tangent_as_w=True)
     return _strip_character_shift(_characters(polys, parity), parity, eta, xi)
 
 
@@ -868,9 +885,10 @@ def signature(manifold):
     """
     gamma = (0,) * manifold.num_facets
 
-    def constant(xi):
+    def constant(xi, thetas):
         character = _characters(*_equivariant_series(
-            manifold, xi, (), (), gamma, 0, tangent_as_w=True)).coeffs[0]
+            manifold, xi, (), (), gamma, 0, thetas,
+            tangent_as_w=True)).coeffs[0]
         if set(character.coeffs) - {0}:
             raise PropertyViolationError(
                 f"signature sum is not constant in t for circle {xi.xi}: "
@@ -900,7 +918,7 @@ def localization_integral(manifold, facets):
              for f in facets]
     signs = manifold.orientation_signs()
 
-    def pairing(xi):
+    def pairing(xi, _):
         total = 0
         for fp in manifold.fixed_points():
             tangent, restricted = _fixed_point_weights(fp, xi.xi, lines)

@@ -336,15 +336,22 @@ def _polytope_spec(entries):
         except InputError as e:
             raise InputError(f"{where}: {e}") from None
         return spec
-    # the keys after construct: dimension, facets and vertex
+    # the keys after construct: dimension, facets and vertex, each value
+    # with its line
     dimension, facets, vertices = [
-        [_vertex(v, w) if repeats else _ints(v, w, one=True)[0]
+        [(_vertex(v, w) if repeats else _ints(v, w, one=True)[0], w)
          for v, w in found]
         for _, _, repeats, found in list(_keyed("polytope", entries))[1:]]
     if not (dimension and facets and vertices):
         raise InputError(
             "explicit polytopes need dimension, facets and vertex entries")
-    spec = ("explicit", dimension[0], facets[0], tuple(sorted(vertices)))
+    # each vertex is stored sorted, so {1 2} and {2 1} are one vertex
+    first = {}
+    for vertex, where in vertices:
+        if first.setdefault(vertex, where) != where:
+            raise InputError(f"{where}: vertex {{{_row(vertex)}}} is listed "
+                             f"again (first at {first[vertex]})")
+    spec = ("explicit", dimension[0][0], facets[0][0], tuple(sorted(first)))
     _checked_size(spec)
     return spec
 
@@ -352,7 +359,7 @@ def _polytope_spec(entries):
 def _vertex(value, where):
     if not (value.startswith("{") and value.endswith("}")):
         raise InputError(f"{where}: vertex values look like {{1 2 3}}")
-    return tuple(_ints(value[1:-1], where))
+    return tuple(sorted(_ints(value[1:-1], where)))
 
 
 def _texts(manifest, name):

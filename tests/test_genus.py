@@ -1308,13 +1308,42 @@ class TestSharedTheta:
             q_order = case % 5
             for tau in (2, 3):
                 sums, lcm, top = genus._fixed_point_sum_at(
-                    terms, parity, tau, q_order)
+                    terms, parity, tau, q_order, {})
                 want = QSeries([0] * (q_order + 1))
                 for t in terms:
                     want = want + _term_value_reference(t, parity,
                                                         Fraction(tau), q_order)
                 assert [Fraction(s, lcm * tau ** (j * top))
                         for j, s in enumerate(sums)] == want.coeffs
+
+
+class TestHeldOutTable:
+    """The two circles of one non-equivariant result read one table of
+    held-out theta values; the next result starts a new one."""
+
+    def test_held_out_table_lasts_one_result(self, monkeypatch):
+        keys = []
+        real = genus._theta_at
+
+        def recorded(term, tau, q_order):
+            keys.append((term.signature, tau, q_order))
+            return real(term, tau, q_order)
+        monkeypatch.setattr(genus, "_theta_at", recorded)
+        m = projective_space(3)
+        low = index(m, None, 2)
+        # one table for both circles: no theta product is computed twice,
+        # and fewer are computed than with one table per circle
+        shared = len(keys)
+        assert shared == len(set(keys))
+        for circle in choose_generic_circles(m):
+            equivariant_index(m, circle, None, 2)
+        assert shared < len(keys) - shared
+        # the next result computes its own, at its own q-order
+        keys.clear()
+        high = index(m, None, 4)
+        assert keys and all(q_order == 4 for _, _, q_order in keys)
+        assert low == index(projective_space(3), None, 2)
+        assert high == index(projective_space(3), None, 4)
 
 
 class TestInputLimits:

@@ -147,6 +147,15 @@ gamma = 1 1
          "line 4: duplicate dimension"),
         ("[polytope]\nconstruct = simplex(2)\n[bundles]\nu = 0 0 1\n",
          r"line 4: \[bundles\] takes the keys v, w, not 'u'"),
+        # a vertex is a set of facets: a copy, in any order, is refused
+        ("[polytope]\ndimension = 1\nfacets = 2\nvertex = {1}\n"
+         "vertex = {2}\nvertex = {1}\n" + SEGMENT_REST,
+         r"line 6: vertex \{1\} is listed again \(first at line 4\)"),
+        ("[polytope]\ndimension = 2\nfacets = 3\nvertex = {1 2}\n"
+         "vertex = {1 3}\nvertex = {2 3}\nvertex = {2 1}\n"
+         "[characteristic]\nrow = 1 0 -1\nrow = 0 1 -1\n"
+         "[spinc]\ngamma = 1 1 1\n",
+         r"line 7: vertex \{1 2\} is listed again \(first at line 4\)"),
     ])
     def test_diagnostics(self, text, fragment):
         with pytest.raises(InputError, match=fragment):
