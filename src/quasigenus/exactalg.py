@@ -18,26 +18,22 @@ localization computes hold ints only.
 
 Plus primitives.  ``binomial_quotient`` builds a quotient of products
 of binomials 1 + c q^k, the shape of every theta-function factor of the
-indices, in place on one coefficient list.  Integer polynomials in t are
-coefficient lists, lowest degree first, and are only ever multiplied or
-divided by binomials t^m +- 1, each in one shift-add pass:
-``mul_binomial``, ``divmod_binomial`` and ``binomial_passes``, which
-applies a map {m: exponent} of powers of t^m - 1.  ``binomial_exponents``
-rewrites a product of cyclotomic polynomials in that form, which is how
-localization divides a sum of fixed-point numerators by their common
-denominator.  Where such a polynomial is only shifted, added and scaled,
-it is packed into one int, coefficient i in slot i of a fixed width
-(Kronecker substitution), so that each step is one big-integer operation:
-``slot_size`` picks the width from a bound on the coefficients,
-``pack_slots`` and ``unpack_slots`` convert.
+indices, in place on one coefficient list.  ``binomial_exponents``
+rewrites a product of cyclotomic polynomials as a product of binomials
+t^m - 1 with signed exponents, which is how localization divides a sum of
+fixed-point numerators by their common denominator.  Such integer
+polynomials in t are packed into one int, coefficient i in slot i of a
+fixed width (Kronecker substitution), so that each step is one
+big-integer operation: ``slot_size`` picks the width from a bound on the
+coefficients, ``pack_slots`` and ``unpack_slots`` convert, and
+``divide_binomials`` divides a packed polynomial exactly by binomials
+t^m - 1 and proves the quotient is the polynomial one.
 """
 
 import math
 import sys
 from array import array
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, sub
 
 
 def _exact(x):
@@ -274,59 +270,6 @@ def binomial_exponents(cyclotomic_exponents):
     return out
 
 
-def mul_binomial(a, m, sign=-1):
-    """The integer polynomial a (a coefficient list, lowest degree first)
-    times t^m + sign, for m >= 1 and sign = +-1: a shifted up by m, plus
-    or minus a."""
-    out = [0] * m + a
-    out[:len(a)] = map(add if sign > 0 else sub, out[:len(a)], a)
-    return out
-
-
-def divmod_binomial(a, m):
-    """Quotient and remainder of the integer polynomial a by t^m - 1.
-
-    Quotient coefficient k is a[k + m] + a[k + 2m] + ..., a running sum
-    from the top of each residue class mod m: one ``accumulate`` per
-    class when there are fewer classes than chunks of m, else one
-    shifted addition per chunk of m, from the top down.  The remainder
-    has length min(m, len(a)) and holds the sums of whole residue classes,
-    so ``any`` of it says whether t^m - 1 divides a.
-    """
-    q = a[m:]
-    n = len(q)
-    if m * m < n:
-        for r in range(m):
-            q[r::m] = list(accumulate(q[r::m][::-1]))[::-1]
-    else:
-        for hi in range(n - m, 0, -m):
-            lo = max(hi - m, 0)
-            q[lo:hi] = map(add, q[lo:hi], q[lo + m:hi + m])
-    remainder = a[:m]
-    remainder[:n] = map(add, remainder, q)
-    return q, remainder
-
-
-def binomial_passes(a, exponents):
-    """The integer polynomial a times prod_m (t^m - 1)^exponents[m], as
-    (product, exact).
-
-    The factors with a positive exponent are multiplied in first, smallest
-    m first, then those with a negative one divided out, largest m first,
-    so a division is exact whenever the product is a polynomial.  exact is
-    False, and the product unfinished, once a division leaves a remainder.
-    """
-    for m in sorted(exponents):
-        for _ in range(exponents[m]):
-            a = mul_binomial(a, m)
-    for m in sorted(exponents, reverse=True):
-        for _ in range(-exponents[m]):
-            a, remainder = divmod_binomial(a, m)
-            if any(remainder):
-                return a, False
-    return a, True
-
-
 # Signed array type codes by item size; on a big-endian host none is used,
 # as their bytes would put the slots in the wrong order.
 _SLOT_CODES = ({array(code).itemsize: code for code in "bhiq"}
@@ -379,3 +322,55 @@ def unpack_slots(value, count, size):
         return memoryview(data).cast(code).tolist()
     return [int.from_bytes(data[i:i + size], "little", signed=True)
             for i in range(0, len(data), size)]
+
+
+def _divide_mersenne(v, k):
+    """v / (2^k - 1) if that is an integer, else None.
+
+    1 / (2^k - 1) = -(1 + 2^k + 2^2k + ...) in the 2-adic integers, so the
+    quotient is -v times that sum, read as a signed integer mod 2^n for n
+    past the bit length of v, where the sum doubles its length with each
+    shift-add (Jebelean's exact division); multiplying back decides.
+    """
+    n = v.bit_length() + 1
+    half, mask = 1 << (n - 1), (1 << n) - 1
+    s, shift = v, k
+    while shift < n:
+        s = (s + (s << shift)) & mask
+        shift *= 2
+    q = ((half - s) & mask) - half
+    return q if (q << k) - q == v else None
+
+
+def divide_binomials(value, count, size, exponents):
+    """The integer polynomial packed in ``value``, ``count`` slots of
+    ``size`` bytes each in (-X/2, X/2) for X = 2^(8 size), divided by
+    D = prod_m (t^m - 1)^exponents[m], every exponent positive: the
+    quotient's coefficients, or None when D does not divide it.
+
+    Each binomial divides value(X) by X^m - 1 (``_divide_mersenne``), or
+    D does not divide the polynomial.  D's |coefficients| sum to at most
+    2^e, e the sum of its exponents, so a quotient Q with max |Q| 2^e < X/2
+    is certified: Q D and the dividend agree at t = X and have all their
+    coefficients in (-X/2, X/2), so they are equal.  Otherwise the
+    dividend is divided again at twice the width, which ends: once X is
+    large enough, D(X) divides no value at X of a polynomial D does not.
+    """
+    total = sum(exponents.values())
+    slots = max(count - sum(m * e for m, e in exponents.items()), 0)
+    while True:
+        q = value
+        for m, e in exponents.items():
+            for _ in range(e):
+                q = _divide_mersenne(q, 8 * size * m)
+                if q is None:
+                    return None
+        try:
+            quotient = unpack_slots(q, slots, size)
+        except OverflowError:  # Q does not fit its slots
+            quotient = None
+        if (quotient is not None and max(map(abs, quotient), default=0)
+                << total < 1 << (8 * size - 1)):
+            return quotient
+        value = pack_slots(unpack_slots(value, count, size), 2 * size)
+        size *= 2

@@ -1,26 +1,26 @@
 """Twisted Dirac-operator indices of quasitoric manifolds, two ways.
 
 Localization route: the circle-equivariant index is a Laurent polynomial in
-the circle character t for each power of q.  Each fixed point contributes an
-integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts every
-term over one common denominator D, a product of cyclotomic polynomials
-written as a product of binomials t^m - 1 with signed exponents, sums the
-numerators and divides by D in Z[t]; every step multiplies or divides by
-one binomial in a single pass over a coefficient list.  A nonzero
-remainder, or a mismatch with the
-fixed-point sum evaluated in integers at t = 2 and 3 over one common
-denominator each, aborts the computation; it is never papered over.  A
-term's theta product depends only on its weight magnitudes, its signature,
-so within one circle the terms of a signature share their theta rows, in
-the division and at both held-out points alike; the two circles of one
-non-equivariant result read one table of held-out theta values, dropped
-when the result returns.  The t-free squares of
-every theta factor form one integer q-series per weight count.  The theta
-rows and their sums over signatures are packed, one int per power of q
-with one fixed-width slot per coefficient of t, so that each step of the
-recurrence is one shift and one addition of ints; the slot width comes
-from a bound on every coefficient, computed before anything is packed,
-and each row sum is unpacked once, to be divided.
+the circle character t for each power of q.  Each fixed point contributes
+an integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts
+every term over one common denominator, the positive part D+ of a product
+of cyclotomic polynomials written as a product of binomials t^m - 1 with
+signed exponents, sums the numerators and divides by D+ in Z[t].  Each
+polynomial is packed into one int, one fixed-width slot per coefficient of
+t, so a step multiplies by a binomial with one shift and one addition, or
+divides by one exactly, 2-adically, and a coefficient bound certifies each
+quotient.  A division that is not exact, or a mismatch with the fixed-point
+sum evaluated in integers at t = 2 and 3 over one common denominator each,
+aborts the computation; it is never papered over.  A term's theta product
+depends only on its weight magnitudes, its signature, so within one circle
+the terms of a signature share their theta rows, in the division and at
+both held-out points alike; the two circles of one non-equivariant result
+read one table of held-out theta values, dropped when the result returns.
+The t-free squares of every theta factor form one integer q-series per
+weight count.  The theta rows and their sums over signatures are packed,
+one int per power of q, so that each step of the recurrence is one shift
+and one addition of ints; the slot width comes from a bound on every
+coefficient, computed before anything is packed.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as tables of x^i coefficients per power of q, substitute the
@@ -54,8 +54,8 @@ from types import MappingProxyType
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
 from .exactalg import (HalfLaurent, QSeries, _exact, binomial_exponents,
-                       binomial_passes, binomial_quotient, divisors,
-                       mul_binomial, pack_slots, slot_size, unpack_slots)
+                       binomial_quotient, divide_binomials, divisors,
+                       pack_slots, slot_size, unpack_slots)
 from .linalg import gf2_solve
 from .cohomology import build_face_ring
 
@@ -440,17 +440,6 @@ def _term_series(signature, q_order, seed):
             for j, row in enumerate(rows)]
 
 
-def _aligned_sum(parts):
-    """Sum of the polynomials t^low * piece over (low, piece), as
-    (lowest exponent, coefficients)."""
-    low = min(lo for lo, _ in parts)
-    total = [0] * (max(lo + len(piece) for lo, piece in parts) - low)
-    for lo, piece in parts:
-        at = lo - low
-        total[at:at + len(piece)] = map(add, total[at:at + len(piece)], piece)
-    return low, total
-
-
 def _divided_sum(terms, parity, q_order):
     """Each q-coefficient of the fixed-point sum as (low, coefficients),
     the integer polynomial t^low * sum_i coefficients[i] t^i.
@@ -459,28 +448,31 @@ def _divided_sum(terms, parity, q_order):
     series over B = prod_k (t^|w_k| - 1), which divides D = prod_d Phi_d^e_d,
     with e_d the most tangent weights at one fixed point that d divides.
     As t^m - 1 is the product of Phi_d over d | m, D is also
-    prod_m (t^m - 1)^E_m with E_m = sum_{m | d} e_d mu(d/m), and every
-    step below is a pass of ``exactalg.binomial_passes`` or
-    ``exactalg.mul_binomial``.
+    prod_m (t^m - 1)^E_m with E_m = sum_{m | d} e_d mu(d/m).  B divides
+    D+ = prod_m (t^m - 1)^max(E_m, 0) too, and the sum is taken over D+, so
+    the row sums are only divided.  Polynomials are packed: multiplying by
+    t^m +- 1 is a shift and an addition, and dividing by binomials is
+    ``exactalg.divide_binomials``.
 
     Up to its sign and lowest power of t, a term's prefactor times B is
     prod_V (t^|a| - 1) prod_W (1 + t^|b|), with 2 for b = 0, so it
-    depends only on the term's signature g, and so does
-    D/B = prod_m (t^m - 1)^(E_m - #{k : |w_k| = m}).  Each signature's
-    numerator over D is therefore its terms' signs at their offsets times
-    these binomials, built once; it seeds the signature's
-    ``_packed_rows``, whose rows come out multiplied.  All rows are packed
-    in slots of one width, which hold the sum over signatures of
-    max |numerator| times ``_theta_majorant``, a bound on every
-    coefficient of every row sum.  Each signature's packed row j, shifted
-    to its offset low - j*top, is added into the q^j row sum, which is
-    unpacked once and divided by D; a nonzero remainder means it is no
-    Laurent polynomial, so the terms are wrong.
+    depends only on the term's signature, and so does
+    D+/B = prod_m (t^m - 1)^(max(E_m, 0) - #{k : |w_k| = m}).  Each
+    signature's numerator over D+ is therefore its terms' signs at their
+    offsets times these binomials, built once; unless it cancels to 0, it
+    seeds the signature's ``_packed_rows``, whose rows come out
+    multiplied.  All rows are packed in slots of one width, which hold the
+    sum over signatures of max |numerator| times ``_theta_majorant``, a
+    bound on every coefficient of every row sum.  Each signature's packed
+    row j, shifted to its offset low - j*top, is added into the q^j row
+    sum, which is divided by D+; a division that is not exact means it is
+    no Laurent polynomial, so the terms are wrong.
 
     Before any polynomial is built, the span of the summed numerators over
-    D, which includes deg D = sum m E_m, plus the most a pass list can
-    outgrow its final (or, for a row sum, its first) length must stay
-    within the limit, which a single weight over it already exceeds.
+    D, deg D = sum m E_m included, plus the largest negative part of E or
+    of a signature's map over D must stay within the limit, as when the
+    sums were divided by passes over lists; it bounds every row sum over
+    D+.  So must each numerator's dividend, by its own slot count.
     """
     terms = [t for t in terms if not t.zero]
     if not terms:
@@ -488,10 +480,11 @@ def _divided_sum(terms, parity, q_order):
     tops = [t.top for t in terms]
     _check_limit("localization degree", max(tops), MAX_LOCALIZATION_DEGREE)
     # e_d: Counter | Counter keeps the larger count
-    denominator = binomial_exponents(reduce(or_, (
+    exponents = binomial_exponents(reduce(or_, (
         Counter(d for w in tangent for d in divisors(w))
         for tangent in {t.signature[0] for t in terms})))
-    degree = sum(m * e for m, e in denominator.items())
+    denominator = {m: e for m, e in exponents.items() if e > 0}
+    degree = sum(m * e for m, e in exponents.items())
     lows = [(t.halfexp - parity) // 2 - sum(w for w in t.tangent if w < 0)
             + sum(min(0, -a) for a in t.v_weights)
             + sum(min(0, b) for b in t.w_weights) for t in terms]
@@ -503,34 +496,47 @@ def _divided_sum(terms, parity, q_order):
     for t, low in zip(terms, lows):
         sign = t.sigma * (-1) ** (sum(w < 0 for w in t.tangent)
                                   + sum(a < 0 for a in t.v_weights))
-        groups.setdefault(t.signature, (t, []))[1].append((low, [sign]))
-    maps = {}
-    for signature in groups:
-        tangent, v_weights, _ = signature
-        maps[signature] = exponents = Counter(denominator)
-        exponents.subtract(tangent)
-        exponents.update(v_weights)
-    # binomial_passes multiplies before it divides, so a numerator's list
-    # outgrows its final length, and a row sum's list its first, by the
-    # negative part of the map (of E for the row sums); both lengths are
-    # at most span + 1
-    overshoot = max(sum(-m * e for m, e in exponents.items() if e < 0)
-                    for exponents in [denominator, *maps.values()])
-    _check_limit("localization degree", span + overshoot,
+        groups.setdefault(t.signature, (t, []))[1].append((low, sign))
+    # the negative parts of E and of each signature's map over D
+    overshoots = [sum(-m * e for m, e in exponents.items() if e < 0)]
+    plans = []
+    for t, pieces in groups.values():
+        tangent, v_weights, w_weights = t.signature
+        over_d, over_plus = Counter(exponents), Counter(denominator)
+        for exponent_map in (over_d, over_plus):
+            exponent_map.subtract(tangent)
+            exponent_map.update(v_weights)
+        overshoots.append(sum(-m * e for m, e in over_d.items() if e < 0))
+        # (m, s) for each factor t^m + s, W's and the map's positive part
+        ups = [(b, 1) for b in w_weights] + [
+            (m, -1) for m, e in over_plus.items() for _ in range(e)]
+        low = min(lo for lo, _ in pieces)
+        count = max(lo for lo, _ in pieces) - low + 1 + sum(m for m, _ in ups)
+        plans.append((t, pieces, low, ups, count, -over_plus))
+    # a row sum over D+, which holds its theta rows, spans span + overshoots[0]
+    _check_limit("localization degree",
+                 max(span + max(overshoots),
+                     *(count - 1 for *_, count, _ in plans)),
                  MAX_LOCALIZATION_DEGREE)
     numerators = []
-    for t, pieces in groups.values():
-        low, numerator = _aligned_sum(pieces)
-        for b in t.signature[2]:
-            numerator = (mul_binomial(numerator, b, 1) if b
-                         else [2 * c for c in numerator])
-        numerator, exact = binomial_passes(numerator, maps[t.signature])
-        if not exact:
+    for t, pieces, low, ups, count, downs in plans:
+        # |coefficients| <= len(pieces), at most doubled by each factor
+        size = slot_size(len(pieces) << len(ups))
+        bits = 8 * size
+        value = sum(sign << bits * (lo - low) for lo, sign in pieces)
+        if not value:
+            continue
+        for m, s in ups:
+            value = (value << bits * m) + s * value
+        numerator = divide_binomials(value, count, size, downs)
+        if numerator is None:
             raise PropertyViolationError(
                 f"the numerator of signature {t.signature} over the common "
                 "denominator leaves a nonzero remainder, so the fixed-point "
                 "data is inconsistent")
         numerators.append((t, low, numerator))
+    if not numerators:
+        return [(0, [])] * (q_order + 1)
     # no coefficient of a row sum exceeds the sum over signatures of
     # max |numerator| times the majorant of their theta rows
     size = slot_size(sum(
@@ -542,7 +548,6 @@ def _divided_sum(terms, parity, q_order):
                _packed_rows(t.signature, q_order, pack_slots(numerator, size),
                             bits))
               for t, low, numerator in numerators]
-    inverse = {m: -e for m, e in denominator.items()}
     out = []
     for j in range(q_order + 1):
         # a signature's row j holds t^(lo - j*top) up to, not including,
@@ -552,9 +557,8 @@ def _divided_sum(terms, parity, q_order):
                     for top, lo, length, _ in shared) - low
         total = sum(rows[j] << bits * (lo - j * top - low)
                     for top, lo, _, rows in shared)
-        quotient, exact = binomial_passes(unpack_slots(total, count, size),
-                                          inverse)
-        if not exact:
+        quotient = divide_binomials(total, count, size, denominator)
+        if quotient is None:
             raise PropertyViolationError(
                 f"the fixed-point sum at q^{j} leaves a nonzero remainder on "
                 "division by its common denominator, so it is no Laurent "
@@ -568,8 +572,8 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
     """Shared engine: returns (polys, parity), polys[j] the q^j coefficient
     as {e: c} for the character sum c t^(e + parity/2).
 
-    The zero remainder of ``_divided_sum`` certifies every q-coefficient
-    with no exponent window and no coefficient bound; the fixed-point sum,
+    The exact, certified division of ``_divided_sum`` proves every
+    q-coefficient with no exponent window; the fixed-point sum,
     evaluated in integers at t = 2 and 3 by ``_fixed_point_sum_at`` from
     its own recurrence, must match it there too.  Both sides stay integers:
     the divided sum is evaluated by Horner's rule on its coefficient lists,

@@ -1,5 +1,5 @@
 """Half-integer Laurent polynomials, q-series, binomial quotients, and
-multiplying and dividing by t^m - 1 in Z[t]."""
+exact division by binomials t^m - 1 in Z[t], packed into ints."""
 
 import random
 from fractions import Fraction
@@ -7,9 +7,9 @@ from operator import add
 
 import pytest
 
-from quasigenus.exactalg import (HalfLaurent, QSeries, binomial_exponents,
-                                 binomial_passes, binomial_quotient, divisors,
-                                 divmod_binomial, mul_binomial, pack_slots,
+from quasigenus.exactalg import (HalfLaurent, QSeries, _divide_mersenne,
+                                 binomial_exponents, binomial_quotient,
+                                 divide_binomials, divisors, pack_slots,
                                  slot_size, unpack_slots)
 
 
@@ -208,57 +208,115 @@ def brute_product(factors):
     return out
 
 
+def divided(a, exponents, size):
+    """``divide_binomials`` on the coefficient list a packed at size bytes."""
+    return divide_binomials(pack_slots(a, size), len(a), size, exponents)
+
+
+def widths(a):
+    """The slot sizes that hold every coefficient of a, from the least up
+    to 13 bytes; 3, 9 and 13 have no array type code."""
+    least = slot_size(max(map(abs, a), default=0))
+    return [size for size in (1, 2, 3, 4, 8, 9, 13) if size >= least]
+
+
+def binomials(exponents):
+    """prod_m (t^m - 1)^exponents[m] as a coefficient list."""
+    return brute_product(binomial(m) for m, e in exponents.items()
+                         for _ in range(e))
+
+
 class TestIntegerPolynomials:
-    """Multiplying and dividing by t^m - 1 against schoolbook arithmetic.
-    ``divmod_binomial`` takes m running sums when m^2 is below the
-    quotient's length (one per residue class mod m), and one shifted
-    addition per chunk of m otherwise; the cases below reach both."""
+    """Exact division by binomials t^m - 1, packed, against schoolbook
+    arithmetic: products formed by the double sum divide back, and nothing
+    else divides."""
 
     @staticmethod
     def random_poly(rng, length):
         return [rng.randint(-6, 6) for _ in range(length)]
 
+    @staticmethod
+    def random_exponents(rng):
+        return {m: rng.randint(1, 3) for m in rng.sample(range(1, 30),
+                                                          rng.randint(1, 3))}
+
     def test_mul_against_double_sum(self):
+        # A = Q D by the double sum divides back to Q at every width that
+        # holds A, past 8 bytes too; Q may be negative or zero
         rng = random.Random(41)
-        for _ in range(200):
-            a = self.random_poly(rng, rng.randint(1, 30))
-            m = rng.choice([1, 2, 3, rng.randint(1, 40)])
-            assert mul_binomial(a, m) == brute_poly_mul(a, binomial(m))
-            plus = [1] + [0] * (m - 1) + [1]
-            assert mul_binomial(a, m, 1) == brute_poly_mul(a, plus)
+        for trial in range(150):
+            quotient = self.random_poly(rng, rng.randint(1, 30))
+            if trial % 10 == 0:
+                quotient = [0] * len(quotient)
+            exponents = self.random_exponents(rng)
+            a = brute_poly_mul(quotient, binomials(exponents))
+            for size in widths(a):
+                assert divided(a, exponents, size) == quotient
 
     def test_division_oracle(self):
-        # (t^2 - 1) / (t - 1) = t + 1; t^2 + 1 leaves 2; a constant or a
-        # list no longer than m is all remainder
-        assert divmod_binomial([-1, 0, 1], 1) == ([1, 1], [0])
-        assert divmod_binomial([1, 0, 1], 1) == ([1, 1], [2])
-        assert divmod_binomial([5], 2) == ([], [5])
-        assert divmod_binomial([3, 1, 4], 3) == ([], [3, 1, 4])
-        assert divmod_binomial([3, 1, 4], 5) == ([], [3, 1, 4])
+        # (t^2 - 1) / (t - 1) = t + 1; t^2 + 1 leaves 2; a nonzero
+        # polynomial of lower degree than the divisor is refused, and zero
+        # divides to zero
+        assert divided([-1, 0, 1], {1: 1}, 1) == [1, 1]
+        assert divided([1, 0, 1], {1: 1}, 1) is None
+        assert divided([5], {2: 1}, 1) is None
+        assert divided([3, 1, 4], {3: 1}, 1) is None
+        assert divided([3, 1, 4], {5: 1}, 1) is None
+        assert divided([0, 0, 0], {1: 1}, 1) == [0, 0]
+        assert divided([0, 0], {5: 2}, 1) == []
+        # t - 1 does not divide 100 + 100 t + 55 t^2, which is 255 at t = 1,
+        # but its value at t = 2^8 is a multiple of 2^8 - 1: at one byte
+        # only the certificate refuses the quotient, -100 + 56 t, and the
+        # next width refuses the division
+        assert (100 + 100 * 256 + 55 * 256 ** 2) % 255 == 0
+        for size in (1, 2, 9):
+            assert divided([100, 100, 55], {1: 1}, size) is None
 
     def test_divmod_recovers_quotient_and_remainder(self):
+        # A = P (t^(km) - 1) has small coefficients, and its quotient by
+        # t^m - 1, P (1 + t^m + ... + t^((k-1)m)), large ones: from one
+        # byte, too narrow for the quotient, the division widens
         rng = random.Random(42)
-        branches = set()
-        for _ in range(300):
-            m = rng.choice([1, 2, 3, 5, rng.randint(1, 30)])
-            quotient = self.random_poly(rng, rng.randint(1, 60))
-            remainder = self.random_poly(rng, m)
-            dividend = brute_poly_mul(quotient, binomial(m))
-            dividend[:m] = [x + r for x, r in zip(dividend, remainder)]
-            assert divmod_binomial(dividend, m) == (quotient, remainder)
-            branches.add(m * m < len(quotient))
-        assert branches == {True, False}
+        narrow = 0
+        for _ in range(100):
+            m, k = rng.randint(1, 4), rng.randint(20, 60)
+            p = [rng.randint(1, 6) for _ in range(rng.randint(k, 2 * k) * m)]
+            a = brute_poly_mul(p, binomial(k * m))
+            want = brute_poly_mul(p, [int(i % m == 0)
+                                      for i in range((k - 1) * m + 1)])
+            exponents = {m: 1}
+            if rng.random() < 0.5:
+                exponents[2 * m] = 1
+                a = brute_poly_mul(a, binomial(2 * m))
+            size = widths(a)[0]
+            narrow += (max(want) << len(exponents)) >= 2 ** (8 * size - 1)
+            assert divided(a, exponents, size) == want
+            a[rng.randrange(len(a))] += rng.choice([-1, 1])
+            assert divided(a, exponents, size) is None
+        assert narrow >= 50
 
     def test_a_non_multiple_reports_a_remainder(self):
+        # A + t^i is refused at every width that holds it
         rng = random.Random(43)
         for _ in range(100):
-            m = rng.randint(1, 12)
+            exponents = self.random_exponents(rng)
             a = brute_poly_mul(self.random_poly(rng, rng.randint(1, 40)),
-                               binomial(m))
-            a[rng.randrange(len(a))] += rng.choice([-1, 1]) * rng.randint(1, 5)
-            _, remainder = divmod_binomial(a, m)
-            assert any(remainder)
-            assert binomial_passes(a, {m: -1})[1] is False
+                               binomials(exponents))
+            a[rng.randrange(len(a))] += rng.choice([-1, 1])
+            for size in widths(a):
+                assert divided(a, exponents, size) is None
+
+    def test_an_exact_step_gives_the_quotient(self):
+        # v = q (2^k - 1) gives q back, whatever its sign and size, and
+        # v + r, for 0 < r < 2^k - 1, is refused
+        rng = random.Random(45)
+        for k in (8, 16, 24, 40, 72, 104, 800):
+            for q in [0, 1, -1, 2 ** k, -2 ** k + 1] + [
+                    rng.randint(-2 ** 900, 2 ** 900) for _ in range(20)]:
+                v = q * (2 ** k - 1)
+                assert _divide_mersenne(v, k) == q
+                assert _divide_mersenne(v + rng.randint(1, 2 ** k - 2),
+                                        k) is None
 
     def test_cyclotomic_products_are_binomials(self):
         # t^n - 1 is the product of Phi_d over the divisors d of n
@@ -274,7 +332,9 @@ class TestIntegerPolynomials:
 
     def test_mobius_form_equals_the_cyclotomic_product(self):
         # prod (t^m - 1)^E_m = prod Phi_d^e_d for random exponent maps on
-        # divisor-closed supports, E_m of either sign
+        # divisor-closed supports, E_m of either sign: the binomials of the
+        # positive E_m divided by those of the negative ones give the
+        # cyclotomic product
         rng = random.Random(44)
         negative = 0
         for _ in range(60):
@@ -286,12 +346,10 @@ class TestIntegerPolynomials:
             exponents = binomial_exponents(e)
             assert all(exponents.values())
             negative += any(k < 0 for k in exponents.values())
-            ups = brute_product(binomial(m) for m, k in exponents.items()
-                                for _ in range(k))
-            downs = brute_product(binomial(m) for m, k in exponents.items()
-                                  for _ in range(-k))
-            assert brute_poly_mul(want, downs) == ups
-            assert binomial_passes([1], exponents) == (want, True)
+            ups = binomials({m: k for m, k in exponents.items() if k > 0})
+            downs = {m: -k for m, k in exponents.items() if k < 0}
+            assert brute_poly_mul(want, binomials(downs)) == ups
+            assert divided(ups, downs, widths(ups)[0]) == want
         assert negative >= 10
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
-from quasigenus import exactalg, genus
+from quasigenus import genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
                                PropertyViolationError, SpinObstructionError)
 from quasigenus.exactalg import QSeries, binomial_quotient
@@ -44,7 +44,7 @@ from quasigenus.linalg import nullspace
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
-from quasigenus.polytope import (QuasitoricManifold, cube, simplex,
+from quasigenus.polytope import (QuasitoricManifold, cube, polygon, simplex,
                                  enumerate_characteristic_matrices)
 from quasigenus.theorems import (_iterated_connected_sum, construct_twist_bundles,
                                  synthetic_inflated_instance)
@@ -1008,6 +1008,34 @@ class TestDivisionOracle:
                    for c in eq.series.coeffs]
             assert got == direct.coeffs
 
+    def test_a_numerator_that_cancels_seeds_no_rows(self, monkeypatch):
+        # on the circle (2, 1) the pentagon's terms have three signatures,
+        # and the signs of one cancel in its numerator: only the other two
+        # run the theta recurrence, and the character is the one the
+        # signed sum of single terms gives, and the one every numerator
+        # seeding its rows gave
+        m = QuasitoricManifold(polygon(5), ((1, 0, -1, 1, -1),
+                                            (0, 1, -1, 0, 1)), (1,) * 5)
+        terms = genus._vertex_terms(m, (2, 1), (), (), m.spin_c, False)
+        assert len({t.signature for t in terms}) == 3
+        real = genus._packed_rows
+        seeds = []
+        monkeypatch.setattr(genus, "_packed_rows",
+                            lambda *args: seeds.append(args[2]) or real(*args))
+        eq = equivariant_index(m, (2, 1), None, 2)
+        assert len(seeds) == 2 and all(seeds)
+        assert str(eq) == (
+            "(1) + (t^2 + 2*t - 3 + 2*t^(-1) + t^(-2))*q^1 + (t^4 + 2*t^3 "
+            "+ t^2 - 2*t + 5 - 2*t^(-1) + t^(-2) + 2*t^(-3) + t^(-4))*q^2")
+        for t in self.POINTS:
+            direct = _signed_contributions(m, (2, 1), None, m.spin_c, t, 2)
+            assert [_evaluate(c, t) for c in eq.series.coeffs] == direct.coeffs
+        # every numerator cancels: the sum is zero in each power of q
+        seeds.clear()
+        cancelled = terms + [_flip_sign(t) for t in terms]
+        assert genus._divided_sum(cancelled, 0, 2) == [(0, [])] * 3
+        assert not seeds
+
 
 def _flip_sign(term):
     return _VertexTerm(term.vertex, -term.sigma, term.tangent, term.c,
@@ -1040,17 +1068,17 @@ class TestCertificate:
             genus._divided_sum([terms[0], flipped] + terms[2:], parity, 2)
 
     def test_an_inexact_numerator_is_reported(self, monkeypatch):
-        # the first pass list, a numerator over the common denominator,
+        # the first division, a numerator's over the common denominator,
         # reports a remainder; the error names that numerator's signature
         terms, parity = self.terms(projective_space(2), (1, 2))
-        real = genus.binomial_passes
+        real = genus.divide_binomials
         calls = []
 
-        def first_inexact(a, exponents):
-            calls.append(exponents)
-            product, exact = real(a, exponents)
-            return product, exact and len(calls) > 1
-        monkeypatch.setattr(genus, "binomial_passes", first_inexact)
+        def first_inexact(*args):
+            calls.append(args)
+            quotient = real(*args)
+            return quotient if len(calls) > 1 else None
+        monkeypatch.setattr(genus, "divide_binomials", first_inexact)
         with pytest.raises(PropertyViolationError,
                            match=re.escape(f"signature {terms[0].signature}")):
             genus._divided_sum(terms, parity, 2)
@@ -1392,15 +1420,6 @@ class TestInputLimits:
             equivariant_index(m, (k + 1, 1), None, 0)
 
 
-def _list_lengths(value):
-    """Lengths of the integer coefficient lists in a result."""
-    if isinstance(value, list) and all(type(x) is int for x in value):
-        yield len(value)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _list_lengths(item)
-
-
 def _slot_count(value, bits):
     """The slots of ``bits`` bits a packed integer polynomial occupies: the
     least count whose signed range [-2^(count bits - 1), 2^(count bits - 1))
@@ -1411,37 +1430,28 @@ def _slot_count(value, bits):
 class TestDegreeLimit:
     @pytest.fixture
     def lengths(self, monkeypatch):
-        """Lengths of every coefficient list the division builds, the
-        intermediate lists of the binomial passes and every unpacked row
-        sum included, and the slot count of every packed theta row."""
+        """Slot counts of every packed polynomial the division builds: each
+        numerator and row sum divided, each quotient and each theta row."""
         lengths = []
 
-        def watched(fn):
-            def run(*args):
-                out = fn(*args)
-                lengths.extend(_list_lengths(out))
-                return out
-            return run
+        def divide(value, count, size, exponents):
+            quotient = real_divide(value, count, size, exponents)
+            lengths.extend((_slot_count(value, 8 * size), len(quotient)))
+            return quotient
 
         def packed(*args):
-            rows = real(*args)
+            rows = real_rows(*args)
             lengths.extend(_slot_count(row, args[-1]) for row in rows)
             return rows
-        for module, name in ((exactalg, "mul_binomial"),
-                             (exactalg, "divmod_binomial"),
-                             (genus, "mul_binomial"),
-                             (genus, "binomial_passes"),
-                             (genus, "unpack_slots"),
-                             (genus, "_aligned_sum")):
-            monkeypatch.setattr(module, name, watched(getattr(module, name)))
-        real = genus._packed_rows
+        real_divide, real_rows = genus.divide_binomials, genus._packed_rows
+        monkeypatch.setattr(genus, "divide_binomials", divide)
         monkeypatch.setattr(genus, "_packed_rows", packed)
         return lengths
 
     @staticmethod
     def largest_accepted(lengths, q_order):
         """The largest accepted circle (k, 1) of CP^2 at the q-order, with
-        its character; no refused circle builds a list."""
+        its character; no refused circle builds a polynomial."""
         m = projective_space(2)
         k = genus.MAX_LOCALIZATION_DEGREE + 1
         while True:
@@ -1453,8 +1463,8 @@ class TestDegreeLimit:
                 assert not lengths
 
     def test_no_list_outgrows_the_limit(self, lengths):
-        # every list built on the largest accepted circle (k, 1) of CP^2
-        # has at most MAX_LOCALIZATION_DEGREE + 1 entries
+        # every polynomial built on the largest accepted circle (k, 1) of
+        # CP^2 has at most MAX_LOCALIZATION_DEGREE + 1 slots
         k, eq = self.largest_accepted(lengths, 0)
         assert eq.value_at_one().coeffs == [1]
         assert 2 * k <= max(lengths) <= genus.MAX_LOCALIZATION_DEGREE + 1
@@ -1462,11 +1472,26 @@ class TestDegreeLimit:
     @pytest.mark.parametrize("q_order, largest", [(1, 750), (4, 300)])
     def test_the_limit_is_spent_once(self, lengths, q_order, largest):
         # deg D counts once against the limit: the largest accepted circle
-        # builds a list of MAX_LOCALIZATION_DEGREE coefficients, none longer
+        # builds a polynomial of MAX_LOCALIZATION_DEGREE slots, none longer
         k, eq = self.largest_accepted(lengths, q_order)
         assert k == largest
         assert eq.value_at_one().coeffs[0] == 1
         assert max(lengths) == genus.MAX_LOCALIZATION_DEGREE
+
+    @pytest.mark.parametrize("xi, q_order, largest", [
+        ((-424, -53, 318), 0, 2598), ((-136, -17, 102), 4, 2806)])
+    def test_a_negative_exponent_is_admitted_as_before(self, lengths, xi,
+                                                       q_order, largest):
+        # on these circles of cp3_twisted some E_m is negative and V weights
+        # of magnitude m make up for it; taking the sum over D+ leaves them
+        # admitted, their largest polynomial well under the limit, and their
+        # index the one a small circle gives
+        parsed = parse_manifest((MANIFESTS / "cp3_twisted.ini").read_text())
+        manifold, bundles = parsed.build_manifold(), parsed.bundles()
+        eq = equivariant_index(manifold, xi, bundles, q_order)
+        assert max(lengths) == largest
+        assert eq.value_at_one() == equivariant_index(
+            manifold, (1, 2, 5), bundles, q_order).value_at_one()
 
 
 def _character_digest(eq):

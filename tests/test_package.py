@@ -37,6 +37,14 @@ def test_retired_sampler_is_gone():
         assert not hasattr(quasigenus, name)
 
 
+def test_retired_list_passes_are_gone():
+    from quasigenus import exactalg, genus
+    for name in ("binomial_passes", "divmod_binomial", "mul_binomial"):
+        assert not hasattr(exactalg, name)
+        assert not hasattr(genus, name)
+    assert not hasattr(genus, "_aligned_sum")
+
+
 def _unused_imports(tree):
     """Names bound by the module's top-level imports that nothing in the
     module reads, by bare name or as the head of an attribute chain."""
