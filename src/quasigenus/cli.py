@@ -17,10 +17,11 @@ from functools import cache
 from .errors import (InputError, PreconditionError, PropertyViolationError,
                      WorkbenchError)
 from .cohomology import build_face_ring
-from .genus import (BundleSpec, choose_generic_circles, equivariant_index,
-                    elliptic_genus, equivariant_elliptic_genus,
-                    equivariant_witten_genus, euler_characteristic, index,
-                    signature, spin_obstruction, witten_genus)
+from .genus import (MAX_Q_ORDER, BundleSpec, _check_limit,
+                    choose_generic_circles, equivariant_index, elliptic_genus,
+                    equivariant_elliptic_genus, equivariant_witten_genus,
+                    euler_characteristic, index, signature, spin_obstruction,
+                    witten_genus)
 from .manifest import parse_manifest
 from .theorems import (EquivariantDegree4Class, anomaly_coefficient,
                        check_twist_classes, construct_twist_bundles,
@@ -109,6 +110,7 @@ def cmd_describe(args):
 
 
 def cmd_genus(args):
+    _check_limit("q-order", args.q_order, MAX_Q_ORDER)
     manifest = _load_manifest(args.manifest)
     manifold = manifest.build_manifold()
     q_order = args.q_order
@@ -289,6 +291,8 @@ _VERIFIERS = {
 
 
 def cmd_verify(args):
+    # every verifier takes --q-order, though only index-I reads it
+    _check_limit("q-order", args.q_order, MAX_Q_ORDER)
     runner, needs_manifest = _VERIFIERS[args.theorem]
     manifest = None
     if needs_manifest:

@@ -336,9 +336,9 @@ def _fixed_point_sum_at(terms, parity, tau, q_order, thetas):
     return sums, lcm, top
 
 
-# Largest q-order either route accepts, and largest predicted degree of the
-# integer polynomials localization builds for one circle.  Both are checked
-# before any polynomial is built (docs/manifest_format.md).
+# Largest q-order either route accepts, and largest degree of the integer
+# polynomials localization packs for one circle, so none has over 3001 slots.
+# Both are checked before any polynomial is built (docs/manifest_format.md).
 MAX_Q_ORDER = 12
 MAX_LOCALIZATION_DEGREE = 3000
 
@@ -468,58 +468,53 @@ def _divided_sum(terms, parity, q_order):
     sum, which is divided by D+; a division that is not exact means it is
     no Laurent polynomial, so the terms are wrong.
 
-    Before any polynomial is built, the span of the summed numerators over
-    D, deg D = sum m E_m included, plus the largest negative part of E or
-    of a signature's map over D must stay within the limit, as when the
-    sums were divided by passes over lists; it bounds every row sum over
-    D+.  So must each numerator's dividend, by its own slot count.
+    Before any polynomial is built, the slot counts of the polynomials the
+    division packs are read from the plans and must stay within the limit:
+    each numerator's dividend, and the row sum at q^q_order, which holds
+    every lower row sum, every theta row and every quotient.
     """
     terms = [t for t in terms if not t.zero]
     if not terms:
         return [(0, [])] * (q_order + 1)
-    tops = [t.top for t in terms]
-    _check_limit("localization degree", max(tops), MAX_LOCALIZATION_DEGREE)
+    # a weight over the limit is refused before divisors() runs on it
+    _check_limit("localization degree", max(t.top for t in terms),
+                 MAX_LOCALIZATION_DEGREE)
     # e_d: Counter | Counter keeps the larger count
     exponents = binomial_exponents(reduce(or_, (
         Counter(d for w in tangent for d in divisors(w))
         for tangent in {t.signature[0] for t in terms})))
     denominator = {m: e for m, e in exponents.items() if e > 0}
-    degree = sum(m * e for m, e in exponents.items())
-    lows = [(t.halfexp - parity) // 2 - sum(w for w in t.tangent if w < 0)
-            + sum(min(0, -a) for a in t.v_weights)
-            + sum(min(0, b) for b in t.w_weights) for t in terms]
-    highs = [low + sum(map(abs, t.v_weights + t.w_weights)) + degree
-             - sum(map(abs, t.tangent)) for t, low in zip(terms, lows)]
-    span = (max(hi + q_order * top for hi, top in zip(highs, tops))
-            - min(lo - q_order * top for lo, top in zip(lows, tops)))
     groups = {}
-    for t, low in zip(terms, lows):
+    for t in terms:
+        low = ((t.halfexp - parity) // 2 - sum(w for w in t.tangent if w < 0)
+               + sum(min(0, -a) for a in t.v_weights)
+               + sum(min(0, b) for b in t.w_weights))
         sign = t.sigma * (-1) ** (sum(w < 0 for w in t.tangent)
                                   + sum(a < 0 for a in t.v_weights))
         groups.setdefault(t.signature, (t, []))[1].append((low, sign))
-    # the negative parts of E and of each signature's map over D
-    overshoots = [sum(-m * e for m, e in exponents.items() if e < 0)]
     plans = []
     for t, pieces in groups.values():
         tangent, v_weights, w_weights = t.signature
-        over_d, over_plus = Counter(exponents), Counter(denominator)
-        for exponent_map in (over_d, over_plus):
-            exponent_map.subtract(tangent)
-            exponent_map.update(v_weights)
-        overshoots.append(sum(-m * e for m, e in over_d.items() if e < 0))
+        exponent_map = Counter(denominator)
+        exponent_map.subtract(tangent)
+        exponent_map.update(v_weights)
         # (m, s) for each factor t^m + s, W's and the map's positive part
         ups = [(b, 1) for b in w_weights] + [
-            (m, -1) for m, e in over_plus.items() for _ in range(e)]
+            (m, -1) for m, e in exponent_map.items() for _ in range(e)]
         low = min(lo for lo, _ in pieces)
         count = max(lo for lo, _ in pieces) - low + 1 + sum(m for m, _ in ups)
-        plans.append((t, pieces, low, ups, count, -over_plus))
-    # a row sum over D+, which holds its theta rows, spans span + overshoots[0]
+        length = count + sum(m * e for m, e in exponent_map.items() if e < 0)
+        plans.append((t, pieces, low, ups, count, -exponent_map, length))
+    # the row sum at q^q_order, over each numerator's length once divided,
+    # holds every signature's theta rows, every lower row sum and quotient
+    reach = (max(low + q_order * t.top + length
+                 for t, _, low, *_, length in plans)
+             - min(low - q_order * t.top for t, _, low, *_ in plans))
     _check_limit("localization degree",
-                 max(span + max(overshoots),
-                     *(count - 1 for *_, count, _ in plans)),
+                 max(reach, *(count for *_, count, _, _ in plans)) - 1,
                  MAX_LOCALIZATION_DEGREE)
     numerators = []
-    for t, pieces, low, ups, count, downs in plans:
+    for t, pieces, low, ups, count, downs, _ in plans:
         # |coefficients| <= len(pieces), at most doubled by each factor
         size = slot_size(len(pieces) << len(ups))
         bits = 8 * size

@@ -1401,9 +1401,10 @@ class TestInputLimits:
 
     def test_largest_accepted_circle(self):
         # every circle (k, 1) with k over the limit is refused by its weight;
-        # below it the predicted degree decides, and the largest accepted k
-        # computes CP^2's Todd genus while k + 1 is refused.  deg D counts
-        # once, so at q-order 0 the limit of 3000 admits k up to 1500
+        # below it the slot count of the packed polynomials decides, and the
+        # largest accepted k computes CP^2's Todd genus while k + 1 is
+        # refused.  At q-order 0 the limit of 3000 admits k up to 1500, and
+        # the row sum of k = 1501 has 3002 slots, read as degree 3001
         m = projective_space(2)
         k = genus.MAX_LOCALIZATION_DEGREE + 1
         eq = None
@@ -1416,7 +1417,7 @@ class TestInputLimits:
         assert k == 1500
         assert eq.value_at_one().coeffs == [1]
         with pytest.raises(InputError, match="localization degree must lie "
-                           "in 0..3000, got 3002"):
+                           "in 0..3000, got 3001"):
             equivariant_index(m, (k + 1, 1), None, 0)
 
 
@@ -1477,6 +1478,31 @@ class TestDegreeLimit:
         assert k == largest
         assert eq.value_at_one().coeffs[0] == 1
         assert max(lengths) == genus.MAX_LOCALIZATION_DEGREE
+
+    @pytest.mark.parametrize("n, xi, q_order, largest", [
+        (5, (-320, -199, 82, -78, -358), 0, 3001), (2, (-101, 202), 4, 2930)])
+    def test_the_slots_packed_are_read(self, lengths, n, xi, q_order,
+                                       largest):
+        # admitted because the polynomials they pack fit the limit; the CP^5
+        # circle fills it exactly
+        m = projective_space(n)
+        eq = equivariant_index(m, xi, None, q_order)
+        assert max(lengths) == largest
+        assert eq.value_at_one() == index(m, None, q_order)
+
+    @pytest.mark.parametrize("q_order, largest", [(0, 1500), (1, 750),
+                                                  (4, 300)])
+    def test_the_refusal_names_the_slots(self, lengths, monkeypatch, q_order,
+                                         largest):
+        # the degree a refusal names is the largest packed polynomial's slot
+        # count less one, as built once the limit is lifted
+        m = projective_space(2)
+        with pytest.raises(InputError, match="localization degree") as refused:
+            equivariant_index(m, (largest + 1, 1), None, q_order)
+        assert not lengths
+        monkeypatch.setattr(genus, "MAX_LOCALIZATION_DEGREE", 10 ** 4)
+        equivariant_index(m, (largest + 1, 1), None, q_order)
+        assert str(refused.value).endswith(f", got {max(lengths) - 1}")
 
     @pytest.mark.parametrize("xi, q_order, largest", [
         ((-424, -53, 318), 0, 2598), ((-136, -17, 102), 4, 2806)])

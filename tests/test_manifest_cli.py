@@ -293,6 +293,17 @@ class TestCliExitCodes:
         (["census", "--n", "3", "--k", "2", "--bound", "40"], "census"),
         (["describe", "cube(40)"], "dimension 40, over the limit 12"),
         (["describe", "simplex(3000)"], "dimension 3000, over the limit 12"),
+        # --q-order is checked even where the command never reads it
+        (["genus", CP2, "--twist", "signature", "--q-order", "99"],
+         "q-order must lie in 0..12, got 99"),
+        (["genus", CP2, "--twist", "signature", "--q-order", "-1"],
+         "q-order must lie in 0..12, got -1"),
+        (["verify", CP2, "--theorem", "lemma52", "--q-order", "-7"],
+         "q-order must lie in 0..12, got -7"),
+        (["verify", "--theorem", "table1", "--q-order", "999"],
+         "q-order must lie in 0..12, got 999"),
+        (["verify", CP2, "--theorem", "index-I", "--q-order", "-3"],
+         "q-order must lie in 0..12, got -3"),
     ])
     def test_oversized_work_refused_quickly(self, tmp_path, capsys, argv,
                                             fragment):
