@@ -234,8 +234,9 @@ class GradedRing:
     """The structure and class arithmetic every ring shares.
 
     A ring supplies ``dimension``, ``basis``, ``token_degree``,
-    ``token_name``, ``mul_basis`` and ``top_value``, the integral of its
-    single top-degree basis token.
+    ``token_name``, ``mul_basis``, ``top_value``, the integral of its
+    single top-degree basis token, and ``_forms``, each generator's
+    degree-one class as (basis(1) position, integer coefficient) pairs.
     """
 
     @cached_property
@@ -269,6 +270,26 @@ class GradedRing:
         if cls.ring is not self:
             raise InputError("class belongs to a different ring")
         return _exact(cls.coords[-1] * self.top_value)
+
+    def line_coordinates(self, coefficients):
+        """The class sum coefficients[j] * g_{j+1} of the generators as
+        integer coordinates over basis(1), from their ``_forms``."""
+        if len(coefficients) != self.num_generators:
+            raise InputError("line coefficients must have one entry per "
+                             f"generator ({self.num_generators})")
+        out = [0] * len(self.basis(1))
+        for g, c in enumerate(coefficients, 1):
+            if c:
+                for i, a in self._forms[g]:
+                    out[i] += c * a
+        return out
+
+    def line_class(self, coefficients):
+        """Degree-2 class sum coefficients[j] * g_{j+1}."""
+        starts = self.structure.starts
+        coords = [0] * starts[-1]
+        coords[starts[1]:starts[2]] = self.line_coordinates(coefficients)
+        return CohomologyClass(self, coords)
 
 
 class FaceRing(GradedRing):
@@ -409,12 +430,6 @@ class FaceRing(GradedRing):
             raise InputError(f"facet label {j} out of range")
         return self._facet_classes[j - 1]
 
-    def line_class(self, coefficients):
-        """Degree-2 class sum coefficients[j] * v_{j+1}."""
-        if len(coefficients) != self.num_generators:
-            raise InputError("line coefficients must have one entry per facet")
-        return self.combination(self._facet_classes, coefficients)
-
     # -- characteristic classes -------------------------------------------
 
     def pontryagin_p1(self):
@@ -454,6 +469,7 @@ class SyntheticConnectedSumRing(GradedRing):
         self.dimension = n
         self.num_generators = k
         self.signs = signs
+        self._forms = {i: ((i - 1, 1),) for i in range(1, k + 1)}
 
     def token_degree(self, token):
         if token == self.ONE:
@@ -539,10 +555,9 @@ def facet_class_decomposition(manifold, ring=None):
     if ring is None:
         ring = build_face_ring(manifold)
     labels = range(1, ring.num_generators + 1)
-    basis = ring.basis(1)
-    k = len(basis)
-    coords = [[v.get(t, 0) for t in basis]
-              for v in (ring.reduce_monomial((j,)) for j in labels)]
+    k = len(ring.basis(1))
+    coords = [ring.line_coordinates([int(i == j) for i in labels])
+              for j in labels]
     product = cache(lambda i, j: ring.reduce_monomial((i, j)))
     for facets in combinations(labels, k):
         if any(product(i, j) for i, j in combinations(facets, 2)):

@@ -25,15 +25,16 @@ coefficient, computed before anything is packed.
 Cohomological route: expand the universal one-root power series of each
 index factor as tables of x^i coefficients per power of q, substitute the
 facet classes of the stable tangent splitting, multiply in the twist and
-bundle factors, and integrate.  It runs in integers: the tables are scaled
-once by the least gauge L that clears every denominator of x^i with L^i,
-the degree-1 input classes by the lcm mu of theirs, and the ring multiplies
-by a degree-one class over one integer denominator delta.  The factors on
-one class multiply their tables first and enter by Horner's rule, one
-multiplication by the class per degree, so degree d carries
-(L mu delta)^d and only the top coordinate of each q-coefficient is
-divided.  The two routes agreeing exactly is the workbench's core
-consistency contract.
+bundle factors, and integrate.  It runs in integers: every input is an
+integer line, the tables are scaled once by the least gauge L that clears
+every denominator of x^i with L^i, and the ring multiplies by a degree-one
+class over one integer denominator delta.  The factors on one class
+multiply their tables first and enter by Horner's rule, one multiplication
+by the class per degree, so degree d carries (L delta)^d and only the top
+coordinate of each q-coefficient is divided.  The two routes agreeing
+exactly is the workbench's core consistency contract.  Both read what an
+index twists by from ``_twist``; the Witten and elliptic genera twist by
+zero.
 
 Exponent bookkeeping: t^(1/2) never appears at run time.  With an all-odd
 twist vector, (twist character + sum of tangent weights) is even at every
@@ -219,24 +220,23 @@ class _VertexTerm:
                                for weights in (tangent, v_weights, w_weights))
 
 
-def _vertex_term(fp, xi, sigma, gamma, v_lines, w_lines, tangent_as_w=False):
-    tangent, (c, *weights) = _fixed_point_weights(
-        fp, xi, (gamma,) + tuple(v_lines) + tuple(w_lines))
-    v_weights = tuple(weights[:len(v_lines)])
-    w_weights = tangent if tangent_as_w else tuple(weights[len(v_lines):])
-    return _VertexTerm(fp.vertex, sigma, tangent, c, v_weights, w_weights)
-
-
 def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
+    """Each fixed point's ``_VertexTerm`` on the circle xi for a twist."""
     xi = _as_circle(xi).xi
     if len(xi) != manifold.dimension:
         raise InputError(
             f"circle vector length {len(xi)} does not match dimension "
             f"{manifold.dimension}")
     signs = manifold.orientation_signs()
-    return [_vertex_term(fp, xi, signs[fp.vertex] * fp.sign, gamma, v_lines,
-                         w_lines, tangent_as_w)
-            for fp in manifold.fixed_points()]
+    lines = (gamma,) + tuple(v_lines) + tuple(w_lines)
+    terms = []
+    for fp in manifold.fixed_points():
+        tangent, (c, *weights) = _fixed_point_weights(fp, xi, lines)
+        terms.append(_VertexTerm(
+            fp.vertex, signs[fp.vertex] * fp.sign, tangent, c,
+            tuple(weights[:len(v_lines)]),
+            tangent if tangent_as_w else tuple(weights[len(v_lines):])))
+    return terms
 
 
 def _common_parity(terms):
@@ -458,9 +458,9 @@ def _divided_sum(terms, parity, q_order):
     prod_V (t^|a| - 1) prod_W (1 + t^|b|), with 2 for b = 0, so it
     depends only on the term's signature, and so does
     D+/B = prod_m (t^m - 1)^(max(E_m, 0) - #{k : |w_k| = m}).  Each
-    signature's numerator over D+ is therefore its terms' signs at their
-    offsets times these binomials, built once; unless it cancels to 0, it
-    seeds the signature's ``_packed_rows``, whose rows come out
+    signature's numerator over D+ is therefore its terms' signs, summed at
+    each offset, times these binomials, built once; unless the signs all
+    cancel, it seeds the signature's ``_packed_rows``, whose rows come out
     multiplied.  All rows are packed in slots of one width, which hold the
     sum over signatures of max |numerator| times ``_theta_majorant``, a
     bound on every coefficient of every row sum.  Each signature's packed
@@ -471,18 +471,17 @@ def _divided_sum(terms, parity, q_order):
     Before any polynomial is built, the slot counts of the polynomials the
     division packs are read from the plans and must stay within the limit:
     each numerator's dividend, and the row sum at q^q_order, which holds
-    every lower row sum, every theta row and every quotient.
+    every lower row sum, every theta row and every quotient.  A signature
+    whose signs all cancel has no plan, so it is not read.
     """
     terms = [t for t in terms if not t.zero]
-    if not terms:
-        return [(0, [])] * (q_order + 1)
     # a weight over the limit is refused before divisors() runs on it
-    _check_limit("localization degree", max(t.top for t in terms),
+    _check_limit("localization degree", max((t.top for t in terms), default=0),
                  MAX_LOCALIZATION_DEGREE)
     # e_d: Counter | Counter keeps the larger count
     exponents = binomial_exponents(reduce(or_, (
         Counter(d for w in tangent for d in divisors(w))
-        for tangent in {t.signature[0] for t in terms})))
+        for tangent in {t.signature[0] for t in terms}), Counter()))
     denominator = {m: e for m, e in exponents.items() if e > 0}
     groups = {}
     for t in terms:
@@ -491,9 +490,13 @@ def _divided_sum(terms, parity, q_order):
                + sum(min(0, b) for b in t.w_weights))
         sign = t.sigma * (-1) ** (sum(w < 0 for w in t.tangent)
                                   + sum(a < 0 for a in t.v_weights))
-        groups.setdefault(t.signature, (t, []))[1].append((low, sign))
+        groups.setdefault(t.signature, (t, Counter()))[1][low] += sign
     plans = []
-    for t, pieces in groups.values():
+    for t, signs in groups.values():
+        # the signs summed at each offset; if all cancel, nothing is read
+        pieces = {lo: sign for lo, sign in signs.items() if sign}
+        if not pieces:
+            continue
         tangent, v_weights, w_weights = t.signature
         exponent_map = Counter(denominator)
         exponent_map.subtract(tangent)
@@ -501,10 +504,12 @@ def _divided_sum(terms, parity, q_order):
         # (m, s) for each factor t^m + s, W's and the map's positive part
         ups = [(b, 1) for b in w_weights] + [
             (m, -1) for m, e in exponent_map.items() for _ in range(e)]
-        low = min(lo for lo, _ in pieces)
-        count = max(lo for lo, _ in pieces) - low + 1 + sum(m for m, _ in ups)
+        low = min(pieces)
+        count = max(pieces) - low + 1 + sum(m for m, _ in ups)
         length = count + sum(m * e for m, e in exponent_map.items() if e < 0)
         plans.append((t, pieces, low, ups, count, -exponent_map, length))
+    if not plans:
+        return [(0, [])] * (q_order + 1)
     # the row sum at q^q_order, over each numerator's length once divided,
     # holds every signature's theta rows, every lower row sum and quotient
     reach = (max(low + q_order * t.top + length
@@ -515,12 +520,10 @@ def _divided_sum(terms, parity, q_order):
                  MAX_LOCALIZATION_DEGREE)
     numerators = []
     for t, pieces, low, ups, count, downs, _ in plans:
-        # |coefficients| <= len(pieces), at most doubled by each factor
-        size = slot_size(len(pieces) << len(ups))
+        # |coefficients| <= sum |sign|, at most doubled by each factor
+        size = slot_size(sum(map(abs, pieces.values())) << len(ups))
         bits = 8 * size
-        value = sum(sign << bits * (lo - low) for lo, sign in pieces)
-        if not value:
-            continue
+        value = sum(sign << bits * (lo - low) for lo, sign in pieces.items())
         for m, s in ups:
             value = (value << bits * m) + s * value
         numerator = divide_binomials(value, count, size, downs)
@@ -530,8 +533,6 @@ def _divided_sum(terms, parity, q_order):
                 "denominator leaves a nonzero remainder, so the fixed-point "
                 "data is inconsistent")
         numerators.append((t, low, numerator))
-    if not numerators:
-        return [(0, [])] * (q_order + 1)
     # no coefficient of a row sum exceeds the sum over signatures of
     # max |numerator| times the majorant of their theta rows
     size = slot_size(sum(
@@ -562,10 +563,10 @@ def _divided_sum(terms, parity, q_order):
     return out
 
 
-def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
-                        thetas, tangent_as_w=False):
+def _equivariant_series(manifold, xi, twist, q_order, thetas):
     """Shared engine: returns (polys, parity), polys[j] the q^j coefficient
-    as {e: c} for the character sum c t^(e + parity/2).
+    as {e: c} for the character sum c t^(e + parity/2), for the twist
+    tuple of ``_twist``.
 
     The exact, certified division of ``_divided_sum`` proves every
     q-coefficient with no exponent window; the fixed-point sum,
@@ -578,7 +579,7 @@ def _equivariant_series(manifold, xi, v_lines, w_lines, gamma, q_order,
     circles of ``_on_two_circles``.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
-    terms = _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w)
+    terms = _vertex_terms(manifold, xi, *twist)
     parity = _common_parity(terms)
     rows = _divided_sum(terms, parity, q_order)
     low = min(lo for lo, _ in rows)
@@ -617,16 +618,18 @@ def _characters(polys, parity):
                    len(polys) - 1)
 
 
+def _equivariant(manifold, xi, twist, q_order):
+    """The circle-equivariant index of a ``_twist`` tuple on the circle xi."""
+    xi = _as_circle(xi)
+    polys, parity = _equivariant_series(manifold, xi, twist, q_order, {})
+    return EquivariantIndex(_characters(polys, parity), xi, parity)
+
+
 def equivariant_index(manifold, xi, bundles, q_order):
     """The circle-equivariant twisted index as exact Laurent q-coefficients,
     twisted by ``manifold.spin_c``."""
-    bundles = bundles or BundleSpec.empty()
-    bundles.validate_for(manifold)
-    xi = _as_circle(xi)
-    polys, parity = _equivariant_series(
-        manifold, xi, bundles.v_lines, bundles.w_lines, manifold.spin_c,
-        q_order, {})
-    return EquivariantIndex(_characters(polys, parity), xi, parity)
+    return _equivariant(manifold, xi, _twist(manifold, "custom", bundles),
+                        q_order)
 
 
 def choose_generic_circles(manifold, bundles=None, count=2):
@@ -775,25 +778,20 @@ def _on_two_circles(manifold, bundles, what, compute):
     return result
 
 
-def _index_at_one(manifold, v_lines, w_lines, gamma, q_order,
-                  tangent_as_w=False):
-    """Non-equivariant index, certified on two generic circles."""
+def _index_at_one(manifold, twist, q_order):
+    """Non-equivariant index of a ``_twist`` tuple, certified on two
+    generic circles."""
     def at_one(xi, thetas):
-        polys, _ = _equivariant_series(
-            manifold, xi, v_lines, w_lines, gamma, q_order, thetas,
-            tangent_as_w=tangent_as_w)
+        polys, _ = _equivariant_series(manifold, xi, twist, q_order, thetas)
         return QSeries([sum(p.values()) for p in polys], q_order)
-    spec = BundleSpec(v_lines, () if tangent_as_w else w_lines)
-    return _on_two_circles(manifold, spec, "index", at_one)
+    return _on_two_circles(manifold, BundleSpec(*twist[:2]), "index", at_one)
 
 
 def index(manifold, bundles, q_order):
     """The twisted index as a q-series of integers (t = 1 characters),
     twisted by ``manifold.spin_c``."""
-    bundles = bundles or BundleSpec.empty()
-    bundles.validate_for(manifold)
-    return _index_at_one(manifold, bundles.v_lines, bundles.w_lines,
-                         manifold.spin_c, q_order)
+    return _index_at_one(manifold, _twist(manifold, "custom", bundles),
+                         q_order)
 
 
 def spin_obstruction(manifold):
@@ -829,45 +827,43 @@ def spin_gamma(manifold):
     return gamma, tuple(eta)
 
 
+def _twist(manifold, kind, bundles=None):
+    """(v_lines, w_lines, gamma, tangent_as_w) for an index of one kind:
+    its V and W lines, its twist vector and whether W is TM.
+
+    "custom" twists by ``bundles``, validated here, and ``manifold.spin_c``.
+    "witten", "elliptic" and "signature" twist by the zero vector, the last
+    two with W = TM, and all but "signature" need a spin structure.  Zero
+    stands in for gamma = eta Lambda of ``spin_gamma``: the tangent weights
+    at a fixed point are the dual basis of its characteristic columns, so
+    gamma restricts to <eta, xi> at each one and its class is 0; twisting
+    by gamma, then dividing by t^(<eta, xi>/2), is twisting by zero.
+    """
+    if kind == "custom":
+        bundles = bundles or BundleSpec.empty()
+        bundles.validate_for(manifold)
+        return bundles.v_lines, bundles.w_lines, manifold.spin_c, False
+    if kind != "signature":
+        spin_gamma(manifold)
+    return (), (), (0,) * manifold.num_facets, kind != "witten"
+
+
 def witten_genus(manifold, q_order):
     """Untwisted spin index; requires a spin structure."""
-    gamma, _ = spin_gamma(manifold)
-    return _index_at_one(manifold, (), (), gamma, q_order)
+    return _index_at_one(manifold, _twist(manifold, "witten"), q_order)
 
 
 def elliptic_genus(manifold, q_order):
     """Index twisted by the full tangent bundle; requires spin."""
-    gamma, _ = spin_gamma(manifold)
-    return _index_at_one(manifold, (), (), gamma, q_order, tangent_as_w=True)
+    return _index_at_one(manifold, _twist(manifold, "elliptic"), q_order)
 
 
 def equivariant_witten_genus(manifold, xi, q_order):
-    gamma, eta = spin_gamma(manifold)
-    xi = _as_circle(xi)
-    polys, parity = _equivariant_series(manifold, xi, (), (), gamma, q_order,
-                                        {})
-    return _strip_character_shift(_characters(polys, parity), parity, eta, xi)
+    return _equivariant(manifold, xi, _twist(manifold, "witten"), q_order)
 
 
 def equivariant_elliptic_genus(manifold, xi, q_order):
-    gamma, eta = spin_gamma(manifold)
-    xi = _as_circle(xi)
-    polys, parity = _equivariant_series(
-        manifold, xi, (), (), gamma, q_order, {}, tangent_as_w=True)
-    return _strip_character_shift(_characters(polys, parity), parity, eta, xi)
-
-
-def _strip_character_shift(series, parity, eta, xi):
-    """Remove the constant character the spin twist lift introduces.
-
-    With the spin twist vector the prefactor character is <eta, xi>/2 at
-    every vertex; dividing it out makes the q-coefficients symmetric under
-    t -> 1/t, the honest untwisted normalisation.
-    """
-    shift = -_dot(eta, xi.xi)
-    stripped = QSeries([c.shift(shift) for c in series.coeffs], series.order)
-    new_parity = (parity + shift) % 2
-    return EquivariantIndex(stripped, xi, new_parity)
+    return _equivariant(manifold, xi, _twist(manifold, "elliptic"), q_order)
 
 
 def euler_characteristic(manifold):
@@ -882,12 +878,11 @@ def signature(manifold):
     q^0 index with W the tangent bundle and no twist.  It must be constant
     in t and agree between two generic circles.
     """
-    gamma = (0,) * manifold.num_facets
+    twist = _twist(manifold, "signature")
 
     def constant(xi, thetas):
         character = _characters(*_equivariant_series(
-            manifold, xi, (), (), gamma, 0, thetas,
-            tangent_as_w=True)).coeffs[0]
+            manifold, xi, twist, 0, thetas)).coeffs[0]
         if set(character.coeffs) - {0}:
             raise PropertyViolationError(
                 f"signature sum is not constant in t for circle {xi.xi}: "
@@ -1041,27 +1036,18 @@ def _class_table(names, cap, q_order):
     return tuple(map(tuple, out))
 
 
-def _degree_one_coordinates(ring, cls):
-    """A class's coordinates over ``ring.basis(1)``; it must lie in degree 1."""
-    if cls.ring is not ring:
-        raise InputError("input class belongs to a different ring")
-    starts = ring.structure.starts
-    if any(cls.coords[:starts[1]]) or any(cls.coords[starts[2]:]):
-        raise InputError(
-            f"input class {cls} is not homogeneous of degree 1; the "
-            "integer gauge of the cohomological route needs degree-1 inputs")
-    return cls.coords[starts[1]:starts[2]]
-
-
-def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
-                                c1c_class, q_order, w_trivial_rank=0):
+def cohomological_index_on_ring(ring, tangent_roots, v_lines, w_lines, twist,
+                                q_order, w_trivial_rank=0):
     """Integrate the index density over any ring with the class interface.
 
-    tangent_roots are the stable splitting roots (trivial summands may be
-    included or left out: their factor is 1).  ``w_trivial_rank`` divides
-    out the constant 2 that each trivial W summand contributes, for callers
-    that describe W through a stable splitting.  Every input class must be
-    homogeneous of degree 1.
+    Every input is a line, an integer coefficient vector on the ring's
+    generators, whose first Chern class ``ring.line_coordinates`` gives as
+    integer coordinates over ``ring.basis(1)``.  tangent_roots are the
+    stable splitting roots (trivial summands may be included or left out:
+    their factor is 1), and ``twist`` enters as e^(c1/2).
+    ``w_trivial_rank`` divides out the constant 2 that each trivial W
+    summand contributes, for callers that describe W through a stable
+    splitting.
 
     The integrand U is a q-series of integer vectors over
     ``ring.structure``.  The factors on one class a share one table T, the
@@ -1069,28 +1055,24 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
     T_d U for d from n, or from the largest d with a^d != 0, down to 0,
     with T_d the q-series of x^d coefficients, and U becomes R_0.  R_d is
     later multiplied by a^d, so only its degrees up to n - d are kept, and
-    zero vectors are skipped.  With mu the lcm of the input denominators,
-    L the gauge of ``_integer_tables`` and delta the structure's
-    denominator, degree d carries (L mu delta)^d throughout, and each top
-    coordinate is divided back once.
+    zero vectors are skipped.  With L the gauge of ``_integer_tables`` and
+    delta the structure's denominator, degree d carries (L delta)^d
+    throughout, and each top coordinate is divided back once.
     """
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     structure = ring.structure
     n, starts, size = ring.dimension, structure.starts, len(structure.tokens)
-    # Identical classes share one table and one pass.  The twist's table
+    # Lines of one class share one table and one pass.  The twist's table
     # is one row in q, so it goes first, while the integrand is still 1.
-    names = {}
-    for name, classes in (("twist", (c1c_class,)), ("wline", w_classes),
-                          ("vline", v_classes), ("tangent", tangent_roots)):
-        for cls in classes:
-            names.setdefault(cls, []).append(name)
-    coordinates = [_degree_one_coordinates(ring, cls) for cls in names]
-    mu = math.lcm(1, *(x.denominator for vec in coordinates for x in vec))
+    names, coordinates = {}, ring.line_coordinates
+    for name, lines in (("twist", (twist,)), ("wline", w_lines),
+                        ("vline", v_lines), ("tangent", tangent_roots)):
+        for line in lines:
+            names.setdefault(tuple(coordinates(line)), []).append(name)
     integrand = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(q_order)]
-    for factors, vec in zip(names.values(), coordinates):
+    for vec, factors in names.items():
         table = _class_table(tuple(sorted(factors)), n, q_order)
-        times = structure.multiplier([x.numerator * (mu // x.denominator)
-                                      for x in vec])
+        times = structure.multiplier(vec)
         top, power = 0, times([1] + [0] * (size - 1))
         while top < n and any(power):
             top, power = top + 1, times(power)
@@ -1107,41 +1089,36 @@ def cohomological_index_on_ring(ring, tangent_roots, v_classes, w_classes,
                                              for x, y in zip(target[:keep], u)]
         integrand = out
     gauge = _integer_tables(n, q_order)[0]
-    scale = (gauge * mu * structure.delta) ** n * 2 ** w_trivial_rank
+    scale = (gauge * structure.delta) ** n * 2 ** w_trivial_rank
     return QSeries([_exact(Fraction(vec[-1], scale) * ring.top_value)
                     for vec in integrand], q_order)
 
 
+def _cohomological(manifold, twist, q_order):
+    """The index of a ``_twist`` tuple from the face ring.  The tangent
+    roots are the m facet lines; W = TM is taken as the same lines, which
+    overshoot TM by m - n trivial summands, each worth a constant factor 2
+    in the W product, divided back out."""
+    v_lines, w_lines, gamma, tangent_as_w = twist
+    m, trivial = manifold.num_facets, 0
+    roots = [tuple(int(j == f) for j in range(m)) for f in range(m)]
+    if tangent_as_w:
+        w_lines, trivial = roots, m - manifold.dimension
+    return cohomological_index_on_ring(
+        build_face_ring(manifold), roots, v_lines, w_lines, gamma, q_order,
+        w_trivial_rank=trivial)
+
+
 def cohomological_index(manifold, bundles, q_order):
     """The twisted index from the face ring; the localization oracle's twin."""
-    bundles = bundles or BundleSpec.empty()
-    bundles.validate_for(manifold)
-    ring = build_face_ring(manifold)
-    roots = [ring.facet_class(j) for j in range(1, manifold.num_facets + 1)]
-    v_classes = [ring.line_class(line) for line in bundles.v_lines]
-    w_classes = [ring.line_class(line) for line in bundles.w_lines]
-    return cohomological_index_on_ring(
-        ring, roots, v_classes, w_classes, ring.spinc_c1(), q_order)
+    return _cohomological(manifold, _twist(manifold, "custom", bundles),
+                          q_order)
 
 
 def cohomological_elliptic_genus(manifold, q_order):
-    """Elliptic genus through the stable splitting W = TM.
-
-    The m facet lines overshoot TM by m - n trivial summands, each worth a
-    constant factor 2 in the W product, which is divided back out.
-    """
-    gamma, _ = spin_gamma(manifold)
-    ring = build_face_ring(manifold)
-    roots = [ring.facet_class(j) for j in range(1, manifold.num_facets + 1)]
-    c1c = ring.line_class(gamma)
-    return cohomological_index_on_ring(
-        ring, roots, (), roots, c1c, q_order,
-        w_trivial_rank=manifold.num_facets - manifold.dimension)
+    """Elliptic genus through the stable splitting W = TM."""
+    return _cohomological(manifold, _twist(manifold, "elliptic"), q_order)
 
 
 def cohomological_witten_genus(manifold, q_order):
-    gamma, _ = spin_gamma(manifold)
-    ring = build_face_ring(manifold)
-    roots = [ring.facet_class(j) for j in range(1, manifold.num_facets + 1)]
-    return cohomological_index_on_ring(
-        ring, roots, (), (), ring.line_class(gamma), q_order)
+    return _cohomological(manifold, _twist(manifold, "witten"), q_order)

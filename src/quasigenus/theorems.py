@@ -25,7 +25,7 @@ from .exactalg import _exact
 from .linalg import nullspace, primitive_vector, rref
 from .cohomology import (SyntheticConnectedSumRing, build_face_ring,
                          facet_class_decomposition)
-from .genus import (BundleSpec, CircleSubgroup, _vertex_terms,
+from .genus import (CircleSubgroup, _twist, _vertex_terms,
                     cohomological_index_on_ring)
 from .manifest import MAX_DIMENSION
 from .polytope import (QuasitoricManifold, connected_sum,
@@ -151,10 +151,7 @@ def anomaly_coefficient(manifold, xi, bundles=None):
     lexicographically least vertex.  If the fixed points disagree the class
     is not a pullback and the computation reports all values.
     """
-    bundles = bundles or BundleSpec.empty()
-    bundles.validate_for(manifold)
-    terms = _vertex_terms(manifold, xi, bundles.v_lines, bundles.w_lines,
-                          manifold.spin_c, tangent_as_w=False)
+    terms = _vertex_terms(manifold, xi, *_twist(manifold, "custom", bundles))
     base = terms[0]
     values = {}
     for term in terms:
@@ -380,13 +377,9 @@ def synthetic_inflated_instance(n, sign=1, q_order=2):
     if not (case1["parity_matches"] and case1["all_nonnegative"]):
         raise PropertyViolationError(
             f"inflated beta {beta} was expected to make case 1 applicable")
-    g = ring.generator(1)
-    roots = [g] * (n + 1)
-    v_classes = [ring.combination([g], vec) for vec in case1["v_lines"]]
-    w_classes = [ring.combination([g], vec) for vec in case1["w_lines"]]
-    twist_class = ring.combination([g], case1["twist_class"])
     series = cohomological_index_on_ring(
-        ring, roots, v_classes, w_classes, twist_class, q_order)
+        ring, [(1,)] * (n + 1), case1["v_lines"], case1["w_lines"],
+        case1["twist_class"], q_order)
     report["index_series"] = series
     report["euler_pairing"] = case1["checks"]["euler_pairing"]
     report["index_is_constant"] = all(c == 0 for c in series.coeffs[1:])

@@ -29,7 +29,7 @@ from quasigenus.cohomology import SyntheticConnectedSumRing, build_face_ring
 from quasigenus import genus
 from quasigenus.errors import (DegenerateCircleError, InputError, ParityError,
                                PropertyViolationError, SpinObstructionError)
-from quasigenus.exactalg import QSeries, binomial_quotient
+from quasigenus.exactalg import HalfLaurent, QSeries, binomial_quotient
 from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles,
                               cohomological_elliptic_genus, cohomological_index,
                               cohomological_witten_genus, elliptic_genus,
@@ -88,16 +88,16 @@ class TestFixedPointContribution:
         # both vertices carry c = 1, w = 1 and opposite orientation signs,
         # so the raw terms are equal and the signed sum cancels: A-hat(S2)=0
         m = sphere_product_spin(1)
-        signs = list(_oriented_signs(m).values())
+        terms = genus._vertex_terms(m, (1,), (), (), m.spin_c, False)
+        signs = [t.sigma for t in terms]
+        assert signs == [_oriented_signs(m)[t.vertex] for t in terms]
         assert sorted(signs) == [-1, 1]
         for tau in (2, 3):
-            raw = [_held_out_value(genus._vertex_term(d, (1,), 1, m.spin_c,
-                                                      (), ()), 0, tau, 1)
-                   for d in m.fixed_points()]
+            signed = [_held_out_value(t, 0, tau, 1) for t in terms]
+            raw = [[x * s for x in values] for values, s in zip(signed, signs)]
             assert raw[0] == raw[1] == [q0_local_term(tau, 1, 1),
                                         q1_local_term(tau, 1, 1)]
-            assert [a * signs[0] + b * signs[1]
-                    for a, b in zip(*raw)] == [0, 0]
+            assert [a + b for a, b in zip(*signed)] == [0, 0]
         assert [q0_local_term(2, 1, 1), q1_local_term(2, 1, 1)] == [2, 1]
 
     def test_toric_sphere_todd(self):
@@ -344,6 +344,68 @@ class TestEllipticGenus:
     def test_elliptic_rejects_non_spin(self):
         with pytest.raises(SpinObstructionError):
             elliptic_genus(cp2_connected_sum(), 1)
+
+
+class TestZeroTwist:
+    """Witten and elliptic twist by zero.  The spin vector gamma = eta
+    Lambda of ``spin_gamma`` restricts to <eta, xi> at every fixed point,
+    so twisting by gamma and dividing by t^(<eta, xi>/2) is twisting by
+    zero; the reference here does the former."""
+
+    @staticmethod
+    def cases():
+        """Spin manifolds, each with its spin vector, eta and circles."""
+        parsed = parse_manifest((MANIFESTS / "s2xs2_spin.ini").read_text())
+        for m in [sphere_product_spin(n) for n in (1, 2, 3)] + [
+                parsed.build_manifold(), projective_space(3)]:
+            gamma, eta = spin_gamma(m)
+            for xi in choose_generic_circles(m, count=4):
+                yield m, gamma, xi.xi, sum(map(math.prod, zip(eta, xi.xi)))
+
+    @staticmethod
+    def shifted(m, xi, twist, q_order, shift):
+        """The characters of ``twist`` times t^(-shift/2), and their
+        parity."""
+        polys, parity = genus._equivariant_series(m, xi, twist, q_order, {})
+        return ([HalfLaurent.from_integer_poly(p, parity).shift(-shift)
+                 for p in polys], (parity - shift) % 2)
+
+    def test_gamma_restricts_to_eta_at_every_fixed_point(self):
+        odd = 0
+        for m, gamma, xi, shift in self.cases():
+            terms = genus._vertex_terms(m, xi, (), (), gamma, False)
+            assert {t.c for t in terms} == {shift}
+            odd += shift % 2
+        assert odd
+
+    def test_genera_equal_the_shifted_gamma_twist(self):
+        # the parity is compared too: these genera vanish, and on a circle
+        # with <eta, xi> odd only the parity tells a shift from none
+        for m, gamma, xi, shift in self.cases():
+            for q_order in (0, 2):
+                for compute, tangent_as_w in (
+                        (equivariant_witten_genus, False),
+                        (equivariant_elliptic_genus, True)):
+                    eq = compute(m, xi, q_order)
+                    assert (eq.series.coeffs, eq.parity) == self.shifted(
+                        m, xi, ((), (), gamma, tangent_as_w), q_order, shift)
+
+    def test_with_v_lines_the_characters_agree_too(self):
+        # V lines make the characters nonzero; twisting by zero still
+        # equals twisting by gamma with the shift divided out
+        nonzero = 0
+        for m, gamma, xi, shift in self.cases():
+            lines = _unit_lines(m.num_facets)[:2]
+            zero = (0,) * m.num_facets
+            for tangent_as_w in (False, True):
+                polys, parity = genus._equivariant_series(
+                    m, xi, (lines, (), zero, tangent_as_w), 1, {})
+                got = [HalfLaurent.from_integer_poly(p, parity)
+                       for p in polys]
+                assert (got, parity) == self.shifted(
+                    m, xi, (lines, (), gamma, tangent_as_w), 1, shift)
+                nonzero += any(got)
+        assert nonzero
 
 
 class TestEquivariant:
@@ -835,21 +897,35 @@ def _cube_rings(count, seed):
     raise AssertionError("too few cube(3) rings with a denominator")
 
 
+def _unit_lines(m):
+    return [tuple(int(j == f) for j in range(m)) for f in range(m)]
+
+
+def _line_classes(ring, roots, v_lines, w_lines, twist):
+    """The classes of the lines ``cohomological_index_on_ring`` reads, as
+    the reference takes them."""
+    return ([ring.line_class(line) for line in roots],
+            [ring.line_class(line) for line in v_lines],
+            [ring.line_class(line) for line in w_lines],
+            ring.line_class(twist))
+
+
 class TestIntegerEngine:
-    """The integer engine against the CohomologyClass reference, on rings
-    with and without a structure denominator, random twists and q-orders."""
+    """The integer engine on lines against the CohomologyClass reference
+    on their classes, on rings with and without a structure denominator,
+    random twists and q-orders."""
 
     @staticmethod
     def check(ring, rng, q_order):
         m = ring.num_generators
 
         def line():
-            return ring.line_class([rng.randint(-3, 3) for _ in range(m)])
-        roots = [ring.facet_class(j) for j in range(1, m + 1)]
-        args = (roots, [line() for _ in range(rng.randint(0, 2))],
-                [line() for _ in range(rng.randint(0, 2))], line(), q_order)
-        got = cohomological_index_on_ring(ring, *args)
-        assert got == _cohomological_reference(ring, *args)
+            return [rng.randint(-3, 3) for _ in range(m)]
+        lines = (_unit_lines(m), [line() for _ in range(rng.randint(0, 2))],
+                 [line() for _ in range(rng.randint(0, 2))], line())
+        got = cohomological_index_on_ring(ring, *lines, q_order)
+        assert got == _cohomological_reference(
+            ring, *_line_classes(ring, *lines), q_order)
         return got
 
     def test_named_manifolds(self):
@@ -880,10 +956,11 @@ class TestIntegerEngine:
         m = sphere_product_spin(2)
         ring = build_face_ring(m)
         gamma, _ = spin_gamma(m)
-        roots = [ring.facet_class(j) for j in range(1, m.num_facets + 1)]
-        args = (ring, roots, (), roots, ring.line_class(gamma), 3)
-        assert (cohomological_index_on_ring(*args, w_trivial_rank=2)
-                == _cohomological_reference(*args, w_trivial_rank=2))
+        lines = (_unit_lines(m.num_facets), (), _unit_lines(m.num_facets),
+                 gamma)
+        assert (cohomological_index_on_ring(ring, *lines, 3, w_trivial_rank=2)
+                == _cohomological_reference(
+                    ring, *_line_classes(ring, *lines), 3, w_trivial_rank=2))
 
     def test_synthetic_instances(self):
         for n in range(3, 7):
@@ -900,33 +977,32 @@ class TestIntegerEngine:
                     ring, *args)
                 assert report["index_series"].coeffs == [2 * sign] + [0] * 4
 
-    def test_fractional_inputs_on_a_multi_generator_ring(self):
-        # classes with denominators, so mu > 1, on a ring with k = 3
+    def test_lines_on_a_multi_generator_ring(self):
+        # integer lines on a ring with k = 3, whose basis(1) is the
+        # generators, against the reference on their classes
         rng = random.Random(8)
         ring = SyntheticConnectedSumRing(4, 3, (1, -1, 1))
-        gens = [ring.generator(i) for i in range(1, 4)]
 
         def line():
-            return sum((g * Fraction(rng.randint(-4, 4), rng.randint(1, 6))
-                        for g in gens), ring.zero())
+            return [rng.randint(-4, 4) for _ in range(3)]
         for q_order in range(5):
-            args = ([line() for _ in range(3)], [line()], [line(), line()],
-                    line(), q_order)
-            assert (cohomological_index_on_ring(ring, *args)
-                    == _cohomological_reference(ring, *args))
+            lines = ([line() for _ in range(3)], [line()], [line(), line()],
+                     line())
+            assert (cohomological_index_on_ring(ring, *lines, q_order)
+                    == _cohomological_reference(
+                        ring, *_line_classes(ring, *lines), q_order))
 
-    def test_inputs_must_be_homogeneous_of_degree_one(self):
-        ring = build_face_ring(projective_space(2))
-        v = ring.facet_class(1)
-        for bad in (v * v, v + v * v, ring.one()):
-            with pytest.raises(InputError, match="degree 1"):
-                cohomological_index_on_ring(ring, [v, bad], (), (), v, 1)
-            with pytest.raises(InputError, match="degree 1"):
-                cohomological_index_on_ring(ring, [v], (), (), bad, 1)
-        other = build_face_ring(projective_space(2))
-        with pytest.raises(InputError, match="different ring"):
-            cohomological_index_on_ring(ring, [other.facet_class(1)], (), (),
-                                        v, 1)
+    def test_a_line_needs_one_entry_per_generator(self):
+        for ring in (build_face_ring(projective_space(2)),
+                     SyntheticConnectedSumRing(3, 2)):
+            k = ring.num_generators
+            good = [1] + [0] * (k - 1)
+            for bad in ([1] * (k - 1), [1] * (k + 1)):
+                with pytest.raises(InputError, match="one entry per"):
+                    cohomological_index_on_ring(ring, [good, bad], (), (),
+                                                good, 1)
+                with pytest.raises(InputError, match="one entry per"):
+                    cohomological_index_on_ring(ring, [good], (), (), bad, 1)
 
 
 def _fact(i):
@@ -1503,6 +1579,20 @@ class TestDegreeLimit:
         monkeypatch.setattr(genus, "MAX_LOCALIZATION_DEGREE", 10 ** 4)
         equivariant_index(m, (largest + 1, 1), None, q_order)
         assert str(refused.value).endswith(f", got {max(lengths) - 1}")
+
+    def test_a_numerator_that_cancels_is_not_read(self, lengths):
+        # on s2xs2_spin.ini every signature's signs cancel, so nothing is
+        # packed and nothing is read: the circle (1514, 1) at q-order 1 is
+        # admitted with a zero character, although its numerators' slots
+        # would read 3028.  A weight over the limit is still refused first.
+        parsed = parse_manifest((MANIFESTS / "s2xs2_spin.ini").read_text())
+        eq = equivariant_index(parsed.build_manifold(), (1514, 1),
+                               parsed.bundles(), 1)
+        assert eq.is_identically_zero() and not lengths
+        parsed = parse_manifest((MANIFESTS / "s2_bounding.ini").read_text())
+        with pytest.raises(InputError, match="got 3001"):
+            equivariant_index(parsed.build_manifold(), (3001,),
+                              parsed.bundles(), 1)
 
     @pytest.mark.parametrize("xi, q_order, largest", [
         ((-424, -53, 318), 0, 2598), ((-136, -17, 102), 4, 2806)])

@@ -45,6 +45,13 @@ def test_retired_list_passes_are_gone():
     assert not hasattr(genus, "_aligned_sum")
 
 
+def test_retired_twist_plumbing_is_gone():
+    from quasigenus import genus
+    for name in ("_strip_character_shift", "_degree_one_coordinates",
+                 "_vertex_term"):
+        assert not hasattr(genus, name)
+
+
 def _unused_imports(tree):
     """Names bound by the module's top-level imports that nothing in the
     module reads, by bare name or as the head of an attribute chain."""
