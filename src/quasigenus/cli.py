@@ -23,7 +23,7 @@ from .genus import (MAX_Q_ORDER, BundleSpec, _check_limit,
                     euler_characteristic, index, signature, spin_obstruction,
                     witten_genus)
 from .manifest import parse_manifest
-from .theorems import (EquivariantDegree4Class, anomaly_coefficient,
+from .theorems import (EquivariantDegree4Class, _sums_to, anomaly_coefficient,
                        check_twist_classes, construct_twist_bundles,
                        find_circle, finiteness_census, rank_ratio_table_check)
 
@@ -183,11 +183,8 @@ def _verify_anomaly(args, manifest):
     else:
         xi = choose_generic_circles(manifold, bundles, count=1)[0].xi
     value = anomaly_coefficient(manifold, xi, bundles)
-    ring = build_face_ring(manifold)
-    c1_v = ring.zero()
-    for line in bundles.v_lines:
-        c1_v = c1_v + ring.line_class(line)
-    twist_matches = c1_v == ring.spinc_c1()
+    twist_matches = _sums_to(build_face_ring(manifold), bundles.v_lines,
+                             manifold.spin_c)
     report = {
         "theorem": "index-I",
         "circle": list(xi),
@@ -224,14 +221,12 @@ def _verify_anomaly(args, manifest):
 
 def _verify_twist_classes(args, manifest):
     manifold = manifest.build_manifold()
-    ring = build_face_ring(manifold)
     if len(manifest.v_lines) != manifold.dimension:
         raise InputError(
             "this check reads one class per complex dimension from the "
             f"manifest's bundle v lines; need {manifold.dimension}, got "
             f"{len(manifest.v_lines)}")
-    classes = [ring.line_class(line) for line in manifest.v_lines]
-    rep = check_twist_classes(manifold, classes)
+    rep = check_twist_classes(manifold, manifest.v_lines)
     report = {"theorem": "thm34", **rep}
     lines = [
         f"sum equals spin-c class: {'yes' if rep['sum_is_spinc_class'] else 'no'}",

@@ -33,16 +33,19 @@ degree below n with every degree-one basis class, built from ``basis``,
 ``mul_basis`` and ``token_degree`` on first use.  The ring is generated in
 degree one, so that is all the multiplication anything needs:
 ``GradedStructure.multiplier`` turns a degree-one class into one sparse
-degree-raising map.  A ``CohomologyClass`` product needs a factor of degree
-at most one and runs that map once; the cohomological route of the genus
-engine runs it on integer vectors, one Horner step at a time.
+degree-raising map, and it is the one place a product is taken.  Every
+class a check needs is a sum or product of lines, integer coefficient
+vectors on the generators: ``GradedRing.product`` runs the map once per
+line, ``integral`` divides the top coordinate once, and the cohomological
+route of the genus engine runs it on integer vectors, one Horner step at a
+time.  A ``CohomologyClass`` only holds coordinates for printing, as
+``pontryagin_p1`` returns them.
 
 The census needs only degrees 1 and 2: ``facet_class_decomposition`` reads
 the reductions of the facet classes and of their pairwise products through
-``reduce_monomial`` and builds neither the structure nor a
-``CohomologyClass``.  Reduction tables are keyed by column and map each
-basis column to the int 1, so reductions stay in ints wherever the ring is
-integral.
+``reduce_monomial`` and builds no structure.  Reduction tables are keyed
+by column and map each basis column to the int 1, so reductions stay in
+ints wherever the ring is integral.
 """
 
 import math
@@ -56,13 +59,14 @@ from .linalg import rref, unimodular_inverse
 
 
 class CohomologyClass:
-    """Element of a ring: one rational coordinate per ``ring.structure``
-    basis token, in the order of ``structure.tokens``.
+    """A class of a ring as ``describe`` prints it: one rational coordinate
+    per ``ring.structure`` basis token, in the order of
+    ``structure.tokens``.
 
     ``coords`` is a tuple of ints and Fractions; each is the true rational
-    coefficient, not scaled by the structure denominator.  Mixed degrees
-    are allowed (the genus integrand is inhomogeneous).  Instances are
-    immutable.
+    coefficient, not scaled by the structure denominator.  A class does no
+    arithmetic: products are taken on integer lines by
+    ``GradedRing.product``.
     """
 
     __slots__ = ("ring", "coords")
@@ -73,82 +77,6 @@ class CohomologyClass:
 
     def is_zero(self):
         return not any(self.coords)
-
-    def part(self, degree):
-        """The coordinates of the degree-d part, over ``ring.basis(d)``."""
-        starts = self.ring.structure.starts
-        return self.coords[starts[degree]:starts[degree + 1]]
-
-    def _operand(self, other):
-        """other as a class of this ring, or None for an unknown type."""
-        if isinstance(other, (int, Fraction)):
-            return self.ring.constant(other)
-        if not isinstance(other, CohomologyClass):
-            return None
-        if self.ring is not other.ring:
-            raise InputError("classes live in different rings")
-        return other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        if not isinstance(other, CohomologyClass):
-            return NotImplemented
-        return self.ring is other.ring and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __neg__(self):
-        return CohomologyClass(self.ring, (-c for c in self.coords))
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return CohomologyClass(self.ring, (_exact(a + b) for a, b
-                                           in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return CohomologyClass(self.ring, (_exact(a - b) for a, b
-                                           in zip(self.coords, other.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """The product; one factor must have no part of degree 2 or more,
-        as every product is built from multiplication by degree-one
-        classes."""
-        if isinstance(other, (int, Fraction)):
-            return CohomologyClass(self.ring,
-                                   (_exact(c * other) for c in self.coords))
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        structure = self.ring.structure
-        u, v = self.coords, other.coords
-        low, high = structure.starts[1], structure.starts[2]
-        if any(v[high:]):
-            if any(u[high:]):
-                raise InputError(
-                    "a product needs one factor of degree at most 1; both "
-                    "have a part of degree 2 or more")
-            u, v = v, u
-        out = structure.multiplier(v[low:high])(u)
-        if structure.delta != 1:
-            out = [_exact(Fraction(a, structure.delta)) if a else 0
-                   for a in out]
-        if v[0]:
-            out = [a + v[0] * x for a, x in zip(out, u)]
-        return CohomologyClass(self.ring, out)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         structure = self.ring.structure
@@ -169,9 +97,9 @@ class GradedStructure:
     classes, in integers.
 
     ``tokens`` lists basis(0), basis(1), ..., basis(n) in that order;
-    ``degrees[i]`` is the degree of tokens[i], ``starts[d]`` the position
-    of the first token of degree d (``starts[n + 1]`` the basis size) and
-    ``position`` maps each token back.  For each position i of degree below
+    ``degrees[i]`` is the degree of tokens[i] and ``starts[d]`` the
+    position of the first token of degree d (``starts[n + 1]`` the basis
+    size).  For each position i of degree below
     n and each degree-one token g = tokens[starts[1] + r], ``rows[i][r]``
     is ((k, c), ...) for each nonzero term of tokens[i] * g =
     sum of (c / delta) tokens[k], with integers c and delta the least
@@ -180,7 +108,7 @@ class GradedStructure:
     classes of degree 2 or more is stored.
     """
 
-    __slots__ = ("tokens", "degrees", "starts", "position", "delta", "rows")
+    __slots__ = ("tokens", "degrees", "starts", "delta", "rows")
 
     def __init__(self, ring):
         n = ring.dimension
@@ -188,13 +116,13 @@ class GradedStructure:
         self.tokens = tuple(t for block in blocks for t in block)
         self.degrees = tuple(ring.token_degree(t) for t in self.tokens)
         self.starts = tuple(sum(map(len, blocks[:d])) for d in range(n + 2))
-        self.position = {t: i for i, t in enumerate(self.tokens)}
+        position = {t: i for i, t in enumerate(self.tokens)}
         products = [[ring.mul_basis(t, g).items() for g in blocks[1]]
                     for t in self.tokens[:self.starts[n]]]
         self.delta = math.lcm(1, *(c.denominator for row in products
                                    for terms in row for _, c in terms))
         self.rows = tuple(
-            tuple(tuple((self.position[t],
+            tuple(tuple((position[t],
                          c.numerator * (self.delta // c.denominator))
                         for t, c in terms) for terms in row)
             for row in products)
@@ -231,45 +159,22 @@ class GradedStructure:
 
 
 class GradedRing:
-    """The structure and class arithmetic every ring shares.
+    """The structure and the line arithmetic every ring shares.
 
-    A ring supplies ``dimension``, ``basis``, ``token_degree``,
-    ``token_name``, ``mul_basis``, ``top_value``, the integral of its
-    single top-degree basis token, and ``_forms``, each generator's
-    degree-one class as (basis(1) position, integer coefficient) pairs.
+    A ring supplies ``dimension``, ``num_generators``, ``basis``,
+    ``token_degree``, ``token_name``, ``mul_basis``, ``top_value``, the
+    integral of its single top-degree basis token, and ``_forms``, each
+    generator's degree-one class as (basis(1) position, integer
+    coefficient) pairs.  The generators' classes generate the ring
+    (Davis-Januszkiewicz for a face ring), so every class a check needs is
+    a sum or product of lines, integer coefficient vectors on the
+    generators: sums are taken on the lines, products by ``product``.
     """
 
     @cached_property
     def structure(self):
         """The ring's ``GradedStructure``, built on first use."""
         return GradedStructure(self)
-
-    def _class(self, terms):
-        """The class with coefficient terms[t] on each basis token t."""
-        coords = [0] * len(self.structure.tokens)
-        for t, c in terms.items():
-            coords[self.structure.position[t]] = _exact(c)
-        return CohomologyClass(self, coords)
-
-    def constant(self, c):
-        return CohomologyClass(
-            self, (c,) + (0,) * (len(self.structure.tokens) - 1))
-
-    def zero(self):
-        return self.constant(0)
-
-    def one(self):
-        return self.constant(1)
-
-    def combination(self, classes, coefficients):
-        """The class sum of coefficients[i] * classes[i]."""
-        return sum((cls * c for cls, c in zip(classes, coefficients) if c),
-                   self.zero())
-
-    def integrate(self, cls):
-        if cls.ring is not self:
-            raise InputError("class belongs to a different ring")
-        return _exact(cls.coords[-1] * self.top_value)
 
     def line_coordinates(self, coefficients):
         """The class sum coefficients[j] * g_{j+1} of the generators as
@@ -284,12 +189,31 @@ class GradedRing:
                     out[i] += c * a
         return out
 
-    def line_class(self, coefficients):
-        """Degree-2 class sum coefficients[j] * g_{j+1}."""
-        starts = self.structure.starts
-        coords = [0] * starts[-1]
-        coords[starts[1]:starts[2]] = self.line_coordinates(coefficients)
-        return CohomologyClass(self, coords)
+    def product(self, lines):
+        """delta^k times the product of the classes of k lines, as integer
+        coordinates over ``structure.tokens``, with delta the structure's
+        denominator: one multiplier pass per line."""
+        structure = self.structure
+        out = [1] + [0] * (len(structure.tokens) - 1)
+        for line in lines:
+            out = structure.multiplier(self.line_coordinates(line))(out)
+        return out
+
+    def integral(self, lines):
+        """The integral of the product of the lines' classes over the
+        fundamental class."""
+        scale = self.structure.delta ** len(lines)
+        return _exact(Fraction(self.product(lines)[-1], scale)
+                      * self.top_value)
+
+    def square_sum(self, lines, weights=None):
+        """delta^2 times the sum of weights[i] times the square of the
+        class of lines[i] (every weight 1 by default), as integer
+        coordinates over ``structure.tokens``."""
+        out = [0] * len(self.structure.tokens)
+        for line, w in zip(lines, weights or [1] * len(lines)):
+            out = [x + w * y for x, y in zip(out, self.product((line, line)))]
+        return out
 
 
 class FaceRing(GradedRing):
@@ -303,7 +227,8 @@ class FaceRing(GradedRing):
     ring over it; a ring adds its linear forms and one row reduction per
     degree on the skeleton's integer columns.  ``reduce_monomial``
     expresses any facet monomial in the chosen basis (or as 0); it builds
-    the ring's ``structure`` and the facet classes.
+    the ring's ``structure``.  The generators are the m facets, so a line
+    is a facet coefficient vector.
     """
 
     def __init__(self, manifold):
@@ -420,23 +345,19 @@ class FaceRing(GradedRing):
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))
 
-    @cached_property
-    def _facet_classes(self):
-        return tuple(self._class(self.reduce_monomial((j,)))
-                     for j in range(1, self.num_generators + 1))
-
-    def facet_class(self, j):
-        if not 1 <= j <= self.num_generators:
-            raise InputError(f"facet label {j} out of range")
-        return self._facet_classes[j - 1]
-
     # -- characteristic classes -------------------------------------------
 
-    def pontryagin_p1(self):
-        return sum((v * v for v in self._facet_classes), self.zero())
+    def p1_square_sum(self):
+        """delta^2 p1 = delta^2 sum_j v_j^2, the square sum of the unit
+        facet lines, as integer coordinates over ``structure.tokens``."""
+        m = self.num_generators
+        return self.square_sum([[int(i == j) for i in range(m)]
+                                for j in range(m)])
 
-    def spinc_c1(self):
-        return self.line_class(self.manifold.spin_c)
+    def pontryagin_p1(self):
+        square = self.structure.delta ** 2
+        return CohomologyClass(self, (_exact(Fraction(x, square))
+                                      for x in self.p1_square_sum()))
 
 
 def build_face_ring(manifold):
@@ -448,7 +369,8 @@ class SyntheticConnectedSumRing(GradedRing):
     spaces, possibly with reversed orientations, prescribed directly.
 
     Generators g_1..g_k in degree 2, relations g_i g_j = 0 for i != j and
-    g_i^n = signs[i] * (top class).  Unlike FaceRing this ring is not tied
+    g_i^n = signs[i] * (top class); a line is a coefficient vector on
+    them.  Unlike FaceRing this ring is not tied
     to any characteristic data: it exists to exercise constructions whose
     hypotheses real manifolds cannot satisfy.
     """
@@ -514,11 +436,6 @@ class SyntheticConnectedSumRing(GradedRing):
             return {self.TOP: self.signs[i - 1]}
         return {}
 
-    def generator(self, i):
-        if not 1 <= i <= self.num_generators:
-            raise InputError(f"generator index {i} out of range")
-        return self._class({("g", i, 1): 1})
-
 
 def _sum_terms(polys, coefficients):
     """The sum of coefficients[i] * polys[i] over ``{token: value}`` dicts,
@@ -548,7 +465,7 @@ def facet_class_decomposition(manifold, ring=None):
     Only degrees 1 and 2 of the ring are read, through ``reduce_monomial``:
     once per facet v_i and at most once per product v_i v_j (i <= j), the
     squares for p1 and the other products as candidate subsets ask for
-    them.  No ``structure`` and no ``CohomologyClass`` are built.
+    them.  No ``structure`` is built.
     The pairwise-zero test runs before the unimodularity test; both must
     hold, so the order changes only the cost.
     """

@@ -59,6 +59,7 @@ from .exactalg import (HalfLaurent, QSeries, _exact, binomial_exponents,
                        pack_slots, slot_size, unpack_slots)
 from .linalg import gf2_solve
 from .cohomology import build_face_ring
+from .polytope import _integers
 
 
 class CircleSubgroup:
@@ -67,7 +68,7 @@ class CircleSubgroup:
     __slots__ = ("xi",)
 
     def __init__(self, xi):
-        xi = tuple(int(x) for x in xi)
+        xi = _integers(xi)
         if not xi or all(x == 0 for x in xi):
             raise InputError("circle vector must be nonzero")
         self.xi = xi
@@ -95,8 +96,8 @@ class BundleSpec:
     __slots__ = ("v_lines", "w_lines")
 
     def __init__(self, v_lines=(), w_lines=()):
-        self.v_lines = tuple(tuple(int(c) for c in line) for line in v_lines)
-        self.w_lines = tuple(tuple(int(c) for c in line) for line in w_lines)
+        self.v_lines = tuple(map(_integers, v_lines))
+        self.w_lines = tuple(map(_integers, w_lines))
 
     @staticmethod
     def empty():
@@ -643,6 +644,8 @@ def choose_generic_circles(manifold, bundles=None, count=2):
     box [-b, b]^n that holds ``count`` of them, found by
     ``_cheapest_in_box`` within ``MAX_CIRCLE_NODES`` search nodes.
     """
+    if count < 1:
+        raise InputError(f"need at least one circle, got count {count}")
     n = manifold.dimension
     fps = manifold.fixed_points()
     lines = []
@@ -801,10 +804,6 @@ def spin_obstruction(manifold):
     if gf2_solve(list(manifold.char_matrix), ones) is None:
         return tuple(ones)
     return None
-
-
-def is_spin(manifold):
-    return spin_obstruction(manifold) is None
 
 
 def spin_gamma(manifold):
@@ -1038,7 +1037,7 @@ def _class_table(names, cap, q_order):
 
 def cohomological_index_on_ring(ring, tangent_roots, v_lines, w_lines, twist,
                                 q_order, w_trivial_rank=0):
-    """Integrate the index density over any ring with the class interface.
+    """Integrate the index density over any ``GradedRing``.
 
     Every input is a line, an integer coefficient vector on the ring's
     generators, whose first Chern class ``ring.line_coordinates`` gives as

@@ -13,9 +13,20 @@ complex twist vector of odd integers, one per facet.
 from bisect import bisect_right
 from collections import deque
 from itertools import combinations, product as iproduct
+from operator import index
 
 from .errors import InputError
 from .linalg import int_det, perm_parity, unimodular_inverse
+
+
+def _integers(values):
+    """values as a tuple of ints, each read by ``operator.index``: a float,
+    a Fraction or a string is refused, never truncated."""
+    values = tuple(values)
+    for x in values:
+        if not hasattr(type(x), "__index__"):
+            raise InputError(f"expected an integer, got {x!r}")
+    return tuple(map(index, values))
 
 
 class SimplePolytope:
@@ -30,12 +41,12 @@ class SimplePolytope:
                  "_faces", "_skeleton")
 
     def __init__(self, dimension, num_facets, vertices):
-        n, m = int(dimension), int(num_facets)
+        n, m = _integers((dimension, num_facets))
         if n < 1:
             raise InputError("polytope dimension must be at least 1")
         if m < n + 1:
             raise InputError(f"a simple {n}-polytope needs at least {n + 1} facets")
-        verts = sorted({tuple(sorted(int(f) for f in v)) for v in vertices})
+        verts = sorted({tuple(sorted(_integers(v))) for v in vertices})
         for v in verts:
             if len(v) != n:
                 raise InputError(f"vertex {v} does not have exactly {n} facets")
@@ -286,11 +297,11 @@ class QuasitoricManifold:
 
     def __init__(self, polytope, char_matrix, spin_c):
         n, m = polytope.dimension, polytope.num_facets
-        rows = tuple(tuple(int(x) for x in row) for row in char_matrix)
+        rows = tuple(map(_integers, char_matrix))
         if len(rows) != n or any(len(r) != m for r in rows):
             raise InputError(
                 f"characteristic matrix must be {n} x {m}")
-        gam = tuple(int(g) for g in spin_c)
+        gam = _integers(spin_c)
         if len(gam) != m:
             raise InputError(f"twist vector needs one entry per facet ({m})")
         odd_fail = [j + 1 for j, g in enumerate(gam) if g % 2 == 0]

@@ -10,8 +10,8 @@ algebra and ring arithmetic:
   restricting the equivariant Pontryagin class to fixed points, and checks
   the answer is the same at every fixed point;
 * the twist-bundle construction turns a p1 decomposition into explicit
-  line-bundle data whose defining identities are then re-verified
-  symbolically, never assumed;
+  line-bundle data whose defining identities are then re-verified on
+  integer lines, never assumed;
 * the census enumerates all characteristic matrices over small connected
   sums of simplices and confirms the resulting p1 coefficients stay inside
   the proven bound.
@@ -101,7 +101,7 @@ class EquivariantDegree4Class:
         a22 = [[-2 * sum(mu[j][i] * rho[j][f] for j in range(m))
                 for f in range(len(free))]
                for i in range(n)]
-        return cls(a40, a22, build_face_ring(manifold).pontryagin_p1().is_zero())
+        return cls(a40, a22, not any(build_face_ring(manifold).p1_square_sum()))
 
 
 def find_circle(cls4):
@@ -169,30 +169,26 @@ def anomaly_coefficient(manifold, xi, bundles=None):
     return distinct.pop()
 
 
-def check_twist_classes(manifold, classes):
-    """Verify the three conditions a twisting class system must satisfy:
-    the classes sum to the Spin^c class, their squares sum to p1, and their
-    product pairs nontrivially with the fundamental class.
+def check_twist_classes(manifold, lines):
+    """Verify the three conditions a twisting class system must satisfy,
+    for n lines given as facet coefficient vectors: their classes sum to
+    the Spin^c class, their squares sum to p1, and their product pairs
+    nontrivially with the fundamental class.
     """
-    if not classes:
-        raise InputError("need one class per complex dimension, got none")
-    ring = classes[0].ring
     n = manifold.dimension
-    if len(classes) != n:
-        raise InputError(
-            f"need exactly {n} classes, got {len(classes)}")
-    if getattr(ring, "num_generators", None) != manifold.num_facets:
-        raise InputError("classes do not live in this manifold's face ring")
-    total, squares, pairing = _twist_identities(ring, classes, classes)
+    if len(lines) != n:
+        raise InputError(f"need exactly {n} lines, got {len(lines)}")
+    ring = build_face_ring(manifold)
+    sums, squares, pairing = _twist_identities(ring, lines, lines,
+                                               manifold.spin_c)
     report = {
-        "sum_is_spinc_class": total == ring.spinc_c1(),
-        "squares_sum_is_p1": squares == ring.pontryagin_p1(),
+        "sum_is_spinc_class": sums,
+        "squares_sum_is_p1": squares == ring.p1_square_sum(),
         "pairing": pairing,
         "pairing_nonzero": pairing != 0,
     }
-    report["all_hold"] = (report["sum_is_spinc_class"]
-                          and report["squares_sum_is_p1"]
-                          and report["pairing_nonzero"])
+    report["all_hold"] = all(report[key] for key in (
+        "sum_is_spinc_class", "squares_sum_is_p1", "pairing_nonzero"))
     return report
 
 
@@ -229,28 +225,26 @@ def _case_line_data(beta, n, i0_idx, case):
 
 
 def _expand_counts(counts):
-    lines = []
-    for vec, mult in counts:
-        if mult > 0:
-            lines.extend([vec] * mult)
-    return lines
+    return [vec for vec, mult in counts for _ in range(mult)]
 
 
 def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
-                                    generators=None):
+                                    facets=None):
     """Build and verify the two parity cases of the twist construction over
     a ring with a fixed generator basis and p1 = sum beta_i g_i^2.
 
     Works for synthetic rings (where inflated beta exercises the branch the
-    bound forbids on real manifolds) and for real decompositions alike; in
-    the latter case the caller passes the chosen generator classes.
-    Negative multiplicities are reported, not raised: they are the shape of
-    the conclusion "the bound holds here".
+    bound forbids on real manifolds) and for real decompositions alike.
+    The line data are coefficient vectors on the k generators, and each
+    becomes a ring line through ``_facet_spec``: for a face ring the caller
+    passes the generator ``facets``, while a synthetic ring's generators
+    are its own.  Negative multiplicities are reported, not raised: they
+    are the shape of the conclusion "the bound holds here".
     """
     k = len(beta)
-    if generators is None:
-        generators = [ring.generator(i) for i in range(1, k + 1)]
-    if len(generators) != k:
+    if facets is None:
+        facets = range(1, ring.num_generators + 1)
+    if len(facets) != k:
         raise InputError("beta length does not match the generator count")
     if not 1 <= i0 <= k:
         raise InputError(f"generator index {i0} out of range 1..{k}")
@@ -258,7 +252,8 @@ def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
         raise InputError(f"p1 coefficients must be positive, got {beta}")
     n = ring.dimension
     i0_idx = i0 - 1
-    p1_class = ring.combination([g * g for g in generators], beta)
+    p1 = ring.square_sum([[int(j == f) for j in range(
+        1, ring.num_generators + 1)] for f in facets], beta)
 
     cases = []
     for case in (1, 2):
@@ -279,7 +274,7 @@ def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
             entry["bound_holds"] = True
         if nonneg:
             entry["checks"] = _verify_case(
-                ring, generators, p1_class, entry, twist, spinc_coords)
+                ring, facets, p1, entry, twist, spinc_coords)
         cases.append(entry)
 
     applicable = next(e for e in cases if e["parity_matches"])
@@ -294,29 +289,37 @@ def construct_twist_bundles_on_ring(ring, beta, i0=1, spinc_coords=None,
     return report
 
 
-def _twist_identities(ring, classes, squared):
-    """The sum of classes, the sum of the squares of squared, and the
-    integral of the product of classes."""
-    product = ring.one()
-    for cls in classes:
-        product = product * cls
-    squares = sum((cls * cls for cls in squared), ring.zero())
-    return sum(classes, ring.zero()), squares, ring.integrate(product)
+def _sums_to(ring, lines, target):
+    """Whether the classes of lines sum to the class of the line target:
+    ``line_coordinates`` of their difference is 0."""
+    total = [sum(column) - t for *column, t in zip(*lines, target)]
+    return not any(ring.line_coordinates(total))
 
 
-def _verify_case(ring, generators, p1_class, entry, twist, spinc_coords):
-    """Re-derive the three defining identities of a constructed case."""
-    v_classes = [ring.combination(generators, vec) for vec in entry["v_lines"]]
-    w_classes = [ring.combination(generators, vec) for vec in entry["w_lines"]]
+def _twist_identities(ring, lines, squared, target):
+    """Whether the classes of lines sum to the class of the line target,
+    delta^2 times the sum of the squares of squared, and the integral of
+    the product of lines."""
+    return (_sums_to(ring, lines, target), ring.square_sum(squared),
+            ring.integral(lines))
+
+
+def _verify_case(ring, facets, p1, entry, twist, spinc_coords):
+    """Re-derive the three defining identities of a constructed case on
+    the ring lines of its vectors; p1 is scaled by delta^2, as
+    ``square_sum`` scales the squares."""
+    m = ring.num_generators
+    v = _facet_spec(entry["v_lines"], facets, m)
+    w = _facet_spec(entry["w_lines"], facets, m)
     c1_v, squares, pairing = _twist_identities(
-        ring, v_classes, v_classes + w_classes)
+        ring, v, v + w, _facet_spec([twist], facets, m)[0])
 
     w_total = [sum(vec[i] for vec in entry["w_lines"])
-               for i in range(len(generators))]
+               for i in range(len(twist))]
 
     checks = {
-        "c1_v_equals_twist": c1_v == ring.combination(generators, twist),
-        "p1_difference_zero": squares == p1_class,
+        "c1_v_equals_twist": c1_v,
+        "p1_difference_zero": squares == p1,
         "w_spin": all(c % 2 == 0 for c in w_total),
         "euler_pairing": pairing,
         "euler_pairing_nonzero": pairing != 0,
@@ -340,9 +343,8 @@ def construct_twist_bundles(manifold, i0=1):
     spinc_coords = [
         sum(gamma[j] * alpha_rows[j][i] for j in range(manifold.num_facets))
         for i in range(len(facets))]
-    generators = [ring.facet_class(f) for f in facets]
     report = construct_twist_bundles_on_ring(
-        ring, beta, i0=i0, spinc_coords=spinc_coords, generators=generators)
+        ring, beta, i0=i0, spinc_coords=spinc_coords, facets=facets)
     report["generator_facets"] = tuple(facets)
     m = manifold.num_facets
     for entry in report["cases"]:
@@ -352,13 +354,10 @@ def construct_twist_bundles(manifold, i0=1):
 
 
 def _facet_spec(lines, facets, m):
-    out = []
-    for vec in lines:
-        row = [0] * m
-        for c, facet in zip(vec, facets):
-            row[facet - 1] = c
-        out.append(tuple(row))
-    return tuple(out)
+    """Coefficient vectors on the generator facets as facet lines."""
+    column = {f - 1: i for i, f in enumerate(facets)}
+    return tuple(tuple(vec[column[j]] if j in column else 0 for j in range(m))
+                 for vec in lines)
 
 
 def synthetic_inflated_instance(n, sign=1, q_order=2):

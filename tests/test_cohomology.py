@@ -69,6 +69,17 @@ def h_vector(polytope):
                      for i in range(k + 1)) for k in range(n + 1))
 
 
+def unit_lines(m):
+    """The facet lines of a ring with m generators: its unit vectors."""
+    return [tuple(int(j == f) for j in range(m)) for f in range(m)]
+
+
+def facet_lines(ring, facets):
+    """The unit line of each facet label, repeats included."""
+    lines = unit_lines(ring.num_generators)
+    return [lines[f - 1] for f in facets]
+
+
 def off_corner_manifolds():
     """Manifolds whose smallest vertex is not 1..n: CP^2 # CP^2 at (1, 3)
     and two census matrices over the 2-fold sum of 3-simplices at (1, 2, 4)."""
@@ -89,10 +100,8 @@ class TestOracles:
             ring = build_face_ring(manifold)
             labels = range(1, manifold.num_facets + 1)
             for facets in combinations_with_replacement(labels, manifold.dimension):
-                cls = ring.one()
-                for f in facets:
-                    cls = cls * ring.facet_class(f)
-                assert ring.integrate(cls) == localization_integral(manifold, facets)
+                assert (ring.integral(facet_lines(ring, facets))
+                        == localization_integral(manifold, facets))
 
     def test_large_rings_have_the_h_vector_betti_numbers(self):
         p = polytope_product(simplex(3), simplex(3))
@@ -144,16 +153,17 @@ class TestRingStructure:
 
     def test_cp2_all_facet_classes_agree(self):
         ring = build_face_ring(projective_space(2))
-        x = ring.facet_class(3)
-        assert ring.facet_class(1) == x
-        assert ring.facet_class(2) == x
-        assert (x * x * x).is_zero()
+        x = ring.line_coordinates((0, 0, 1))
+        assert ring.line_coordinates((1, 0, 0)) == x
+        assert ring.line_coordinates((0, 1, 0)) == x
+        assert any(ring.product(facet_lines(ring, (3, 3))))
+        assert not any(ring.product(facet_lines(ring, (3, 3, 3))))
 
     def test_nonface_product_vanishes(self):
         # facets 1 and 3 of the square are opposite edges
         ring = build_face_ring(sphere_product(2))
-        prod = ring.facet_class(1) * ring.facet_class(3)
-        assert prod.is_zero()
+        assert not any(ring.product(facet_lines(ring, (1, 3))))
+        assert any(ring.product(facet_lines(ring, (1, 2))))
 
     def test_reduce_monomial_label_range(self):
         ring = build_face_ring(projective_space(2))
@@ -164,33 +174,45 @@ class TestRingStructure:
 
 
 class TestPairing:
+    """Integrals of unit lines against the fixed point formula, by the
+    oracle above and by ``localization_integral``."""
+
+    @staticmethod
+    def integral(manifold, facets):
+        ring = build_face_ring(manifold)
+        got = ring.integral(facet_lines(ring, facets))
+        assert got == localization_integral(manifold, facets)
+        return got
+
     def test_cp2_top_pairing(self):
         manifold = projective_space(2)
         for xi in [(1, 2), (2, -1)]:
             assert localization_pairing_oracle(manifold, [1, 2], xi) == 1
-        ring = build_face_ring(manifold)
-        got = ring.integrate(ring.facet_class(1) * ring.facet_class(2))
-        assert got == 1
+        assert self.integral(manifold, (1, 2)) == 1
 
     def test_opposite_facets_pair_to_zero(self):
         manifold = sphere_product(2)
         assert localization_pairing_oracle(manifold, [1, 3], (1, 2)) == 0
-        ring = build_face_ring(manifold)
-        assert ring.integrate(ring.facet_class(1) * ring.facet_class(3)) == 0
+        assert self.integral(manifold, (1, 3)) == 0
 
     def test_cp2_square_normal_form(self):
         manifold = projective_space(2)
-        ring = build_face_ring(manifold)
-        x = ring.facet_class(3)
-        assert ring.integrate(x * x) == 1
+        assert self.integral(manifold, (3, 3)) == 1
         assert localization_pairing_oracle(manifold, [3, 3], (1, 2)) == 1
 
     def test_square_volume(self):
         manifold = sphere_product(2)
-        ring = build_face_ring(manifold)
-        got = ring.integrate(ring.facet_class(3) * ring.facet_class(4))
         oracle = localization_pairing_oracle(manifold, [3, 4], (1, 2))
-        assert got == oracle == 1
+        assert self.integral(manifold, (3, 4)) == oracle == 1
+
+    def test_denominator_four_rings(self):
+        # the top coordinate of a product carries delta^n, divided once
+        for ring in _delta_four_census_rings(2, 12):
+            manifold = ring.manifold
+            labels = range(1, ring.num_generators + 1)
+            values = [self.integral(manifold, facets) for facets
+                      in combinations_with_replacement(labels, 3)]
+            assert any(values)
 
     def test_top_class_integrates_to_an_int(self):
         # an integral value is an int, as elsewhere in the library, so the
@@ -198,11 +220,10 @@ class TestPairing:
         for ring in (build_face_ring(projective_space(2)),
                      _delta_four_census_rings(1, 12)[0]):
             n = ring.dimension
-            top = ring._class({ring.basis(n)[0]: 1})
             assert type(ring.top_value) is int
-            assert type(ring.integrate(top)) is int
-            power = math.prod([ring.facet_class(1)] * n, start=ring.one())
-            assert type(ring.integrate(power)) is int
+            assert type(ring.integral(facet_lines(ring, (1,) * n))) is int
+            assert type(ring.integral(facet_lines(ring, (1,) * (n - 1)))) \
+                is int
 
 
 class TestCharacteristicClasses:
@@ -210,8 +231,9 @@ class TestCharacteristicClasses:
         # hand reduction: rows (1,0,-1),(0,1,-1) force v1 = v3 and v2 = v3,
         # so v1^2+v2^2+v3^2 = 3 v3^2
         ring = build_face_ring(projective_space(2))
-        x = ring.facet_class(3)
-        assert ring.pontryagin_p1() == x * x * Fraction(3)
+        square = ring.product(facet_lines(ring, (3, 3)))
+        assert ring.p1_square_sum() == [3 * x for x in square]
+        assert str(ring.pontryagin_p1()) == "3*v3^2"
 
     def test_s2xs2_p1_vanishes(self):
         ring = build_face_ring(sphere_product(2))
@@ -222,11 +244,13 @@ class TestCharacteristicClasses:
             manifold = sphere_product(n)
             ring = build_face_ring(manifold)
             assert ring.pontryagin_p1().is_zero()
-            assert not ring.spinc_c1().is_zero()
+            assert not any(ring.p1_square_sum())
+            assert any(ring.line_coordinates(manifold.spin_c))
 
     def test_cp2_spinc_class(self):
         ring = build_face_ring(projective_space(2))
-        assert ring.spinc_c1() == ring.facet_class(3) * Fraction(3)
+        assert ring.line_coordinates((1, 1, 1)) == ring.line_coordinates(
+            (0, 0, 3))
 
 
 class TestDecomposition:
@@ -258,10 +282,12 @@ class TestDecomposition:
                 continue
             count += 1
             assert all(b > 0 for b in beta)
-            generators = [ring.facet_class(f) for f in facets]
-            for j in range(1, 5):
-                assert ring.facet_class(j) == ring.combination(
-                    generators, alpha[j - 1])
+            for j, row in enumerate(alpha, 1):
+                line = [0] * 4
+                for f, a in zip(facets, row):
+                    line[f - 1] = a
+                assert ring.line_coordinates(facet_lines(ring, (j,))[0]) \
+                    == ring.line_coordinates(line)
         assert count > 0
 
     def test_spin_product_is_not_projective_shaped(self):
@@ -270,24 +296,24 @@ class TestDecomposition:
 
 
 def _decomposition_reference(manifold, ring):
-    """facet_class_decomposition as it ran on CohomologyClass arithmetic:
-    facet classes, their products and p1 through the ring's structure
-    constants, with unimodularity tested before the products."""
+    """facet_class_decomposition on facet lines: their products and p1
+    through the ring's structure, with unimodularity tested before the
+    products."""
     k = len(ring.basis(1))
     labels = range(1, ring.num_generators + 1)
-    coords = [ring.facet_class(j).part(1) for j in labels]
+    lines = unit_lines(ring.num_generators)
+    coords = [ring.line_coordinates(line) for line in lines]
     for facets in combinations(labels, k):
         found = unimodular_inverse([coords[j - 1] for j in facets])
-        classes = [ring.facet_class(j) for j in facets]
-        if found is None or any(not (a * b).is_zero()
-                                for a, b in combinations(classes, 2)):
+        generators = facet_lines(ring, facets)
+        if found is None or any(any(ring.product(pair))
+                                for pair in combinations(generators, 2)):
             continue
         _, inverse = found
         alpha = [[sum(x * inverse[r][i] for r, x in enumerate(row))
                   for i in range(k)] for row in coords]
         beta = [sum(row[i] ** 2 for row in alpha) for i in range(k)]
-        recon = ring.combination([g * g for g in classes], beta)
-        if ring.pontryagin_p1() != recon:
+        if ring.p1_square_sum() != ring.square_sum(generators, beta):
             raise PropertyViolationError("does not reproduce p1")
         return facets, alpha, beta
     raise RingShapeError("not a connected-sum pattern")
@@ -307,11 +333,12 @@ def _all_pairs(ring):
     holds the terms of tokens[i] * tokens[j] over the structure's token
     positions, for nonzero products: the table each ring once stored."""
     s, n = ring.structure, ring.dimension
+    position = {t: i for i, t in enumerate(s.tokens)}
     products = {}
     for i in range(1, len(s.tokens)):
         for j in range(i, s.starts[n + 1 - s.degrees[i]]):
             products[i, j] = products[j, i] = [
-                (s.position[t], c) for t, c in
+                (position[t], c) for t, c in
                 ring.mul_basis(s.tokens[i], s.tokens[j]).items()]
     delta = math.lcm(1, *(c.denominator for terms in products.values()
                           for _, c in terms))
@@ -337,8 +364,8 @@ def _manifest_ring_digest(path, capsys):
 
 
 class TestDegreeTwoDecomposition:
-    """The decomposition reads only degree-2 reductions; the class-based
-    reference multiplies facet classes through the ring's structure."""
+    """The decomposition reads only degree-2 reductions; the reference
+    multiplies the facet lines' classes through the ring's structure."""
 
     @pytest.mark.parametrize("polytope, bound, matches", [
         (simplex(3), 1, 8), (simplex(3), 2, 8), (cube(3), 1, 0),
@@ -447,14 +474,7 @@ class TestGradedStructure:
 
 # -- token-dict reference arithmetic ----------------------------------------
 # Classes as {basis token: Fraction} dicts, every product through the ring's
-# mul_basis, as CohomologyClass arithmetic once ran.
-
-def _dict_add(a, b, sign=1):
-    out = dict(a)
-    for t, c in b.items():
-        out[t] = out.get(t, 0) + sign * c
-    return {t: c for t, c in out.items() if c}
-
+# mul_basis, and a line's class read from its degree-one coordinates.
 
 def _dict_mul(ring, a, b):
     out = {}
@@ -480,15 +500,32 @@ def _dict_str(ring, a):
     return " + ".join(f"{a[t]}*{ring.token_name(t)}" for t in keys) or "0"
 
 
-def _random_dict(ring, rng):
-    tokens = ring.structure.tokens
-    terms = {t: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-             for t in rng.sample(tokens, rng.randint(1, len(tokens)))}
-    return {t: c for t, c in terms.items() if c}
+def _line_dict(ring, line):
+    return {t: c for t, c in zip(ring.basis(1), ring.line_coordinates(line))
+            if c}
 
 
-def _as_class(ring, terms):
-    return CohomologyClass(ring, [terms.get(t, 0) for t in ring.structure.tokens])
+def _dict_product(ring, lines):
+    out = {ring.basis(0)[0]: 1}
+    for line in lines:
+        out = _dict_mul(ring, out, _line_dict(ring, line))
+    return out
+
+
+def _dict_square_sum(ring, lines, weights):
+    out = {}
+    for line, w in zip(lines, weights):
+        for t, c in _dict_product(ring, (line, line)).items():
+            out[t] = out.get(t, 0) + w * c
+    return {t: c for t, c in out.items() if c}
+
+
+def _scaled(ring, a, power):
+    """A token dict as the integer coordinates of delta^power times it."""
+    scale = ring.structure.delta ** power
+    out = [a.get(t, 0) * scale for t in ring.structure.tokens]
+    assert all(x.denominator == 1 for x in map(Fraction, out))
+    return [int(x) for x in out]
 
 
 def _delta_four_census_rings(count, seed):
@@ -503,37 +540,33 @@ def _delta_four_census_rings(count, seed):
 
 
 class TestClassArithmetic:
-    """Coordinate-vector classes against the token-dict reference."""
+    """Products, integrals and square sums of random lines against the
+    token-dict reference, and the printed p1 against the reference's."""
 
     @staticmethod
     def check(ring, rng, trials=12):
-        low = ring.basis(0) + ring.basis(1)
+        n, m = ring.dimension, ring.num_generators
         for _ in range(trials):
-            a, b = _random_dict(ring, rng), _random_dict(ring, rng)
-            x, y = _as_class(ring, a), _as_class(ring, b)
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            assert x + y == _as_class(ring, _dict_add(a, b))
-            assert x - y == _as_class(ring, _dict_add(a, b, -1))
-            assert x * c == _as_class(ring, {t: v * c for t, v in a.items()})
-            # a product needs one factor of degree at most 1
-            b = {t: v for t, v in b.items() if t in low}
-            y = _as_class(ring, b)
-            product = _dict_mul(ring, a, b)
-            for left, right in ((x, y), (y, x)):
-                assert left * right == _as_class(ring, product)
-            assert ring.integrate(x * y) == _dict_integral(ring, product)
-            assert str(x * y) == _dict_str(ring, product)
-            assert str(x) == _dict_str(ring, a)
-
-    def test_two_factors_of_degree_two_raise(self):
-        for ring in (build_face_ring(sphere_product(2)),
-                     SyntheticConnectedSumRing(4, 2, (1, -1))):
-            top = ring.basis(2)[0]
-            x = _as_class(ring, {top: 1})
-            y = _as_class(ring, {(): 3, ring.basis(1)[0]: 1, top: 2})
-            for left, right in ((x, x), (x, y), (y, x)):
-                with pytest.raises(InputError, match="degree at most 1"):
-                    left * right
+            k = rng.randint(0, n + 1)
+            lines = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+            product = _dict_product(ring, lines)
+            assert ring.product(lines) == _scaled(ring, product, k)
+            assert ring.integral(lines) == _dict_integral(ring, product)
+            weights = [rng.randint(1, 4) for _ in lines]
+            assert ring.square_sum(lines, weights) == _scaled(
+                ring, _dict_square_sum(ring, lines, weights), 2)
+            assert ring.square_sum(lines) == _scaled(
+                ring, _dict_square_sum(ring, lines, [1] * k), 2)
+        # every top product of facet lines, integrated
+        for facets in islice(combinations_with_replacement(
+                range(1, m + 1), n), 40):
+            lines = facet_lines(ring, facets)
+            assert ring.integral(lines) == _dict_integral(
+                ring, _dict_product(ring, lines))
+        if isinstance(ring, FaceRing):
+            p1 = _dict_square_sum(ring, unit_lines(m), [1] * m)
+            assert ring.p1_square_sum() == _scaled(ring, p1, 2)
+            assert str(ring.pontryagin_p1()) == _dict_str(ring, p1)
 
     def test_named_manifolds(self):
         rng = random.Random(11)
@@ -547,22 +580,47 @@ class TestClassArithmetic:
         rings = _delta_four_census_rings(4, 12)
         assert len(rings) == 4
         for ring in rings:
+            assert ring.structure.delta == 4
             self.check(ring, rng)
-
-    def test_integral_results_are_ints(self):
-        # sums, differences and rational multiples keep the exact-value
-        # rule: an integral coordinate is an int, never Fraction(1, 1)
-        ring = _delta_four_census_rings(1, 12)[0]
-        cube = math.prod([ring.facet_class(5)] * 3, start=ring.one())
-        x = cube * Fraction(1, 2)
-        assert Fraction(1, 2) in x.coords
-        for y in (x + x, x - (-x), x * 2, 2 * x, x * Fraction(2)):
-            assert y == cube
-            assert all(type(c) is int for c in y.coords)
 
     def test_synthetic_ring(self):
         self.check(SyntheticConnectedSumRing(4, 3, (1, -1, 1)),
                    random.Random(13), trials=30)
+
+    def test_a_line_needs_one_entry_per_generator(self):
+        for ring in (build_face_ring(projective_space(2)),
+                     SyntheticConnectedSumRing(3, 2)):
+            k = ring.num_generators
+            good = [1] + [0] * (k - 1)
+            for bad in ([1] * (k - 1), [1] * (k + 1)):
+                for call in (ring.product, ring.integral, ring.square_sum):
+                    with pytest.raises(InputError, match="one entry per"):
+                        call([good, bad])
+
+    def test_integral_results_are_ints(self):
+        # the exact-value rule: an integral value is an int, never
+        # Fraction(1, 1), in integrals and in the printed p1 alike
+        for ring in _delta_four_census_rings(2, 12):
+            values = [ring.integral(facet_lines(ring, facets)) for facets
+                      in combinations_with_replacement(range(1, 6), 3)]
+            values += ring.pontryagin_p1().coords
+            assert all(type(x) is int or x.denominator != 1 for x in values)
+            assert any(type(x) is int and x for x in values)
+
+    def test_class_str_matches_the_reference(self):
+        rng = random.Random(14)
+        for ring in (build_face_ring(projective_space(3)),
+                     _delta_four_census_rings(1, 12)[0],
+                     SyntheticConnectedSumRing(4, 3, (1, -1, 1))):
+            tokens = ring.structure.tokens
+            for _ in range(12):
+                terms = {t: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for t in rng.sample(tokens, rng.randint(0, 4))}
+                terms = {t: c for t, c in terms.items() if c}
+                cls = CohomologyClass(ring, [terms.get(t, 0) for t in tokens])
+                assert str(cls) == _dict_str(ring, terms)
+                assert repr(cls) == f"CohomologyClass({_dict_str(ring, terms)})"
+                assert cls.is_zero() == (not terms)
 
     def test_p1_text_is_pinned(self):
         manifests = Path(__file__).resolve().parent.parent / "manifests"

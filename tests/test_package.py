@@ -101,3 +101,21 @@ def test_one_exact_value_rule():
     written = [path.name for path in sorted(SOURCES.glob("*.py"))
                if "denominator == 1" in path.read_text()]
     assert written == ["exactalg.py"]
+
+
+def test_class_arithmetic_is_gone():
+    # every ring identity is checked on integer lines through
+    # GradedRing.product; a CohomologyClass only holds what describe prints
+    from quasigenus import cohomology, genus
+    for name in ("_operand", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__neg__", "part"):
+        assert name not in vars(cohomology.CohomologyClass), name
+    for name in ("_class", "constant", "zero", "one", "combination",
+                 "integrate", "line_class"):
+        assert not hasattr(cohomology.GradedRing, name), name
+    for name in ("_facet_classes", "facet_class", "spinc_c1"):
+        assert not hasattr(cohomology.FaceRing, name), name
+    assert not hasattr(cohomology.SyntheticConnectedSumRing, "generator")
+    assert not hasattr(genus, "is_spin")
+    assert "is_spin" not in quasigenus.__all__
+    assert not hasattr(quasigenus, "is_spin")

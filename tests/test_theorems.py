@@ -1,5 +1,6 @@
 """Circle construction, anomaly integers, twist bundles, bounds, census."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from quasigenus.errors import (InputError, PreconditionError,
                                PropertyViolationError, RankHypothesisError,
                                RingShapeError, WellDefinednessError)
 from quasigenus import cohomology, polytope, theorems
-from quasigenus.genus import equivariant_index
+from quasigenus.genus import equivariant_index, localization_integral
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.theorems import (EquivariantDegree4Class, SymmetryBoundInput,
@@ -23,6 +24,9 @@ from quasigenus.theorems import (EquivariantDegree4Class, SymmetryBoundInput,
                                  finiteness_census, max_dim_rank_ratio,
                                  rank_ratio_table_check, symmetry_bounds,
                                  synthetic_inflated_instance)
+from test_cohomology import (_delta_four_census_rings, _dict_integral,
+                             _dict_product, _dict_square_sum, _line_dict,
+                             facet_lines, unit_lines)
 
 
 class TestDegree4Class:
@@ -116,26 +120,58 @@ class TestAnomalyCoefficient:
 
 class TestTwistClassChecks:
     def test_cp1_canonical_classes(self):
-        m = projective_space(1)
-        ring = build_face_ring(m)
-        rep = check_twist_classes(m, [ring.line_class((1, 1))])
+        rep = check_twist_classes(projective_space(1), [(1, 1)])
         assert rep["sum_is_spinc_class"]
         assert rep["squares_sum_is_p1"]
         assert rep["pairing"] == 2
         assert rep["all_hold"]
 
     def test_wrong_count(self):
-        m = projective_space(2)
-        ring = build_face_ring(m)
-        with pytest.raises(InputError):
-            check_twist_classes(m, [ring.facet_class(1)])
+        with pytest.raises(InputError, match="need exactly 2 lines, got 1"):
+            check_twist_classes(projective_space(2), [(1, 0, 0)])
+
+    def test_a_line_needs_one_entry_per_facet(self):
+        for lines in ([(1, 0, 0), (1, 0)], [(1, 0, 0), (1, 0, 0, 0)]):
+            with pytest.raises(InputError, match="one entry per"):
+                check_twist_classes(projective_space(2), lines)
 
     def test_zero_classes_fail_pairing(self):
-        m = projective_space(2)
-        ring = build_face_ring(m)
-        rep = check_twist_classes(m, [ring.zero(), ring.zero()])
+        rep = check_twist_classes(projective_space(2), [(0, 0, 0)] * 2)
+        assert not rep["sum_is_spinc_class"]
         assert not rep["pairing_nonzero"]
         assert not rep["all_hold"]
+
+    def test_identities_against_the_reference(self):
+        # random facet lines on rings with and without a structure
+        # denominator, and lines built to meet the sum and square checks
+        rng = random.Random(21)
+        manifolds = ([projective_space(n) for n in (2, 3)]
+                     + [sphere_product(2), cp2_connected_sum()]
+                     + [r.manifold for r in _delta_four_census_rings(2, 12)])
+        for m in manifolds:
+            ring = build_face_ring(m)
+            n, size = m.dimension, m.num_facets
+            p1 = _dict_square_sum(ring, unit_lines(size), [1] * size)
+            for _ in range(6):
+                lines = [[rng.randint(-2, 2) for _ in range(size)]
+                         for _ in range(n)]
+                rep = check_twist_classes(m, lines)
+                assert rep["sum_is_spinc_class"] == (_line_dict(
+                    ring, [sum(c) - g for *c, g in zip(*lines, m.spin_c)])
+                    == {})
+                assert rep["squares_sum_is_p1"] == (
+                    _dict_square_sum(ring, lines, [1] * n) == p1)
+                assert rep["pairing"] == _dict_integral(
+                    ring, _dict_product(ring, lines))
+            # lines that sum to the twist vector: the facet lines of the
+            # first vertex, the last replaced by what the others leave
+            v = m.polytope.vertices[0]
+            lines = [list(unit_lines(size)[f - 1]) for f in v]
+            lines[-1] = [g - sum(c) for *c, g in zip(*lines[:-1], m.spin_c)]
+            rep = check_twist_classes(m, lines)
+            assert rep["sum_is_spinc_class"]
+            assert rep["pairing"] == _dict_integral(
+                ring, _dict_product(ring, lines))
 
 
 class TestTwistConstruction:
@@ -174,6 +210,35 @@ class TestTwistConstruction:
             assert case["checks"]["p1_difference_zero"]
             assert case["checks"]["w_spin"]
             assert case["checks"]["euler_pairing_nonzero"]
+
+    def test_case2_on_a_ring_with_denominator_four(self):
+        # with one generator every line of the construction is a multiple
+        # of it, so the identities hold for any facet of any ring; here the
+        # products carry delta = 4, and both sides of the square check are
+        # scaled by delta^2
+        ring = _delta_four_census_rings(1, 12)[0]
+        assert ring.structure.delta == 4
+        checked = 0
+        for f in range(1, ring.num_generators + 1):
+            square = _dict_product(ring, facet_lines(ring, (f, f)))
+            rep = construct_twist_bundles_on_ring(ring, (5,), facets=(f,))
+            assert rep["applicable_case"] == 2
+            checks = rep["cases"][1]["checks"]
+            assert checks["c1_v_equals_twist"]
+            assert checks["p1_difference_zero"]
+            assert checks["w_spin"]
+            assert checks["euler_pairing"] == localization_integral(
+                ring.manifold, (f, f, f))
+            checked += bool(square)
+        assert checked
+
+    def test_beta_needs_one_entry_per_generator(self):
+        with pytest.raises(InputError, match="beta length"):
+            construct_twist_bundles_on_ring(
+                SyntheticConnectedSumRing(4, 2), (5,))
+        with pytest.raises(InputError, match="beta length"):
+            construct_twist_bundles_on_ring(
+                build_face_ring(projective_space(3)), (4, 4), facets=(4,))
 
     def test_case2_p1_balance_on_synthetic_rings(self):
         # per-generator balance alpha^2 + (beta - alpha) = beta must hold
