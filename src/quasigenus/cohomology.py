@@ -56,6 +56,7 @@ from itertools import combinations, compress
 from .errors import InputError, PropertyViolationError, RingShapeError
 from .exactalg import _exact
 from .linalg import rref, unimodular_inverse
+from .polytope import _integers
 
 
 class CohomologyClass:
@@ -380,12 +381,12 @@ class SyntheticConnectedSumRing(GradedRing):
     top_value = 1
 
     def __init__(self, dimension, summands, signs=None):
-        n, k = int(dimension), int(summands)
+        n, k = _integers((dimension, summands))
         if n < 2:
             raise InputError("connected-sum pattern needs dimension at least 2")
         if k < 1:
             raise InputError("need at least one summand")
-        signs = tuple(int(s) for s in (signs or (1,) * k))
+        signs = _integers(signs or (1,) * k)
         if len(signs) != k or any(s not in (1, -1) for s in signs):
             raise InputError("signs must be +-1, one per summand")
         self.dimension = n

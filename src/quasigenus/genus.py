@@ -16,11 +16,11 @@ depends only on its weight magnitudes, its signature, so within one circle
 the terms of a signature share their theta rows, in the division and at
 both held-out points alike; the two circles of one non-equivariant result
 read one table of held-out theta values, dropped when the result returns.
-The t-free squares of every theta factor form one integer q-series per
-weight count.  The theta rows and their sums over signatures are packed,
-one int per power of q, so that each step of the recurrence is one shift
-and one addition of ints; the slot width comes from a bound on every
-coefficient, computed before anything is packed.
+The division packs the theta rows and their sums over signatures, one int
+per power of q, so each step of their recurrence is one shift and one
+addition, in slots whose width is bounded before anything is packed; the
+held-out values share only the weights with it, being the exponential of
+the weights' power sums, computed in integers.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as tables of x^i coefficients per power of q, substitute the
@@ -250,25 +250,6 @@ def _common_parity(terms):
     return parities.pop()
 
 
-def _theta_binomials(term, q_order):
-    """A term's theta factors as up and down binomials 1 + s t^e q^k, (s, e, k).
-
-    Each factor is prod_k (1 + s t^x q^k)(1 + s t^-x q^k) / (1 + s q^k)^2,
-    inverted with s = -1 for a tangent weight x, and with s = -1 for a V
-    weight and s = +1 for a W weight.
-    """
-    ks = range(1, q_order + 1)
-    ups, downs = [], []
-    for s, x, inverted in ([(-1, w, True) for w in term.tangent]
-                           + [(-1, a, False) for a in term.v_weights]
-                           + [(1, b, False) for b in term.w_weights]):
-        pair = [(s, e, k) for e in (x, -x) for k in ks]
-        squares = [(s, 0, k) for k in ks] * 2
-        ups += squares if inverted else pair
-        downs += pair if inverted else squares
-    return ups, downs
-
-
 def _power(tau, e):
     """t^e at an integer t = tau as an integer numerator and denominator."""
     return (tau ** e, 1) if e >= 0 else (1, tau ** -e)
@@ -299,13 +280,40 @@ def _theta_at(term, tau, q_order):
     q -> tau^top q: entry j is the integer tau^(j top) times the q^j
     coefficient.
 
-    Each theta binomial 1 + s t^e q^k of ``_theta_binomials`` becomes
-    1 + s tau^(k top + e) q^k, an integer as |e| <= top.
+    The product's logarithm is sum_k sum_r P_r q^(k r) / r, where P_r sums
+    t^(x r) + t^(-x r) - 2 over the tangent weights x, minus it over the V
+    weights, plus (-1)^(r+1) times it over the W weights.  With the
+    integers S_r = tau^(r top) P_r and
+    M_m = sum_(r | m) (m/r) tau^((m - r) top) S_r, the exponential's
+    derivative gives j theta_j = sum_(m <= j) M_m theta_(j - m), and each
+    theta_j is an integer: a division by j with a remainder is an error.
     """
-    top = term.top
-    steps = [[(s * tau ** (k * top + e), k) for s, e, k in half]
-             for half in _theta_binomials(term, q_order)]
-    return binomial_quotient(*steps, q_order)
+    tangent, v_weights, w_weights = term.signature
+    top, counts, w_counts = term.top, Counter(tangent), Counter(w_weights)
+    counts.subtract(v_weights)
+    tops = [tau ** (r * top) for r in range(q_order + 1)]
+    # S_r is -2 tau^(r top) per weight, signed as in P_r, plus each
+    # magnitude x's signed count times tau^(r (top + x)) + tau^(r (top - x))
+    sums = [2 * ((-1) ** r * len(w_weights) + len(v_weights) - len(tangent))
+            * power for r, power in enumerate(tops)]
+    for x in counts.keys() | w_counts.keys():
+        up_step, down_step, up, down = tau ** (top + x), tau ** (top - x), 1, 1
+        for r in range(1, q_order + 1):
+            up, down = up * up_step, down * down_step
+            sums[r] += (counts[x] - (-1) ** r * w_counts[x]) * (up + down)
+    logs = [0] * (q_order + 1)
+    for r in range(1, q_order + 1):
+        for m in range(r, q_order + 1, r):
+            logs[m] += m // r * tops[m - r] * sums[r]
+    theta = [1]
+    for j in range(1, q_order + 1):
+        value, rest = divmod(sum(map(mul, logs[1:j + 1], reversed(theta))), j)
+        if rest:
+            raise PropertyViolationError(
+                f"the held-out theta product of {term.signature} at "
+                f"t = {tau} is not integral at q^{j}")
+        theta.append(value)
+    return theta
 
 
 def _fixed_point_sum_at(terms, parity, tau, q_order, thetas):
@@ -314,10 +322,10 @@ def _fixed_point_sum_at(terms, parity, tau, q_order, thetas):
 
     lcm is the lcm of the terms' prefactor denominators and top their
     largest weight magnitude.  The prefactors of one signature are summed
-    over lcm first, so ``_theta_at`` runs once per signature.  Its values
-    are read from, and added to, the table ``thetas``, keyed by
-    (signature, tau): at one q-order a theta product depends on nothing
-    else, so the circles of one result can share the table.
+    over lcm first, so ``_theta_at``, which reads nothing of the division's
+    theta rows, runs once per signature, reading and filling the table
+    ``thetas`` keyed by (signature, tau): at one q-order a theta product
+    depends on nothing else, so the circles of one result can share it.
     """
     terms = [t for t in terms if not t.zero]
     prefactors = [_prefactor_at(t, parity, tau) for t in terms]
@@ -391,8 +399,8 @@ def _packed_rows(signature, q_order, seed, bits):
     """The rows of ``_term_series`` for a packed seed, each one int with
     coefficient i in slot i of ``bits`` bits (``exactalg.pack_slots``).
 
-    Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k) of
-    ``_theta_binomials`` run the recurrence of
+    Only the pair factors (1 + s t^x q^k)(1 + s t^-x q^k), s = +1 for a W
+    weight and -1 otherwise, run the recurrence of
     ``exactalg.binomial_quotient``, each c a monomial +-t^e, so a step adds
     a shifted row onto another: row j - k times t^e lies in row j from slot
     e + k*top >= 0, one shift and one addition.  The squares (1 + s q^k)^2

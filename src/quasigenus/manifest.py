@@ -34,8 +34,9 @@ from collections import namedtuple
 
 from .errors import InputError
 from .genus import BundleSpec
-from .polytope import (QuasitoricManifold, SimplePolytope, connected_sum,
-                       cube, polygon, polytope_product, simplex, vertex_cut)
+from .polytope import (QuasitoricManifold, SimplePolytope, _integers,
+                       connected_sum, cube, polygon, polytope_product, simplex,
+                       vertex_cut)
 
 
 class Manifest:
@@ -47,11 +48,11 @@ class Manifest:
     def __init__(self, polytope_spec, char_rows, gamma, v_lines=(),
                  w_lines=(), circle=None):
         self.polytope_spec = polytope_spec
-        self.char_rows = tuple(tuple(int(x) for x in row) for row in char_rows)
-        self.gamma = tuple(int(x) for x in gamma)
-        self.v_lines = tuple(tuple(int(x) for x in row) for row in v_lines)
-        self.w_lines = tuple(tuple(int(x) for x in row) for row in w_lines)
-        self.circle = tuple(int(x) for x in circle) if circle else None
+        self.char_rows = tuple(map(_integers, char_rows))
+        self.gamma = _integers(gamma)
+        self.v_lines = tuple(map(_integers, v_lines))
+        self.w_lines = tuple(map(_integers, w_lines))
+        self.circle = _integers(circle) if circle else None
 
     def __eq__(self, other):
         if not isinstance(other, Manifest):

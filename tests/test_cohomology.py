@@ -587,6 +587,14 @@ class TestClassArithmetic:
         self.check(SyntheticConnectedSumRing(4, 3, (1, -1, 1)),
                    random.Random(13), trials=30)
 
+    def test_synthetic_ring_refuses_entries_that_are_not_integers(self):
+        # read by operator.index, never truncated to a 3-dimensional ring
+        # with 2 generators and signs (1, 1)
+        for args, bad in (((3.7, 2.2, (1, 1.5)), 3.7), ((3, 2.2), 2.2),
+                          ((3, 2, (1, 1.5)), 1.5)):
+            with pytest.raises(InputError, match=f"got {bad}"):
+                SyntheticConnectedSumRing(*args)
+
     def test_a_line_needs_one_entry_per_generator(self):
         for ring in (build_face_ring(projective_space(2)),
                      SyntheticConnectedSumRing(3, 2)):

@@ -18,7 +18,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement, islice, product
 from operator import add, sub
 from pathlib import Path
@@ -1192,6 +1192,27 @@ class TestCertificate:
         with pytest.raises(PropertyViolationError, match="held-out"):
             equivariant_index(m, (1,), bundles, 2)
 
+    def test_held_out_catches_tampered_squares(self, monkeypatch):
+        # the t-free squares times 1 + q: each row sum gains the row sum
+        # below it, so the division by D+ stays exact, but the held-out
+        # theta values, which never read the squares, disagree
+        m = projective_space(2)
+        terms, parity = self.terms(m, (1, 2))
+        honest = genus._divided_sum(terms, parity, 2)
+        real = genus._square_series
+
+        def times_one_plus_q(*args):
+            squares = real(*args)
+            return tuple(map(add, squares, (0,) + squares[:-1]))
+        monkeypatch.setattr(genus, "_square_series", times_one_plus_q)
+        # a fresh majorant cache, so the rows' slots bound the tampered rows
+        monkeypatch.setattr(genus, "_theta_majorant", lru_cache(maxsize=128)(
+            genus._theta_majorant.__wrapped__))
+        rows = genus._divided_sum(terms, parity, 2)
+        assert rows != honest and rows[0] == honest[0]
+        with pytest.raises(PropertyViolationError, match="held-out"):
+            equivariant_index(m, (1, 2), None, 2)
+
     @pytest.mark.parametrize("compute", [
         lambda m: index(m, None, 1), signature], ids=["index", "signature"])
     def test_circles_must_agree(self, monkeypatch, compute):
@@ -1245,6 +1266,25 @@ class TestCertificate:
             equivariant_index(m, (1, 2), None, 2)
 
 
+def _theta_binomials(term, q_order):
+    """A term's theta factors as up and down binomials 1 + s t^e q^k, (s, e, k).
+
+    Each factor is prod_k (1 + s t^x q^k)(1 + s t^-x q^k) / (1 + s q^k)^2,
+    inverted with s = -1 for a tangent weight x, and with s = -1 for a V
+    weight and s = +1 for a W weight.
+    """
+    ks = range(1, q_order + 1)
+    ups, downs = [], []
+    for s, x, inverted in ([(-1, w, True) for w in term.tangent]
+                           + [(-1, a, False) for a in term.v_weights]
+                           + [(1, b, False) for b in term.w_weights]):
+        pair = [(s, e, k) for e in (x, -x) for k in ks]
+        squares = [(s, 0, k) for k in ks] * 2
+        ups += squares if inverted else pair
+        downs += pair if inverted else squares
+    return ups, downs
+
+
 def _term_value_reference(term, parity, tau, q_order):
     """A fixed point's contribution at t = tau, all in Fraction arithmetic:
     the binomial quotient runs on the coefficients s tau^e themselves."""
@@ -1257,7 +1297,7 @@ def _term_value_reference(term, parity, tau, q_order):
         scalar *= 1 - tau ** -a
     for b in term.w_weights:
         scalar *= tau ** b + 1
-    ups, downs = genus._theta_binomials(term, q_order)
+    ups, downs = _theta_binomials(term, q_order)
     return QSeries(binomial_quotient([(s * tau ** e, k) for s, e, k in ups],
                                      [(s * tau ** e, k) for s, e, k in downs],
                                      q_order)) * scalar
@@ -1267,7 +1307,7 @@ def _term_series_reference(term, q_order):
     """A term's theta rows by the full recurrence: every binomial of
     ``_theta_binomials``, the t-free squares included, is one step."""
     top = term.top
-    ups, downs = genus._theta_binomials(term, q_order)
+    ups, downs = _theta_binomials(term, q_order)
     rows = [[1]] + [[0] * (2 * j * top + 1) for j in range(1, q_order + 1)]
     for sign, steps, js in ((1, ups, lambda k: range(q_order, k - 1, -1)),
                             (-1, downs, lambda k: range(k, q_order + 1))):
@@ -1292,11 +1332,11 @@ def _seeded(rows, seed):
     return out
 
 
-def _random_term(rng, vertex=(1,)):
+def _random_term(rng, vertex=(1,), largest=6):
     """A vertex term with 1-4 tangent, 0-2 V and 0-3 W weights of either
-    sign; V and W weights may be 0."""
+    sign and magnitude at most ``largest``; V and W weights may be 0."""
     def weights(count, low):
-        return tuple(rng.choice([-1, 1]) * rng.randint(low, 6)
+        return tuple(rng.choice([-1, 1]) * rng.randint(low, largest)
                      for _ in range(count))
     return _VertexTerm(vertex, rng.choice([-1, 1]), weights(rng.randint(1, 4), 1),
                        rng.randint(-9, 9), weights(rng.randint(0, 2), 0),
@@ -1392,15 +1432,16 @@ class TestSharedTheta:
             assert sizes_used(_random_term(rng), case % 4, seed)[0] >= 13
 
     def test_integer_held_out_values_equal_the_fraction_reference(self):
+        # q-orders 0 to 12, weights up to 60
         rng = random.Random(7)
         negative = 0
-        for case in range(80):
-            term = _random_term(rng)
+        for case in range(52):
+            term = _random_term(rng, largest=(6, 20, 60)[case % 3])
             if term.zero:
                 continue
             parity = term.halfexp % 2
             negative += (term.halfexp - parity) // 2 < 0
-            q_order = case % 6
+            q_order = case % 13
             for tau in (2, 3, -2, 5):
                 num, den = genus._prefactor_at(term, parity, tau)
                 rows = genus._theta_at(term, tau, q_order)
@@ -1410,6 +1451,28 @@ class TestSharedTheta:
                 assert (_held_out_value(term, parity, tau, q_order)
                         == want.coeffs)
         assert negative >= 10
+
+    def test_held_out_values_share_nothing_with_the_division(
+            self, monkeypatch):
+        # the held-out theta values read only the weights: none of the
+        # division's theta machinery runs, and an inexact division by j is
+        # reported
+        def refused(*args):
+            raise AssertionError("the held-out values used the division")
+        for name in ("binomial_quotient", "_square_series", "_theta_majorant",
+                     "_packed_rows"):
+            monkeypatch.setattr(genus, name, refused)
+        assert not hasattr(genus, "_theta_binomials")
+        rng = random.Random(12)
+        for case in range(20):
+            term = _random_term(rng, largest=60)
+            rows = genus._theta_at(term, (2, 3, -2, 5)[case % 4], 12)
+            assert len(rows) == 13 and rows[0] == 1
+        # divmod is looked up in the module before the builtins
+        monkeypatch.setattr(genus, "divmod", lambda a, b: (a // b, 1),
+                            raising=False)
+        with pytest.raises(PropertyViolationError, match="not integral at q"):
+            genus._theta_at(term, 2, 1)
 
     def test_held_out_sum_equals_the_reference_sum(self):
         # terms of one parity, some of them sharing a signature, summed over

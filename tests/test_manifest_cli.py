@@ -91,6 +91,20 @@ class TestManifestFiles:
             assert m == again
             m.build_manifold()
 
+    def test_entries_that_are_not_integers_are_refused(self):
+        # every entry is read by operator.index, never truncated to the
+        # rows ((1, 0, -1), (0, 1, -1)) and gamma (1, 1, 1)
+        spec = parse_manifest(Path(CP2).read_text()).polytope_spec
+        rows, gamma = [[1, 0, -1], [0, 1, -1]], [1, 1, 1]
+        for args, bad in (
+                (([[1, 0, -1.7], [0, 1, -1]], [1, 1.9, 1]), -1.7),
+                ((rows, [1, 1.9, 1]), 1.9),
+                ((rows, gamma, [[1, 0, 0.5]]), 0.5),
+                ((rows, gamma, (), [[1, "1", 0]]), "1"),
+                ((rows, gamma, (), (), [2, 1.0]), 1.0)):
+            with pytest.raises(InputError, match=re.escape(f"got {bad!r}")):
+                Manifest(spec, *args)
+
     def test_explicit_polytope(self):
         text = """
 [polytope]
