@@ -77,7 +77,10 @@ def cmd_describe(args):
     manifest = _load_manifest(args.manifest)
     manifold = manifest.build_manifold()
     ring = build_face_ring(manifold)
-    betti = ring.betti_numbers()
+    betti, h = ring.betti_numbers(), manifold.polytope.h_vector()
+    if betti != h:
+        raise PropertyViolationError(
+            f"Betti numbers {betti} differ from the h-vector {h}")
     obstruction = spin_obstruction(manifold)
     report = {
         "dimension": manifold.dimension,

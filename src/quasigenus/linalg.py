@@ -130,17 +130,6 @@ def unimodular_inverse(mat):
     return det, [row[n:] for row in rows]
 
 
-def perm_parity(perm):
-    """Sign of a permutation given as a sequence of distinct comparables."""
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def gf2_solve(rows, target):
     """Solve x * rows = target over GF(2); returns a 0/1 list or None.
 

@@ -3,20 +3,22 @@
 A simple polytope is stored purely combinatorially: its dimension n, the
 number m of facets (labelled 1..m), and the set of vertices, each vertex
 being the n-subset of facets meeting it.  That is all the index machinery
-ever looks at.
+ever looks at.  Its constructor checks it in one walk of the ridge graph,
+which also orients its boundary sphere.
 
 A quasitoric manifold is such a polytope together with an integer n x m
 characteristic matrix whose vertex minors are unimodular, and a stable
-complex twist vector of odd integers, one per facet.
+complex twist vector of odd integers, one per facet.  Its constructor
+checks the minors by inverting each once, which gives the fixed points.
 """
 
 from bisect import bisect_right
-from collections import deque
 from itertools import combinations, product as iproduct
+from math import comb
 from operator import index
 
 from .errors import InputError
-from .linalg import int_det, perm_parity, unimodular_inverse
+from .linalg import int_det, unimodular_inverse
 
 
 def _integers(values):
@@ -33,11 +35,12 @@ class SimplePolytope:
     """Facet-labelled combinatorial simple polytope.
 
     vertices: iterable of n-subsets of {1, ..., num_facets}.  Validation
-    checks simplicity (every ridge lies in exactly two vertices), that the
-    vertex-edge graph is connected, and that no facet is redundant.
+    refuses a redundant facet and walks the ridge graph once (``_orient``):
+    every ridge lies in exactly two vertices, and the vertex complex is
+    connected and orientable.  ``orientation`` keeps the walk's signs.
     """
 
-    __slots__ = ("dimension", "num_facets", "vertices", "_vertex_index",
+    __slots__ = ("dimension", "num_facets", "vertices", "orientation",
                  "_faces", "_skeleton")
 
     def __init__(self, dimension, num_facets, vertices):
@@ -65,39 +68,8 @@ class SimplePolytope:
         self.dimension = n
         self.num_facets = m
         self.vertices = tuple(verts)
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self.orientation = _orient(self.vertices)
         self._faces = self._skeleton = None
-        self._check_simplicity()
-
-    def _check_simplicity(self):
-        # Connectivity of the edge graph.
-        adj = {v: [] for v in self.vertices}
-        for a, b, _ in self.edges():
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {self.vertices[0]}
-        queue = deque([self.vertices[0]])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(self.vertices):
-            raise InputError("vertex-edge graph is disconnected")
-
-    def edges(self):
-        """Pairs of adjacent vertices together with their shared ridge,
-        ordered by ridge; every ridge must lie in exactly two vertices."""
-        ridges = {}
-        for v in self.vertices:
-            for r in combinations(v, self.dimension - 1):
-                ridges.setdefault(r, []).append(v)
-        for r, vs in ridges.items():
-            if len(vs) != 2:
-                raise InputError(
-                    f"ridge {r} lies in {len(vs)} vertices, expected exactly 2")
-        return [(a, b, r) for r, (a, b) in sorted(ridges.items())]
 
     def faces(self):
         """(faces, minimal non-faces), both grouped by size r = 0..n + 1.
@@ -123,6 +95,15 @@ class SimplePolytope:
             self._faces = tuple(map(frozenset, faces)), tuple(non_faces)
         return self._faces
 
+    def h_vector(self):
+        """(h_0, ..., h_n), h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_i with f_i
+        the number of i-element faces; by Davis-Januszkiewicz, the even
+        Betti numbers of every quasitoric manifold over the polytope."""
+        n = self.dimension
+        f = [len(faces) for faces in self.faces()[0]]
+        return tuple(sum((-1) ** (k - i) * comb(n - i, k - i) * f[i]
+                         for i in range(k + 1)) for k in range(n + 1))
+
     def face_ring_skeleton(self):
         """The ``FaceRingSkeleton`` every face ring over this polytope
         expands along.  Computed on first use and kept, like ``faces()``,
@@ -143,6 +124,45 @@ class SimplePolytope:
     def __repr__(self):
         return (f"SimplePolytope(dim={self.dimension}, facets={self.num_facets}, "
                 f"vertices={len(self.vertices)})")
+
+
+def _orient(vertices):
+    """Signs eps(v) orienting the boundary sphere, +1 at the smallest
+    vertex, from one walk of the ridge graph.
+
+    Vertices a and b on a common ridge differ in one facet, at position i
+    of a and j of b.  Moving it to the end costs (-1)^(n-1-i) and
+    (-1)^(n-1-j), and crossing the ridge reverses the orientation, so
+    eps(b) = -(-1)^(i+j) eps(a).  A ridge outside exactly two vertices, a
+    vertex reached with both signs and an unreached vertex are refused.
+    """
+    ridges = {}
+    for v in vertices:
+        for i in reversed(range(len(v))):
+            ridges.setdefault(v[:i] + v[i + 1:], []).append((v, i))
+    adjacent = {v: [] for v in vertices}
+    for r, ends in ridges.items():
+        if len(ends) != 2:
+            raise InputError(
+                f"ridge {r} lies in {len(ends)} vertices, expected exactly 2")
+        (a, i), (b, j) = ends
+        flip = (i + j) % 2 * 2 - 1
+        adjacent[a].append((b, flip))
+        adjacent[b].append((a, flip))
+    eps = {vertices[0]: 1}
+    stack = [vertices[0]]
+    while stack:
+        a = stack.pop()
+        for b, flip in adjacent[a]:
+            if b not in eps:
+                eps[b] = flip * eps[a]
+                stack.append(b)
+            elif eps[b] != flip * eps[a]:
+                raise InputError("orientation signs are inconsistent; the "
+                                 "vertex complex is not an orientable sphere")
+    if len(eps) != len(vertices):
+        raise InputError("vertex-edge graph is disconnected")
+    return eps
 
 
 def _insert(t, j):
@@ -292,8 +312,7 @@ class QuasitoricManifold:
     is the first Chern class of the twist line bundle.
     """
 
-    __slots__ = ("polytope", "char_matrix", "spin_c",
-                 "_fixed", "_signs")
+    __slots__ = ("polytope", "char_matrix", "spin_c", "_fixed")
 
     def __init__(self, polytope, char_matrix, spin_c):
         n, m = polytope.dimension, polytope.num_facets
@@ -311,13 +330,8 @@ class QuasitoricManifold:
         self.polytope = polytope
         self.char_matrix = rows
         self.spin_c = gam
-        for v in polytope.vertices:
-            d = int_det(self.minor(v))
-            if d not in (1, -1):
-                raise InputError(
-                    f"vertex {v} has characteristic minor determinant {d}")
         self._fixed = None
-        self._signs = None
+        self.fixed_points()
 
     @classmethod
     def _enumerated(cls, polytope, rows):
@@ -327,7 +341,7 @@ class QuasitoricManifold:
         self = cls.__new__(cls)
         self.polytope, self.char_matrix = polytope, rows
         self.spin_c = (1,) * polytope.num_facets
-        self._fixed = self._signs = None
+        self._fixed = None
         return self
 
     @property
@@ -348,52 +362,24 @@ class QuasitoricManifold:
                 for i in range(self.dimension)]
 
     def fixed_points(self):
-        """One FixedPointDatum per vertex, in sorted vertex order."""
+        """One FixedPointDatum per vertex, in sorted vertex order.  The
+        constructor builds them: one inversion per vertex minor checks it,
+        and ``int_det`` only names the determinant of a refused one."""
         if self._fixed is None:
             data = []
             for v in self.polytope.vertices:
-                det, weights = unimodular_inverse(self.minor(v))
+                found = unimodular_inverse(self.minor(v))
+                if found is None:
+                    raise InputError(f"vertex {v} has characteristic minor "
+                                     f"determinant {int_det(self.minor(v))}")
+                det, weights = found
                 data.append(FixedPointDatum(v, weights, det))
             self._fixed = tuple(data)
         return self._fixed
 
     def orientation_signs(self):
-        """Coherent signs eps(v), +1 at the smallest vertex, spread by ridges.
-
-        Crossing a ridge flips the sign, corrected by the parities of the
-        shuffles that move the swapped facet to the end of each vertex.
-        An inconsistency means the vertex complex is not an orientable
-        sphere, which the constructor's checks cannot fully exclude.
-        """
-        if self._signs is not None:
-            return self._signs
-        p = self.polytope
-        eps = {p.vertices[0]: 1}
-        queue = deque([p.vertices[0]])
-        adj = {}
-        for a, b, r in p.edges():
-            adj.setdefault(a, []).append((b, r))
-            adj.setdefault(b, []).append((a, r))
-
-        def shuffle_sign(vertex, ridge):
-            # Parity of moving the non-shared facet past the ridge facets.
-            extra = next(f for f in vertex if f not in ridge)
-            return perm_parity([*sorted(ridge), extra])
-
-        while queue:
-            a = queue.popleft()
-            for b, r in adj.get(a, ()):
-                val = -eps[a] * shuffle_sign(a, r) * shuffle_sign(b, r)
-                if b in eps:
-                    if eps[b] != val:
-                        raise InputError(
-                            "orientation signs are inconsistent; the polytope "
-                            "boundary is not an orientable sphere")
-                else:
-                    eps[b] = val
-                    queue.append(b)
-        self._signs = eps
-        return eps
+        """The polytope's signs eps(v), which orient its boundary sphere."""
+        return self.polytope.orientation
 
     def __repr__(self):
         return (f"QuasitoricManifold(dim={self.dimension}, "

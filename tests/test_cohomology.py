@@ -116,6 +116,24 @@ class TestOracles:
             assert ring.betti_numbers() == h_vector(manifold.polytope)
 
 
+    def test_h_vector_method_matches_the_oracle(self):
+        polytopes = ([f(n) for f in (simplex, cube) for n in range(1, 6)]
+                     + [m.polytope for m in off_corner_manifolds()]
+                     + [polytope_product(simplex(3), simplex(3)),
+                        _iterated_connected_sum(4, 3)])
+        for p in polytopes:
+            assert p.h_vector() == h_vector(p)
+
+    def test_describe_checks_the_betti_numbers(self, monkeypatch, capsys):
+        # CP^2 has h-vector (1, 1, 1)
+        monkeypatch.setattr(FaceRing, "betti_numbers", lambda self: (1, 2, 1))
+        cp2 = Path(__file__).resolve().parent.parent / "manifests" / "cp2.ini"
+        assert main(["describe", str(cp2)]) == 1
+        err = capsys.readouterr().err
+        assert "property violation" in err
+        assert "(1, 2, 1)" in err and "(1, 1, 1)" in err
+
+
 class TestConsistencyChecks:
     """Matrices with a singular vertex minor, built without the minor
     checks, so that only the ring's own checks can refuse them."""

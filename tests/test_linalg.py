@@ -12,8 +12,8 @@ from math import gcd
 
 import pytest
 
-from quasigenus.linalg import (gf2_solve, int_det, nullspace, perm_parity,
-                               primitive_vector, rref, unimodular_inverse)
+from quasigenus.linalg import (gf2_solve, int_det, nullspace, primitive_vector,
+                               rref, unimodular_inverse)
 
 
 def det_by_permutation_expansion(mat):
@@ -47,12 +47,6 @@ def test_int_det_matches_permutation_expansion():
         n = rng.randint(1, 4)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         assert int_det(mat) == det_by_permutation_expansion(mat)
-
-
-def test_perm_parity():
-    assert perm_parity([1, 2, 3]) == 1
-    assert perm_parity([2, 1, 3]) == -1
-    assert perm_parity([3, 1, 2]) == 1
 
 
 def random_unimodular(rng, n):

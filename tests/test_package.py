@@ -52,6 +52,14 @@ def test_retired_twist_plumbing_is_gone():
         assert not hasattr(genus, name)
 
 
+def test_retired_validation_walks_are_gone():
+    from quasigenus import linalg, polytope
+    assert not hasattr(linalg, "perm_parity")
+    for name in ("_check_simplicity", "edges", "_vertex_index"):
+        assert not hasattr(polytope.SimplePolytope, name)
+    assert "_signs" not in polytope.QuasitoricManifold.__slots__
+
+
 def _unused_imports(tree):
     """Names bound by the module's top-level imports that nothing in the
     module reads, by bare name or as the head of an attribute chain."""

@@ -1,13 +1,16 @@
 """Simple polytopes, characteristic matrices, fixed-point data, enumeration."""
 
 import random
+from collections import deque
 from itertools import combinations, product as iproduct
 
 import pytest
 
 from quasigenus import polytope
+from quasigenus.cli import main
 from quasigenus.errors import InputError
 from quasigenus.linalg import int_det
+from quasigenus.models import projective_space
 from quasigenus.polytope import (QuasitoricManifold, SimplePolytope,
                                  connected_sum, cube,
                                  enumerate_characteristic_matrices, polygon,
@@ -129,6 +132,119 @@ class TestValidation:
             cube(n)
 
 
+def perm_parity(perm):
+    """Sign of a permutation given as a sequence of distinct comparables."""
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _orientation_reference(p):
+    """Reference signs eps(v): a breadth-first walk over the vertex-edge
+    graph, each ridge crossing flipping the sign, corrected by the
+    parities of the shuffles that move the swapped facet to the end of
+    each vertex, each parity counted by ``perm_parity``."""
+    ridges = {}
+    for v in p.vertices:
+        for r in combinations(v, p.dimension - 1):
+            ridges.setdefault(r, []).append(v)
+    adj = {}
+    for r, (a, b) in sorted(ridges.items()):
+        adj.setdefault(a, []).append((b, r))
+        adj.setdefault(b, []).append((a, r))
+
+    def shuffle_sign(vertex, ridge):
+        extra = next(f for f in vertex if f not in ridge)
+        return perm_parity([*sorted(ridge), extra])
+
+    eps = {p.vertices[0]: 1}
+    queue = deque([p.vertices[0]])
+    while queue:
+        a = queue.popleft()
+        for b, r in adj[a]:
+            val = -eps[a] * shuffle_sign(a, r) * shuffle_sign(b, r)
+            if b in eps:
+                assert eps[b] == val
+            else:
+                eps[b] = val
+                queue.append(b)
+    return eps
+
+
+def _orientation_cases():
+    """82 polytopes: simplices and cubes of dimension 1-5, the 3- to
+    8-gons, two products, four iterated sums and 60 seeded chains of
+    vertex cuts."""
+    cases = [f(n) for f in (simplex, cube) for n in range(1, 6)]
+    cases += [polygon(k) for k in range(3, 9)]
+    cases += [polytope_product(simplex(2), cube(1)),
+              polytope_product(polygon(5), simplex(2))]
+    cases += [_iterated_connected_sum(n, k)
+              for n, k in ((3, 2), (3, 3), (4, 2), (4, 3))]
+    rng = random.Random(33)
+    for _ in range(60):
+        p = rng.choice([simplex(2), simplex(3), simplex(4), cube(2), cube(3),
+                        polygon(5)])
+        for _ in range(rng.randint(1, 4)):
+            p = vertex_cut(p, rng.choice(p.vertices))
+        cases.append(p)
+    return cases
+
+
+# The 6-vertex real projective plane: its 10 triangles as vertices of a
+# 3-dimensional "polytope" with 6 facets.  Every ridge lies in two
+# vertices and the vertex-edge graph is connected.
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6), (2, 3, 5),
+       (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+
+
+class TestOrientation:
+    def test_reference_perm_parity(self):
+        assert perm_parity([1, 2, 3]) == 1
+        assert perm_parity([2, 1, 3]) == -1
+        assert perm_parity([3, 1, 2]) == 1
+
+    def test_walk_matches_the_reference(self):
+        cases = _orientation_cases()
+        assert len(cases) >= 80
+        for p in cases:
+            assert p.orientation == _orientation_reference(p)
+            assert set(p.orientation) == set(p.vertices)
+
+    def test_one_walk_per_polytope(self, monkeypatch):
+        calls = []
+        real = polytope._orient
+        monkeypatch.setattr(polytope, "_orient",
+                            lambda vertices: calls.append(1) or real(vertices))
+        m = projective_space(3)
+        assert len(calls) == 1
+        m.fixed_points()
+        assert m.orientation_signs() is m.polytope.orientation
+        assert m.orientation_signs() == _orientation_reference(m.polytope)
+        assert len(calls) == 1
+
+    def test_projective_plane_is_refused(self):
+        with pytest.raises(InputError, match="not an orientable sphere"):
+            SimplePolytope(3, 6, RP2)
+
+    @pytest.mark.parametrize("argv", [["describe"], ["genus"],
+                                      ["verify", "--theorem", "lemma52"]])
+    def test_projective_plane_manifest_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "rp2.ini"
+        path.write_text(
+            "[polytope]\ndimension = 3\nfacets = 6\n"
+            + "".join("vertex = {%d %d %d}\n" % v for v in RP2)
+            + "\n[characteristic]\nrow = 1 0 0 -1 -1 0\n"
+            "row = 0 1 0 -1 -1 -1\nrow = 0 0 1 -1 0 -1\n"
+            "\n[spinc]\ngamma = 1 1 1 1 1 1\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert "not an orientable sphere" in capsys.readouterr().err
+
+
 class TestCharacteristicMatrices:
     def test_cp2_matrix_accepted(self):
         # oracle: the three 2x2 minors are
@@ -192,6 +308,41 @@ class TestFixedPoints:
         signs = m.orientation_signs()
         assert signs[m.polytope.vertices[0]] == 1
         assert set(signs.values()) <= {1, -1}
+
+
+class TestOneInversionPerVertex:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"unimodular_inverse": [], "int_det": []}
+        for name, seen in calls.items():
+            real = getattr(polytope, name)
+            monkeypatch.setattr(
+                polytope, name,
+                lambda mat, real=real, seen=seen: seen.append(mat) or real(mat))
+        return calls
+
+    def test_each_minor_is_inverted_once(self, calls):
+        m = projective_space(4)
+        minors = [m.minor(v) for v in m.polytope.vertices]
+        assert calls["unimodular_inverse"] == minors
+        assert len(minors) == 5
+        m.fixed_points()
+        assert len(calls["unimodular_inverse"]) == 5
+        assert calls["int_det"] == []
+
+    def test_refused_minor_names_its_determinant(self, calls):
+        with pytest.raises(InputError,
+                           match=r"vertex \(1, 3\) has characteristic minor "
+                                 r"determinant 2"):
+            QuasitoricManifold(simplex(2), [[1, 0, 0], [0, 1, 2]], (1, 1, 1))
+        assert len(calls["int_det"]) == 1
+
+    def test_enumerated_manifolds_invert_nothing(self, calls):
+        poly = _iterated_connected_sum(3, 2)
+        rows = next(sign_orbit_representatives(poly, 1))
+        m = QuasitoricManifold._enumerated(poly, rows)
+        assert calls["unimodular_inverse"] == []
+        assert m._fixed is None
 
 
 class TestEnumeration:
