@@ -2,25 +2,22 @@
 
 Localization route: the circle-equivariant index is a Laurent polynomial in
 the circle character t for each power of q.  Each fixed point contributes
-an integer Laurent polynomial over prod_k (t^|w_k| - 1).  The engine puts
-every term over one common denominator, the positive part D+ of a product
-of cyclotomic polynomials written as a product of binomials t^m - 1 with
-signed exponents, sums the numerators and divides by D+ in Z[t].  Each
+an integer Laurent polynomial over prod_k (t^|w_k| - 1), read once per
+circle into plain ints: its sign, its lowest power of t and its signature,
+the multisets of its weight magnitudes, which alone fix its theta product,
+so the terms of one signature share their theta rows.  The engine puts
+every term over one common denominator D+, the positive part of a product
+of binomials t^m - 1 with signed exponents, found from one divisor list
+per weight value, sums the numerators and divides by D+ in Z[t].  Each
 polynomial is packed into one int, one fixed-width slot per coefficient of
-t, so a step multiplies by a binomial with one shift and one addition, or
-divides by one exactly, 2-adically, and a coefficient bound certifies each
-quotient.  A division that is not exact, or a mismatch with the fixed-point
-sum evaluated in integers at t = 2 and 3 over one common denominator each,
-aborts the computation; it is never papered over.  A term's theta product
-depends only on its weight magnitudes, its signature, so within one circle
-the terms of a signature share their theta rows, in the division and at
-both held-out points alike; the two circles of one non-equivariant result
-read one table of held-out theta values, dropped when the result returns.
-The division packs the theta rows and their sums over signatures, one int
-per power of q, so each step of their recurrence is one shift and one
-addition, in slots whose width is bounded before anything is packed; the
-held-out values share only the weights with it, being the exponential of
-the weights' power sums, computed in integers.
+t, so multiplying by a binomial or a step of the theta recurrence is one
+shift and one addition, and each exact 2-adic division is certified by a
+coefficient bound.  A division that is not exact, or a mismatch with the
+fixed-point sum evaluated in integers at t = 2 and 3, aborts the
+computation; it is never papered over.  That sum shares only the weights
+with the division, its theta values being the exponential of the weights'
+power sums; the two circles of one non-equivariant result read one table
+of them, and each quotient is evaluated at both points in one pass.
 
 Cohomological route: expand the universal one-root power series of each
 index factor as tables of x^i coefficients per power of q, substitute the
@@ -48,8 +45,8 @@ import math
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, mul, neg, or_, sub
+from functools import lru_cache
+from operator import add, mul, neg, sub
 from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
@@ -172,10 +169,6 @@ def _as_circle(xi):
     return xi if isinstance(xi, CircleSubgroup) else CircleSubgroup(xi)
 
 
-def _dot(vec, xi):
-    return sum(map(mul, vec, xi))
-
-
 def _fixed_point_weights(fp, xi, lines=()):
     """Tangent weights <w, xi> at a fixed point, and the weights of lines.
 
@@ -183,9 +176,9 @@ def _fixed_point_weights(fp, xi, lines=()):
     sum_k c[f_k] <w_k, xi> over the facets f_k through its vertex.  A circle
     that annihilates a tangent weight is refused before any line is read.
     """
-    tangent = tuple(_dot(w, xi) for w in fp.weights)
-    bad = [fp.weights[k] for k, w in enumerate(tangent) if w == 0]
-    if bad:
+    tangent = tuple(sum(map(mul, w, xi)) for w in fp.weights)
+    if 0 in tangent:
+        bad = [fp.weights[k] for k, w in enumerate(tangent) if w == 0]
         raise DegenerateCircleError(
             f"circle {list(xi)} annihilates tangent weight(s) {bad} at "
             f"vertex {fp.vertex}; pick a generic circle")
@@ -201,11 +194,13 @@ class _VertexTerm:
 
     ``signature`` holds the multisets of |tangent|, |V| and |W| weights.  A
     term's theta product depends on nothing else, as every factor pairs
-    t^x with t^-x, so terms of one signature share it.
+    t^x with t^-x, so terms of one signature share it.  ``_divided_sum``
+    writes the prefactor as sign t^offset times binomials t^m +- 1; the
+    offset takes halfexp // 2, (halfexp - parity) / 2 at the one parity.
     """
 
     __slots__ = ("vertex", "sigma", "tangent", "c", "v_weights", "w_weights",
-                 "zero", "halfexp", "top", "signature")
+                 "zero", "halfexp", "top", "signature", "offset", "sign")
 
     def __init__(self, vertex, sigma, tangent, c, v_weights, w_weights):
         self.vertex = vertex
@@ -219,15 +214,25 @@ class _VertexTerm:
         self.top = max(map(abs, tangent + v_weights + w_weights))
         self.signature = tuple(tuple(sorted(map(abs, weights)))
                                for weights in (tangent, v_weights, w_weights))
+        self.offset = (self.halfexp // 2 - sum(w for w in tangent if w < 0)
+                       - sum(a for a in v_weights if a > 0)
+                       + sum(b for b in w_weights if b < 0))
+        self.sign = sigma * (-1) ** sum(w < 0 for w in tangent + v_weights)
 
 
-def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
-    """Each fixed point's ``_VertexTerm`` on the circle xi for a twist."""
+def _circle_vector(manifold, xi):
+    """The circle xi's entries, one per coordinate of the torus."""
     xi = _as_circle(xi).xi
     if len(xi) != manifold.dimension:
         raise InputError(
             f"circle vector length {len(xi)} does not match dimension "
             f"{manifold.dimension}")
+    return xi
+
+
+def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
+    """Each fixed point's ``_VertexTerm`` on the circle xi for a twist."""
+    xi = _circle_vector(manifold, xi)
     signs = manifold.orientation_signs()
     lines = (gamma,) + tuple(v_lines) + tuple(w_lines)
     terms = []
@@ -289,18 +294,20 @@ def _theta_at(term, tau, q_order):
     theta_j is an integer: a division by j with a remainder is an error.
     """
     tangent, v_weights, w_weights = term.signature
-    top, counts, w_counts = term.top, Counter(tangent), Counter(w_weights)
-    counts.subtract(v_weights)
+    top = term.top
     tops = [tau ** (r * top) for r in range(q_order + 1)]
     # S_r is -2 tau^(r top) per weight, signed as in P_r, plus each
     # magnitude x's signed count times tau^(r (top + x)) + tau^(r (top - x))
     sums = [2 * ((-1) ** r * len(w_weights) + len(v_weights) - len(tangent))
             * power for r, power in enumerate(tops)]
-    for x in counts.keys() | w_counts.keys():
+    for x in {*tangent, *v_weights, *w_weights}:
+        # x's signed count at even and at odd r
+        count = tangent.count(x) - v_weights.count(x)
+        signed = (count - w_weights.count(x), count + w_weights.count(x))
         up_step, down_step, up, down = tau ** (top + x), tau ** (top - x), 1, 1
         for r in range(1, q_order + 1):
             up, down = up * up_step, down * down_step
-            sums[r] += (counts[x] - (-1) ** r * w_counts[x]) * (up + down)
+            sums[r] += signed[r % 2] * (up + down)
     logs = [0] * (q_order + 1)
     for r in range(1, q_order + 1):
         for m in range(r, q_order + 1, r):
@@ -449,7 +456,7 @@ def _term_series(signature, q_order, seed):
             for j, row in enumerate(rows)]
 
 
-def _divided_sum(terms, parity, q_order):
+def _divided_sum(terms, q_order):
     """Each q-coefficient of the fixed-point sum as (low, coefficients),
     the integer polynomial t^low * sum_i coefficients[i] t^i.
 
@@ -463,7 +470,7 @@ def _divided_sum(terms, parity, q_order):
     t^m +- 1 is a shift and an addition, and dividing by binomials is
     ``exactalg.divide_binomials``.
 
-    Up to its sign and lowest power of t, a term's prefactor times B is
+    Up to its ``sign`` and ``offset``, a term's prefactor times B is
     prod_V (t^|a| - 1) prod_W (1 + t^|b|), with 2 for b = 0, so it
     depends only on the term's signature, and so does
     D+/B = prod_m (t^m - 1)^(max(E_m, 0) - #{k : |w_k| = m}).  Each
@@ -487,19 +494,21 @@ def _divided_sum(terms, parity, q_order):
     # a weight over the limit is refused before divisors() runs on it
     _check_limit("localization degree", max((t.top for t in terms), default=0),
                  MAX_LOCALIZATION_DEGREE)
-    # e_d: Counter | Counter keeps the larger count
-    exponents = binomial_exponents(reduce(or_, (
-        Counter(d for w in tangent for d in divisors(w))
-        for tangent in {t.signature[0] for t in terms}), Counter()))
-    denominator = {m: e for m, e in exponents.items() if e > 0}
+    # e_d, from one divisor list per weight value
+    tangents, most = {t.signature[0] for t in terms}, {}
+    divisor_lists = {w: divisors(w) for w in set().union(*tangents)}
+    for tangent in tangents:
+        counts = {}
+        for w in tangent:
+            for d in divisor_lists[w]:
+                counts[d] = counts.get(d, 0) + 1
+        for d, count in counts.items():
+            most[d] = max(most.get(d, 0), count)
+    denominator = {m: e for m, e in binomial_exponents(most).items() if e > 0}
     groups = {}
     for t in terms:
-        low = ((t.halfexp - parity) // 2 - sum(w for w in t.tangent if w < 0)
-               + sum(min(0, -a) for a in t.v_weights)
-               + sum(min(0, b) for b in t.w_weights))
-        sign = t.sigma * (-1) ** (sum(w < 0 for w in t.tangent)
-                                  + sum(a < 0 for a in t.v_weights))
-        groups.setdefault(t.signature, (t, Counter()))[1][low] += sign
+        signs = groups.setdefault(t.signature, (t, {}))[1]
+        signs[t.offset] = signs.get(t.offset, 0) + t.sign
     plans = []
     for t, signs in groups.values():
         # the signs summed at each offset; if all cancel, nothing is read
@@ -507,16 +516,18 @@ def _divided_sum(terms, parity, q_order):
         if not pieces:
             continue
         tangent, v_weights, w_weights = t.signature
-        exponent_map = Counter(denominator)
-        exponent_map.subtract(tangent)
-        exponent_map.update(v_weights)
+        exponent_map = dict(denominator)
+        for weights, step in ((tangent, -1), (v_weights, 1)):
+            for m in weights:
+                exponent_map[m] = exponent_map.get(m, 0) + step
         # (m, s) for each factor t^m + s, W's and the map's positive part
         ups = [(b, 1) for b in w_weights] + [
             (m, -1) for m, e in exponent_map.items() for _ in range(e)]
+        downs = {m: -e for m, e in exponent_map.items() if e < 0}
         low = min(pieces)
         count = max(pieces) - low + 1 + sum(m for m, _ in ups)
-        length = count + sum(m * e for m, e in exponent_map.items() if e < 0)
-        plans.append((t, pieces, low, ups, count, -exponent_map, length))
+        length = count - sum(m * e for m, e in downs.items())
+        plans.append((t, pieces, low, ups, count, downs, length))
     if not plans:
         return [(0, [])] * (q_order + 1)
     # the row sum at q^q_order, over each numerator's length once divided,
@@ -581,7 +592,7 @@ def _equivariant_series(manifold, xi, twist, q_order, thetas):
     q-coefficient with no exponent window; the fixed-point sum,
     evaluated in integers at t = 2 and 3 by ``_fixed_point_sum_at`` from
     its own recurrence, must match it there too.  Both sides stay integers:
-    the divided sum is evaluated by Horner's rule on its coefficient lists,
+    each quotient is evaluated at both points by ``_at_two_and_three``,
     and they are compared by cross-multiplying their denominators.
     ``thetas`` is the held-out table of ``_fixed_point_sum_at`` at this
     q-order: a new ``{}`` for one circle, one shared table for the two
@@ -590,15 +601,16 @@ def _equivariant_series(manifold, xi, twist, q_order, thetas):
     _check_limit("q-order", q_order, MAX_Q_ORDER)
     terms = _vertex_terms(manifold, xi, *twist)
     parity = _common_parity(terms)
-    rows = _divided_sum(terms, parity, q_order)
+    rows = _divided_sum(terms, q_order)
     low = min(lo for lo, _ in rows)
-    for tau in (2, 3):
+    at_points = zip(*(_at_two_and_three(quotient) for _, quotient in rows))
+    for tau, values in zip((2, 3), at_points):
         sums, lcm, top = _fixed_point_sum_at(terms, parity, tau, q_order,
                                              thetas)
         # q^j: the divided sum is got * tau^low, the fixed-point sum
         # sums[j] / (lcm tau^(j top))
-        gots = [_horner(quotient, tau) * tau ** (lo - low)
-                for lo, quotient in rows]
+        gots = [value * tau ** (lo - low)
+                for value, (lo, _) in zip(values, rows)]
         shifts = [low + j * top for j in range(q_order + 1)]
         if any(got * lcm * tau ** max(shift, 0) != s * tau ** max(-shift, 0)
                for got, s, shift in zip(gots, sums, shifts)):
@@ -612,13 +624,13 @@ def _equivariant_series(manifold, xi, twist, q_order, thetas):
             for lo, quotient in rows], parity
 
 
-def _horner(a, tau):
-    """The integer polynomial a (lowest degree first) at t = tau."""
-    acc = 0
-    if any(a):
-        for c in reversed(a):
-            acc = acc * tau + c
-    return acc
+def _at_two_and_three(a):
+    """The integer polynomial a (lowest degree first) at t = 2 and 3, by
+    Horner's rule in one pass."""
+    two = three = 0
+    for c in reversed(a):
+        two, three = 2 * two + c, 3 * three + c
+    return two, three
 
 
 def _characters(polys, parity):

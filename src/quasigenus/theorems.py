@@ -25,8 +25,8 @@ from .exactalg import _exact
 from .linalg import nullspace, primitive_vector, rref
 from .cohomology import (SyntheticConnectedSumRing, build_face_ring,
                          facet_class_decomposition)
-from .genus import (CircleSubgroup, _twist, _vertex_terms,
-                    cohomological_index_on_ring)
+from .genus import (CircleSubgroup, _circle_vector, _fixed_point_weights,
+                    _twist, cohomological_index_on_ring)
 from .manifest import MAX_DIMENSION
 from .polytope import (QuasitoricManifold, connected_sum,
                        sign_orbit_members, sign_orbit_representatives,
@@ -151,16 +151,15 @@ def anomaly_coefficient(manifold, xi, bundles=None):
     lexicographically least vertex.  If the fixed points disagree the class
     is not a pullback and the computation reports all values.
     """
-    terms = _vertex_terms(manifold, xi, *_twist(manifold, "custom", bundles))
-    base = terms[0]
-    values = {}
-    for term in terms:
-        shifted_v = [a - b for a, b in zip(term.v_weights, base.v_weights)]
-        shifted_w = [a - b for a, b in zip(term.w_weights, base.w_weights)]
-        values[term.vertex] = (
-            sum(a * a for a in shifted_v)
-            + sum(a * a for a in shifted_w)
-            - sum(w * w for w in term.tangent))
+    v_lines, w_lines, _, _ = _twist(manifold, "custom", bundles)
+    xi = _circle_vector(manifold, xi)
+    values, base = {}, None
+    for fp in manifold.fixed_points():
+        tangent, weights = _fixed_point_weights(fp, xi, v_lines + w_lines)
+        if base is None:
+            base = weights
+        values[fp.vertex] = (sum((a - b) ** 2 for a, b in zip(weights, base))
+                             - sum(w * w for w in tangent))
     distinct = set(values.values())
     if len(distinct) != 1:
         raise WellDefinednessError(

@@ -1124,7 +1124,7 @@ class TestDivisionOracle:
         # every numerator cancels: the sum is zero in each power of q
         seeds.clear()
         cancelled = terms + [_flip_sign(t) for t in terms]
-        assert genus._divided_sum(cancelled, 0, 2) == [(0, [])] * 3
+        assert genus._divided_sum(cancelled, 2) == [(0, [])] * 3
         assert not seeds
 
 
@@ -1141,27 +1141,28 @@ class TestCertificate:
     @staticmethod
     def terms(m, xi, v_lines=()):
         got = genus._vertex_terms(m, xi, v_lines, (), m.spin_c, False)
-        return got, genus._common_parity(got)
+        genus._common_parity(got)
+        return got
 
     def test_remainder_catches_a_flipped_sign(self):
-        terms, parity = self.terms(projective_space(2), (1, 2))
-        assert genus._divided_sum(terms, parity, 2)
+        terms = self.terms(projective_space(2), (1, 2))
+        assert genus._divided_sum(terms, 2)
         tampered = [_flip_sign(terms[0])] + terms[1:]
         with pytest.raises(PropertyViolationError, match="remainder"):
-            genus._divided_sum(tampered, parity, 2)
+            genus._divided_sum(tampered, 2)
 
     def test_remainder_catches_a_flipped_weight(self):
-        terms, parity = self.terms(projective_space(2), (1, 2))
+        terms = self.terms(projective_space(2), (1, 2))
         t = terms[1]
         flipped = _VertexTerm(t.vertex, t.sigma, (-t.tangent[0],) + t.tangent[1:],
                               t.c, t.v_weights, t.w_weights)
         with pytest.raises(PropertyViolationError, match="remainder"):
-            genus._divided_sum([terms[0], flipped] + terms[2:], parity, 2)
+            genus._divided_sum([terms[0], flipped] + terms[2:], 2)
 
     def test_an_inexact_numerator_is_reported(self, monkeypatch):
         # the first division, a numerator's over the common denominator,
         # reports a remainder; the error names that numerator's signature
-        terms, parity = self.terms(projective_space(2), (1, 2))
+        terms = self.terms(projective_space(2), (1, 2))
         real = genus.divide_binomials
         calls = []
 
@@ -1172,7 +1173,7 @@ class TestCertificate:
         monkeypatch.setattr(genus, "divide_binomials", first_inexact)
         with pytest.raises(PropertyViolationError,
                            match=re.escape(f"signature {terms[0].signature}")):
-            genus._divided_sum(terms, parity, 2)
+            genus._divided_sum(terms, 2)
         assert len(calls) == 1
 
     def test_held_out_catches_what_divides(self, monkeypatch):
@@ -1181,14 +1182,14 @@ class TestCertificate:
         # divides exactly, to the negated index
         m = projective_space(1)
         bundles = BundleSpec(((1, 0),))
-        terms, parity = self.terms(m, (1,), bundles.v_lines)
+        terms = self.terms(m, (1,), bundles.v_lines)
         assert [t.zero for t in terms] == [False, True]
         tampered = [_flip_sign(terms[0]), terms[1]]
         real = genus._divided_sum
-        assert real(tampered, parity, 2) == [
-            (low, [-c for c in p]) for low, p in real(terms, parity, 2)]
+        assert real(tampered, 2) == [
+            (low, [-c for c in p]) for low, p in real(terms, 2)]
         monkeypatch.setattr(genus, "_divided_sum",
-                            lambda terms, parity, q: real(tampered, parity, q))
+                            lambda terms, q: real(tampered, q))
         with pytest.raises(PropertyViolationError, match="held-out"):
             equivariant_index(m, (1,), bundles, 2)
 
@@ -1197,8 +1198,8 @@ class TestCertificate:
         # below it, so the division by D+ stays exact, but the held-out
         # theta values, which never read the squares, disagree
         m = projective_space(2)
-        terms, parity = self.terms(m, (1, 2))
-        honest = genus._divided_sum(terms, parity, 2)
+        terms = self.terms(m, (1, 2))
+        honest = genus._divided_sum(terms, 2)
         real = genus._square_series
 
         def times_one_plus_q(*args):
@@ -1208,7 +1209,7 @@ class TestCertificate:
         # a fresh majorant cache, so the rows' slots bound the tampered rows
         monkeypatch.setattr(genus, "_theta_majorant", lru_cache(maxsize=128)(
             genus._theta_majorant.__wrapped__))
-        rows = genus._divided_sum(terms, parity, 2)
+        rows = genus._divided_sum(terms, 2)
         assert rows != honest and rows[0] == honest[0]
         with pytest.raises(PropertyViolationError, match="held-out"):
             equivariant_index(m, (1, 2), None, 2)
@@ -1255,12 +1256,12 @@ class TestCertificate:
         # magnitudes {1, 2} and share their theta rows; flipping the sign of
         # only one of them is still caught
         m = projective_space(2)
-        terms, parity = self.terms(m, (1, 2))
+        terms = self.terms(m, (1, 2))
         first, second = [t for t in terms if t.signature == ((1, 2), (), ())]
         assert first.tangent != second.tangent
         tampered = [_flip_sign(t) if t is second else t for t in terms]
         with pytest.raises(PropertyViolationError, match="remainder"):
-            genus._divided_sum(tampered, parity, 2)
+            genus._divided_sum(tampered, 2)
         monkeypatch.setattr(genus, "_vertex_terms", lambda *args: tampered)
         with pytest.raises(PropertyViolationError):
             equivariant_index(m, (1, 2), None, 2)
@@ -1526,6 +1527,141 @@ class TestHeldOutTable:
         assert keys and all(q_order == 4 for _, _, q_order in keys)
         assert low == index(projective_space(3), None, 2)
         assert high == index(projective_space(3), None, 4)
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _poly_times_binomial(a, m):
+    """a times t^m - 1, lowest degree first."""
+    out = [-c for c in a] + [0] * m
+    for i, c in enumerate(a):
+        out[i + m] += c
+    return out
+
+
+def _poly_remainder_monic(a, b):
+    """The remainder of a on division by the monic b, lowest degree
+    first."""
+    a = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        for k, x in enumerate(b):
+            a[i + k] -= c * x
+    return a[:len(b) - 1]
+
+
+class TestCommonDenominator:
+    """The bookkeeping of ``_divided_sum`` against brute force, on the
+    manifests and on CP^4, whose fixed points disagree more on how many
+    weights a d divides, each on its two generic circles and on seeded
+    circles: e_d and its binomial exponents, D+ and each term's numerator
+    offset and sign."""
+
+    @staticmethod
+    def circle_terms():
+        rng = random.Random(34)
+        cases = [(path.name, parse_manifest(path.read_text()))
+                 for path in sorted(MANIFESTS.glob("*.ini"))]
+        cases = [(name, parsed.build_manifold(), parsed.bundles())
+                 for name, parsed in cases]
+        cases.append(("CP^4", projective_space(4), BundleSpec.empty()))
+        for name, m, bundles in cases:
+            weights = [w for fp in m.fixed_points() for w in fp.weights]
+            circles = [c.xi for c in choose_generic_circles(m, bundles)]
+            while len(circles) < 8:
+                xi = tuple(rng.randint(-9, 9) for _ in range(m.dimension))
+                if all(sum(map(math.prod, zip(w, xi))) for w in weights):
+                    circles.append(xi)
+            for xi in circles:
+                yield name, xi, genus._vertex_terms(
+                    m, xi, bundles.v_lines, bundles.w_lines, m.spin_c, False)
+
+    def test_denominator_against_brute_force(self, monkeypatch):
+        real_exponents, real_divide = (genus.binomial_exponents,
+                                       genus.divide_binomials)
+        exponent_calls, denominators = [], []
+
+        def exponents(e):
+            exponent_calls.append(dict(e))
+            return real_exponents(e)
+
+        def divide(value, count, size, downs):
+            denominators.append(dict(downs))
+            return real_divide(value, count, size, downs)
+        monkeypatch.setattr(genus, "binomial_exponents", exponents)
+        monkeypatch.setattr(genus, "divide_binomials", divide)
+        divided = 0
+        for name, xi, terms in self.circle_terms():
+            exponent_calls.clear()
+            denominators.clear()
+            genus._divided_sum(terms, 2)
+            live = [t for t in terms if not t.zero]
+            e = {}
+            for d in range(1, max((t.top for t in live), default=0) + 1):
+                most = max(sum(w % d == 0 for w in t.tangent) for t in live)
+                if most:
+                    e[d] = most
+            assert exponent_calls == [e], (name, xi)
+            big_e = {}
+            for m in e:
+                total = sum(e[d] * _mobius(d // m) for d in e if d % m == 0)
+                if total:
+                    big_e[m] = total
+            assert real_exponents(e) == big_e
+            positive = {m: x for m, x in big_e.items() if x > 0}
+            # the last q-order + 1 divisions are the row sums', by D+
+            assert denominators[-3:] in ([], [positive] * 3), (name, xi)
+            divided += bool(denominators)
+            d_plus = [1]
+            for m, x in positive.items():
+                for _ in range(x):
+                    d_plus = _poly_times_binomial(d_plus, m)
+            for t in live:
+                b = [1]
+                for w in t.tangent:
+                    b = _poly_times_binomial(b, abs(w))
+                assert not any(_poly_remainder_monic(d_plus, b)), (
+                    name, xi, t.vertex)
+        assert divided >= 20
+
+    def test_offset_and_sign_against_the_inline_formulas(self):
+        rng = random.Random(35)
+        cases = [(terms, genus._common_parity(terms))
+                 for _, _, terms in self.circle_terms()]
+        for _ in range(200):
+            term = _random_term(rng, largest=12)
+            cases.append(([term], term.halfexp % 2))
+        for terms, parity in cases:
+            for t in terms:
+                low = ((t.halfexp - parity) // 2
+                       - sum(w for w in t.tangent if w < 0)
+                       + sum(min(0, -a) for a in t.v_weights)
+                       + sum(min(0, b) for b in t.w_weights))
+                sign = t.sigma * (-1) ** (sum(w < 0 for w in t.tangent)
+                                          + sum(a < 0 for a in t.v_weights))
+                assert (t.offset, t.sign) == (low, sign)
+                # and they write the prefactor over the binomials
+                if t.zero:
+                    continue
+                x = Fraction(5, 3)
+                over = t.sign * x ** t.offset
+                for a in t.v_weights:
+                    over *= x ** abs(a) - 1
+                for b in t.w_weights:
+                    over *= 1 + x ** abs(b)
+                for w in t.tangent:
+                    over /= x ** abs(w) - 1
+                assert _term_value_reference(t, parity, x, 0).coeffs[0] == over
 
 
 class TestInputLimits:

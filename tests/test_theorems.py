@@ -9,11 +9,13 @@ import pytest
 from quasigenus.cli import main
 from quasigenus.cohomology import (SyntheticConnectedSumRing, build_face_ring,
                                    facet_class_decomposition)
-from quasigenus.errors import (InputError, PreconditionError,
-                               PropertyViolationError, RankHypothesisError,
-                               RingShapeError, WellDefinednessError)
+from quasigenus.errors import (DegenerateCircleError, InputError,
+                               PreconditionError, PropertyViolationError,
+                               RankHypothesisError, RingShapeError,
+                               WellDefinednessError)
 from quasigenus import cohomology, polytope, theorems
-from quasigenus.genus import equivariant_index, localization_integral
+from quasigenus.genus import (BundleSpec, equivariant_index,
+                              localization_integral)
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.theorems import (EquivariantDegree4Class, SymmetryBoundInput,
@@ -106,6 +108,29 @@ class TestAnomalyCoefficient:
         with pytest.raises(WellDefinednessError) as info:
             anomaly_coefficient(projective_space(2), (1, 2))
         assert info.value.values == {(1, 2): -5, (1, 3): -5, (2, 3): -2}
+
+    def test_twisted_non_pullback_reports_every_value(self):
+        # CP^2 on (1, 2) with V the first facet line and W the sum of the
+        # last two: at vertex {1, 3} the tangent weights are (-1, -2), V
+        # restricts to -1 and W to -2, so after the shift by the weights
+        # (1, 2) at {1, 2} the value is 2^2 + 4^2 - 1 - 4 = 15
+        bundles = BundleSpec(((1, 0, 0),), ((0, 1, 1),))
+        with pytest.raises(WellDefinednessError) as info:
+            anomaly_coefficient(projective_space(2), (1, 2), bundles)
+        assert info.value.values == {(1, 2): -5, (1, 3): 15, (2, 3): 3}
+
+    def test_refusals(self):
+        m = projective_space(2)
+        with pytest.raises(InputError, match="circle vector length 3"):
+            anomaly_coefficient(m, (1, 2, 3))
+        with pytest.raises(InputError, match="nonzero"):
+            anomaly_coefficient(m, (0, 0))
+        # (1, 1) pairs to zero with the weight (1, -1) at vertex {1, 3}
+        with pytest.raises(DegenerateCircleError, match=r"\[\(1, -1\)\]"):
+            anomaly_coefficient(m, (1, 1))
+        # the bundle lines are read before the circle
+        with pytest.raises(InputError, match="one coefficient per facet"):
+            anomaly_coefficient(m, (1, 2, 3), BundleSpec(((1,),)))
 
     def test_negative_anomaly_forces_vanishing(self):
         # the bridge the machinery exists for: I < 0 with matching twist
