@@ -312,13 +312,15 @@ def cmd_census(args):
         f"bound 0 < beta <= {report['beta_bound']}: "
         + ("satisfied" if report["all_within_bound"] else "VIOLATED"),
     ]
-    if report["all_within_bound"]:
-        lines.append("PASS")
-        _emit(report, args.json, lines)
-        return 0
-    lines.append("FAIL")
-    _emit(report, args.json, lines)
-    return 1
+    if not report["pattern_matches"]:
+        code, verdict = 3, ("NO MATCHES: no ring has the #k shape, so the "
+                            "bound was not tested")
+    elif report["all_within_bound"]:
+        code, verdict = 0, "PASS"
+    else:
+        code, verdict = 1, "FAIL"
+    _emit(report, args.json, lines + [verdict])
+    return code
 
 
 @cache

@@ -19,7 +19,8 @@ the same way.  Each degree's basis then comes from one sparse exact row
 reduction (``linalg.rref``) of that degree's relations on integer columns;
 no Groebner machinery.  The relations have about one nonzero per row, and
 the faces and minimal non-faces come grouped by size from the polytope,
-which computes them once.
+which computes them once.  A ring reduces each degree when it is first
+read; reading degree n also reduces n + 1 and runs the two top checks.
 
 Integration against the fundamental class is normalised so that the product
 of the facet classes through the lexicographically least vertex integrates
@@ -42,10 +43,10 @@ time.  A ``CohomologyClass`` only holds coordinates for printing, as
 ``pontryagin_p1`` returns them.
 
 The census needs only degrees 1 and 2: ``facet_class_decomposition`` reads
-the reductions of the facet classes and of their pairwise products through
-``reduce_monomial`` and builds no structure.  Reduction tables are keyed
-by column and map each basis column to the int 1, so reductions stay in
-ints wherever the ring is integral.
+the reductions of the facet classes and of their pairwise products on
+integer columns, builds no structure and reduces no higher degree.
+Reduction tables are keyed by column and map each basis column to the int
+1, so reductions stay in ints wherever the ring is integral.
 """
 
 import math
@@ -226,7 +227,10 @@ class FaceRing(GradedRing):
     monomials of each degree and the shift tables that multiply them by a
     free class, is the polytope's ``face_ring_skeleton``, shared by every
     ring over it; a ring adds its linear forms and one row reduction per
-    degree on the skeleton's integer columns.  ``reduce_monomial``
+    degree on the skeleton's integer columns, when the degree is first
+    read.  A read of degree n reduces n + 1 too and checks that degree n
+    is one-dimensional and n + 1 vanishes; a census ring stops at degree 2,
+    its vertex minors checked by the enumeration.  ``reduce_monomial``
     expresses any facet monomial in the chosen basis (or as 0); it builds
     the ring's ``structure``.  The generators are the m facets, so a line
     is a facet coefficient vector.
@@ -249,18 +253,23 @@ class FaceRing(GradedRing):
         for b, w in zip(base, weights):
             dots = (sum(x * y for x, y in zip(w, col)) for col in vectors)
             self._forms[b] = tuple((i, -a) for i, a in enumerate(dots) if a)
-        non_faces = p.faces()[1]
-        free = range(len(skeleton.free))
-        ideal = []
+        self._sign, self._ideal = sign, []
         self._bases, self._reductions = [], []
-        for d, monos in enumerate(skeleton.monomials):
+
+    def _extend(self, degree):
+        """Row-reduce the degrees up to ``degree`` not reduced yet; a read of
+        degree n reduces n + 1 too, which runs the two top checks."""
+        n, skeleton = self.dimension, self.skeleton
+        non_faces = self.manifold.polytope.faces()[1]
+        free = range(len(skeleton.free))
+        for d in range(len(self._bases), degree + 1 if degree < n else n + 2):
             # Columns: the skeleton's free monomials of degree d.  Rows: the
             # previous degree's ideal times each free class, plus the
             # images of the minimal non-faces of size d.
-            shift = skeleton.shifts[d]
+            shift, monos = skeleton.shifts[d], skeleton.monomials[d]
             rows = [{s: x for c, x in row.items()
                      if (s := shift[c][i]) is not None}
-                    for row in ideal for i in free]
+                    for row in self._ideal for i in free]
             rows += [self._expand(s) for s in non_faces[d]]
             ideal, pivots = rref(rows)
             # Keyed by column: a pivot maps to minus the rest of its row,
@@ -268,22 +277,26 @@ class FaceRing(GradedRing):
             reduction = {c: {i: -x for i, x in r.items() if i != c}
                          for r, c in zip(ideal, pivots)}
             basis = [c for c in range(len(monos)) if c not in reduction]
+            if d > n and len(self._bases[n]) != 1:
+                raise PropertyViolationError(
+                    f"top cohomology has dimension {len(self._bases[n])}, expected 1; "
+                    "the characteristic data is inconsistent")
+            if d > n and basis:
+                raise PropertyViolationError(
+                    "cohomology does not vanish above the top degree; "
+                    "the characteristic data is inconsistent")
             reduction.update({c: {c: 1} for c in basis})
+            self._ideal = ideal
             self._bases.append(tuple(monos[c] for c in basis))
             self._reductions.append(reduction)
-        if len(self._bases[n]) != 1:
-            raise PropertyViolationError(
-                f"top cohomology has dimension {len(self._bases[n])}, expected 1; "
-                "the characteristic data is inconsistent")
-        if self._bases.pop():
-            raise PropertyViolationError(
-                "cohomology does not vanish above the top degree; "
-                "the characteristic data is inconsistent")
-        self._reductions.pop()
+
+    @cached_property
+    def top_value(self):
         # The base vertex monomial spans the top degree and integrates to
         # the determinant of its characteristic minor.
-        self.top_value = _exact(
-            Fraction(sign, self.reduce_monomial(base)[self._bases[n][0]]))
+        base = self.manifold.polytope.vertices[0]
+        (x,) = self.reduce_monomial(base).values()
+        return _exact(Fraction(self._sign, x))
 
     def _expand(self, mono):
         """A facet monomial as an integer polynomial in the free classes,
@@ -320,14 +333,18 @@ class FaceRing(GradedRing):
 
     def basis(self, degree):
         if 0 <= degree <= self.dimension:
+            if len(self._bases) <= degree + (degree == self.dimension):
+                self._extend(degree)
             return self._bases[degree]
         return ()
 
     def betti_numbers(self):
         """Even Betti numbers b_0, b_2, ..., b_2n."""
-        return tuple(len(b) for b in self._bases)
+        self._extend(self.dimension)
+        return tuple(len(b) for b in self._bases[:-1])
 
-    def reduce_monomial(self, mono):
+    def _reduced(self, mono):
+        """``reduce_monomial`` as ``{skeleton column: value}``, zeros kept."""
         bad = [f for f in mono if f not in self._forms]
         if bad:
             raise InputError(
@@ -335,13 +352,19 @@ class FaceRing(GradedRing):
         d = len(mono)
         if d > self.dimension:
             return {}
+        if len(self._reductions) <= d + (d == self.dimension):
+            self._extend(d)
         table = self._reductions[d]
         out = {}
         for t, c in self._expand(mono).items():
             for i, x in table[t].items():
                 out[i] = out.get(i, 0) + c * x
-        monos = self.skeleton.monomials[d]
-        return {monos[i]: _exact(x) for i, x in out.items() if x}
+        return out
+
+    def reduce_monomial(self, mono):
+        monos = self.skeleton.monomials
+        return {monos[len(mono)][i]: _exact(x)
+                for i, x in self._reduced(mono).items() if x}
 
     def mul_basis(self, t1, t2):
         return self.reduce_monomial(tuple(sorted(t1 + t2)))
@@ -463,10 +486,10 @@ def facet_class_decomposition(manifold, ring=None):
     squares whenever those squares are independent, and is meaningful for
     dimension 2 as well.
 
-    Only degrees 1 and 2 of the ring are read, through ``reduce_monomial``:
-    once per facet v_i and at most once per product v_i v_j (i <= j), the
-    squares for p1 and the other products as candidate subsets ask for
-    them.  No ``structure`` is built.
+    Only degrees 1 and 2 of the ring are read, on integer columns
+    (``FaceRing._reduced``): once per facet v_i and at most once per
+    product v_i v_j (i <= j), as candidate subsets and p1 ask for them.
+    No ``structure`` is built.
     The pairwise-zero test runs before the unimodularity test; both must
     hold, so the order changes only the cost.
     """
@@ -476,9 +499,10 @@ def facet_class_decomposition(manifold, ring=None):
     k = len(ring.basis(1))
     coords = [ring.line_coordinates([int(i == j) for i in labels])
               for j in labels]
-    product = cache(lambda i, j: ring.reduce_monomial((i, j)))
+    product = cache(lambda i, j: ring._reduced((i, j)))
     for facets in combinations(labels, k):
-        if any(product(i, j) for i, j in combinations(facets, 2)):
+        if any(any(product(i, j).values())
+               for i, j in combinations(facets, 2)):
             continue
         found = unimodular_inverse([coords[j - 1] for j in facets])
         if found is None:

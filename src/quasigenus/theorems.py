@@ -503,8 +503,8 @@ def _iterated_connected_sum(n, k):
 
 # Work a census may do, in units of one candidate column filtered, one
 # backtracking node, or one (vertex, facet) pair of a face ring built; a
-# unit takes about 2-9 us on a 2-core host with Python 3.11.7, for rings
-# with few or many free facets alike (docs/manifest_format.md).
+# unit takes about 2-6 us on a 2-core host with Python 3.11.7 over the
+# censuses of docs/manifest_format.md, whose rings stop at degree 2.
 MAX_CENSUS_WORK = 5 * 10 ** 5
 
 

@@ -19,7 +19,7 @@ from quasigenus.cohomology import (CohomologyClass, FaceRing,
                                    facet_class_decomposition)
 from quasigenus.errors import (InputError, PropertyViolationError,
                                RingShapeError)
-from quasigenus.genus import localization_integral
+from quasigenus.genus import cohomological_index, localization_integral
 from quasigenus.linalg import rref, unimodular_inverse
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
@@ -136,21 +136,33 @@ class TestOracles:
 
 class TestConsistencyChecks:
     """Matrices with a singular vertex minor, built without the minor
-    checks, so that only the ring's own checks can refuse them."""
+    checks, so that only the ring's own checks can refuse them.  They run
+    on reaching degree n + 1, which every read of the top degree does."""
+
+    @staticmethod
+    def assert_refused(bad, message):
+        n, m = bad.dimension, bad.num_facets
+        reads = (lambda ring: ring.betti_numbers(),
+                 lambda ring: ring.basis(n),
+                 lambda ring: ring.reduce_monomial((1,) * n),
+                 lambda ring: ring.top_value,
+                 lambda ring: ring.integral([[1] * m] * n))
+        for read in reads:
+            ring = build_face_ring(bad)
+            assert len(ring.basis(1)) == m - n
+            for _ in range(2):
+                with pytest.raises(PropertyViolationError, match=message):
+                    read(ring)
 
     def test_cohomology_above_the_top_degree(self):
         bad = QuasitoricManifold._enumerated(simplex(2),
                                              ((1, 0, 0), (0, 1, 1)))
-        with pytest.raises(PropertyViolationError,
-                           match="does not vanish above the top degree"):
-            build_face_ring(bad)
+        self.assert_refused(bad, "does not vanish above the top degree")
 
     def test_top_degree_of_dimension_two(self):
         bad = QuasitoricManifold._enumerated(cube(2),
                                              ((1, 0, 1, 0), (0, 1, 0, 0)))
-        with pytest.raises(PropertyViolationError,
-                           match="top cohomology has dimension 2"):
-            build_face_ring(bad)
+        self.assert_refused(bad, "top cohomology has dimension 2")
 
 
 class TestRingStructure:
@@ -427,7 +439,7 @@ class TestDegreeTwoDecomposition:
                                                           monkeypatch):
         ring = build_face_ring(manifold)
         generator = facet_class_decomposition(manifold, ring)[0][0]
-        real = ring.reduce_monomial
+        real = ring._reduced
 
         def perturbed(mono):
             out = real(mono)
@@ -435,7 +447,7 @@ class TestDegreeTwoDecomposition:
                 out = {t: 2 * c for t, c in out.items()}
             return out
 
-        monkeypatch.setattr(ring, "reduce_monomial", perturbed)
+        monkeypatch.setattr(ring, "_reduced", perturbed)
         with pytest.raises(PropertyViolationError,
                            match="does not reproduce p1"):
             facet_class_decomposition(manifold, ring)
@@ -449,12 +461,14 @@ class TestDegreeTwoDecomposition:
                  + _delta_four_census_rings(2, 12))
         fractions = 0
         for ring in rings:
-            values = [x for table in ring._reductions
-                      for row in table.values() for x in row.values()]
+            # reducing every degree first fills every table
             labels = range(1, ring.num_generators + 1)
-            values += [x for d in range(ring.dimension + 1)
-                       for mono in combinations_with_replacement(labels, d)
-                       for x in ring.reduce_monomial(mono).values()]
+            values = [x for d in range(ring.dimension + 1)
+                      for mono in combinations_with_replacement(labels, d)
+                      for x in ring.reduce_monomial(mono).values()]
+            assert len(ring._reductions) == ring.dimension + 2
+            values += [x for table in ring._reductions
+                       for row in table.values() for x in row.values()]
             assert all(type(x) is int or x.denominator != 1 for x in values)
             fractions += sum(type(x) is not int for x in values)
         # the rings with denominator four have fractional reductions
@@ -839,7 +853,7 @@ class TestSkeletonSharing:
         assert first is rings[0].manifold.polytope.face_ring_skeleton()
         for ring in rings:
             assert [sorted(table) for table in ring._reductions] == [
-                list(range(len(block))) for block in first.monomials[:-1]]
+                list(range(len(block))) for block in first.monomials[:3]]
         count = len(rings)
         finiteness_census(3, 2, 1)
         assert rings[count].manifold.polytope is not rings[0].manifold.polytope
@@ -884,3 +898,66 @@ class TestSkeletonSharing:
                     for j, s in zip(skeleton.free, skeleton.shifts[d][c]):
                         product = tuple(sorted(t + (j,)))
                         assert s == column.get(product)
+
+
+def _recorded_census_rings(monkeypatch, *census):
+    """The rings ``finiteness_census(*census)`` builds, in order, with the
+    number of ``rref`` calls made while each was the newest ring."""
+    rings, calls = [], []
+    init, real = FaceRing.__init__, cohomology.rref
+
+    def recording(self, manifold):
+        init(self, manifold)
+        rings.append(self)
+        calls.append(0)
+
+    def counting(rows):
+        calls[-1] += 1
+        return real(rows)
+
+    monkeypatch.setattr(FaceRing, "__init__", recording)
+    monkeypatch.setattr(cohomology, "rref", counting)
+    finiteness_census(*census)
+    monkeypatch.undo()
+    return rings, calls
+
+
+class TestLazyDegrees:
+    """A face ring reduces each degree the first time it is read."""
+
+    def test_census_rings_stop_at_degree_two(self, monkeypatch):
+        rings, calls = _recorded_census_rings(monkeypatch, 3, 2, 1)
+        assert len(rings) == 22
+        assert calls == [3] * 22
+        assert all(len(ring._bases) == len(ring._reductions) == 3
+                   and "top_value" not in vars(ring) for ring in rings)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_degree_two_is_the_same_as_in_a_full_ring(self, monkeypatch, n):
+        rings, _ = _recorded_census_rings(monkeypatch, n, 2, 1)
+        assert len(rings) == {3: 22, 4: 116}[n]
+        for ring in rings:
+            full = build_face_ring(ring.manifold)
+            assert len(full.betti_numbers()) == n + 1
+            assert len(full._bases) == n + 2
+            assert ring._bases[:3] == full._bases[:3]
+            assert ring._reductions[:3] == full._reductions[:3]
+            # extending a ring read to degree 2 gives the full ring
+            assert ring.betti_numbers() == full.betti_numbers()
+            assert ring._bases == full._bases
+            assert ring._reductions == full._reductions
+            assert ring.top_value == full.top_value
+
+    def test_the_product_path_reaches_degree_n_plus_one(self, monkeypatch):
+        rings = []
+        init = FaceRing.__init__
+
+        def recording(self, manifold):
+            init(self, manifold)
+            rings.append(self)
+
+        monkeypatch.setattr(FaceRing, "__init__", recording)
+        cohomological_index(projective_space(3), None, 2)
+        assert len(rings) == 1
+        assert len(rings[0]._bases) == 3 + 2
+        assert rings[0].betti_numbers() == (1, 1, 1, 1)

@@ -395,6 +395,23 @@ class TestCliJson:
         assert data["all_within_bound"] is True
         assert data["beta_vectors"] == [[4]]
 
+    def test_census_without_matches_is_not_a_pass(self, capsys):
+        # no (4,3,1) ring has the #3 shape, so the bound was never tested
+        assert main(["census", "--n", "4", "--k", "3", "--bound", "1"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["matrices: 9472", "pattern matches: 0"]
+        assert "PASS" not in lines
+        assert lines[-1] == ("NO MATCHES: no ring has the #k shape, so the "
+                             "bound was not tested")
+        assert main(["census", "--n", "4", "--k", "3", "--bound", "1",
+                     "--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert (data["total_matrices"], data["pattern_matches"]) == (9472, 0)
+        assert sorted(data) == [
+            "all_within_bound", "beta_bound", "beta_vectors", "dimension",
+            "entry_bound", "pattern_matches", "summands", "total_matrices",
+            "violations"]
+
     def test_describe_json(self, capsys):
         assert main(["describe", S2XS2, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -503,6 +503,14 @@ class TestCensus:
         assert rep["beta_vectors"] == [(6, 6)]
         assert rep["all_within_bound"]
 
+    def test_ten_dimensional_single_simplex(self):
+        # the census reads degrees 0-2 of rings whose top degree is 10
+        rep = finiteness_census(10, 1, 1)
+        assert rep["total_matrices"] == 1024
+        assert rep["pattern_matches"] == 1024
+        assert rep["beta_vectors"] == [(11,)]
+        assert rep["all_within_bound"]
+
     def test_dimension_four(self):
         for k, total, matches, betas in ((1, 16, 16, [(5,)]),
                                          (2, 464, 32, [(5, 5)])):
