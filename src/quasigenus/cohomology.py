@@ -30,17 +30,18 @@ convention and doubles as an oracle.
 
 Each ring's ``structure`` holds its flat graded basis and, as integers
 over one common denominator delta, the product of every basis class of
-degree below n with every degree-one basis class, built from ``basis``,
-``mul_basis`` and ``token_degree`` on first use.  The ring is generated in
-degree one, so that is all the multiplication anything needs:
+degree below n with every degree-one basis class, read on first use from
+the ring's own tables (a face ring's reductions along its shift tables).
+The ring is generated in degree one, so that is all the multiplication
+anything needs, and the structure is the one place a product is read:
 ``GradedStructure.multiplier`` turns a degree-one class into one sparse
-degree-raising map, and it is the one place a product is taken.  Every
-class a check needs is a sum or product of lines, integer coefficient
-vectors on the generators: ``GradedRing.product`` runs the map once per
-line, ``integral`` divides the top coordinate once, and the cohomological
-route of the genus engine runs it on integer vectors, one Horner step at a
-time.  A ``CohomologyClass`` only holds coordinates for printing, as
-``pontryagin_p1`` returns them.
+degree-raising map, and ``squares`` contracts a Gram matrix of degree-one
+classes once.  Every class a check needs is a sum or product of lines,
+integer coefficient vectors on the generators: ``GradedRing.product``
+runs one map per distinct line, ``square_sum`` contracts the lines' Gram
+matrix, ``integral`` divides the top coordinate once, and the genus
+engine's cohomological route runs the maps on integer vectors, one Horner
+step at a time.  ``CohomologyClass`` only prints, as ``pontryagin_p1``.
 
 The census needs only degrees 1 and 2: ``facet_class_decomposition`` reads
 the reductions of the facet classes and of their pairwise products on
@@ -96,7 +97,7 @@ class CohomologyClass:
 
 class GradedStructure:
     """A ring's flat graded basis and its multiplication by degree-one
-    classes, in integers.
+    classes, in integers, read from the ring's ``_times_degree_one``.
 
     ``tokens`` lists basis(0), basis(1), ..., basis(n) in that order;
     ``degrees[i]`` is the degree of tokens[i] and ``starts[d]`` the
@@ -116,18 +117,16 @@ class GradedStructure:
         n = ring.dimension
         blocks = [ring.basis(d) for d in range(n + 1)]
         self.tokens = tuple(t for block in blocks for t in block)
-        self.degrees = tuple(ring.token_degree(t) for t in self.tokens)
+        self.degrees = tuple(d for d, block in enumerate(blocks) for _ in block)
         self.starts = tuple(sum(map(len, blocks[:d])) for d in range(n + 2))
-        position = {t: i for i, t in enumerate(self.tokens)}
-        products = [[ring.mul_basis(t, g).items() for g in blocks[1]]
-                    for t in self.tokens[:self.starts[n]]]
-        self.delta = math.lcm(1, *(c.denominator for row in products
-                                   for terms in row for _, c in terms))
+        products = [ring._times_degree_one(d) for d in range(n)]
+        self.delta = delta = math.lcm(1, *(
+            c.denominator for block in products for row in block
+            for terms in row for _, c in terms))
         self.rows = tuple(
-            tuple(tuple((position[t],
-                         c.numerator * (self.delta // c.denominator))
-                        for t, c in terms) for terms in row)
-            for row in products)
+            tuple(tuple((start + k, c.numerator * (delta // c.denominator))
+                        for k, c in terms) for terms in row)
+            for start, block in zip(self.starts[1:], products) for row in block)
 
     def multiplier(self, a):
         """Multiplication by delta * a, for the degree-one class a given by
@@ -159,15 +158,27 @@ class GradedStructure:
             return out
         return times
 
+    def squares(self, gram):
+        """delta^2 sum_(r,s) gram[r][s] e_r e_s, e_r = tokens[starts[1] + r],
+        as coordinates over ``tokens``; zero when n = 1 (no such rows)."""
+        out = [0] * len(self.tokens)
+        for weights, products in zip(gram, self.rows[self.starts[1]:]):
+            for x, terms in zip(weights, products):
+                if x:
+                    for k, c in terms:
+                        out[k] += x * c
+        return [self.delta * x for x in out]
+
 
 class GradedRing:
     """The structure and the line arithmetic every ring shares.
 
     A ring supplies ``dimension``, ``num_generators``, ``basis``,
-    ``token_degree``, ``token_name``, ``mul_basis``, ``top_value``, the
-    integral of its single top-degree basis token, and ``_forms``, each
-    generator's degree-one class as (basis(1) position, integer
-    coefficient) pairs.  The generators' classes generate the ring
+    ``token_name``, ``_times_degree_one``, each degree-d basis class times
+    each class of basis(1) as (basis(d + 1) index, value) pairs,
+    ``top_value``, the integral of its single top-degree basis token, and
+    ``_forms``, each generator's degree-one class as (basis(1) position,
+    integer coefficient) pairs.  The generators' classes generate the ring
     (Davis-Januszkiewicz for a face ring), so every class a check needs is
     a sum or product of lines, integer coefficient vectors on the
     generators: sums are taken on the lines, products by ``product``.
@@ -194,28 +205,45 @@ class GradedRing:
     def product(self, lines):
         """delta^k times the product of the classes of k lines, as integer
         coordinates over ``structure.tokens``, with delta the structure's
-        denominator: one multiplier pass per line."""
+        denominator: one multiplier per distinct line, one pass per line."""
         structure = self.structure
+        times = cache(lambda line: structure.multiplier(
+            self.line_coordinates(line)))
         out = [1] + [0] * (len(structure.tokens) - 1)
         for line in lines:
-            out = structure.multiplier(self.line_coordinates(line))(out)
+            out = times(tuple(line))(out)
         return out
+
+    def top_integral(self, x, scale):
+        """The integral of (x / scale) top token, for ints x and scale > 0,
+        by one divmod: an int when integral, else a Fraction."""
+        top = self.top_value
+        num, den = x * top.numerator, scale * top.denominator
+        whole, rest = divmod(num, den)
+        return Fraction(num, den) if rest else whole
 
     def integral(self, lines):
         """The integral of the product of the lines' classes over the
         fundamental class."""
-        scale = self.structure.delta ** len(lines)
-        return _exact(Fraction(self.product(lines)[-1], scale)
-                      * self.top_value)
+        return self.top_integral(self.product(lines)[-1],
+                                 self.structure.delta ** len(lines))
 
     def square_sum(self, lines, weights=None):
         """delta^2 times the sum of weights[i] times the square of the
         class of lines[i] (every weight 1 by default), as integer
-        coordinates over ``structure.tokens``."""
-        out = [0] * len(self.structure.tokens)
-        for line, w in zip(lines, weights or [1] * len(lines)):
-            out = [x + w * y for x, y in zip(out, self.product((line, line)))]
-        return out
+        coordinates over ``structure.tokens``: ``structure.squares`` of
+        the Gram matrix sum w_i a_i a_i^T of the lines' coordinates a_i."""
+        weights = [1] * len(lines) if weights is None else weights
+        if len(weights) != len(lines):
+            raise InputError(f"need one weight per line, got {len(weights)} "
+                             f"for {len(lines)} lines")
+        size = len(self.basis(1))
+        gram = [[0] * size for _ in range(size)]
+        for line, w in zip(lines, weights):
+            a = self.line_coordinates(line)
+            for r in compress(range(size), a) if w else ():
+                gram[r] = [g + w * a[r] * y for g, y in zip(gram[r], a)]
+        return self.structure.squares(gram)
 
 
 class FaceRing(GradedRing):
@@ -231,9 +259,8 @@ class FaceRing(GradedRing):
     read.  A read of degree n reduces n + 1 too and checks that degree n
     is one-dimensional and n + 1 vanishes; a census ring stops at degree 2,
     its vertex minors checked by the enumeration.  ``reduce_monomial``
-    expresses any facet monomial in the chosen basis (or as 0); it builds
-    the ring's ``structure``.  The generators are the m facets, so a line
-    is a facet coefficient vector.
+    expresses any facet monomial in the chosen basis (or as 0).  The
+    generators are the m facets, so a line is a facet coefficient vector.
     """
 
     def __init__(self, manifold):
@@ -319,9 +346,6 @@ class FaceRing(GradedRing):
 
     # -- ring interface ---------------------------------------------------
 
-    def token_degree(self, token):
-        return len(token)
-
     def token_name(self, token):
         if not token:
             return "1"
@@ -366,8 +390,18 @@ class FaceRing(GradedRing):
         return {monos[len(mono)][i]: _exact(x)
                 for i, x in self._reduced(mono).items() if x}
 
-    def mul_basis(self, t1, t2):
-        return self.reduce_monomial(tuple(sorted(t1 + t2)))
+    def _times_degree_one(self, d):
+        """The degree d + 1 reduction of each basis column shifted by each
+        free class, basis(1) in order; nothing when it leaves the faces.
+        A table maps each basis column, and no pivot, to itself."""
+        self.basis(d + 1)
+        shift, table = self.skeleton.shifts[d + 1], self._reductions[d + 1]
+        here, above = (sorted(c for c, row in t.items() if c in row)
+                       for t in self._reductions[d:d + 2])
+        index = {c: i for i, c in enumerate(above)}
+        return [[() if s is None else [(index[k], x)
+                                       for k, x in table[s].items()]
+                 for s in shift[c]] for c in here]
 
     # -- characteristic classes -------------------------------------------
 
@@ -417,13 +451,6 @@ class SyntheticConnectedSumRing(GradedRing):
         self.signs = signs
         self._forms = {i: ((i - 1, 1),) for i in range(1, k + 1)}
 
-    def token_degree(self, token):
-        if token == self.ONE:
-            return 0
-        if token == self.TOP:
-            return self.dimension
-        return token[2]
-
     def token_name(self, token):
         if token == self.ONE:
             return "1"
@@ -442,23 +469,14 @@ class SyntheticConnectedSumRing(GradedRing):
             return tuple(("g", i, degree) for i in range(1, k + 1))
         return ()
 
-    def mul_basis(self, t1, t2):
-        if t1 == self.ONE:
-            return {t2: 1}
-        if t2 == self.ONE:
-            return {t1: 1}
-        if t1 == self.TOP or t2 == self.TOP:
-            return {}
-        _, i, d1 = t1
-        _, j, d2 = t2
-        if i != j:
-            return {}
-        d = d1 + d2
-        if d < self.dimension:
-            return {("g", i, d): 1}
-        if d == self.dimension:
-            return {self.TOP: self.signs[i - 1]}
-        return {}
+    def _times_degree_one(self, d):
+        """1 g_r = g_r; g_i^d g_r = g_i^(d + 1), or signs[i] top in degree
+        n, when r = i, and 0 otherwise."""
+        k, top = self.num_generators, d + 1 == self.dimension
+        if d == 0:
+            return [[((r, 1),) for r in range(k)]]
+        return [[((0, s) if top else (i, 1),) if r == i else ()
+                 for r in range(k)] for i, s in enumerate(self.signs)]
 
 
 def _sum_terms(polys, coefficients):

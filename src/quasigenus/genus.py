@@ -1109,8 +1109,8 @@ def cohomological_index_on_ring(ring, tangent_roots, v_lines, w_lines, twist,
         integrand = out
     gauge = _integer_tables(n, q_order)[0]
     scale = (gauge * structure.delta) ** n * 2 ** w_trivial_rank
-    return QSeries([_exact(Fraction(vec[-1], scale) * ring.top_value)
-                    for vec in integrand], q_order)
+    return QSeries([ring.top_integral(vec[-1], scale) for vec in integrand],
+                   q_order)
 
 
 def _cohomological(manifold, twist, q_order):

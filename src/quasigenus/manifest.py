@@ -211,7 +211,12 @@ def _apply(spec, operand):
 def _build_polytope(spec):
     if spec[0] == "explicit":
         _, dimension, num_facets, vertices = spec
-        return SimplePolytope(dimension, num_facets, vertices)
+        polytope = SimplePolytope(dimension, num_facets, vertices)
+        h = polytope.h_vector()
+        if min(h) < 0 or h != h[::-1]:
+            raise InputError(f"h-vector {h} is not nonnegative and symmetric; "
+                             "the vertex complex is not a sphere")
+        return polytope
     entry, args = _apply(spec, _build_polytope)
     return entry.build(*args)
 

@@ -6,6 +6,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb
 from pathlib import Path
@@ -78,6 +79,23 @@ def facet_lines(ring, facets):
     """The unit line of each facet label, repeats included."""
     lines = unit_lines(ring.num_generators)
     return [lines[f - 1] for f in facets]
+
+
+def mul_basis(ring, t1, t2):
+    """The product of two basis tokens as ``{token: value}``, the oracle
+    the structure is checked against: a face ring's reduction of the
+    sorted facet monomial, or the synthetic ring's defining relations
+    g_i g_j = 0 for i != j and g_i^n = signs[i] * top."""
+    if isinstance(ring, FaceRing):
+        return ring.reduce_monomial(tuple(sorted(t1 + t2)))
+    if ring.ONE in (t1, t2):
+        return {t1 if t2 == ring.ONE else t2: 1}
+    if ring.TOP in (t1, t2) or t1[1] != t2[1]:
+        return {}
+    i, d = t1[1], t1[2] + t2[2]
+    if d < ring.dimension:
+        return {("g", i, d): 1}
+    return {ring.TOP: ring.signs[i - 1]} if d == ring.dimension else {}
 
 
 def off_corner_manifolds():
@@ -369,7 +387,7 @@ def _all_pairs(ring):
         for j in range(i, s.starts[n + 1 - s.degrees[i]]):
             products[i, j] = products[j, i] = [
                 (position[t], c) for t, c in
-                ring.mul_basis(s.tokens[i], s.tokens[j]).items()]
+                mul_basis(ring, s.tokens[i], s.tokens[j]).items()]
     delta = math.lcm(1, *(c.denominator for terms in products.values()
                           for _, c in terms))
     rows = [{} for _ in s.tokens]
@@ -476,6 +494,25 @@ class TestDegreeTwoDecomposition:
 
 
 class TestGradedStructure:
+    @staticmethod
+    def check_rows(ring, oracle):
+        """The structure's rows against oracle(a, g), the product of two
+        basis tokens as ``{token: value}``."""
+        s, n = ring.structure, ring.dimension
+        assert s.tokens == sum((ring.basis(d) for d in range(n + 1)), ())
+        assert [s.tokens[s.starts[d]:s.starts[d + 1]]
+                for d in range(n + 1)] == [ring.basis(d) for d in range(n + 1)]
+        assert s.degrees == tuple(d for d in range(n + 1)
+                                  for _ in ring.basis(d))
+        # one row per token of degree below n, one entry per generator
+        assert len(s.rows) == s.starts[n]
+        for i, a in enumerate(s.tokens[:s.starts[n]]):
+            assert len(s.rows[i]) == len(ring.basis(1))
+            for r, g in enumerate(ring.basis(1)):
+                assert {s.tokens[k]: Fraction(c, s.delta)
+                        for k, c in s.rows[i][r]} == oracle(a, g)
+                assert all(c for _, c in s.rows[i][r])
+
     def test_built_on_first_use_and_equal_to_mul_basis(self):
         # the last ring's products carry denominators 2 and 4, among the
         # degree-one products as among all pairs
@@ -489,30 +526,87 @@ class TestGradedStructure:
             assert "structure" not in vars(ring)
             s = ring.structure
             assert ring.structure is s
-            n = ring.dimension
-            assert s.tokens == sum((ring.basis(d) for d in range(n + 1)), ())
-            assert [s.tokens[s.starts[d]:s.starts[d + 1]]
-                    for d in range(n + 1)] == [ring.basis(d) for d in range(n + 1)]
-            # one row per token of degree below n, one entry per generator
-            assert len(s.rows) == s.starts[n]
-            for i, a in enumerate(s.tokens[:s.starts[n]]):
-                assert len(s.rows[i]) == len(ring.basis(1))
-                for r, g in enumerate(ring.basis(1)):
-                    assert {s.tokens[k]: Fraction(c, s.delta)
-                            for k, c in s.rows[i][r]} == ring.mul_basis(a, g)
+            self.check_rows(ring, partial(mul_basis, ring))
         assert [r.structure.delta for r in rings] == [1, 1, 4]
         assert [_all_pairs(r)[0] for r in rings] == [1, 1, 4]
+
+    def test_synthetic_rows_equal_the_defining_relations(self):
+        for n in range(2, 7):
+            for signs in ((1,), (-1,), (1, -1, -1), (-1, 1)):
+                ring = SyntheticConnectedSumRing(n, len(signs), signs)
+                self.check_rows(ring, partial(mul_basis, ring))
+                assert ring.structure.delta == 1
+
+    def test_face_ring_rows_equal_the_reference_reductions(self):
+        # the reference reduces without the skeleton's shift tables
+        rings = ([build_face_ring(m) for m in (
+            projective_space(1), sphere_product(1), sphere_product_spin(1),
+            projective_space(5), sphere_product(4))]
+            + _delta_four_census_rings(4, 12))
+        for ring in rings:
+            reduce_monomial = _face_ring_reference(ring.manifold)[2]
+            self.check_rows(ring, lambda a, g: reduce_monomial(
+                tuple(sorted(a + g))))
+            assert _all_pairs(ring)[0] == ring.structure.delta
+        assert [r.structure.delta for r in rings] == [1] * 5 + [4] * 4
+
+    def test_no_monomial_is_reduced_and_squares_take_no_multiplier(
+            self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("not on this path")
+        rings = [build_face_ring(projective_space(3)),
+                 _delta_four_census_rings(1, 12)[0]]
+        monkeypatch.setattr(FaceRing, "reduce_monomial", refuse)
+        monkeypatch.setattr(FaceRing, "_reduced", refuse)
+        for ring in rings:
+            assert ring.structure.rows
+        monkeypatch.setattr(cohomology.GradedStructure, "multiplier", refuse)
+        for ring in rings:
+            assert any(ring.p1_square_sum())
+            ring.square_sum(unit_lines(ring.num_generators)[:2], [2, -1])
+
+    def test_square_sum_is_the_weighted_sum_of_squares(self):
+        rng = random.Random(15)
+        rings = ([build_face_ring(m) for m in (
+            projective_space(1), sphere_product_spin(1), projective_space(3),
+            sphere_product(3), cp2_connected_sum())]
+            + _delta_four_census_rings(2, 12)
+            + [SyntheticConnectedSumRing(n, 3, (1, -1, -1))
+               for n in range(2, 7)])
+        for ring in rings:
+            m, size = ring.num_generators, len(ring.structure.tokens)
+            for k in range(5):
+                lines = [[rng.randint(-3, 3) for _ in range(m)]
+                         for _ in range(k)]
+                weights = [(0, -2, 1, 3)[i % 4] * rng.randint(1, 3)
+                           for i in range(k)]
+                squares = [ring.product((line, line)) for line in lines]
+                assert ring.square_sum(lines, weights) == [
+                    sum(w * sq[i] for w, sq in zip(weights, squares))
+                    for i in range(size)]
+                assert ring.square_sum(lines) == [
+                    sum(sq[i] for sq in squares) for i in range(size)]
+            if ring.dimension == 1:
+                assert not any(ring.square_sum(unit_lines(m), [1] * m))
+
+    def test_weights_need_one_entry_per_line(self):
+        for ring in (build_face_ring(projective_space(2)),
+                     SyntheticConnectedSumRing(3, 2)):
+            lines = unit_lines(ring.num_generators)
+            for weights in ([1] * (len(lines) - 1), [1] * (len(lines) + 1)):
+                with pytest.raises(InputError, match="one weight per line"):
+                    ring.square_sum(lines, weights)
 
 
 # -- token-dict reference arithmetic ----------------------------------------
 # Classes as {basis token: Fraction} dicts, every product through the ring's
-# mul_basis, and a line's class read from its degree-one coordinates.
+# mul_basis oracle, and a line's class read from its degree-one coordinates.
 
 def _dict_mul(ring, a, b):
     out = {}
     for t1, c1 in a.items():
         for t2, c2 in b.items():
-            for t, c in ring.mul_basis(t1, t2).items():
+            for t, c in mul_basis(ring, t1, t2).items():
                 out[t] = out.get(t, 0) + c1 * c2 * c
     return {t: c for t, c in out.items() if c}
 
@@ -528,7 +622,8 @@ def _dict_integral(ring, a):
 
 
 def _dict_str(ring, a):
-    keys = sorted(a, key=lambda t: (ring.token_degree(t), str(t)))
+    degree = dict(zip(ring.structure.tokens, ring.structure.degrees))
+    keys = sorted(a, key=lambda t: (degree[t], str(t)))
     return " + ".join(f"{a[t]}*{ring.token_name(t)}" for t in keys) or "0"
 
 

@@ -18,7 +18,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations_with_replacement, islice, product
 from operator import add, sub
 from pathlib import Path
@@ -49,6 +49,7 @@ from quasigenus.polytope import (QuasitoricManifold, SimplePolytope, cube,
                                  enumerate_characteristic_matrices)
 from quasigenus.theorems import (_iterated_connected_sum, construct_twist_bundles,
                                  synthetic_inflated_instance)
+from test_cohomology import mul_basis
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -642,7 +643,7 @@ class TestMultiplicativity:
 # -- reference arithmetic ---------------------------------------------------
 # Series in q and x as tables: row j lists the x^i coefficients of q^j.
 # Classes as {basis token: coefficient} dicts, every product through the
-# ring's mul_basis.
+# mul_basis oracle of the cohomology tests.
 
 def _exp(s, cap):
     """e^(s x) up to x^cap, from its Taylor coefficients."""
@@ -717,7 +718,7 @@ def _reference_tables(cap, q_order):
 def _dict_ring(ring):
     """Token-dict arithmetic over ring: (one, mul), each basis product
     through ``mul_basis`` and computed once."""
-    basis_product = cache(ring.mul_basis)
+    basis_product = cache(partial(mul_basis, ring))
 
     def mul(a, b):
         out = {}
@@ -897,11 +898,10 @@ def _pair_denominator(ring):
     """The least common denominator of the products of every two basis
     classes of positive degree, through ``mul_basis``."""
     n = ring.dimension
-    tokens = [t for d in range(1, n + 1) for t in ring.basis(d)]
+    tokens = [(d, t) for d in range(1, n + 1) for t in ring.basis(d)]
     return math.lcm(1, *(
-        c.denominator for a in tokens for b in tokens
-        if ring.token_degree(a) + ring.token_degree(b) <= n
-        for c in ring.mul_basis(a, b).values()))
+        c.denominator for d, a in tokens for e, b in tokens if d + e <= n
+        for c in mul_basis(ring, a, b).values()))
 
 
 def _census_rings(count, seed):
@@ -966,6 +966,21 @@ class TestIntegerEngine:
         assert len(rings) == 8
         for k, ring in enumerate(rings):
             self.check(ring, rng, k % 5)
+
+    def test_values_keep_their_exact_types(self):
+        # an integral value is an int and any other a Fraction, on rings
+        # whose structure divides by 4; both routes agree, in repr too
+        rng = random.Random(8)
+        fractions = 0
+        for ring in _census_rings(4, 8):
+            m = ring.manifold
+            a, b = index(m, None, 2), cohomological_index(m, None, 2)
+            assert a == b and repr(a) == repr(b) and _exact_ints(b)
+            for q_order in (0, 1, 2):
+                got = self.check(ring, rng, q_order).coeffs
+                assert all(type(x) is int or x.denominator != 1 for x in got)
+                fractions += sum(type(x) is Fraction for x in got)
+        assert fractions
 
     def test_cube_rings_with_a_denominator(self):
         rng = random.Random(7)

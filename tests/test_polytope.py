@@ -6,7 +6,7 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from quasigenus import polytope
+from quasigenus import manifest, polytope
 from quasigenus.cli import main
 from quasigenus.errors import InputError
 from quasigenus.linalg import int_det
@@ -243,6 +243,38 @@ class TestOrientation:
             "\n[spinc]\ngamma = 1 1 1 1 1 1\n")
         assert main([argv[0], str(path), *argv[1:]]) == 2
         assert "not an orientable sphere" in capsys.readouterr().err
+
+
+# The 7-vertex torus: 14 triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+# as vertices of a 3-dimensional "polytope" with 7 facets.  It is
+# connected, orientable and has every ridge in two vertices, but its
+# h-vector (1, 4, 10, -1) is neither nonnegative nor symmetric.
+TORUS = [tuple(sorted((i + k) % 7 + 1 for k in ks))
+         for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))]
+
+
+class TestSphereCheck:
+    def test_torus_builds_and_has_a_torus_h_vector(self):
+        assert SimplePolytope(3, 7, TORUS).h_vector() == (1, 4, 10, -1)
+
+    @pytest.mark.parametrize("argv", [["describe"], ["genus"],
+                                      ["verify", "--theorem", "lemma52"]])
+    def test_torus_manifest_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "torus.ini"
+        path.write_text(
+            "[polytope]\ndimension = 3\nfacets = 7\n"
+            + "".join("vertex = {%d %d %d}\n" % v for v in TORUS)
+            + "\n[characteristic]\nrow = 1 0 0 1 0 1 1\n"
+            "row = 0 1 0 1 1 0 1\nrow = 0 0 1 0 1 1 1\n"
+            "\n[spinc]\ngamma = 1 1 1 1 1 1 1\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert "h-vector (1, 4, 10, -1)" in capsys.readouterr().err
+
+    def test_constructed_polytopes_pass_as_listings(self):
+        for p in (simplex(3), cube(3), polygon(5), _iterated_connected_sum(3, 2),
+                  polytope_product(simplex(2), simplex(2))):
+            spec = ("explicit", p.dimension, p.num_facets, p.vertices)
+            assert manifest._build_polytope(spec) == p
 
 
 class TestCharacteristicMatrices:
