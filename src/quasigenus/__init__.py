@@ -24,8 +24,8 @@ from .genus import (BundleSpec, CircleSubgroup, EquivariantIndex,
                     cohomological_index, cohomological_witten_genus,
                     elliptic_genus, equivariant_elliptic_genus,
                     equivariant_index, equivariant_witten_genus,
-                    euler_characteristic, index, localization_integral,
-                    signature, spin_gamma, spin_obstruction, witten_genus)
+                    euler_characteristic, index, signature, spin_gamma,
+                    spin_obstruction, witten_genus)
 from .theorems import (EquivariantDegree4Class, SymmetryBoundInput,
                        anomaly_coefficient, check_twist_classes,
                        construct_twist_bundles, find_circle,
@@ -82,7 +82,6 @@ __all__ = [
     "find_circle",
     "finiteness_census",
     "index",
-    "localization_integral",
     "max_dim_rank_ratio",
     "parse_manifest",
     "polygon",

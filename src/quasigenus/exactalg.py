@@ -11,9 +11,9 @@ Two small types cover everything the index computations need:
 
 An exact rational value is an ``int`` when it is integral and a
 ``Fraction`` only otherwise.  ``_exact`` is the one place that rule is
-written: ``linalg``, ``cohomology``, ``genus`` and ``theorems`` call it
-wherever a value may come out of a division, so equal results of the two
-index routes are also alike in type and print alike.  The characters
+written: ``linalg``, ``cohomology`` and ``theorems`` call it wherever a
+value may come out of a division, so equal results of the two index
+routes are also alike in type and print alike.  The characters
 localization computes hold ints only.
 
 Plus primitives.  ``binomial_quotient`` builds a quotient of products

@@ -19,6 +19,13 @@ with the division, its theta values being the exponential of the weights'
 power sums; the two circles of one non-equivariant result read one table
 of them, and each quotient is evaluated at both points in one pass.
 
+Localization reads only fixed-point records, and so do the Euler
+characteristic, the generic circle search and the anomaly: a manifold is
+its ``dimension``, ``num_facets``, ``spin_c`` and ``fixed_points()``, each
+record with the facets ``vertex`` through it, its oriented ``sign`` and
+its tangent ``weights``, plus ``char_matrix`` for the spin tests.  Any
+object with these localizes; no polytope or orientation is read.
+
 Cohomological route: expand the universal one-root power series of each
 index factor as tables of x^i coefficients per power of q, substitute the
 facet classes of the stable tangent splitting, multiply in the twist and
@@ -51,7 +58,7 @@ from types import MappingProxyType
 
 from .errors import (BundleSpinError, DegenerateCircleError, InputError,
                      ParityError, PropertyViolationError, SpinObstructionError)
-from .exactalg import (HalfLaurent, QSeries, _exact, binomial_exponents,
+from .exactalg import (HalfLaurent, QSeries, binomial_exponents,
                        binomial_quotient, divide_binomials, divisors,
                        pack_slots, slot_size, unpack_slots)
 from .linalg import gf2_solve
@@ -233,13 +240,12 @@ def _circle_vector(manifold, xi):
 def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
     """Each fixed point's ``_VertexTerm`` on the circle xi for a twist."""
     xi = _circle_vector(manifold, xi)
-    signs = manifold.orientation_signs()
     lines = (gamma,) + tuple(v_lines) + tuple(w_lines)
     terms = []
     for fp in manifold.fixed_points():
         tangent, (c, *weights) = _fixed_point_weights(fp, xi, lines)
         terms.append(_VertexTerm(
-            fp.vertex, signs[fp.vertex] * fp.sign, tangent, c,
+            fp.vertex, fp.sign, tangent, c,
             tuple(weights[:len(v_lines)]),
             tangent if tangent_as_w else tuple(weights[len(v_lines):])))
     return terms
@@ -248,7 +254,7 @@ def _vertex_terms(manifold, xi, v_lines, w_lines, gamma, tangent_as_w):
 def _common_parity(terms):
     parities = {t.halfexp % 2 for t in terms}
     if len(parities) != 1:
-        detail = {t.vertex: t.halfexp for t in terms}
+        detail = [(t.vertex, t.halfexp) for t in terms]
         raise ParityError(
             "fixed points disagree on the half-integer exponent parity: "
             f"{detail}; the twist data is inconsistent")
@@ -887,7 +893,7 @@ def equivariant_elliptic_genus(manifold, xi, q_order):
 
 def euler_characteristic(manifold):
     """Fixed-point count of the torus action."""
-    return len(manifold.polytope.vertices)
+    return len(manifold.fixed_points())
 
 
 def signature(manifold):
@@ -908,37 +914,6 @@ def signature(manifold):
                 f"{character}")
         return character.value_at_one()
     return _on_two_circles(manifold, None, "signature", constant)
-
-
-def localization_integral(manifold, facets):
-    """Pairing of a product of n facet classes with the fundamental class,
-    computed purely from fixed-point data.
-
-    This is the oracle the cohomology ring's normalisation is checked
-    against.  ``facets`` is a multiset (repetitions allowed) of exactly n
-    facet labels.
-    """
-    facets = tuple(sorted(int(f) for f in facets))
-    if len(facets) != manifold.dimension:
-        raise InputError(
-            f"need exactly {manifold.dimension} facet labels, got {len(facets)}")
-    if not 1 <= facets[0] <= facets[-1] <= manifold.num_facets:
-        raise InputError(f"facet labels {facets} leave 1..{manifold.num_facets}")
-    # Facet class v_f restricts to a fixed point as the line with the single
-    # coefficient 1 at facet f: weight <w_k, xi> when f is the k-th facet
-    # through the vertex, and 0 when f misses it.
-    lines = [[int(j == f) for j in range(1, manifold.num_facets + 1)]
-             for f in facets]
-    signs = manifold.orientation_signs()
-
-    def pairing(xi, _):
-        total = 0
-        for fp in manifold.fixed_points():
-            tangent, restricted = _fixed_point_weights(fp, xi.xi, lines)
-            total += Fraction(signs[fp.vertex] * fp.sign * math.prod(restricted),
-                              math.prod(tangent))
-        return _exact(total)
-    return _on_two_circles(manifold, None, "localization pairing", pairing)
 
 
 # ---------------------------------------------------------------------------

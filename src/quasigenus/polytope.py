@@ -288,8 +288,9 @@ class FixedPointDatum:
     """Localization data at one fixed point (vertex) of the torus action.
 
     weights[k] is the character of the k-th tangent line, dual to the
-    characteristic vector of facet vertex[k]; sign is the raw determinant
-    of the characteristic minor, before any global orientation is chosen.
+    characteristic vector of facet vertex[k]; sign is the oriented sign
+    eps(v) det, the polytope's orientation at the vertex times the
+    determinant of its characteristic minor.
     """
 
     __slots__ = ("vertex", "weights", "sign")
@@ -366,14 +367,14 @@ class QuasitoricManifold:
         constructor builds them: one inversion per vertex minor checks it,
         and ``int_det`` only names the determinant of a refused one."""
         if self._fixed is None:
-            data = []
+            eps, data = self.polytope.orientation, []
             for v in self.polytope.vertices:
                 found = unimodular_inverse(self.minor(v))
                 if found is None:
                     raise InputError(f"vertex {v} has characteristic minor "
                                      f"determinant {int_det(self.minor(v))}")
                 det, weights = found
-                data.append(FixedPointDatum(v, weights, det))
+                data.append(FixedPointDatum(v, weights, eps[v] * det))
             self._fixed = tuple(data)
         return self._fixed
 

@@ -20,7 +20,7 @@ from quasigenus.cohomology import (CohomologyClass, FaceRing,
                                    facet_class_decomposition)
 from quasigenus.errors import (InputError, PropertyViolationError,
                                RingShapeError)
-from quasigenus.genus import cohomological_index, localization_integral
+from quasigenus.genus import choose_generic_circles, cohomological_index
 from quasigenus.linalg import rref, unimodular_inverse
 from quasigenus.manifest import parse_manifest
 from quasigenus.models import (cp2_connected_sum, projective_space,
@@ -39,7 +39,7 @@ def localization_pairing_oracle(manifold, facet_labels, xi):
     vertex and to 0 otherwise; dividing by the product of all tangent
     weights and summing the signed terms over vertices gives the pairing.
     Any circle with nonzero tangent weights everywhere computes the same
-    number, which is itself cross-checked by the caller.
+    number, which ``localization_pairing`` checks on two circles.
     """
     total = Fraction(0)
     for d in manifold.fixed_points():
@@ -55,8 +55,17 @@ def localization_pairing_oracle(manifold, facet_labels, xi):
         den = Fraction(1)
         for w in weights:
             den *= w
-        total += manifold.orientation_signs()[d.vertex] * d.sign * num / den
+        total += d.sign * num / den
     return total
+
+
+def localization_pairing(manifold, facet_labels):
+    """The oracle on both circles of ``choose_generic_circles``, which must
+    agree there: the pairing does not depend on the circle."""
+    first, second = (localization_pairing_oracle(manifold, facet_labels, c.xi)
+                     for c in choose_generic_circles(manifold))
+    assert first == second, (facet_labels, first, second)
+    return first
 
 
 def h_vector(polytope):
@@ -119,7 +128,7 @@ class TestOracles:
             labels = range(1, manifold.num_facets + 1)
             for facets in combinations_with_replacement(labels, manifold.dimension):
                 assert (ring.integral(facet_lines(ring, facets))
-                        == localization_integral(manifold, facets))
+                        == localization_pairing(manifold, facets))
 
     def test_large_rings_have_the_h_vector_betti_numbers(self):
         p = polytope_product(simplex(3), simplex(3))
@@ -223,13 +232,13 @@ class TestRingStructure:
 
 class TestPairing:
     """Integrals of unit lines against the fixed point formula, by the
-    oracle above and by ``localization_integral``."""
+    oracle above on given circles and on two generic ones."""
 
     @staticmethod
     def integral(manifold, facets):
         ring = build_face_ring(manifold)
         got = ring.integral(facet_lines(ring, facets))
-        assert got == localization_integral(manifold, facets)
+        assert got == localization_pairing(manifold, facets)
         return got
 
     def test_cp2_top_pairing(self):
@@ -618,7 +627,7 @@ def _dict_integral(ring, a):
     top = ring.basis(ring.dimension)[0]
     if isinstance(ring, SyntheticConnectedSumRing):
         return a.get(top, 0)
-    return a.get(top, 0) * localization_integral(ring.manifold, top)
+    return a.get(top, 0) * localization_pairing(ring.manifold, top)
 
 
 def _dict_str(ring, a):

@@ -34,9 +34,8 @@ from quasigenus.genus import (BundleSpec, CircleSubgroup, choose_generic_circles
                               cohomological_elliptic_genus, cohomological_index,
                               cohomological_witten_genus, elliptic_genus,
                               equivariant_index, equivariant_witten_genus,
-                              euler_characteristic, index,
-                              localization_integral, signature, spin_gamma,
-                              spin_obstruction, witten_genus,
+                              euler_characteristic, index, signature,
+                              spin_gamma, spin_obstruction, witten_genus,
                               equivariant_elliptic_genus, _VertexTerm,
                               _class_table, _integer_tables, _universal_tables,
                               cohomological_index_on_ring)
@@ -49,7 +48,7 @@ from quasigenus.polytope import (QuasitoricManifold, SimplePolytope, cube,
                                  enumerate_characteristic_matrices)
 from quasigenus.theorems import (_iterated_connected_sum, construct_twist_bundles,
                                  synthetic_inflated_instance)
-from test_cohomology import mul_basis
+from test_cohomology import localization_pairing, mul_basis
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -67,13 +66,6 @@ def q1_local_term(t, c, w):
     (1-q)^2 / ((1-t^w q)(1-t^-w q)), which is t^w + t^-w - 2."""
     tw = Fraction(t) ** w
     return q0_local_term(t, c, w) * (tw + 1 / tw - 2)
-
-
-def _oriented_signs(m):
-    """Each fixed point's localization sign by vertex: eps(v) times the
-    determinant of its characteristic minor."""
-    eps = m.orientation_signs()
-    return {d.vertex: eps[d.vertex] * d.sign for d in m.fixed_points()}
 
 
 def _unit_lines(m):
@@ -102,7 +94,7 @@ class TestFixedPointContribution:
         m = sphere_product_spin(1)
         terms = genus._vertex_terms(m, (1,), (), (), m.spin_c, False)
         signs = [t.sigma for t in terms]
-        assert signs == [_oriented_signs(m)[t.vertex] for t in terms]
+        assert signs == [d.sign for d in m.fixed_points()]
         assert sorted(signs) == [-1, 1]
         for tau in (2, 3):
             signed = [_held_out_value(t, 0, tau, 1) for t in terms]
@@ -134,6 +126,13 @@ class TestFixedPointContribution:
         assert genus._common_parity([odd]) == 1
         with pytest.raises(ParityError, match="disagree"):
             genus._common_parity([even, odd])
+        # two fixed points over one facet set, as at the poles of S^4, are
+        # each reported, in order
+        pole = _VertexTerm((1,), -1, (1,), 1, (), ())
+        with pytest.raises(ParityError,
+                           match=r"\[\(\(1,\), 2\), \(\(1,\), 2\), "
+                                 r"\(\(2,\), -1\)\]"):
+            genus._common_parity([even, pole, odd])
 
 
 class TestRouteAgreement:
@@ -205,12 +204,6 @@ class TestExactValues:
             assert _exact_ints(series)
             assert repr(series) == "QSeries([2, 0, 0])"
 
-    def test_localization_integral_gives_ints(self):
-        for m in (projective_space(2), sphere_product(2), cp2_connected_sum()):
-            for v in m.polytope.vertices:
-                assert type(localization_integral(m, v)) is int
-        assert repr(localization_integral(projective_space(2), (1, 1))) == "1"
-
     def test_nullspace_gives_ints_where_integral(self):
         basis = nullspace([{0: 2, 1: 1}], 3)
         assert basis == [[Fraction(-1, 2), 1, 0], [0, 0, 1]]
@@ -239,19 +232,10 @@ class TestClassicalInvariants:
     def test_localization_integral_vertex_products(self):
         for m in (projective_space(2), sphere_product(2), cp2_connected_sum()):
             ring = build_face_ring(m)
-            for v in m.polytope.vertices:
-                got = localization_integral(m, v)
-                assert got == _oriented_signs(m)[v]
-                assert ring.integral(_facet_lines(m, v)) == got
-
-    def test_localization_integral_needs_n_labels(self):
-        with pytest.raises(InputError):
-            localization_integral(projective_space(2), (1,))
-
-    def test_localization_integral_label_range(self):
-        for bad in (0, 4):
-            with pytest.raises(InputError):
-                localization_integral(projective_space(2), (1, bad))
+            for d in m.fixed_points():
+                got = localization_pairing(m, d.vertex)
+                assert got == d.sign
+                assert ring.integral(_facet_lines(m, d.vertex)) == got
 
     def test_signature_values(self):
         assert signature(projective_space(2)) == 1
@@ -457,7 +441,7 @@ class TestEquivariant:
                 term = u ** (c + sum(w))
                 for wk in w:
                     term /= u ** (2 * wk) - 1
-                direct += _oriented_signs(m)[d.vertex] * term
+                direct += d.sign * term
             assert _evaluate(char, u ** 2) == direct
             values.add(direct)
         assert len(values) == 3
@@ -1246,25 +1230,6 @@ class TestCertificate:
                            match="differs between generic circles"):
             compute(projective_space(2))
         assert len(calls) == 2
-
-    def test_localization_pairing_circles_must_agree(self, monkeypatch):
-        # one tangent weight negated at every fixed point of the second
-        # circle: each term of the pairing flips its sign
-        real = genus._fixed_point_weights
-        circles = []
-
-        def second_negated(fp, xi, lines=()):
-            if xi not in circles:
-                circles.append(xi)
-            tangent, restricted = real(fp, xi, lines)
-            if circles.index(xi) == 1:
-                tangent = (-tangent[0],) + tangent[1:]
-            return tangent, restricted
-        monkeypatch.setattr(genus, "_fixed_point_weights", second_negated)
-        with pytest.raises(PropertyViolationError,
-                           match="differs between generic circles"):
-            localization_integral(projective_space(2), (1, 1))
-        assert len(circles) == 2
 
     def test_a_shared_signature_keeps_each_sign(self, monkeypatch):
         # on CP^2 with xi = (1, 2) two fixed points have weights of

@@ -127,3 +127,16 @@ def test_class_arithmetic_is_gone():
     assert not hasattr(genus, "is_spin")
     assert "is_spin" not in quasigenus.__all__
     assert not hasattr(quasigenus, "is_spin")
+
+
+def test_localization_reads_only_fixed_point_records():
+    # each fixed point carries its oriented sign, so localization reads no
+    # orientation and no polytope; the pairing oracle lives in the tests
+    from quasigenus import genus
+    assert not hasattr(genus, "localization_integral")
+    assert "localization_integral" not in quasigenus.__all__
+    assert not hasattr(quasigenus, "localization_integral")
+    text = (SOURCES / "genus.py").read_text()
+    for name in ("orientation_signs", "manifold.polytope"):
+        assert name not in text, name
+    assert "orientation_signs" not in (SOURCES / "theorems.py").read_text()

@@ -333,13 +333,26 @@ class TestFixedPoints:
         m = QuasitoricManifold(cube(1), [[1, 1]], (1, 1))
         data = m.fixed_points()
         assert [d.weights for d in data] == [((1,),), ((1,),)]
-        assert [d.sign for d in data] == [1, 1]
+        # both minors have determinant 1; the two ends of the interval
+        # carry opposite orientations, and so opposite oriented signs
+        assert [d.sign for d in data] == [1, -1]
 
     def test_orientation_signs_consistent(self):
         m = QuasitoricManifold(simplex(2), [[1, 0, -1], [0, 1, -1]], (1, 1, 1))
         signs = m.orientation_signs()
         assert signs[m.polytope.vertices[0]] == 1
         assert set(signs.values()) <= {1, -1}
+        # each fixed point carries eps(v) det, and every combination of the
+        # two factors' signs occurs
+        seen = set()
+        for p in (simplex(2), cube(2), vertex_cut(simplex(3), (1, 2, 3))):
+            for mat in enumerate_characteristic_matrices(p, 1):
+                m = QuasitoricManifold(p, mat, (1,) * p.num_facets)
+                for d in m.fixed_points():
+                    pair = (p.orientation[d.vertex], int_det(m.minor(d.vertex)))
+                    assert d.sign == pair[0] * pair[1]
+                    seen.add(pair)
+        assert len(seen) == 4
 
 
 class TestOneInversionPerVertex:

@@ -14,8 +14,7 @@ from quasigenus.errors import (DegenerateCircleError, InputError,
                                RankHypothesisError, RingShapeError,
                                WellDefinednessError)
 from quasigenus import cohomology, polytope, theorems
-from quasigenus.genus import (BundleSpec, equivariant_index,
-                              localization_integral)
+from quasigenus.genus import BundleSpec, equivariant_index
 from quasigenus.models import (cp2_connected_sum, projective_space,
                                sphere_product, sphere_product_spin)
 from quasigenus.theorems import (EquivariantDegree4Class, SymmetryBoundInput,
@@ -28,7 +27,7 @@ from quasigenus.theorems import (EquivariantDegree4Class, SymmetryBoundInput,
                                  synthetic_inflated_instance)
 from test_cohomology import (_delta_four_census_rings, _dict_integral,
                              _dict_product, _dict_square_sum, _line_dict,
-                             facet_lines, unit_lines)
+                             facet_lines, localization_pairing, unit_lines)
 
 
 class TestDegree4Class:
@@ -252,7 +251,7 @@ class TestTwistConstruction:
             assert checks["c1_v_equals_twist"]
             assert checks["p1_difference_zero"]
             assert checks["w_spin"]
-            assert checks["euler_pairing"] == localization_integral(
+            assert checks["euler_pairing"] == localization_pairing(
                 ring.manifold, (f, f, f))
             checked += bool(square)
         assert checked
